@@ -7,7 +7,7 @@
 //! the iSCSI/ext4 polynomial (`0x1EDC6F41`); this is a slice-by-8 table
 //! implementation — dependency-free, no SIMD, eight bytes per table
 //! round — fast enough that the pipelined shuffle keeps its speedup
-//! (measured in `BENCH_shuffle.json` as `crc_overhead_frac`).
+//! (the benchmark measures it as `checksum.overhead_frac`).
 //!
 //! Two entry points: one-shot [`crc32c`] for a contiguous chunk, and the
 //! streaming [`Crc32c`] hasher for callers that see the payload in

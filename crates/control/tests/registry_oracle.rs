@@ -165,7 +165,7 @@ proptest! {
                             // primary first when the primary is live.
                             prop_assert!(placed.len() <= 2);
                             for a in &placed {
-                                let n = (a.port() - 1000) as u16;
+                                let n = a.port() - 1000;
                                 prop_assert!(oracle.live(n), "placed a non-live node");
                             }
                             let mut dedup = placed.clone();
@@ -177,7 +177,7 @@ proptest! {
                             }
                             oracle.placements.insert(
                                 mof,
-                                placed.iter().map(|a| (a.port() - 1000) as u16).collect(),
+                                placed.iter().map(|a| a.port() - 1000).collect(),
                             );
                         }
                     }
@@ -200,7 +200,7 @@ proptest! {
             for mof in oracle.placements.keys() {
                 let resolved = registry.resolve(*mof);
                 for a in &resolved {
-                    let n = (a.port() - 1000) as u16;
+                    let n = a.port() - 1000;
                     prop_assert!(oracle.live(n), "resolved a non-live node");
                     prop_assert!(
                         oracle.placements.get(mof).map(|p| p.contains(&n)).unwrap_or(false),

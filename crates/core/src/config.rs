@@ -61,9 +61,6 @@ pub struct JbsConfig {
     /// circuit breaker opens and new fetch ops for it fail fast
     /// (half-open probes re-admit it). 0 disables the breaker.
     pub breaker_threshold: u32,
-    /// How long a draining MOFSupplier waits for in-flight exchanges
-    /// to finish before hard-closing the remaining connections.
-    pub drain_timeout: SimTime,
     /// Memory budget of the supplier-side hybrid store's MEMORY tier
     /// (Uniffle-style MEMORY_LOCALFILE): incoming partition writes
     /// buffer here until the watermarks spill them.
@@ -102,10 +99,6 @@ pub struct JbsConfig {
     /// a spill burst from stealing the disk head from the prefetcher.
     /// 0 disables arbitration for the class.
     pub io_append_permits: usize,
-    /// Address of the cluster control plane's supplier registry.
-    /// `None` runs registry-less (static addressing, no replica
-    /// failover) — the stock single-job deployment.
-    pub registry_addr: Option<std::net::SocketAddr>,
     /// Spacing between a supplier's heartbeats into the registry.
     pub heartbeat_interval: SimTime,
     /// Copies of each segment written across the cluster (primary
@@ -135,7 +128,6 @@ impl Default for JbsConfig {
             checksum: true,
             max_inflight_per_peer: 256,
             breaker_threshold: 8,
-            drain_timeout: SimTime::from_secs(5),
             hybrid_memory_budget: 64 << 20,
             memory_spill_high_watermark: 0.5,
             memory_spill_low_watermark: 0.2,
@@ -145,7 +137,6 @@ impl Default for JbsConfig {
             reactor_threads: 1,
             io_read_permits: 4,
             io_append_permits: 2,
-            registry_addr: None,
             heartbeat_interval: SimTime::from_millis(500),
             replication_factor: 2,
             unhealthy_after_missed: 3,
@@ -190,9 +181,6 @@ impl JbsConfig {
         }
         if self.max_inflight_per_peer == 0 {
             return Err("per-peer in-flight cap must be positive".into());
-        }
-        if self.drain_timeout == SimTime::ZERO {
-            return Err("drain timeout must be positive".into());
         }
         if self.hybrid_memory_budget == 0 {
             return Err("hybrid memory budget must be positive".into());
@@ -245,11 +233,6 @@ mod tests {
     fn robustness_knob_validation() {
         let c = JbsConfig {
             max_inflight_per_peer: 0,
-            ..JbsConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = JbsConfig {
-            drain_timeout: SimTime::ZERO,
             ..JbsConfig::default()
         };
         assert!(c.validate().is_err());
@@ -334,7 +317,6 @@ mod tests {
     #[test]
     fn control_plane_knob_validation() {
         let c = JbsConfig::default();
-        assert_eq!(c.registry_addr, None, "registry-less by default");
         assert_eq!(c.heartbeat_interval, SimTime::from_millis(500));
         assert_eq!(c.replication_factor, 2);
         assert_eq!(c.unhealthy_after_missed, 3);

@@ -205,10 +205,7 @@ fn exhaustive_sweep_with_batched_manifest_syncs() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random small workloads, each swept exhaustively over every
     /// crash point the survey run finds. The vendored proptest shim has

@@ -48,17 +48,17 @@ fn zipf_skewed_reducer_is_force_spilled_others_stay_resident() {
     // the MEMORY tier.
     let hot = store.layout(0, 0).unwrap();
     assert!(hot.local as usize > HUGE_LIMIT, "hot reducer spilled: {hot:?}");
-    for r in 1..REDUCERS {
+    for (r, &appended) in per_reducer.iter().enumerate().skip(1) {
         let l = store.layout(0, r as u32).unwrap();
         assert_eq!(l.local, 0, "cold reducer {r} must stay resident: {l:?}");
         assert_eq!(l.remote, 0);
-        assert_eq!(l.memory, per_reducer[r]);
+        assert_eq!(l.memory, appended);
     }
 
     // Byte-exactness is tier-independent: the spilled reducer reads
     // back exactly as many bytes as were appended.
-    for r in 0..REDUCERS {
+    for (r, &appended) in per_reducer.iter().enumerate() {
         let bytes = store.read_segment_range(0, r as u32, 0, 0).unwrap().unwrap();
-        assert_eq!(bytes.len() as u64, per_reducer[r]);
+        assert_eq!(bytes.len() as u64, appended);
     }
 }

@@ -41,7 +41,7 @@ enum Op {
 
 fn decode(kind: u8, part: u8, a: u16, b: u16) -> Op {
     match kind % 8 {
-        0 | 1 | 2 | 3 => Op::Write {
+        0..=3 => Op::Write {
             part: part % PARTS,
             len: a % 60 + 1,
             seed: b as u8,

@@ -1,277 +1,117 @@
-//! A reusable byte-buffer pool plus refcounted slab leases for the
-//! zero-copy dataplane.
+//! Refcounted slab leases for the zero-copy dataplane, plus the gauge
+//! that counts how many are live.
 //!
-//! Every chunk served by the supplier used to allocate a fresh `Vec<u8>`
-//! (copy out of the staged range, hand to the frame writer, drop). At
-//! 128 KB per chunk and thousands of chunks per shuffle that is real
-//! allocator pressure on the serving threads. [`BufPool`] recycles those
-//! vectors: a bounded free list of cleared buffers, LIFO so the hottest
-//! (cache-warm, fully grown) buffer is reused first.
+//! A staged read-ahead buffer is wrapped in a [`Lease`] — an `Arc` over
+//! the bytes — and the *same allocation* is pinned by the DataCache and
+//! by any in-flight vectored transmit at once. No copy happens between
+//! the cache and the socket; when the last clone drops, the buffer is
+//! freed. Eviction is therefore safe at any moment: it drops the cache's
+//! pin, never the bytes a partial write is still sending.
 //!
-//! The event-loop server goes one step further: a staged buffer is
-//! wrapped in a [`Lease`] — an `Arc` over the bytes plus a handle back
-//! to its pool — and the *same allocation* is pinned by the DataCache
-//! and by any in-flight vectored transmit at once. No copy happens
-//! between the cache and the socket; when the last lease drops, the
-//! buffer returns to the free list. The threaded path keeps its
-//! copy-out (`hit_into`) shape, which is exactly the baseline the
-//! `copies_per_byte` bench metric compares against.
-//!
-//! Correctness over cleverness: a buffer is **cleared before it is
-//! pooled**, so `get` can never observe a previous payload's bytes —
-//! the recycle-after-send and concurrent-lease-drop races are modeled
-//! under loom below.
-//!
-//! Backpressure is observable rather than silent: the pool tracks how
-//! many buffers are out (`outstanding`), and a `get` that misses while
-//! demand already exceeds the configured slab records a `bufpool_waits`
-//! stat and a `pool.exhausted` trace instant. The pool itself never
-//! blocks — the signal is for the operator, not the hot path.
-//!
-//! Locking: the single `bufs` mutex is held only to pop or push one
-//! `Vec` — never across I/O, staging, or another lock. In the documented
-//! order it sits after `staged` (the serve path hits the stage cache and
-//! then recycles buffers) and before `stats`.
+//! [`BufPool`] is the supplier's handle for making leases. It counts
+//! the allocations currently pinned through it; the supplier's
+//! snapshot subtracts the staged ranges that only the DataCache pins,
+//! so its `outstanding` is what responses still hold and a test — or
+//! an operator — can tell that nothing stays pinned once the response
+//! queues have flushed. The count is exact: it moves in the pinned
+//! allocation's own `Drop`, which `Arc` runs once, on whichever thread
+//! lets go last.
 
-use crate::sync::{lock, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counters describing pool effectiveness.
+/// Slab-lease gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufPoolStats {
-    /// `get` calls served from the free list.
+    /// Always 0: nothing draws recycled buffers (the reactor transmits
+    /// from leases); kept because the benchmark binary reads the field.
     pub hits: u64,
-    /// `get` calls that had to allocate.
+    /// Always 0, kept for the same reason as [`Self::hits`].
     pub misses: u64,
-    /// Buffers accepted back into the pool.
-    pub returns: u64,
-    /// Buffers dropped because the pool was full (or not worth keeping).
-    pub dropped: u64,
-    /// `get` misses that struck while the slab was already exhausted
-    /// (outstanding ≥ cap): the backpressure signal. The pool never
-    /// blocks; this counts how often a caller *would have* waited.
-    pub waits: u64,
-    /// Buffers currently handed out (gets minus returns-or-drops).
+    /// Allocations currently pinned by at least one pooled lease. In a
+    /// [`crate::SupplierStatsSnapshot`], the ones a response still pins:
+    /// ranges that only the DataCache holds are not counted.
     pub outstanding: u64,
 }
 
-impl BufPoolStats {
-    /// Fraction of `get` calls served without allocating, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct PoolInner {
-    bufs: Mutex<Vec<Vec<u8>>>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    dropped: AtomicU64,
-    waits: AtomicU64,
-    outstanding: AtomicU64,
-    /// Handout/recycle instants (`buf.get`/`buf.put`/`pool.exhausted`);
-    /// disabled by default — the loom models construct via
-    /// [`BufPool::new`] so the model checker never sees the recorder's
-    /// (std) mutex.
-    trace: jbs_obs::Trace,
-}
-
-/// A bounded LIFO free list of cleared `Vec<u8>` buffers. Cloning
-/// clones the *handle*; all clones share one free list, which is what
-/// lets a [`Lease`] carry its way home from any thread.
-#[derive(Clone)]
+/// Maker of counted [`Lease`]s: every lease made through one pool
+/// shares its live-lease gauge.
 pub(crate) struct BufPool {
-    inner: Arc<PoolInner>,
+    live: Arc<AtomicU64>,
 }
 
 impl BufPool {
-    /// A pool holding at most `cap` idle buffers, tracing disabled.
-    /// Production constructs via [`BufPool::with_trace`]; this is the
-    /// entry point the unit tests and loom models use.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(cap: usize) -> Self {
-        Self::with_trace(cap, jbs_obs::Trace::disabled())
-    }
-
-    /// A pool that records `buf.get`/`buf.put` instants to `trace`.
-    pub(crate) fn with_trace(cap: usize, trace: jbs_obs::Trace) -> Self {
+    pub(crate) fn new() -> Self {
         BufPool {
-            inner: Arc::new(PoolInner {
-                bufs: Mutex::new(Vec::new()),
-                cap,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                returns: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                waits: AtomicU64::new(0),
-                outstanding: AtomicU64::new(0),
-                trace,
-            }),
+            live: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// An empty buffer — recycled if one is pooled, freshly allocated
-    /// otherwise. The returned buffer is always empty (never stale).
-    /// A miss while the slab is already fully out records the
-    /// exhaustion signal (`waits` stat + `pool.exhausted` instant)
-    /// before allocating; the call itself never blocks.
-    pub(crate) fn get(&self) -> Vec<u8> {
-        let recycled = lock(&self.inner.bufs).pop();
-        let out = self.inner.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        match recycled {
-            Some(buf) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .trace
-                    .instant("buf.get", jbs_obs::Entity::pool(0), 1, buf.capacity() as u64);
-                debug_assert!(buf.is_empty());
-                buf
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                if out > self.inner.cap as u64 {
-                    self.inner.waits.fetch_add(1, Ordering::Relaxed);
-                    self.inner.trace.instant(
-                        "pool.exhausted",
-                        jbs_obs::Entity::pool(0),
-                        out,
-                        self.inner.cap as u64,
-                    );
-                }
-                self.inner
-                    .trace
-                    .instant("buf.get", jbs_obs::Entity::pool(0), 0, 0);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a buffer to the pool. Cleared here — before it becomes
-    /// visible to any `get` — so pooled bytes can never leak across
-    /// uses. Buffers that never grew carry no capacity worth keeping.
-    pub(crate) fn put(&self, mut buf: Vec<u8>) {
-        // Saturating: a detached buffer returned by a lease that never
-        // came from `get` must not underflow the gauge.
-        let _ = self
-            .inner
-            .outstanding
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-        buf.clear();
-        if buf.capacity() == 0 {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .trace
-                .instant("buf.put", jbs_obs::Entity::pool(0), 0, 0);
-            return;
-        }
-        let cap_bytes = buf.capacity() as u64;
-        let mut bufs = lock(&self.inner.bufs);
-        if bufs.len() < self.inner.cap {
-            bufs.push(buf);
-            drop(bufs);
-            self.inner.returns.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .trace
-                .instant("buf.put", jbs_obs::Entity::pool(0), 1, cap_bytes);
-        } else {
-            drop(bufs);
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .trace
-                .instant("buf.put", jbs_obs::Entity::pool(0), 0, cap_bytes);
-        }
-    }
-
-    /// Wrap `buf` in a refcounted lease over this pool: clones pin the
-    /// same allocation, and the last drop returns it to the free list.
+    /// Wrap `buf` in a refcounted lease counted by this pool: clones pin
+    /// the same allocation, and the last drop frees it and retires it
+    /// from `outstanding`.
     pub(crate) fn lease(&self, buf: Vec<u8>) -> Lease {
-        Lease {
-            bytes: Some(Arc::new(buf)),
-            pool: Some(self.clone()),
-        }
+        self.live.fetch_add(1, Ordering::Relaxed);
+        Lease(Arc::new(Pinned {
+            bytes: buf,
+            live: Some(Arc::clone(&self.live)),
+        }))
     }
 
-    /// Copy out the counters.
+    /// Copy out the gauges.
     pub(crate) fn stats(&self) -> BufPoolStats {
         BufPoolStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            returns: self.inner.returns.load(Ordering::Relaxed),
-            dropped: self.inner.dropped.load(Ordering::Relaxed),
-            waits: self.inner.waits.load(Ordering::Relaxed),
-            outstanding: self.inner.outstanding.load(Ordering::Relaxed),
+            hits: 0,
+            misses: 0,
+            outstanding: self.live.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A refcounted pin over one pooled buffer: the DataCache holds one
-/// lease, every in-flight vectored transmit of the same bytes holds
-/// another, and the *last* drop recycles the allocation through its
-/// [`BufPool`] — zero copies in between. A lease made with
-/// [`Lease::detached`] (bytes that never came from a pool, e.g. the
-/// hybrid store's memory tier) simply frees on last drop.
-///
-/// Reclaim is best-effort by design: if two clones race their final
-/// drops, `Arc::try_unwrap` can fail in both and the buffer is freed
-/// instead of pooled — a missed recycle, never a double return and
-/// never a dangling lease (the loom model below pins this down).
-pub(crate) struct Lease {
-    bytes: Option<Arc<Vec<u8>>>,
-    pool: Option<BufPool>,
+/// One pinned allocation and the gauge it retires from when it goes.
+struct Pinned {
+    bytes: Vec<u8>,
+    live: Option<Arc<AtomicU64>>,
 }
 
-impl Lease {
-    /// A lease over bytes that belong to no pool: dropped, not
-    /// recycled, when the last clone goes.
-    pub(crate) fn detached(buf: Vec<u8>) -> Lease {
-        Lease {
-            bytes: Some(Arc::new(buf)),
-            pool: None,
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        if let Some(live) = &self.live {
+            live.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+/// A refcounted pin over one buffer: the DataCache holds one lease,
+/// every in-flight vectored transmit of the same bytes holds another,
+/// and the *last* drop frees the allocation — zero copies in between.
+/// A lease made with [`Lease::detached`] (bytes no pool counts, e.g. an
+/// error frame's empty payload) is the same pin without the gauge.
+#[derive(Clone)]
+pub(crate) struct Lease(Arc<Pinned>);
+
+impl Lease {
+    /// A lease over bytes that no pool counts.
+    pub(crate) fn detached(buf: Vec<u8>) -> Lease {
+        Lease(Arc::new(Pinned {
+            bytes: buf,
+            live: None,
+        }))
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.as_slice().len()
+        self.0.bytes.len()
+    }
+
+    /// Whether this handle is the only pin left on a pool-counted
+    /// allocation (how the DataCache tells an idle staged range from
+    /// one a response is still transmitting).
+    pub(crate) fn is_sole_pooled_pin(&self) -> bool {
+        self.0.live.is_some() && Arc::strong_count(&self.0) == 1
     }
 
     pub(crate) fn as_slice(&self) -> &[u8] {
-        match &self.bytes {
-            Some(b) => b.as_slice(),
-            // Unreachable in practice: `bytes` is only taken in Drop.
-            None => &[],
-        }
-    }
-
-    /// Unwrap to the owned buffer if this is the only lease, else copy.
-    /// For callers that must hand ownership across an API needing a
-    /// `Vec<u8>`; the serve paths themselves never call it (the reactor
-    /// copies explicitly on its corrupt-fault path instead).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn into_vec(mut self) -> Vec<u8> {
-        match self.bytes.take() {
-            Some(arc) => match Arc::try_unwrap(arc) {
-                Ok(buf) => buf,
-                Err(shared) => shared.as_slice().to_vec(),
-            },
-            None => Vec::new(),
-        }
-    }
-}
-
-impl Clone for Lease {
-    fn clone(&self) -> Self {
-        Lease {
-            bytes: self.bytes.clone(),
-            pool: self.pool.clone(),
-        }
+        &self.0.bytes
     }
 }
 
@@ -286,99 +126,8 @@ impl std::fmt::Debug for Lease {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lease")
             .field("len", &self.len())
-            .field("pooled", &self.pool.is_some())
+            .field("pooled", &self.0.live.is_some())
             .finish()
-    }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        if let Some(arc) = self.bytes.take() {
-            if let Ok(buf) = Arc::try_unwrap(arc) {
-                if let Some(pool) = &self.pool {
-                    pool.put(buf);
-                }
-            }
-        }
-    }
-}
-
-/// Bounded model checks of the pool. Build and run with
-/// `RUSTFLAGS="--cfg loom" cargo test -p jbs-transport --lib loom_`.
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-
-    /// The recycle-after-send race: one thread returns a buffer still
-    /// holding a just-sent payload while another gets a buffer for the
-    /// next response. In every interleaving the getter sees an *empty*
-    /// buffer — recycled or fresh, never one with stale payload bytes.
-    #[test]
-    fn loom_recycled_buffer_is_never_stale() {
-        loom::model(|| {
-            let pool = BufPool::new(4);
-            let p2 = pool.clone();
-            let h = loom::thread::spawn(move || {
-                p2.put(vec![0xDE, 0xAD, 0xBE, 0xEF]);
-            });
-            let got = pool.get();
-            assert!(got.is_empty(), "stale bytes leaked: {got:?}");
-            if h.join().is_err() {
-                panic!("returner panicked");
-            }
-            // After both, the returned buffer (if not handed out above)
-            // is pooled and still empty.
-            assert!(pool.get().is_empty());
-        });
-    }
-
-    /// One pooled buffer, two concurrent getters: the free-listed buffer
-    /// is handed out at most once (no double handout), and every get is
-    /// accounted as exactly one hit or miss.
-    #[test]
-    fn loom_no_double_handout() {
-        loom::model(|| {
-            let pool = BufPool::new(4);
-            pool.put(vec![1, 2, 3]); // one recycled buffer with capacity
-            let p2 = pool.clone();
-            let h = loom::thread::spawn(move || p2.get());
-            let a = pool.get();
-            let b = match h.join() {
-                Ok(b) => b,
-                Err(_) => panic!("getter panicked"),
-            };
-            let s = pool.stats();
-            assert_eq!(s.hits + s.misses, 2);
-            assert!(s.hits <= 1, "one pooled buffer handed out twice");
-            // Exactly one of the two gets can carry recycled capacity.
-            assert!(a.capacity() == 0 || b.capacity() == 0);
-        });
-    }
-
-    /// The concurrent last-drop race (satellite model): the DataCache's
-    /// lease and an in-flight transmit's clone of it drop on different
-    /// threads. In every interleaving the buffer is returned to the
-    /// pool **at most once** (`returns + dropped ≤ 1`), and a get after
-    /// both drops never sees the payload bytes — eviction racing a
-    /// partial-write's pin can lose a recycle, never duplicate one.
-    #[test]
-    fn loom_concurrent_lease_drop_returns_at_most_once() {
-        loom::model(|| {
-            let pool = BufPool::new(4);
-            let cache_side = pool.lease(vec![9, 9, 9]);
-            let xmit_side = cache_side.clone();
-            let h = loom::thread::spawn(move || drop(xmit_side));
-            drop(cache_side);
-            if h.join().is_err() {
-                panic!("xmit-side drop panicked");
-            }
-            let s = pool.stats();
-            assert!(
-                s.returns + s.dropped <= 1,
-                "buffer returned twice: {s:?}"
-            );
-            assert!(pool.get().is_empty(), "stale payload leaked");
-        });
     }
 }
 
@@ -387,100 +136,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_put_recycles_capacity() {
-        let pool = BufPool::new(2);
-        let mut buf = pool.get();
-        assert_eq!(pool.stats().misses, 1);
-        buf.extend_from_slice(&[1, 2, 3, 4]);
-        let cap = buf.capacity();
-        pool.put(buf);
-        let again = pool.get();
-        assert!(again.is_empty(), "recycled buffer must be cleared");
-        assert_eq!(again.capacity(), cap, "capacity survives recycling");
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.returns), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pool_is_bounded() {
-        let pool = BufPool::new(1);
-        pool.put(Vec::with_capacity(8));
-        pool.put(Vec::with_capacity(8)); // over cap: dropped
-        let s = pool.stats();
-        assert_eq!(s.returns, 1);
-        assert_eq!(s.dropped, 1);
-    }
-
-    #[test]
-    fn capacityless_buffers_are_not_pooled() {
-        let pool = BufPool::new(4);
-        pool.put(Vec::new());
-        assert_eq!(pool.stats().returns, 0);
-        assert_eq!(pool.stats().dropped, 1);
-        assert_eq!(pool.get().capacity(), 0);
-        assert_eq!(pool.stats().misses, 1);
-    }
-
-    #[test]
-    fn exhaustion_is_counted_not_blocking() {
-        let trace = jbs_obs::Trace::recording(64);
-        let pool = BufPool::with_trace(1, trace.clone());
-        let a = pool.get(); // outstanding 1 == cap, free list empty
-        let b = pool.get(); // outstanding 2 > cap: exhausted signal
-        let s = pool.stats();
-        assert_eq!(s.waits, 1, "second get should record a wait");
-        assert_eq!(s.outstanding, 2);
-        assert_eq!(trace.query().count("pool.exhausted"), 1);
-        pool.put(a);
-        pool.put(b);
-        assert_eq!(pool.stats().outstanding, 0);
-    }
-
-    #[test]
-    fn last_lease_drop_recycles_the_buffer() {
-        let pool = BufPool::new(4);
-        let mut buf = pool.get();
-        buf.extend_from_slice(b"payload");
-        let cap = buf.capacity();
-        let lease = pool.lease(buf);
+    fn outstanding_counts_live_allocations_not_clones() {
+        let pool = BufPool::new();
+        let lease = pool.lease(b"payload".to_vec());
         let clone = lease.clone();
         assert_eq!(&lease[..], b"payload");
+        assert_eq!(pool.stats().outstanding, 1, "one allocation, two pins");
+        assert!(!clone.is_sole_pooled_pin());
         drop(lease);
-        // A clone still pins the bytes: nothing returned yet.
-        assert_eq!(pool.stats().returns, 0);
+        // A clone still pins the bytes across this stats read.
+        assert_eq!(pool.stats().outstanding, 1);
         assert_eq!(&clone[..], b"payload");
+        assert!(clone.is_sole_pooled_pin());
         drop(clone);
-        assert_eq!(pool.stats().returns, 1);
-        let recycled = pool.get();
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), cap, "same allocation came home");
+        assert_eq!(pool.stats().outstanding, 0);
+        let (a, b) = (pool.lease(vec![1]), pool.lease(vec![2]));
+        assert_eq!(pool.stats().outstanding, 2);
+        drop((a, b));
+        assert_eq!(pool.stats(), BufPoolStats::default());
     }
 
     #[test]
-    fn detached_lease_never_touches_the_pool() {
-        let pool = BufPool::new(4);
+    fn detached_lease_never_touches_the_gauge() {
+        let pool = BufPool::new();
         let lease = Lease::detached(vec![1, 2, 3]);
         assert_eq!(lease.len(), 3);
-        drop(lease);
-        assert_eq!(pool.stats().returns, 0);
+        assert!(!lease.is_sole_pooled_pin(), "no pool counts it");
         assert_eq!(pool.stats().outstanding, 0);
-    }
-
-    #[test]
-    fn into_vec_unwraps_sole_lease_and_copies_shared() {
-        let pool = BufPool::new(4);
-        let lease = pool.lease(vec![5, 6, 7]);
-        let v = lease.into_vec(); // sole lease: no copy, no pool return
-        assert_eq!(v, vec![5, 6, 7]);
-        assert_eq!(pool.stats().returns, 0);
-
-        let lease = pool.lease(vec![8, 9]);
-        let clone = lease.clone();
-        let copied = lease.into_vec(); // shared: copies
-        assert_eq!(copied, vec![8, 9]);
-        assert_eq!(&clone[..], &[8, 9]);
-        drop(clone); // last lease: recycles
-        assert_eq!(pool.stats().returns, 1);
+        drop(lease);
+        assert_eq!(pool.stats().outstanding, 0);
     }
 }

@@ -1093,6 +1093,52 @@ mod tests {
         }
     }
 
+    /// Regression: `submit` used to count an op *after* pushing it, so
+    /// the peer's worker could pop and un-count it first; the gauge
+    /// wrapped below zero and the next `record_op_queued` overflowed —
+    /// a debug-build panic inside `fetch_all`. The ordering itself is
+    /// checked exhaustively by the loom model beside `push_counted` in
+    /// `sched.rs`; this test drives the real worker. The race needs the
+    /// worker contending for the op queue while submits land, so: tiny
+    /// chunks (a response, hence an `admit`, every few microseconds), a
+    /// window wide enough that `admit` always tries to pop, and several
+    /// threads submitting bursts while the worker serves the others'
+    /// ops.
+    #[test]
+    fn queued_ops_gauge_survives_submit_racing_admit() {
+        const SEGMENTS: u32 = 64;
+        const SUBMITTERS: u64 = 4;
+        let server = server_with_records(6400, SEGMENTS as usize);
+        let segs: Vec<SegmentRef> = (0..SEGMENTS)
+            .map(|reducer| SegmentRef {
+                addr: server.addr(),
+                mof: 0,
+                reducer,
+            })
+            .collect();
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 256,
+            window: SEGMENTS as usize,
+            ..ClientConfig::default()
+        });
+        std::thread::scope(|s| {
+            for _ in 0..SUBMITTERS {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        client.fetch_all(&segs).unwrap();
+                    }
+                });
+            }
+        });
+        let fs = quiesce(&client);
+        assert_eq!(fs.queued_ops, 0, "queues must drain: {fs:?}");
+        assert!(
+            fs.queue_depth_peak <= SUBMITTERS * u64::from(SEGMENTS),
+            "gauge wrapped below zero: {fs:?}"
+        );
+        server.shutdown();
+    }
+
     #[test]
     fn fetch_all_error_names_the_failing_segment() {
         let server = server_with_records(100, 1);

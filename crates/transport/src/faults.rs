@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the real dataplane.
 //!
-//! A [`FaultPlan`] is installed into the client, server, or verbs layer
+//! A [`FaultPlan`] is installed into the client, server, or hybrid store
 //! and consulted at named [`Hook`] points. Each hook owns a private
 //! [`DetRng`] stream forked from the plan seed, so the *sequence of
 //! decisions at a hook* depends only on the seed and how many times the
@@ -26,10 +26,6 @@ pub enum Hook {
     ServerAccept,
     /// Server about to write a fetch response.
     ServerWriteResponse,
-    /// Verbs connection establishment.
-    VerbsConnect,
-    /// Verbs one-sided read.
-    VerbsRead,
     /// Server admission decision for one request (busy storms: force
     /// typed `Busy` pushback even when capacity remains).
     ServerAdmission,
@@ -48,7 +44,7 @@ pub enum Hook {
 }
 
 impl Hook {
-    const COUNT: usize = 10;
+    const COUNT: usize = 8;
 
     /// All hooks, in index order.
     pub const ALL: [Hook; Hook::COUNT] = [
@@ -56,8 +52,6 @@ impl Hook {
         Hook::ClientReadResponse,
         Hook::ServerAccept,
         Hook::ServerWriteResponse,
-        Hook::VerbsConnect,
-        Hook::VerbsRead,
         Hook::ServerAdmission,
         Hook::ServerPayload,
         Hook::DiskSpillWrite,
@@ -70,12 +64,10 @@ impl Hook {
             Hook::ClientReadResponse => 1,
             Hook::ServerAccept => 2,
             Hook::ServerWriteResponse => 3,
-            Hook::VerbsConnect => 4,
-            Hook::VerbsRead => 5,
-            Hook::ServerAdmission => 6,
-            Hook::ServerPayload => 7,
-            Hook::DiskSpillWrite => 8,
-            Hook::DiskManifestAppend => 9,
+            Hook::ServerAdmission => 4,
+            Hook::ServerPayload => 5,
+            Hook::DiskSpillWrite => 6,
+            Hook::DiskManifestAppend => 7,
         }
     }
 }
@@ -234,10 +226,10 @@ impl FaultStatsSnapshot {
 /// Deterministic, seeded schedule of faults across all hooks.
 ///
 /// Build with [`FaultPlan::builder`]; install by handing an
-/// `Arc<FaultPlan>` to the client/server/verbs options.
+/// `Arc<FaultPlan>` to the client/server/hybrid-store options.
 pub struct FaultPlan {
     // One (rng, occurrence counter) pair per hook, forked from the plan
-    // seed by hook index, so hooks are mutually decorrelated and each
+    // seed by fork slot, so hooks are mutually decorrelated and each
     // hook's decision sequence is a pure function of (seed, occurrence).
     hooks: Vec<Mutex<(DetRng, u64)>>,
     rules: Vec<HookRules>,
@@ -475,10 +467,17 @@ impl FaultPlanBuilder {
 
     /// Finish the plan.
     pub fn build(self) -> Arc<FaultPlan> {
+        // Every fork advances the root stream, so a hook's schedule
+        // depends on how many forks came before it. Slots 4 and 5
+        // belonged to two since-removed hooks; they are still forked
+        // (and discarded) so each surviving hook keeps, bit for bit,
+        // the per-seed schedule the chaos suites were tuned on.
+        const RETIRED_SLOTS: [usize; 2] = [4, 5];
         let mut root = DetRng::new(self.seed);
-        let hooks = Hook::ALL
-            .iter()
-            .map(|h| Mutex::new((root.fork(h.index() as u64 + 1), 0u64)))
+        let hooks = (0..Hook::COUNT + RETIRED_SLOTS.len())
+            .map(|slot| (slot, root.fork(slot as u64 + 1)))
+            .filter(|(slot, _)| !RETIRED_SLOTS.contains(slot))
+            .map(|(_, rng)| Mutex::new((rng, 0u64)))
             .collect();
         Arc::new(FaultPlan {
             hooks,
@@ -529,7 +528,7 @@ mod tests {
             .map(|i| {
                 if i % 3 == 0 {
                     b.decide(Hook::ClientConnect);
-                    b.decide(Hook::VerbsRead);
+                    b.decide(Hook::ServerAccept);
                 }
                 b.decide(Hook::ServerWriteResponse)
             })
@@ -563,7 +562,7 @@ mod tests {
     fn unconfigured_hook_never_fires() {
         let p = plan(11);
         for _ in 0..500 {
-            assert_eq!(p.decide(Hook::VerbsConnect), FaultAction::Allow);
+            assert_eq!(p.decide(Hook::ServerAccept), FaultAction::Allow);
         }
     }
 
@@ -651,10 +650,42 @@ mod tests {
 
     #[test]
     fn probabilities_roughly_respected() {
-        let p = FaultPlan::builder(5).reset(Hook::VerbsRead, 0.5).build();
+        let p = FaultPlan::builder(5).reset(Hook::ServerAccept, 0.5).build();
         let fired = (0..2000)
-            .filter(|_| p.decide(Hook::VerbsRead) == FaultAction::Reset)
+            .filter(|_| p.decide(Hook::ServerAccept) == FaultAction::Reset)
             .count();
         assert!((800..1200).contains(&fired), "fired {fired}/2000");
+    }
+
+    /// The chaos suites and the crash sweep were tuned on these exact
+    /// per-seed schedules; removing a hook from the enum must not
+    /// reshuffle the hooks that remain (values recorded at PR 11).
+    #[test]
+    #[rustfmt::skip] // the two recorded schedules read best as rows of eight
+    fn surviving_hooks_keep_their_per_seed_schedules() {
+        use FaultAction::{Allow, CleanEof, CorruptPayload, DiskError, ShortWrite};
+        let p = FaultPlan::builder(0x4A42_5331)
+            .corrupt_payload(Hook::ServerPayload, 0.3)
+            .clean_eof(Hook::ServerPayload, 0.3)
+            .short_write(Hook::DiskSpillWrite, 0.3)
+            .disk_error(Hook::DiskSpillWrite, 0.3)
+            .build();
+        let payload: Vec<_> = (0..16).map(|_| p.decide(Hook::ServerPayload)).collect();
+        assert_eq!(
+            payload,
+            [
+                CleanEof, Allow, CleanEof, CorruptPayload, Allow, CleanEof, CleanEof, CleanEof,
+                CleanEof, Allow, Allow, CorruptPayload, CorruptPayload, CorruptPayload, Allow,
+                CorruptPayload
+            ]
+        );
+        let spill: Vec<_> = (0..16).map(|_| p.decide(Hook::DiskSpillWrite)).collect();
+        assert_eq!(
+            spill,
+            [
+                ShortWrite, Allow, Allow, ShortWrite, ShortWrite, Allow, DiskError, DiskError,
+                DiskError, DiskError, DiskError, ShortWrite, ShortWrite, ShortWrite, Allow, Allow
+            ]
+        );
     }
 }

@@ -8,12 +8,12 @@
 //!   addressed by `(MOF, reducer, offset, len)` and framed data responses.
 //! * [`store`] — an on-disk MOF store using the byte-real
 //!   [`jbs_mapred::mof`] formats (data + index files).
-//! * [`server`] — the MOFSupplier: a TCP server with an in-memory
-//!   IndexCache and a DataCache that serves segment ranges. A dedicated
-//!   disk **prefetch thread** stages read-ahead ranges from a queue
-//!   grouped by MOF, ordered by offset, and served round-robin (Fig. 5),
-//!   so disk reads overlap network transmission; served buffers recycle
-//!   through a bounded pool and frames go out as vectored writes.
+//! * [`server`] — the MOFSupplier: one event-driven serve loop (a
+//!   `poll(2)` reactor) with an in-memory IndexCache and a DataCache
+//!   that serves segment ranges zero-copy from refcounted leases. A pool
+//!   of **disk workers** stages read-ahead ranges from a queue grouped
+//!   by MOF, ordered by offset, and served round-robin (Fig. 5), so disk
+//!   reads overlap network transmission.
 //! * [`client`] — the NetMerger: a client that consolidates fetches over
 //!   cached connections (LRU, capped — Sec. IV's 512-connection policy),
 //!   pulls segments from many suppliers concurrently, and k-way merges
@@ -32,16 +32,9 @@
 //! DataCache/disk path, and [`server::MofSupplierServer::drain`] doubles
 //! as quick decommission by pushing its contents to the REMOTE tier.
 //!
-//! * [`verbs`] — a software RDMA verbs layer: protection domains,
-//!   registered memory regions, the Fig. 6 `rdma_listen`/`rdma_connect`/
-//!   `rdma_accept` handshake with a server event thread, and one-sided
-//!   `rdma_read` that moves segment bytes with **zero server-thread
-//!   involvement** — the semantics behind the paper's RDMA results,
-//!   runnable without InfiniBand hardware (transport is in-process).
-//!
 //! Real RDMA NICs are the one thing this reproduction cannot assume (see
-//! DESIGN.md §2); the simulated fabric covers those protocols' timing and
-//! this verbs layer covers their semantics.
+//! DESIGN.md §2); RDMA is modelled where the paper's numbers come from,
+//! in the simulator's `jbs_net::Protocol` table.
 //!
 //! ## Failure model
 //!
@@ -84,7 +77,6 @@ mod staging;
 pub mod stats;
 pub mod store;
 mod sync;
-pub mod verbs;
 pub mod wire;
 
 pub use bufpool::BufPoolStats;

@@ -11,8 +11,8 @@
 //! its state machines, without epoll's three extra syscalls of
 //! registration bookkeeping or its Linux-only surface.
 //!
-//! This is the **only** module besides `verbs.rs` allowed to contain
-//! `unsafe` (the `cargo xtask analyze` hygiene fence enforces it), and
+//! This is the **only** module allowed to contain `unsafe` (the
+//! `cargo xtask analyze` hygiene fence enforces it), and
 //! it keeps the surface minimal: one `#[repr(C)]` struct matching the
 //! kernel ABI, one EINTR-retrying safe wrapper, and a [`Waker`] built
 //! on an ordinary nonblocking `UnixStream` pair so cross-thread wakes

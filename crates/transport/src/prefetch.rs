@@ -6,41 +6,33 @@
 //! into long sequential runs per file; offset order within a group keeps
 //! each run monotonic; round-robin across groups keeps one hot MOF from
 //! starving the others. The queue itself is a passive kernel — the
-//! server owns the single disk thread that pops from it (see
-//! [`crate::server`]), and connection threads push:
+//! server owns the disk-worker pool that pops from it (see
+//! [`crate::server`]), and the reactor pushes:
 //!
-//! * **synchronous jobs** carry a reply channel; the connection thread
-//!   blocks on it because the client is waiting for these exact bytes
-//!   (a DataCache miss);
-//! * **asynchronous jobs** have no reply; they are the run-ahead reads
-//!   queued from the hit path so the disk works *while* the network
-//!   transmits already-staged bytes.
+//! * **request jobs** carry a [`crate::reactor::JobTicket`]; a peer is
+//!   waiting for these exact bytes (a DataCache miss, a direct or
+//!   hybrid read), so the worker frames the response and delivers it to
+//!   the owning reactor's completion queue — nobody blocks;
+//! * **run-ahead jobs** have no reply; they are queued from the hit
+//!   path so the disk works *while* the network transmits
+//!   already-staged bytes.
 //!
 //! Locking: the single `jobs` mutex is held only to push or pop one job
-//! — never across disk I/O or a reply send. In the documented order it
-//! sits before `store` (the disk thread pops, then reads the store).
+//! — never across disk I/O or a completion delivery. In the documented
+//! order it sits before `store` (a worker pops, then reads the store).
 
 use crate::sync::{lock, wait, Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::io;
-use std::sync::mpsc;
-
-/// What the disk thread sends back on a synchronous job's reply channel:
-/// the served payload, `None` for an unknown MOF/reducer, or the store's
-/// I/O error.
-pub(crate) type StageReply = io::Result<Option<Vec<u8>>>;
 
 /// Who (if anyone) is waiting for a job's bytes, and how to reach them.
 pub(crate) enum Reply {
     /// Pure run-ahead: stage only, nobody waits.
     None,
-    /// Threaded miss path: the connection thread blocks on this channel
-    /// for exactly these bytes.
-    Channel(mpsc::Sender<StageReply>),
-    /// Reactor path: nobody blocks. The disk thread builds the complete
-    /// response frame and delivers it to the connection's reactor
-    /// completion queue (see [`crate::reactor::JobTicket`]), then wakes
-    /// the reactor's poll loop.
+    /// A request is parked on these bytes; nobody blocks. The disk
+    /// worker builds the complete response frame and delivers it to the
+    /// connection's reactor completion queue (see
+    /// [`crate::reactor::JobTicket`]), then wakes the reactor's poll
+    /// loop.
     Reactor(crate::reactor::JobTicket),
 }
 
@@ -48,7 +40,6 @@ impl std::fmt::Debug for Reply {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Reply::None => f.write_str("None"),
-            Reply::Channel(_) => f.write_str("Channel"),
             Reply::Reactor(t) => write!(f, "Reactor(seq={})", t.seq),
         }
     }
@@ -116,7 +107,7 @@ impl PrefetchQueue {
 
     /// Queue a job into its MOF group at its offset-ordered position.
     /// Returns the job back if the queue is already closed (the caller
-    /// fails its reply instead of losing it silently).
+    /// answers its request instead of losing it silently).
     pub(crate) fn push(&self, job: StageJob) -> Result<(), StageJob> {
         let mut jobs = lock(&self.jobs);
         if jobs.closed {
@@ -192,9 +183,9 @@ impl PrefetchQueue {
         }
     }
 
-    /// Close the queue and drain everything still pending, so the caller
-    /// can fail synchronous jobs' replies. Pushes after this are refused,
-    /// and every blocked [`Self::pop_wait`] wakes to see `Pop::Closed`.
+    /// Close the queue and drain everything still pending. Pushes after
+    /// this are refused, and every blocked [`Self::pop_wait`] wakes to
+    /// see `Pop::Closed`.
     pub(crate) fn close(&self) -> Vec<StageJob> {
         let mut jobs = lock(&self.jobs);
         jobs.closed = true;

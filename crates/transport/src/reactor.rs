@@ -1,10 +1,7 @@
 //! The event-driven supplier serve loop: nonblocking sockets, a
 //! `poll(2)` readiness set, and zero-copy vectored transmits straight
-//! out of the DataCache slab.
-//!
-//! The threaded server spends a kernel thread per connection and one
-//! memcpy per served chunk (staged range → pooled payload buffer). This
-//! module replaces both on the hot path:
+//! out of the DataCache slab. It is the supplier's only serve loop —
+//! no kernel thread per connection, no memcpy per served chunk:
 //!
 //! * **one reactor thread** (or a few — [`crate::server::ServerOptions::
 //!   reactor_threads`]) owns every admitted connection as a small state
@@ -15,27 +12,27 @@
 //!   refcounted [`Lease`] ([`crate::staging::StageCache::hit_lease`])
 //!   and transmits `head + lease[window]` with a single vectored
 //!   syscall — the payload bytes are never copied between the slab and
-//!   the socket, and the lease pins the buffer against recycling for
-//!   exactly as long as partial writes keep it in flight;
+//!   the socket, and the lease pins the buffer for exactly as long as
+//!   partial writes keep it in flight;
 //! * **no blocking in the loop**: every disk, hybrid-store, or index
 //!   touch is shipped to the permit-bounded disk-worker pool through
-//!   the same grouped prefetch queue the threaded server uses (Fig. 5
-//!   discipline preserved), and the finished frame comes back through a
-//!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
-//!   ever does nonblocking socket I/O and lock-free-short map touches —
-//!   a rule `cargo xtask analyze` enforces (`nonblocking_context`): no
-//!   blocking primitive may be *reachable* from this file at all.
+//!   the grouped prefetch queue (Fig. 5 discipline), and the finished
+//!   frame comes back through a [`CompletionQueue`] plus a [`Waker`]
+//!   byte. The reactor itself only ever does nonblocking socket I/O and
+//!   lock-free-short map touches — a rule `cargo xtask analyze`
+//!   enforces (`nonblocking_context`): no blocking primitive may be
+//!   *reachable* from this file at all.
 //!
 //! Responses go out strictly in request order per connection (the wire
-//! contract): completions arriving out of order — the disk thread
-//! round-robins across MOF groups — park in a per-connection
+//! contract): completions arriving out of order — the disk workers
+//! round-robin across MOF groups — park in a per-connection
 //! `BTreeMap` until their predecessors are written.
 //!
-//! Fault injection carries over with event-loop semantics: a `Stall`
-//! becomes a transmit deadline (the loop never sleeps), `Reset` drops
-//! the connection, `Truncate` halves the frame and closes after the
-//! flush, `Corrupt` flips the length header — all at the same
-//! [`Hook::ServerWriteResponse`] point the threaded path uses.
+//! Fault injection has event-loop semantics: a `Stall` becomes a
+//! transmit deadline (the loop never sleeps), `Reset` drops the
+//! connection, `Truncate` halves the frame and closes after the flush,
+//! `Corrupt` flips the length header — all decided once per response at
+//! [`Hook::ServerWriteResponse`].
 
 use crate::bufpool::Lease;
 use crate::faults::{self, FaultAction, Hook};
@@ -118,10 +115,9 @@ impl OutResp {
 }
 
 /// Build a served-bytes response in the request's dialect, applying the
-/// post-checksum payload faults exactly like the threaded path: the CRC
-/// is computed *before* a `CorruptPayload` flip (only end-to-end
-/// verification can catch the damage), and `CleanEof` rewrites the
-/// frame to a clean empty chunk.
+/// post-checksum payload faults: the CRC is computed *before* a
+/// `CorruptPayload` flip (only end-to-end verification can catch the
+/// damage), and `CleanEof` rewrites the frame to a clean empty chunk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_ok(
     shared: &Shared,
@@ -253,7 +249,7 @@ pub(crate) struct Completion {
 /// The disk-thread → reactor handoff: a closable mailbox. `close`
 /// drains and marks closed so a post-shutdown push is refused — the
 /// rejected completion's lease drops on the pushing side and the buffer
-/// recycles, never leaks (the `loom_` model below pins this down).
+/// is freed, never leaks (the `loom_` model below pins this down).
 pub(crate) struct CompletionQueue {
     inner: Mutex<CqInner>,
 }
@@ -335,7 +331,7 @@ pub(crate) enum JobKind {
 impl JobTicket {
     /// Deliver `resp` to the owning reactor and wake its poll loop. A
     /// closed queue (reactor shut down) just drops the frame — the
-    /// payload lease recycles on this thread.
+    /// payload lease is released on this thread.
     pub(crate) fn deliver(self, resp: OutResp) {
         let c = Completion {
             slot: self.slot,
@@ -534,7 +530,7 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
 
         // Phase 2: disk-thread completions → per-connection reorder
         // buffers. A stale generation means the slot was reused; the
-        // orphaned response just drops (its lease recycles).
+        // orphaned response just drops (releasing its lease).
         for c in handle.completions.drain() {
             let Some(conn) = conns.get_mut(c.slot).and_then(Option::as_mut) else {
                 continue;
@@ -608,8 +604,8 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
             }
         }
     }
-    // Shutdown: refuse further completions (in-flight leases recycle on
-    // the disk thread) and release every admission slot.
+    // Shutdown: refuse further completions (in-flight leases drop on
+    // the disk worker) and release every admission slot.
     drop(handle.completions.close());
     for slot in 0..conns.len() {
         close_conn(shared, &mut conns, slot);
@@ -619,15 +615,13 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
 fn close_conn(shared: &Shared, conns: &mut [Option<Conn>], slot: usize) {
     if let Some(conn) = conns.get_mut(slot).and_then(Option::take) {
         release(shared, conn.peer_ip);
-        // Dropping the Conn drops queued leases (recycling buffers) and
-        // closes the socket.
+        // Dropping the Conn drops queued leases and closes the socket.
     }
 }
 
 /// Move completed responses into the write queue in request order,
-/// counting them served exactly when they become peer-visible work —
-/// the same "count before the response is written" contract as the
-/// threaded path.
+/// counting them served exactly when they become peer-visible work:
+/// stats read after a completed exchange are never stale.
 fn promote(shared: &Shared, conn: &mut Conn) {
     while let Some(resp) = conn.pending.remove(&conn.next_send) {
         conn.next_send += 1;
@@ -729,8 +723,9 @@ fn serve_request(
         conn.eof = true;
         return ConnEvent::Close;
     }
-    // Per-request shedding, as in the threaded path: an injected busy
-    // storm, or a stage queue already past its bound.
+    // Per-request shedding: an injected busy storm, or a stage queue
+    // already past its bound (queueing more would stall the peer behind
+    // a backlog the disk cannot clear).
     let shed = faults::decide(&shared.options.faults, Hook::ServerAdmission) == FaultAction::Busy
         || shared.prefetch.len() as u64 >= shared.options.prefetch_queue_cap;
     if shed {
@@ -950,8 +945,7 @@ fn dispatch_at(
             }
         }
         Err(_) => {
-            // Queue closed: shutting down. Answer like the threaded
-            // path's closed-queue miss.
+            // Queue closed: the supplier is shutting down.
             conn.pending.insert(
                 seq,
                 build_error(req.id, Status::BadRequest, req.mof, req.offset),
@@ -978,8 +972,8 @@ fn start_resp(shared: &Shared, conn: &mut Conn, at: usize) {
         resp.range.len() as u64,
     ));
     if resp.status == Status::Busy {
-        // Pushback frames are control traffic; the threaded path writes
-        // them outside the fault hook and so does the reactor.
+        // Pushback frames are control traffic, written outside the
+        // fault hook.
         return;
     }
     match faults::decide(&shared.options.faults, Hook::ServerWriteResponse) {
@@ -994,7 +988,7 @@ fn start_resp(shared: &Shared, conn: &mut Conn, at: usize) {
         FaultAction::Stall(d) => {
             // The loop never sleeps: a stall is a transmit deadline. The
             // span is already open, so the withheld time is charged to
-            // net.xmit exactly as the threaded sleep is.
+            // net.xmit.
             conn.stall_until = Some(now + d);
         }
         FaultAction::Reset => {
@@ -1140,7 +1134,7 @@ fn try_xmit(shared: &Shared, conn: &mut Conn) -> io::Result<ConnEvent> {
     }
 }
 
-/// The front response is fully written: close its span, recycle its
+/// The front response is fully written: close its span, release its
 /// lease, and apply close-after.
 fn finish_front(conn: &mut Conn) {
     if let Some(mut resp) = conn.outq.pop_front() {
@@ -1151,8 +1145,8 @@ fn finish_front(conn: &mut Conn) {
         if resp.close_after {
             conn.close_when_flushed = true;
         }
-        // Dropping `resp` drops the lease; a pooled buffer recycles once
-        // no other clone (the staged range) still pins it.
+        // Dropping `resp` drops the lease; the buffer is freed once no
+        // other clone (the staged range) still pins it.
     }
 }
 
@@ -1188,40 +1182,38 @@ mod loom_tests {
 
     /// The wake-while-closing race: the disk thread delivers a
     /// completion while the reactor shuts its queue down. In every
-    /// interleaving the payload's pooled buffer is returned exactly
-    /// once — either the reactor drains the completion and drops it,
-    /// or the push is refused and the disk thread's copy drops.
+    /// interleaving the payload's lease is released — either the
+    /// reactor drains the completion and drops it, or the push is
+    /// refused and the disk worker's copy drops.
     #[test]
     fn loom_completion_delivery_races_queue_close_without_leaking() {
         loom::model(|| {
-            let pool = BufPool::new(4);
+            let pool = BufPool::new();
             let cq = std::sync::Arc::new(CompletionQueue::new());
             let cq2 = std::sync::Arc::clone(&cq);
             let c = completion(&pool);
             let h = loom::thread::spawn(move || {
                 if let Err(refused) = cq2.push(c) {
-                    drop(refused); // reactor gone: recycle here
+                    drop(refused); // reactor gone: release here
                 }
             });
             let drained = cq.close();
-            drop(drained); // reactor side: recycle anything delivered
+            drop(drained); // reactor side: release anything delivered
             if h.join().is_err() {
                 panic!("disk thread panicked");
             }
-            let stats = pool.stats();
-            assert_eq!(stats.returns, 1, "buffer returned exactly once");
-            assert_eq!(stats.outstanding, 0, "no leaked lease");
+            assert_eq!(pool.stats().outstanding, 0, "no leaked lease");
             // A late push after close is always refused.
             assert!(cq.push(completion(&pool)).is_err());
         });
     }
 
     /// Completions for two requests race close: every delivered-or-
-    /// refused lease recycles, none double-returns.
+    /// refused lease is released.
     #[test]
     fn loom_two_deliveries_race_close() {
         loom::model(|| {
-            let pool = BufPool::new(4);
+            let pool = BufPool::new();
             let cq = std::sync::Arc::new(CompletionQueue::new());
             let c1 = completion(&pool);
             let c2 = completion(&pool);
@@ -1235,9 +1227,7 @@ mod loom_tests {
                 panic!("disk thread panicked");
             }
             drop(cq.drain()); // drain after close is empty but harmless
-            let stats = pool.stats();
-            assert_eq!(stats.returns, 2, "both buffers recycled");
-            assert_eq!(stats.outstanding, 0);
+            assert_eq!(pool.stats().outstanding, 0, "both leases released");
         });
     }
 }

@@ -45,6 +45,7 @@ use crate::client::{dial, record_failure, ClientShared, SegmentRef};
 use crate::error::{Result, TransportError};
 use crate::faults::{self, FaultAction, Hook};
 use crate::prefetch::Pop;
+use crate::stats::FetchStats;
 use crate::sync::{lock, Mutex};
 use crate::wire::{FetchRequest, FetchResponse, Status, WireVersion, FLAG_BYPASS_CACHE};
 use jbs_des::DetRng;
@@ -242,9 +243,8 @@ impl FetchScheduler {
             });
             return;
         }
-        match queue.push(op) {
+        match push_counted(&queue, &self.shared.fetch_stats, op) {
             Ok(()) => {
-                self.shared.fetch_stats.record_op_queued();
                 self.shared.config.trace.instant(
                     "sched.dispatch",
                     Entity::peer(peer_id),
@@ -292,6 +292,19 @@ impl Drop for FetchScheduler {
             }
         }
     }
+}
+
+/// Queue `item` for a peer's worker, counted in `queued_ops` *before*
+/// the worker can see it: `admit` may pop and un-count it the instant
+/// `push` returns, and a gauge bumped only afterwards would dip below
+/// zero in between. A refused push (queue closed) is un-counted.
+fn push_counted<T>(
+    queue: &DispatchQueue<T>,
+    stats: &FetchStats,
+    item: T,
+) -> std::result::Result<(), T> {
+    stats.record_op_queued();
+    queue.push(item).inspect_err(|_| stats.record_op_dequeued())
 }
 
 fn shutdown_error() -> TransportError {
@@ -1088,6 +1101,28 @@ mod loom_tests {
         });
     }
 
+    /// A submit races the worker's `admit` (pop, then un-count). In every
+    /// interleaving the op is counted before the worker can pop it, so
+    /// the gauge never dips below zero on the way back to rest.
+    #[test]
+    fn loom_submit_counts_before_the_worker_can_admit() {
+        loom::model(|| {
+            let q = Arc::new(DispatchQueue::new());
+            let stats = Arc::new(FetchStats::default());
+            let (q2, s2) = (Arc::clone(&q), Arc::clone(&stats));
+            let h = loom::thread::spawn(move || push_counted(&q2, &s2, 7u32).is_ok());
+            if let Pop::Item(_) = q.try_pop() {
+                stats.record_op_dequeued();
+                assert_eq!(stats.snapshot().queued_ops, 0, "admit un-counted first");
+            }
+            match h.join() {
+                Ok(pushed) => assert!(pushed),
+                Err(_) => panic!("submitter panicked"),
+            }
+            assert!(stats.snapshot().queued_ops <= 1);
+        });
+    }
+
     /// Shutdown while a worker holds in-flight work: a pop races close.
     /// Every queued op surfaces exactly once — via the pop (in-flight in
     /// the worker) or via close's drain — and the queue reads Closed
@@ -1137,6 +1172,16 @@ mod tests {
         assert!(matches!(q.try_pop(), Pop::Closed));
         assert_eq!(q.push(3u32).err(), Some(3));
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn refused_push_is_uncounted() {
+        let (q, stats) = (DispatchQueue::new(), FetchStats::default());
+        assert!(push_counted(&q, &stats, 1u32).is_ok());
+        assert_eq!(stats.snapshot().queued_ops, 1);
+        drop(q.close());
+        assert_eq!(push_counted(&q, &stats, 2u32).err(), Some(2));
+        assert_eq!(stats.snapshot().queued_ops, 1, "the refusal rolled back");
     }
 
     #[test]

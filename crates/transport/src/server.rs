@@ -1,23 +1,25 @@
 //! The MOFSupplier server: a real TCP server over a [`MofStore`].
 //!
 //! One supplier runs per "node". It answers framed [`FetchRequest`]s on
-//! cached connections, and mirrors the paper's server design:
+//! cached connections, and mirrors the paper's server design ("epoll,
+//! event-driven, multiple data threads"):
 //!
 //! * an in-memory **IndexCache** (the `MofStore` caches parsed indexes);
+//! * one **serve loop**: every admitted connection is a state machine
+//!   on a [`crate::reactor`] thread, which answers DataCache hits
+//!   inline — zero-copy, straight from the staged lease — and never
+//!   touches a file;
 //! * a **DataCache** with grouped read-ahead: a fetch at segment offset
 //!   `o` stages `prefetch_batch` buffers beyond `o` in one file read, so
 //!   consecutive chunk fetches of the same segment are served from memory
 //!   and the disk sees long sequential runs (Fig. 5);
-//! * a dedicated **disk prefetch thread** ([`crate::prefetch`]): stage
-//!   requests are queued grouped by MOF, offset-ordered within a group,
-//!   and served round-robin across groups. Connection threads write
-//!   already-staged buffers while the disk runs ahead, so disk Read and
-//!   network Xmit overlap instead of adding (the Fig. 4 fix). A hit in
-//!   the tail of a staged range queues the *next* range asynchronously;
-//!   only a cold miss makes a connection thread wait for the disk.
-//! * a reusable [`crate::bufpool::BufPool`] so the hot path stops
-//!   allocating a fresh `Vec` per served chunk, and vectored writes so
-//!   header + payload go to the socket without a combined copy.
+//! * a pool of **disk workers** ([`crate::prefetch`]), one per read
+//!   permit: stage requests are queued grouped by MOF, offset-ordered
+//!   within a group, and served round-robin across groups. The reactor
+//!   writes already-staged buffers while the disk runs ahead, so disk
+//!   Read and network Xmit overlap instead of adding (the Fig. 4 fix).
+//!   A hit in the tail of a staged range queues the *next* range
+//!   asynchronously; only a cold miss parks a request behind the disk.
 //!
 //! For chaos testing the server takes an optional [`FaultPlan`]
 //! ([`ServerOptions::faults`]): at the accept and response-write hooks it
@@ -26,11 +28,13 @@
 //! [`MofSupplierServer::start_on`] rebinds a *specific* address, which is
 //! how a test restarts a "dead" supplier where clients expect it.
 //!
-//! [`ServerOptions::prefetch`] = `false` reverts to the pre-pipeline
-//! serving discipline (inline staging on the connection thread), and
+//! [`ServerOptions::prefetch`] = `false` is the paper's Fig. 4
+//! discipline on the same loop: no run-ahead is ever queued, so every
+//! range is staged by a disk worker while the request that missed
+//! parks, and a lockstep client sees disk and wire strictly alternate.
 //! [`ServerOptions::synthetic_disk_delay`] charges every read-ahead a
-//! fixed latency — together they are the serial baseline the
-//! `shuffle_bench` benchmark measures the overlap against.
+//! fixed latency, which is how benchmarks and `tests/trace_claims.rs`
+//! expose (or measure away) the disk/network overlap.
 
 use crate::bufpool::{BufPool, BufPoolStats};
 use crate::faults::{self, FaultAction, FaultPlan, FaultStatsSnapshot, Hook};
@@ -48,7 +52,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -65,7 +69,7 @@ pub struct SupplierStats {
     pub connections: AtomicU64,
     /// Asynchronous run-ahead batches staged by the disk thread.
     pub prefetched_batches: AtomicU64,
-    /// Miss-path stages a connection thread had to wait for.
+    /// Miss-path stages a request had to park for.
     pub sync_stages: AtomicU64,
     /// Requests shed with typed `Busy` pushback (admission control or an
     /// injected busy storm) instead of being served.
@@ -76,8 +80,8 @@ pub struct SupplierStats {
     /// Requests answered by the attached hybrid store's tiers (memory
     /// tail or its own spill/remote extents) instead of the MOF path.
     pub hybrid_hits: AtomicU64,
-    /// Reactor poll-loop wakeups (event-loop mode): disk-thread
-    /// completions plus newly admitted connections.
+    /// Reactor poll-loop wakeups: disk-worker completions plus newly
+    /// admitted connections.
     pub reactor_wakes: AtomicU64,
     /// Vectored transmits cut short by a full socket buffer and resumed
     /// from a byte cursor on the next writability report.
@@ -86,18 +90,17 @@ pub struct SupplierStats {
     /// — never copied between the slab and the socket.
     pub zerocopy_bytes: AtomicU64,
     /// Payload bytes copied between the DataCache and a per-response
-    /// buffer (the threaded path's `hit_into`/`stage_into` copies, and
-    /// the reactor's copy-on-corrupt fault path). The bench's
+    /// buffer (only the copy-on-corrupt fault path does). The bench's
     /// `copies_per_byte` is this over [`SupplierStats::bytes`].
     pub copied_bytes: AtomicU64,
-    /// `read(2)` calls that returned request bytes (event-loop mode).
+    /// `read(2)` calls that returned request bytes.
     pub read_syscalls: AtomicU64,
     /// `write(2)`/`writev(2)` calls that moved response bytes.
     pub write_syscalls: AtomicU64,
 }
 
 /// A point-in-time copy of the supplier's pipeline observability:
-/// counters, prefetch-queue gauges, and buffer-pool effectiveness.
+/// counters, prefetch-queue gauges, and the live-lease gauge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SupplierStatsSnapshot {
     /// Requests served.
@@ -110,7 +113,7 @@ pub struct SupplierStatsSnapshot {
     pub connections: u64,
     /// Asynchronous run-ahead batches staged by the disk thread.
     pub prefetched_batches: u64,
-    /// Miss-path stages a connection thread had to wait for.
+    /// Miss-path stages a request had to park for.
     pub sync_stages: u64,
     /// Requests shed with typed `Busy` pushback instead of being served.
     pub busy_rejections: u64,
@@ -122,9 +125,10 @@ pub struct SupplierStatsSnapshot {
     pub prefetch_queue_len: u64,
     /// High-water mark of the prefetch queue.
     pub prefetch_queue_peak: u64,
-    /// Buffer-pool counters (hit rate = allocation-free serves).
+    /// Slab-lease gauges (`outstanding` = allocations a response still
+    /// pins; 0 once the response queues have flushed).
     pub bufpool: BufPoolStats,
-    /// Reactor poll-loop wakeups (0 in threaded mode).
+    /// Reactor poll-loop wakeups.
     pub reactor_wakes: u64,
     /// Partial vectored writes resumed from a byte cursor.
     pub partial_writes: u64,
@@ -132,7 +136,7 @@ pub struct SupplierStatsSnapshot {
     pub zerocopy_bytes: u64,
     /// Payload bytes copied between the DataCache and response buffers.
     pub copied_bytes: u64,
-    /// Socket read syscalls (event-loop mode).
+    /// Socket read syscalls.
     pub read_syscalls: u64,
     /// Socket write syscalls.
     pub write_syscalls: u64,
@@ -147,9 +151,10 @@ pub struct ServerOptions {
     pub buffer_bytes: u64,
     /// Read-ahead batch, in buffers; the paper uses 8.
     pub prefetch_batch: u64,
-    /// Serve read-aheads from the dedicated disk thread (`true`, the
-    /// paper's pipelined design) or inline on the connection thread
-    /// (`false`, the serial baseline).
+    /// Queue asynchronous run-ahead stages from the hit path (`true`,
+    /// the paper's pipelined design, Fig. 5). `false` is the serial
+    /// baseline of Fig. 4: nothing runs ahead, so each range is staged
+    /// only when a request misses on it and parks for the disk.
     pub prefetch: bool,
     /// Added latency charged to every read-ahead, emulating a slow disk
     /// so benchmarks can expose (or measure away) the disk/network
@@ -166,9 +171,9 @@ pub struct ServerOptions {
     pub max_connections: u64,
     /// Admission: concurrently-served connections *per peer IP* at or
     /// above this bound are shed — one misbehaving NetMerger cannot
-    /// monopolize the supplier's connection threads.
+    /// monopolize the supplier's connection slots.
     pub max_inflight_per_peer: u64,
-    /// Admission: a request that would push the disk thread's stage
+    /// Admission: a request that would push the disk workers' stage
     /// queue to this depth is shed rather than queued behind a backlog
     /// the disk cannot clear — pushback instead of an unbounded stall.
     pub prefetch_queue_cap: u64,
@@ -179,13 +184,7 @@ pub struct ServerOptions {
     /// tails straight from memory — and [`MofSupplierServer::drain`]
     /// pushes its contents to the REMOTE tier (quick decommission).
     pub hybrid: Option<Arc<HybridStore>>,
-    /// Serve with the legacy thread-per-connection loop instead of the
-    /// event-driven reactor. The reactor is the default; the threaded
-    /// path remains for comparison benchmarks and as the serving shape
-    /// of the `prefetch = false` serial baseline (the reactor needs the
-    /// disk thread, so disabling prefetch implies `threaded`).
-    pub threaded: bool,
-    /// Reactor poll loops to run (event-loop mode). Connections are
+    /// Reactor poll loops to run. Connections are
     /// assigned round-robin at accept. One loop drives thousands of
     /// loopback connections; more mainly help multi-NIC setups.
     pub reactor_threads: usize,
@@ -215,7 +214,6 @@ impl Default for ServerOptions {
             prefetch_queue_cap: 4096,
             busy_retry_hint: Duration::from_millis(25),
             hybrid: None,
-            threaded: false,
             reactor_threads: 1,
             io_read_permits: 4,
             io_append_permits: 2,
@@ -230,13 +228,14 @@ pub(crate) struct Shared {
     /// hit/stage logic lives in [`StageCache`], where the `cfg(loom)`
     /// models exercise it.
     pub(crate) staged: StageCache<(u64, u32)>,
-    /// Recycled payload buffers for the serve hot path.
+    /// Maker (and live-count gauge) of the slab leases staged ranges
+    /// and responses are pinned through.
     pub(crate) pool: BufPool,
     /// Stage requests for the disk workers, grouped by MOF. Pushing
     /// wakes a blocked worker through the queue's own condvar.
     pub(crate) prefetch: PrefetchQueue,
     /// Permit-based disk IO arbitration: staging reads vs. spill
-    /// appends. Acquired by the disk thread around every store read.
+    /// appends. Acquired by a disk worker around every store read.
     pub(crate) iosched: Arc<IoScheduler>,
     pub(crate) stats: SupplierStats,
     pub(crate) fetch_stats: FetchStats,
@@ -260,8 +259,7 @@ pub struct MofSupplierServer {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
     prefetch_threads: Vec<JoinHandle<()>>,
-    /// Event-loop mode: one handle per reactor thread (empty when
-    /// serving threaded).
+    /// One handle per reactor thread.
     reactors: Vec<Arc<ReactorHandle>>,
     reactor_threads: Vec<JoinHandle<()>>,
 }
@@ -313,10 +311,6 @@ impl MofSupplierServer {
 
     fn run(listener: TcpListener, store: MofStore, options: ServerOptions) -> io::Result<Self> {
         let addr = listener.local_addr()?;
-        let use_prefetch = options.prefetch;
-        // The reactor ships every disk touch to the prefetch thread, so
-        // the serial (no-prefetch) baseline must serve threaded.
-        let threaded = options.threaded || !options.prefetch;
         let iosched = match &options.iosched {
             Some(s) => Arc::clone(s),
             None => Arc::new(IoScheduler::with_trace(
@@ -328,9 +322,7 @@ impl MofSupplierServer {
         let shared = Arc::new(Shared {
             store: Mutex::new(store),
             staged: StageCache::new(),
-            // Enough idle buffers for every connection thread plus the
-            // disk thread to hold one in flight.
-            pool: BufPool::with_trace(64, options.trace.clone()),
+            pool: BufPool::new(),
             prefetch: PrefetchQueue::new(),
             iosched,
             stats: SupplierStats::default(),
@@ -346,23 +338,14 @@ impl MofSupplierServer {
                 ..options
             },
         });
-        // Threaded mode keeps the paper's single disk thread (connection
-        // threads stage misses themselves, which is where its disk
-        // parallelism comes from). The event loop ships *every* disk
-        // touch through the queue, so it runs a pool of disk workers —
-        // one per read permit — and the IO scheduler bounds how many of
-        // them actually hit the disk at once.
-        let disk_workers = if !use_prefetch {
-            0
-        } else if threaded {
-            1
-        } else {
-            // An unlimited Read class (cap 0) still needs a concrete
-            // pool width; default to the paper's 4-permit arbitration.
-            match shared.iosched.read_permits() {
-                0 => 4,
-                cap => cap,
-            }
+        // The reactor ships *every* disk touch through the queue, so it
+        // runs a pool of disk workers — one per read permit — and the
+        // IO scheduler bounds how many of them actually hit the disk at
+        // once. An unlimited Read class (cap 0) still needs a concrete
+        // pool width; default to the paper's 4-permit arbitration.
+        let disk_workers = match shared.iosched.read_permits() {
+            0 => 4,
+            cap => cap,
         };
         let mut prefetch_threads = Vec::new();
         for _ in 0..disk_workers {
@@ -373,16 +356,14 @@ impl MofSupplierServer {
         }
         let mut reactors = Vec::new();
         let mut reactor_threads = Vec::new();
-        if !threaded {
-            for idx in 0..shared.options.reactor_threads.max(1) {
-                let handle = ReactorHandle::new(idx as u64)?;
-                let r_shared = Arc::clone(&shared);
-                let r_handle = Arc::clone(&handle);
-                reactor_threads.push(std::thread::spawn(move || {
-                    reactor::run(&r_shared, &r_handle);
-                }));
-                reactors.push(handle);
-            }
+        for idx in 0..shared.options.reactor_threads.max(1) {
+            let handle = ReactorHandle::new(idx as u64)?;
+            let r_shared = Arc::clone(&shared);
+            let r_handle = Arc::clone(&handle);
+            reactor_threads.push(std::thread::spawn(move || {
+                reactor::run(&r_shared, &r_handle);
+            }));
+            reactors.push(handle);
         }
         let accept_reactors = reactors.clone();
         let accept_shared = Arc::clone(&shared);
@@ -405,8 +386,8 @@ impl MofSupplierServer {
                     _ => {}
                 }
                 // Admission: a connection over the global or per-peer
-                // bound gets one typed `Busy` reply, never a thread (or
-                // reactor slot) of its own.
+                // bound gets one typed `Busy` reply, never a reactor
+                // slot of its own.
                 let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
                 if !admit(&accept_shared, peer_ip) {
                     let busy_shared = Arc::clone(&accept_shared);
@@ -423,22 +404,16 @@ impl MofSupplierServer {
                     .options
                     .trace
                     .instant("server.accept", Entity::conn(conn_no), 0, 0);
-                if let Some(reactor) =
-                    accept_reactors.get(conn_no as usize % accept_reactors.len().max(1))
-                {
-                    // Event-loop mode: hand the admitted socket to its
-                    // reactor; no thread is spawned.
-                    reactor.submit(NewConn {
+                let idx = conn_no as usize % accept_reactors.len().max(1);
+                match accept_reactors.get(idx) {
+                    Some(reactor) => reactor.submit(NewConn {
                         stream,
                         peer_ip,
                         conn_no,
-                    });
-                    continue;
+                    }),
+                    // `run` always starts at least one reactor.
+                    None => release(&accept_shared, peer_ip),
                 }
-                let conn_shared = Arc::clone(&accept_shared);
-                std::thread::spawn(move || {
-                    handle_connection(stream, &conn_shared, peer_ip);
-                });
             }
         });
         Ok(MofSupplierServer {
@@ -462,9 +437,14 @@ impl MofSupplierServer {
     }
 
     /// Full observability snapshot: request counters plus the pipeline
-    /// gauges (prefetch-queue depth/peak, buffer-pool hit rate).
+    /// gauges (prefetch-queue depth/peak, live leases).
     pub fn stats_snapshot(&self) -> SupplierStatsSnapshot {
         let s = &self.shared.stats;
+        // A staged range only the DataCache pins is not outstanding
+        // work. The two reads are not one cut, hence saturating.
+        let idle = self.shared.staged.idle_pins();
+        let mut bufpool = self.shared.pool.stats();
+        bufpool.outstanding = bufpool.outstanding.saturating_sub(idle);
         SupplierStatsSnapshot {
             requests: s.requests.load(Ordering::Relaxed),
             bytes: s.bytes.load(Ordering::Relaxed),
@@ -477,7 +457,7 @@ impl MofSupplierServer {
             hybrid_hits: s.hybrid_hits.load(Ordering::Relaxed),
             prefetch_queue_len: self.shared.prefetch.len() as u64,
             prefetch_queue_peak: self.shared.prefetch.peak() as u64,
-            bufpool: self.shared.pool.stats(),
+            bufpool,
             reactor_wakes: s.reactor_wakes.load(Ordering::Relaxed),
             partial_writes: s.partial_writes.load(Ordering::Relaxed),
             zerocopy_bytes: s.zerocopy_bytes.load(Ordering::Relaxed),
@@ -553,22 +533,11 @@ impl MofSupplierServer {
 
     fn do_shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        // Close the prefetch queue: fail any connection thread waiting
-        // on a miss, refuse new jobs, and wake every disk worker to see
-        // `Closed` instead of blocking forever.
-        for job in self.shared.prefetch.close() {
-            match job.reply {
-                Reply::Channel(reply) => {
-                    let _ = reply.send(Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "supplier shutting down",
-                    )));
-                }
-                // A reactor job dies with its ticket: the reactor's own
-                // shutdown releases the connection, nothing is waiting.
-                Reply::Reactor(_) | Reply::None => {}
-            }
-        }
+        // Close the prefetch queue: refuse new jobs and wake every disk
+        // worker to see `Closed` instead of blocking forever. A queued
+        // job dies with its ticket — the reactor's own shutdown releases
+        // the connection, nothing is waiting on it.
+        drop(self.shared.prefetch.close());
         // Wake the accept loop and every reactor so they observe `stop`.
         let _ = TcpStream::connect(self.addr);
         for reactor in &self.reactors {
@@ -596,7 +565,7 @@ impl Drop for MofSupplierServer {
 
 /// Admission check at accept time: reserve an active-connection slot
 /// (global and per-peer) or refuse. The reservation is released by
-/// [`release`] when the connection thread exits.
+/// [`release`] when the owning reactor reaps the connection.
 fn admit(shared: &Shared, peer_ip: Option<IpAddr>) -> bool {
     if shared.draining.load(Ordering::Acquire) {
         return false;
@@ -617,8 +586,7 @@ fn admit(shared: &Shared, peer_ip: Option<IpAddr>) -> bool {
 }
 
 /// Release the admission slot taken by [`admit`]. Called from the
-/// connection thread (threaded mode) or the owning reactor when it
-/// reaps the connection.
+/// owning reactor when it reaps the connection.
 pub(crate) fn release(shared: &Shared, peer_ip: Option<IpAddr>) {
     if let Some(ip) = peer_ip {
         let mut peers_map = lock(&shared.conns_per_peer);
@@ -668,186 +636,6 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// A `TcpStream` that counts its syscalls into [`SupplierStats`], so
-/// the threaded and event-loop serve paths report the same
-/// `syscalls_per_segment` bench metric from the same counters.
-struct CountingStream<'a> {
-    inner: TcpStream,
-    stats: &'a SupplierStats,
-}
-
-impl io::Read for CountingStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        if n > 0 {
-            self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(n)
-    }
-}
-
-impl io::Write for CountingStream<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.stats.write_syscalls.fetch_add(1, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        let n = self.inner.write_vectored(bufs)?;
-        self.stats.write_syscalls.fetch_add(1, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared, peer_ip: Option<IpAddr>) {
-    if let Err(e) = serve_connection(stream, shared) {
-        // The peer vanished or the socket failed: count it, drop the
-        // connection, keep the supplier alive.
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-                shared.fetch_stats.record_timeout()
-            }
-            _ => shared.fetch_stats.record_reset(),
-        }
-    }
-    release(shared, peer_ip);
-}
-
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut reader = io::BufReader::new(CountingStream {
-        inner: stream.try_clone()?,
-        stats: &shared.stats,
-    });
-    let mut writer = io::BufWriter::new(CountingStream {
-        inner: stream,
-        stats: &shared.stats,
-    });
-    use std::io::Write;
-    while let Some((req, version)) = FetchRequest::read_from(&mut reader)? {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        // Per-request shedding: an injected busy storm, or a stage
-        // queue already past its bound (queueing more would stall the
-        // peer behind a backlog the disk cannot clear).
-        let shed = faults::decide(&shared.options.faults, Hook::ServerAdmission)
-            == FaultAction::Busy
-            || (shared.options.prefetch
-                && shared.prefetch.len() as u64 >= shared.options.prefetch_queue_cap);
-        if shed {
-            if push_back(shared, &mut writer, &req, version)? {
-                continue;
-            }
-            return Ok(());
-        }
-        let (req_mof, req_offset) = (req.mof, req.offset);
-        let mut resp = serve(shared, req, version);
-        // Post-checksum payload faults: structurally valid frames whose
-        // damage only end-to-end verification can catch.
-        if !resp.payload.is_empty() && matches!(resp.status, Status::Ok | Status::OkCrc) {
-            match faults::decide(&shared.options.faults, Hook::ServerPayload) {
-                FaultAction::CorruptPayload => {
-                    // The CRC in the header (if any) was computed before
-                    // this flip; the frame still parses cleanly.
-                    if let Some(b) = resp.payload.first_mut() {
-                        *b ^= 0x01;
-                    }
-                }
-                FaultAction::CleanEof => {
-                    // The boundary-truncation lie: pretend the segment
-                    // cleanly ended before this chunk. v2 cannot tell
-                    // this from a real end-of-segment; v3's seg_len
-                    // accounting can.
-                    let seg_len = resp.seg_len;
-                    let status = resp.status;
-                    let id = resp.id;
-                    shared.pool.put(std::mem::take(&mut resp.payload));
-                    resp = if status == Status::OkCrc {
-                        FetchResponse::ok_crc(id, Vec::new(), seg_len)
-                    } else {
-                        FetchResponse::ok(id, Vec::new())
-                    };
-                }
-                _ => {}
-            }
-        }
-        // Count before the response is visible to the peer, so stats read
-        // after a completed exchange are never stale.
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .bytes
-            .fetch_add(resp.payload.len() as u64, Ordering::Relaxed);
-        // net.Xmit: staging is done, the response heads for the socket.
-        let xmit = shared.options.trace.span(
-            "net.xmit",
-            Entity::mof(req_mof),
-            req_offset,
-            resp.payload.len() as u64,
-        );
-        match faults::decide(&shared.options.faults, Hook::ServerWriteResponse) {
-            FaultAction::Allow
-            | FaultAction::RefuseConnect
-            | FaultAction::Busy
-            | FaultAction::CorruptPayload
-            | FaultAction::CleanEof
-            // Disk-shaped faults are meaningless on a network transmit.
-            | FaultAction::ShortWrite
-            | FaultAction::DiskError => {
-                resp.write_vectored_to(&mut writer)?;
-            }
-            FaultAction::Stall(d) => {
-                // Stall first: the peer's read deadline runs while the
-                // response is withheld.
-                std::thread::sleep(d);
-                resp.write_vectored_to(&mut writer)?;
-            }
-            FaultAction::Reset => {
-                // Drop mid-exchange: the request was consumed but no
-                // response will ever come.
-                return Ok(());
-            }
-            FaultAction::Truncate => {
-                // Send a prefix of the frame, then drop the connection.
-                let mut frame = Vec::new();
-                resp.write_to(&mut frame)?;
-                writer.write_all(frame.get(..frame.len() / 2).unwrap_or_default())?;
-                writer.flush()?;
-                return Ok(());
-            }
-            FaultAction::Corrupt => {
-                // Flip a high byte of the length header (the field after
-                // status and id). The client's decoder rejects it via the
-                // MAX_PAYLOAD cap — and the status byte is untouched, so
-                // the damage cannot be mistaken for a legitimate error
-                // verdict.
-                let mut frame = Vec::new();
-                resp.write_to(&mut frame)?;
-                if let Some(b) = frame.get_mut(1 + 8) {
-                    *b ^= 0xFF;
-                }
-                writer.write_all(&frame)?;
-            }
-        }
-        writer.flush()?;
-        drop(xmit);
-        // The response made it to the socket; recycle its payload buffer.
-        shared.pool.put(resp.payload);
-        if shared.draining.load(Ordering::Acquire) {
-            // Drain: the in-flight exchange finished; close instead of
-            // taking another request.
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Total length of one reducer's segment, from the per-supplier cache
 /// or (on first touch) the store's index. `None` for an unknown
 /// MOF/reducer. The two locks are taken strictly in sequence, never
@@ -877,31 +665,6 @@ pub(crate) fn segment_len(shared: &Shared, mof: u64, reducer: u32) -> Option<u64
     }?;
     lock(&shared.seg_lens).insert(key, len);
     Some(len)
-}
-
-/// Wrap served bytes in the dialect the request arrived in: v3 gets an
-/// `OkCrc` frame (payload CRC32C + total segment length), v2 the plain
-/// `Ok` frame it has always received.
-fn finish_ok(shared: &Shared, req: &FetchRequest, version: WireVersion, payload: Vec<u8>) -> FetchResponse {
-    match version {
-        WireVersion::V2 => FetchResponse::ok(req.id, payload),
-        WireVersion::V3 => match segment_len(shared, req.mof, req.reducer) {
-            Some(seg_len) => {
-                shared.options.trace.instant(
-                    "integrity.seal",
-                    Entity::mof(req.mof),
-                    req.offset,
-                    payload.len() as u64,
-                );
-                FetchResponse::ok_crc(req.id, payload, seg_len)
-            }
-            // Bytes came back for a segment the index cannot size —
-            // should be unreachable, but answering without the integrity
-            // extension beats inventing a seg_len the client would then
-            // enforce.
-            None => FetchResponse::ok(req.id, payload),
-        },
-    }
 }
 
 /// One grouped read-ahead from the store: `prefetch_batch` buffers
@@ -948,7 +711,7 @@ fn read_ahead(
 /// One disk worker: pop stage jobs (round-robin across MOF groups,
 /// offset-ordered within), read ahead, stage, and answer whoever waits.
 /// Blocks on the queue's condvar between jobs; runs until the queue is
-/// closed. The event loop runs a pool of these, one per Read permit.
+/// closed. The supplier runs a pool of these, one per Read permit.
 fn prefetch_loop(shared: &Shared) {
     loop {
         match shared.prefetch.pop_wait() {
@@ -961,7 +724,7 @@ fn prefetch_loop(shared: &Shared) {
     }
 }
 
-/// Execute one stage job on the disk thread.
+/// Execute one stage job on a disk worker.
 fn run_stage_job(shared: &Shared, job: StageJob) {
     let key = (job.mof, job.reducer);
     match job.reply {
@@ -974,67 +737,17 @@ fn run_stage_job(shared: &Shared, job: StageJob) {
             }
             if let Ok(Some((bytes, at_end))) = read_ahead(shared, job.mof, job.reducer, job.offset)
             {
-                let evicted =
+                // A displaced lease drops here; its buffer is freed once
+                // nothing in flight still pins it.
+                drop(
                     shared
                         .staged
-                        .stage_lease(key, job.offset, shared.pool.lease(bytes), at_end);
-                // Dropping the evicted lease recycles its buffer once
-                // nothing in flight still pins it.
-                drop(evicted);
+                        .stage_lease(key, job.offset, shared.pool.lease(bytes), at_end),
+                );
                 shared
                     .stats
                     .prefetched_batches
                     .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Reply::Channel(reply) => {
-            // A sync (miss-path) job can be overtaken by an async
-            // run-ahead that was queued ahead of it for the same range;
-            // serve the staged bytes instead of a second disk pass.
-            let mut payload = shared.pool.get();
-            if shared
-                .staged
-                .hit_into(&key, job.offset, job.want, 0, &mut payload)
-                .is_some()
-            {
-                shared.stats.datacache_hits.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .options
-                    .trace
-                    .instant("cache.hit", Entity::mof(job.mof), job.offset, job.want);
-                shared
-                    .stats
-                    .copied_bytes
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                let _ = reply.send(Ok(Some(payload)));
-                return;
-            }
-            shared.pool.put(payload);
-            match read_ahead(shared, job.mof, job.reducer, job.offset) {
-                Ok(Some((bytes, at_end))) => {
-                    let mut payload = shared.pool.get();
-                    let evicted = shared.staged.stage_into(
-                        key,
-                        job.offset,
-                        shared.pool.lease(bytes),
-                        at_end,
-                        job.want,
-                        &mut payload,
-                    );
-                    drop(evicted);
-                    shared.stats.sync_stages.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .stats
-                        .copied_bytes
-                        .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    let _ = reply.send(Ok(Some(payload)));
-                }
-                Ok(None) => {
-                    let _ = reply.send(Ok(None));
-                }
-                Err(e) => {
-                    let _ = reply.send(Err(e));
-                }
             }
         }
         Reply::Reactor(ticket) => {
@@ -1079,13 +792,16 @@ fn direct_read_resp(
     }
 }
 
-/// Finish a reactor-dispatched request on the disk thread: do the IO
-/// its [`JobKind`] calls for, frame the complete response, and deliver
-/// it to the owning reactor's completion queue.
 /// Queue an async run-ahead stage for `(mof, reducer)` starting at
-/// `next`, waking the disk thread. Used by every hit path that notices
+/// `next`, waking a disk worker. Used by every hit path that notices
 /// the staged range running low (the pull half of Fig. 5 pipelining).
+/// With [`ServerOptions::prefetch`] off nothing is ever queued: the
+/// next range is staged only when a request misses on it, so disk and
+/// wire alternate (Fig. 4).
 pub(crate) fn queue_run_ahead(shared: &Shared, mof: u64, reducer: u32, next: u64) {
+    if !shared.options.prefetch {
+        return;
+    }
     let queued = shared.prefetch.push(StageJob {
         mof,
         reducer,
@@ -1101,6 +817,9 @@ pub(crate) fn queue_run_ahead(shared: &Shared, mof: u64, reducer: u32, next: u64
     }
 }
 
+/// Finish a reactor-dispatched request on a disk worker: do the IO its
+/// [`JobKind`] calls for, frame the complete response, and deliver it
+/// to the owning reactor's completion queue.
 fn run_reactor_job(
     shared: &Shared,
     ticket: crate::reactor::JobTicket,
@@ -1214,187 +933,6 @@ fn run_reactor_job(
         }
     };
     ticket.deliver(resp);
-}
-
-/// Memory-tier-first serving: if a hybrid store is attached and knows
-/// this partition, answer from its tiers (no DataCache, no disk-thread
-/// stage). `None` means the key is not hybrid-held — fall through to
-/// the MOF path.
-fn serve_hybrid(
-    shared: &Shared,
-    req: &FetchRequest,
-    version: WireVersion,
-    want: u64,
-) -> Option<FetchResponse> {
-    let hybrid = shared.options.hybrid.as_ref()?;
-    let len = if req.len == 0 { 0 } else { want };
-    match hybrid.read_segment_range(req.mof, req.reducer, req.offset, len) {
-        Ok(Some(bytes)) => {
-            shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-            shared.options.trace.instant(
-                "hybrid.hit",
-                Entity::mof(req.mof),
-                req.offset,
-                bytes.len() as u64,
-            );
-            Some(finish_ok(shared, req, version, bytes))
-        }
-        Ok(None) => None,
-        Err(_) => Some(FetchResponse::error(req.id, Status::BadRequest)),
-    }
-}
-
-/// Serve one request through the DataCache read-ahead.
-fn serve(shared: &Shared, req: FetchRequest, version: WireVersion) -> FetchResponse {
-    let want = if req.len == 0 {
-        u64::MAX
-    } else {
-        req.len.min(shared.options.buffer_bytes)
-    };
-    let key = (req.mof, req.reducer);
-
-    // Memory-tier-first: a partition living in the hybrid store is
-    // answered by its tiers directly — hot tails straight from memory,
-    // spilled extents from its own files. Those keys never enter the
-    // DataCache or the disk thread's queue, and the hybrid store's
-    // bytes are always fresh, so the bypass-cache flag is moot here.
-    if let Some(resp) = serve_hybrid(shared, &req, version, want) {
-        return resp;
-    }
-
-    // Targeted cache-bypass re-fetch (v3, after a client-side checksum
-    // mismatch): the staged range for this key is suspect — drop it and
-    // answer straight from disk, so poisoned DataCache bytes are never
-    // served twice.
-    if req.bypass_cache() {
-        // Dropping the invalidated lease recycles its buffer once no
-        // in-flight transmit still pins it.
-        drop(shared.staged.invalidate(&key));
-        shared.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
-        shared
-            .options
-            .trace
-            .instant("integrity.bypass", Entity::mof(req.mof), req.offset, req.len);
-        let read = {
-            let _permit = shared.iosched.acquire(IoClass::Read);
-            let mut store = lock(&shared.store);
-            store.read_segment_range(req.mof, req.reducer, req.offset, req.len)
-        };
-        return match read {
-            Ok(Some(bytes)) => finish_ok(shared, &req, version, bytes),
-            Ok(None) => FetchResponse::error(req.id, Status::NotFound),
-            Err(_) => FetchResponse::error(req.id, Status::BadRequest),
-        };
-    }
-
-    // Whole-segment requests bypass staging.
-    if req.len == 0 {
-        let read = {
-            let _permit = shared.iosched.acquire(IoClass::Read);
-            let mut store = lock(&shared.store);
-            store.read_segment_range(req.mof, req.reducer, req.offset, 0)
-        };
-        return match read {
-            Ok(Some(bytes)) => finish_ok(shared, &req, version, bytes),
-            Ok(None) => FetchResponse::error(req.id, Status::NotFound),
-            Err(_) => FetchResponse::error(req.id, Status::BadRequest),
-        };
-    }
-
-    // Queue the next read-ahead once the reader is within half a batch
-    // of draining the staged range — early enough for the disk to win
-    // the race against the network.
-    let low_water = shared.options.buffer_bytes * shared.options.prefetch_batch / 2;
-    // Fast path: the range is already staged by a previous read-ahead.
-    let mut payload = shared.pool.get();
-    if let Some(hit) = shared
-        .staged
-        .hit_into(&key, req.offset, want, low_water, &mut payload)
-    {
-        shared.stats.datacache_hits.fetch_add(1, Ordering::Relaxed);
-        shared
-            .options
-            .trace
-            .instant("cache.hit", Entity::mof(req.mof), req.offset, want);
-        shared
-            .stats
-            .copied_bytes
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        if shared.options.prefetch {
-            if let Some(next) = hit.stage_next {
-                let queued = shared.prefetch.push(StageJob {
-                    mof: req.mof,
-                    reducer: req.reducer,
-                    offset: next,
-                    want: 0,
-                    reply: Reply::None,
-                });
-                if queued.is_ok() {
-                    shared
-                        .options
-                        .trace
-                        .instant("prefetch.queue", Entity::mof(req.mof), next, 0);
-                }
-            }
-        }
-        return finish_ok(shared, &req, version, payload);
-    }
-
-    // Miss. Pipelined: hand the read to the disk thread and wait for
-    // these exact bytes. Serial baseline: stage inline right here.
-    if shared.options.prefetch {
-        shared.pool.put(payload);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let queued = shared.prefetch.push(StageJob {
-            mof: req.mof,
-            reducer: req.reducer,
-            offset: req.offset,
-            want,
-            reply: Reply::Channel(reply_tx),
-        });
-        if queued.is_err() {
-            // Shutting down.
-            return FetchResponse::error(req.id, Status::BadRequest);
-        }
-        // The only place a connection thread waits for the disk in the
-        // pipelined discipline: a cold miss.
-        let _wait = shared
-            .options
-            .trace
-            .span("prefetch.wait", Entity::mof(req.mof), req.offset, want);
-        match reply_rx.recv() {
-            Ok(Ok(Some(bytes))) => finish_ok(shared, &req, version, bytes),
-            Ok(Ok(None)) => FetchResponse::error(req.id, Status::NotFound),
-            Ok(Err(_)) | Err(_) => FetchResponse::error(req.id, Status::BadRequest),
-        }
-    } else {
-        match read_ahead(shared, req.mof, req.reducer, req.offset) {
-            Ok(Some((bytes, at_end))) => {
-                let evicted = shared.staged.stage_into(
-                    key,
-                    req.offset,
-                    shared.pool.lease(bytes),
-                    at_end,
-                    want,
-                    &mut payload,
-                );
-                drop(evicted);
-                shared
-                    .stats
-                    .copied_bytes
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                finish_ok(shared, &req, version, payload)
-            }
-            Ok(None) => {
-                shared.pool.put(payload);
-                FetchResponse::error(req.id, Status::NotFound)
-            }
-            Err(_) => {
-                shared.pool.put(payload);
-                FetchResponse::error(req.id, Status::BadRequest)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1513,39 +1051,53 @@ mod tests {
 
     #[test]
     fn chunked_fetch_reassembles_and_hits_datacache() {
-        // Threaded mode: the bufpool assertions below are about the
-        // copy-out serve path (the reactor transmits from pinned leases
-        // and never draws a per-request payload buffer).
         let server = chunked_fetch_roundtrip(ServerOptions {
             buffer_bytes: 4 << 10,
             prefetch_batch: 8,
-            threaded: true,
             ..ServerOptions::default()
         });
         // Read-ahead must have served most chunks from memory.
         let hits = server.stats().datacache_hits.load(Ordering::Relaxed);
         let reqs = server.stats().requests.load(Ordering::Relaxed);
         assert!(hits * 2 > reqs, "hits {hits} of {reqs} requests");
-        // The disk thread ran ahead of the reader, and the pool recycled
-        // payload buffers: the pipeline gauges are coherent.
+        // The disk workers ran ahead of the reader: the pipeline gauges
+        // are coherent.
         let snap = server.stats_snapshot();
         assert!(snap.prefetched_batches > 0, "{snap:?}");
         assert!(snap.sync_stages >= 1, "{snap:?}");
         assert_eq!(snap.prefetch_queue_len, 0, "queue drained: {snap:?}");
         assert!(snap.prefetch_queue_peak >= 1, "{snap:?}");
-        // Every chunked serve draws from the pool (the disk thread draws
-        // too), and recycling makes most of those draws allocation-free.
-        assert!(
-            snap.bufpool.hits + snap.bufpool.misses >= snap.requests - 1,
-            "{snap:?}"
-        );
-        assert!(snap.bufpool.returns > 0, "{snap:?}");
-        assert!(snap.bufpool.hit_rate() > 0.25, "{snap:?}");
+        // Every byte left from a pinned lease, none through a copy.
+        assert_eq!(snap.zerocopy_bytes, snap.bytes, "{snap:?}");
+        assert_eq!(snap.copied_bytes, 0, "{snap:?}");
+        // Lease ledger. The gauge counts what responses pin, not what
+        // the cache holds: 0 once the last response has flushed, 1
+        // while a hit is in hand (a past-EOF read is served, empty,
+        // from the at-end range), 0 again when it drops.
+        let flushed = std::time::Instant::now() + Duration::from_secs(5);
+        while server.stats_snapshot().bufpool.outstanding > 0 {
+            assert!(
+                std::time::Instant::now() < flushed,
+                "a response lease leaked"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let held = server.shared.staged.hit_lease(&(0, 0), u64::MAX, 0, 0);
+        assert!(held.is_some(), "the last range stays staged");
+        assert_eq!(server.stats_snapshot().bufpool.outstanding, 1);
+        drop(held);
+        assert_eq!(server.stats_snapshot().bufpool.outstanding, 0);
+        // With every thread joined, the only allocation still pinned is
+        // the DataCache's own staged range.
+        let shared = Arc::clone(&server.shared);
         server.shutdown();
+        assert_eq!(shared.pool.stats().outstanding, 1);
+        drop(shared.staged.invalidate(&(0, 0)));
+        assert_eq!(shared.pool.stats().outstanding, 0, "a served lease leaked");
     }
 
     #[test]
-    fn inline_staging_baseline_serves_identical_bytes() {
+    fn serial_baseline_never_runs_ahead_and_serves_identical_bytes() {
         let server = chunked_fetch_roundtrip(ServerOptions {
             buffer_bytes: 4 << 10,
             prefetch_batch: 8,
@@ -1553,10 +1105,9 @@ mod tests {
             ..ServerOptions::default()
         });
         let snap = server.stats_snapshot();
-        assert_eq!(snap.prefetched_batches, 0, "no disk thread: {snap:?}");
-        assert_eq!(snap.sync_stages, 0, "{snap:?}");
-        let hits = server.stats().datacache_hits.load(Ordering::Relaxed);
-        assert!(hits > 0, "inline staging still feeds the DataCache");
+        assert_eq!(snap.prefetched_batches, 0, "nothing ran ahead: {snap:?}");
+        assert!(snap.sync_stages >= 2, "ranges staged on misses: {snap:?}");
+        assert!(snap.datacache_hits > 0, "staged ranges still serve hits");
         server.shutdown();
     }
 
@@ -1569,8 +1120,8 @@ mod tests {
         FetchRequest::whole_segment(42, 0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::NotFound);
-        // A *chunked* miss takes the sync-stage path through the disk
-        // thread and must come back NotFound too, not hang.
+        // A *chunked* miss takes the sync-stage path through a disk
+        // worker and must come back NotFound too, not hang.
         FetchRequest {
             id: 5,
             mof: 42,
@@ -1777,14 +1328,11 @@ mod tests {
         let truth = FetchResponse::read_from(&mut r).unwrap().payload;
         // Poison the staged range the way bad RAM would: same offsets,
         // wrong bytes.
-        let mut scratch = Vec::new();
-        server.shared.staged.stage_into(
+        server.shared.staged.stage_lease(
             (0, 0),
             0,
             crate::bufpool::Lease::detached(vec![0xEE; 32 << 10]),
             false,
-            0,
-            &mut scratch,
         );
         // A plain re-fetch serves the poison (this is the failure the
         // integrity layer exists to catch)...

@@ -5,8 +5,12 @@
 //! One read at segment offset `o` stages a whole read-ahead range
 //! `[o, o+ahead)`; subsequent chunk fetches of the same key are served
 //! from the staged bytes without touching the store (the paper's
-//! DataCache, Fig. 5). The map holds one staged range per key; staging
-//! replaces the previous range.
+//! DataCache, Fig. 5). The map double-buffers each key: the range the
+//! reader is consuming, plus at most one run-ahead range contiguous
+//! with it. A run-ahead that lands early therefore never evicts bytes
+//! the reader has not reached; the reader's first hit in the run-ahead
+//! range retires the one before it. Staging anywhere else (a cold
+//! start, a resumed or restarted reader) replaces both.
 //!
 //! Two things make the map pipeline-aware:
 //!
@@ -14,24 +18,21 @@
 //!   (`at_end`), so the prefetch machinery knows when running further
 //!   ahead would be wasted disk work;
 //! * a hit reports when the reader is **close to draining** the range
-//!   ([`Hit::stage_next`]), which is the signal the server turns into an
-//!   asynchronous read-ahead job — the disk thread stages the next range
-//!   while the network is still transmitting this one.
+//!   ([`LeaseHit::stage_next`]), which is the signal the server turns
+//!   into an asynchronous read-ahead job — a disk worker stages the next
+//!   range while the network is still transmitting this one.
 //!
-//! Ranges are stored as refcounted [`Lease`]s over pooled buffers. The
-//! threaded server copies a hit out into a caller-supplied buffer
-//! ([`StageCache::hit_into`]); the event-loop server instead *clones
-//! the lease* ([`StageCache::hit_lease`]) and transmits straight from
+//! Ranges are stored as refcounted [`Lease`]s. A hit *clones the lease*
+//! ([`StageCache::hit_lease`]) and the reactor transmits straight from
 //! the cached allocation — zero copies between DataCache and socket,
 //! with eviction safe at any moment because the in-flight clone keeps
-//! the bytes alive. Either way, staging returns the evicted range's
-//! lease so its buffer recycles as soon as the last pin drops.
+//! the bytes alive. Staging returns the evicted range's lease so the
+//! caller decides where that pin drops.
 //!
-//! Locking: the single `staged` mutex is held only to copy a hit out
-//! (or clone a lease) or swap a range in — never across disk I/O. In
-//! the documented order it sits after `store`, because the prefetch
-//! path reads the store first and stages the result; a hit never takes
-//! `store` at all.
+//! Locking: the single `staged` mutex is held only to clone a lease or
+//! swap a range in — never across disk I/O. In the documented order it
+//! sits after `store`, because the stage path reads the store first and
+//! stages the result; a hit never takes `store` at all.
 
 use crate::bufpool::Lease;
 use crate::sync::{lock, Mutex};
@@ -48,30 +49,42 @@ struct StagedRange {
     at_end: bool,
 }
 
-/// What a successful [`StageCache::hit_into`] learned beyond the bytes.
-pub(crate) struct Hit {
-    /// `Some(next)` when the hit consumed into the low-water tail of the
-    /// range and the segment continues past it: the caller should queue
-    /// an asynchronous read-ahead starting at absolute offset `next`.
-    pub(crate) stage_next: Option<u64>,
+impl StagedRange {
+    /// Segment offset one past the last staged byte.
+    fn end(&self) -> u64 {
+        self.offset.saturating_add(self.bytes.len() as u64)
+    }
+
+    fn contains(&self, offset: u64) -> bool {
+        offset >= self.offset && offset < self.end()
+    }
+}
+
+/// One key's staged state: the range being read and, once a run-ahead
+/// has landed, the range that continues it (`next.offset == cur.end()`).
+struct Staged {
+    cur: StagedRange,
+    next: Option<StagedRange>,
 }
 
 /// A zero-copy hit: a clone of the staged lease plus the byte window of
 /// the request within it. The bytes stay pinned (and the underlying
-/// buffer un-recycled) for exactly as long as the caller holds the
+/// buffer alive) for exactly as long as the caller holds the
 /// lease — through an arbitrary number of partial-write resumptions.
 pub(crate) struct LeaseHit {
     pub(crate) lease: Lease,
     /// The request's window within `lease` (`lo..hi`, already clamped
     /// for at-end ranges).
     pub(crate) range: std::ops::Range<usize>,
-    /// Same read-ahead signal as [`Hit::stage_next`].
+    /// `Some(next)` when the hit consumed into the low-water tail of the
+    /// range and the segment continues past it: the caller should queue
+    /// an asynchronous read-ahead starting at absolute offset `next`.
     pub(crate) stage_next: Option<u64>,
 }
 
 /// Keyed staging map (the DataCache).
 pub(crate) struct StageCache<K> {
-    staged: Mutex<HashMap<K, StagedRange>>,
+    staged: Mutex<HashMap<K, Staged>>,
 }
 
 impl<K: Hash + Eq> StageCache<K> {
@@ -106,42 +119,14 @@ impl<K: Hash + Eq> StageCache<K> {
         }
     }
 
-    /// The read-ahead signal for a hit of `[offset, offset+want)` on `s`.
-    fn stage_next(s: &StagedRange, offset: u64, want: u64, low_water: u64) -> Option<u64> {
-        let end = s.offset.saturating_add(s.bytes.len() as u64);
-        let remaining = end.saturating_sub(offset.saturating_add(want));
-        (!s.at_end && remaining <= low_water).then_some(end)
-    }
-
-    /// Serve `[offset, offset+want)` from the staged range into `out`,
-    /// if the whole request lies inside it (the threaded server's
-    /// copy-out path).
-    ///
-    /// On a hit, [`Hit::stage_next`] is set when at most `low_water`
-    /// bytes remain beyond the request and the segment continues past
-    /// this range.
-    pub(crate) fn hit_into(
-        &self,
-        key: &K,
-        offset: u64,
-        want: u64,
-        low_water: u64,
-        out: &mut Vec<u8>,
-    ) -> Option<Hit> {
-        let staged = lock(&self.staged);
-        let s = staged.get(key)?;
-        let range = Self::window(s, offset, want)?;
-        out.clear();
-        out.extend_from_slice(s.bytes.get(range).unwrap_or_default());
-        Some(Hit {
-            stage_next: Self::stage_next(s, offset, want, low_water),
-        })
-    }
-
-    /// Serve `[offset, offset+want)` as a pinned window over the staged
-    /// lease — no copy (the event-loop server's path). Identical hit
-    /// semantics to [`StageCache::hit_into`], including at-end clamping
-    /// and the `stage_next` signal.
+    /// Serve `[offset, offset+want)` as a pinned window over a staged
+    /// lease — no copy — if the whole request lies inside one range (or
+    /// the range is at-end, see [`Self::window`]). A request the current
+    /// range cannot serve but the run-ahead range can means the reader
+    /// has moved on: the run-ahead range becomes current and the old
+    /// one's pin drops. [`LeaseHit::stage_next`] is set when at most
+    /// `low_water` bytes remain beyond the request, the segment
+    /// continues past the range, and no run-ahead range is staged yet.
     pub(crate) fn hit_lease(
         &self,
         key: &K,
@@ -149,38 +134,28 @@ impl<K: Hash + Eq> StageCache<K> {
         want: u64,
         low_water: u64,
     ) -> Option<LeaseHit> {
-        let staged = lock(&self.staged);
-        let s = staged.get(key)?;
-        let range = Self::window(s, offset, want)?;
+        let mut staged = lock(&self.staged);
+        let s = staged.get_mut(key)?;
+        if Self::window(&s.cur, offset, want).is_none() {
+            s.cur = s
+                .next
+                .take_if(|n| Self::window(n, offset, want).is_some())?;
+        }
+        let range = Self::window(&s.cur, offset, want)?;
+        let remaining = s.cur.end().saturating_sub(offset.saturating_add(want));
+        let pull = !s.cur.at_end && s.next.is_none() && remaining <= low_water;
         Some(LeaseHit {
-            lease: s.bytes.clone(),
+            lease: s.cur.bytes.clone(),
             range,
-            stage_next: Self::stage_next(s, offset, want, low_water),
+            stage_next: pull.then_some(s.cur.end()),
         })
     }
 
-    /// Stage `bytes` (read from the store at `offset`) as `key`'s new
-    /// range, serve its first `want` bytes into `out`, and return the
-    /// evicted range's lease (if any) — dropping it recycles the buffer
-    /// once no in-flight transmit still pins it.
-    pub(crate) fn stage_into(
-        &self,
-        key: K,
-        offset: u64,
-        bytes: Lease,
-        at_end: bool,
-        want: u64,
-        out: &mut Vec<u8>,
-    ) -> Option<Lease> {
-        let serve_len = (want as usize).min(bytes.len());
-        out.clear();
-        out.extend_from_slice(bytes.get(..serve_len).unwrap_or_default());
-        self.stage_lease(key, offset, bytes, at_end)
-    }
-
-    /// Stage `bytes` as `key`'s new range without serving anything (the
-    /// event-loop path clones the lease *before* staging and builds its
-    /// response window from the clone). Returns the evicted lease.
+    /// Stage `bytes` (read from the store at `offset`); a miss-path
+    /// caller clones the lease *before* staging and builds its response
+    /// window from the clone. Bytes that continue the current range
+    /// become `key`'s run-ahead range; anything else replaces what was
+    /// staged. Returns the lease this displaced, if any.
     pub(crate) fn stage_lease(
         &self,
         key: K,
@@ -188,36 +163,52 @@ impl<K: Hash + Eq> StageCache<K> {
         bytes: Lease,
         at_end: bool,
     ) -> Option<Lease> {
-        let evicted = lock(&self.staged).insert(
-            key,
-            StagedRange {
-                offset,
-                bytes,
-                at_end,
-            },
-        );
-        evicted.map(|r| r.bytes)
+        let new = StagedRange {
+            offset,
+            bytes,
+            at_end,
+        };
+        let mut staged = lock(&self.staged);
+        if let Some(s) = staged.get_mut(&key) {
+            if !s.cur.at_end && s.cur.end() == offset {
+                return s.next.replace(new).map(|r| r.bytes);
+            }
+        }
+        let fresh = Staged {
+            cur: new,
+            next: None,
+        };
+        staged.insert(key, fresh).map(|s| s.cur.bytes)
     }
 
-    /// Drop `key`'s staged range, returning its lease. The cache-bypass
-    /// re-fetch path: after a checksum mismatch the staged bytes are
-    /// suspect and must not be served again.
+    /// Drop everything staged for `key`, returning the current range's
+    /// lease. The cache-bypass re-fetch path: after a checksum mismatch
+    /// the staged bytes are suspect and must not be served again.
     pub(crate) fn invalidate(&self, key: &K) -> Option<Lease> {
-        lock(&self.staged).remove(key).map(|r| r.bytes)
+        lock(&self.staged).remove(key).map(|s| s.cur.bytes)
     }
 
-    /// Whether a read-ahead starting at `offset` would be redundant:
-    /// the staged range already contains `offset`, or it reaches the
+    /// How many pool-counted staged ranges nothing but the cache pins:
+    /// the live-lease gauge minus this is what responses still hold.
+    pub(crate) fn idle_pins(&self) -> u64 {
+        let staged = lock(&self.staged);
+        let ranges = staged
+            .values()
+            .flat_map(|s| std::iter::once(&s.cur).chain(&s.next));
+        ranges.filter(|r| r.bytes.is_sole_pooled_pin()).count() as u64
+    }
+
+    /// Whether a read-ahead starting at `offset` would be redundant: a
+    /// staged range already contains `offset`, or one reaches the
     /// segment end and `offset` lies at or beyond it.
     pub(crate) fn covers(&self, key: &K, offset: u64) -> bool {
         let staged = lock(&self.staged);
-        match staged.get(key) {
-            Some(s) => {
-                let end = s.offset.saturating_add(s.bytes.len() as u64);
-                (offset >= s.offset && offset < end) || (s.at_end && offset >= end)
-            }
-            None => false,
-        }
+        let Some(s) = staged.get(key) else {
+            return false;
+        };
+        std::iter::once(&s.cur)
+            .chain(&s.next)
+            .any(|r| r.contains(offset) || (r.at_end && offset >= r.end()))
     }
 }
 
@@ -229,64 +220,73 @@ mod loom_tests {
     use std::sync::Arc;
 
     fn hit(cache: &StageCache<u8>, key: u8, offset: u64, want: u64) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        cache.hit_into(&key, offset, want, 0, &mut out).map(|_| out)
+        cache
+            .hit_lease(&key, offset, want, 0)
+            .map(|h| h.lease.get(h.range).unwrap_or_default().to_vec())
     }
 
-    fn stage(cache: &StageCache<u8>, key: u8, offset: u64, bytes: Vec<u8>, want: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        cache.stage_into(key, offset, Lease::detached(bytes), false, want, &mut out);
-        out
+    fn stage(cache: &StageCache<u8>, key: u8, offset: u64, bytes: Vec<u8>) -> Option<Lease> {
+        cache.stage_lease(key, offset, Lease::detached(bytes), false)
     }
 
-    /// Two connection threads race a stage against a hit on the same
-    /// key. In every interleaving a served chunk is byte-exact for its
-    /// requested range — a reader sees a complete staged range or a
+    /// A disk worker stages a range while the reactor looks the same
+    /// key up. In every interleaving a served chunk is byte-exact for
+    /// its requested range — a reader sees a complete staged range or a
     /// miss, never a torn one.
     #[test]
     fn loom_hit_races_stage_without_tearing() {
         loom::model(|| {
             let cache = Arc::new(StageCache::<u8>::new());
             let c2 = Arc::clone(&cache);
-            let h = loom::thread::spawn(move || stage(&c2, 0u8, 0, vec![1, 2, 3, 4], 2));
+            let h = loom::thread::spawn(move || stage(&c2, 0u8, 0, vec![1, 2, 3, 4]));
             if let Some(chunk) = hit(&cache, 0u8, 1, 2) {
                 assert_eq!(chunk, vec![2, 3]);
             }
-            let served = match h.join() {
-                Ok(s) => s,
-                Err(_) => panic!("stager panicked"),
-            };
-            assert_eq!(served, vec![1, 2]);
+            if h.join().is_err() {
+                panic!("stager panicked");
+            }
             // After both finish, the staged range serves hits exactly.
             assert_eq!(hit(&cache, 0u8, 2, 2), Some(vec![3, 4]));
         });
     }
 
-    /// Two threads stage different ranges for one key concurrently. The
+    /// A run-ahead lands while the reader is still inside the current
+    /// range. In every interleaving the reader's hit is served from the
+    /// current range — the run-ahead never evicts it — and once both
+    /// finish the reader walks on into the run-ahead range.
+    #[test]
+    fn loom_run_ahead_never_evicts_the_range_being_read() {
+        loom::model(|| {
+            let cache = Arc::new(StageCache::<u8>::new());
+            stage(&cache, 0u8, 0, vec![1, 2, 3, 4]);
+            let c2 = Arc::clone(&cache);
+            let h = loom::thread::spawn(move || stage(&c2, 0u8, 4, vec![5, 6, 7, 8]));
+            assert_eq!(hit(&cache, 0u8, 2, 2), Some(vec![3, 4]));
+            match h.join() {
+                Ok(displaced) => assert!(displaced.is_none(), "nothing to displace"),
+                Err(_) => panic!("stager panicked"),
+            }
+            assert_eq!(hit(&cache, 0u8, 4, 2), Some(vec![5, 6]));
+            assert_eq!(hit(&cache, 0u8, 2, 2), None, "the drained range retired");
+        });
+    }
+
+    /// Two workers stage unrelated ranges for one key concurrently. The
     /// survivor is one of the two complete ranges (last write wins),
     /// a later hit is consistent with whichever survived, and exactly
-    /// one of the racers gets the loser's lease back for recycling.
+    /// one of the racers gets the loser's lease back.
     #[test]
     fn loom_concurrent_stages_last_write_wins() {
         loom::model(|| {
             let cache = Arc::new(StageCache::<u8>::new());
             let c2 = Arc::clone(&cache);
-            let h = loom::thread::spawn(move || {
-                let mut out = Vec::new();
-                let evicted =
-                    c2.stage_into(0u8, 0, Lease::detached(vec![10, 11]), false, 2, &mut out);
-                (out, evicted)
-            });
-            let mut out2 = Vec::new();
-            let ev2 =
-                cache.stage_into(0u8, 2, Lease::detached(vec![20, 21]), false, 2, &mut out2);
-            assert_eq!(out2, vec![20, 21]);
-            let (out1, ev1) = match h.join() {
+            let h = loom::thread::spawn(move || stage(&c2, 0u8, 0, vec![10, 11]));
+            let ev2 = stage(&cache, 0u8, 5, vec![20, 21]);
+            let ev1 = match h.join() {
                 Ok(r) => r,
                 Err(_) => panic!("stager panicked"),
             };
-            assert_eq!(out1, vec![10, 11]);
-            let survivor = (hit(&cache, 0u8, 0, 2), hit(&cache, 0u8, 2, 2));
+            let survivor = (hit(&cache, 0u8, 0, 2), hit(&cache, 0u8, 5, 2));
             assert!(
                 matches!(survivor, (Some(_), None) | (None, Some(_))),
                 "exactly one complete range survives: {survivor:?}"
@@ -299,25 +299,23 @@ mod loom_tests {
         });
     }
 
-    /// The partial-write-resume vs. eviction race (satellite model): a
-    /// transmitter clones the staged lease (as the reactor does before
-    /// its first `writev`), then a restage evicts the range while the
-    /// transmit is still in flight. In every interleaving the
-    /// transmitter's clone reads the original payload byte-exactly —
-    /// eviction can drop the cache entry but never the pinned bytes.
+    /// The partial-write-resume vs. eviction race: a transmitter clones
+    /// the staged lease (as the reactor does before its first
+    /// `writev`), then a restage evicts the range while the transmit is
+    /// still in flight. In every interleaving the transmitter's clone
+    /// reads the original payload byte-exactly — eviction can drop the
+    /// cache entry but never the pinned bytes.
     #[test]
     fn loom_eviction_races_pinned_transmit() {
         loom::model(|| {
             let cache = Arc::new(StageCache::<u8>::new());
-            let mut out = Vec::new();
-            cache.stage_into(0u8, 0, Lease::detached(vec![1, 2, 3, 4]), false, 0, &mut out);
+            stage(&cache, 0u8, 0, vec![1, 2, 3, 4]);
             let pinned = cache.hit_lease(&0u8, 1, 2, 0).expect("staged range hit");
             let c2 = Arc::clone(&cache);
             let h = loom::thread::spawn(move || {
-                // Restage: evicts the range the transmitter pinned.
-                let mut out = Vec::new();
-                let ev = c2.stage_into(0u8, 50, Lease::detached(vec![9]), false, 0, &mut out);
-                drop(ev); // the cache's pin goes away mid-transmit
+                // Restage: evicts the range the transmitter pinned, and
+                // the cache's pin goes away mid-transmit.
+                drop(stage(&c2, 0u8, 50, vec![9]));
             });
             // "Resume the partial write": the clone still reads true.
             let window = pinned.lease.get(pinned.range.clone()).unwrap_or_default();
@@ -335,28 +333,27 @@ mod tests {
     use super::*;
 
     fn hit(cache: &StageCache<u8>, key: u8, offset: u64, want: u64) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        cache.hit_into(&key, offset, want, 0, &mut out).map(|_| out)
-    }
-
-    fn hit_zc(cache: &StageCache<u8>, key: u8, offset: u64, want: u64) -> Option<Vec<u8>> {
         cache
             .hit_lease(&key, offset, want, 0)
             .map(|h| h.lease.get(h.range).unwrap_or_default().to_vec())
     }
 
-    fn stage(cache: &StageCache<u8>, key: u8, offset: u64, bytes: Vec<u8>, want: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        cache.stage_into(key, offset, Lease::detached(bytes), false, want, &mut out);
-        out
+    fn stage(
+        cache: &StageCache<u8>,
+        key: u8,
+        offset: u64,
+        bytes: Vec<u8>,
+        at_end: bool,
+    ) -> Option<Lease> {
+        cache.stage_lease(key, offset, Lease::detached(bytes), at_end)
     }
 
     #[test]
     fn hit_requires_containment() {
         let cache = StageCache::<u8>::new();
         assert_eq!(hit(&cache, 1, 0, 4), None, "empty cache misses");
-        let served = stage(&cache, 1, 100, vec![1, 2, 3, 4, 5, 6], 4);
-        assert_eq!(served, vec![1, 2, 3, 4]);
+        stage(&cache, 1, 100, vec![1, 2, 3, 4, 5, 6], false);
+        assert_eq!(hit(&cache, 1, 100, 4), Some(vec![1, 2, 3, 4]));
         assert_eq!(hit(&cache, 1, 102, 3), Some(vec![3, 4, 5]));
         assert_eq!(hit(&cache, 1, 99, 2), None, "below staged base");
         assert_eq!(hit(&cache, 1, 104, 4), None, "past staged end");
@@ -364,44 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn lease_hit_matches_copy_hit() {
-        let cache = StageCache::<u8>::new();
-        stage(&cache, 1, 100, vec![1, 2, 3, 4, 5, 6], 0);
-        for (offset, want) in [(100, 4), (102, 3), (99, 2), (104, 4), (u64::MAX, 2)] {
-            assert_eq!(
-                hit(&cache, 1, offset, want),
-                hit_zc(&cache, 1, offset, want),
-                "copy and zero-copy hits must agree at ({offset}, {want})"
-            );
-        }
-    }
-
-    #[test]
-    fn lease_hit_reports_stage_next_like_hit_into() {
-        let cache = StageCache::<u8>::new();
-        let mut out = Vec::new();
-        cache.stage_into(1, 100, Lease::detached(vec![0; 8]), false, 2, &mut out);
-        let h = cache.hit_lease(&1, 100, 2, 2).unwrap();
-        assert_eq!(h.stage_next, None);
-        let h = cache.hit_lease(&1, 104, 2, 2).unwrap();
-        assert_eq!(h.stage_next, Some(108));
-    }
-
-    #[test]
-    fn stage_serves_at_most_available() {
-        let cache = StageCache::<u8>::new();
-        let served = stage(&cache, 1, 0, vec![7, 8], 10);
-        assert_eq!(served, vec![7, 8], "want capped to staged bytes");
-    }
-
-    #[test]
     fn restage_replaces_range_and_returns_evicted_buffer() {
         let cache = StageCache::<u8>::new();
-        let mut out = Vec::new();
-        assert!(cache
-            .stage_into(1, 0, Lease::detached(vec![1, 2, 3]), false, 3, &mut out)
-            .is_none());
-        let evicted = cache.stage_into(1, 10, Lease::detached(vec![4, 5, 6]), false, 3, &mut out);
+        assert!(stage(&cache, 1, 0, vec![1, 2, 3], false).is_none());
+        let evicted = stage(&cache, 1, 10, vec![4, 5, 6], false);
         assert_eq!(
             evicted.as_deref(),
             Some(&[1u8, 2, 3][..]),
@@ -414,61 +377,84 @@ mod tests {
     #[test]
     fn tail_hits_request_read_ahead() {
         let cache = StageCache::<u8>::new();
-        let mut out = Vec::new();
         // Range [100, 108), segment continues beyond it.
-        cache.stage_into(1, 100, Lease::detached(vec![0; 8]), false, 2, &mut out);
+        stage(&cache, 1, 100, vec![0; 8], false);
         // Head of the range with 2 bytes of low-water: plenty left.
-        let h = cache.hit_into(&1, 100, 2, 2, &mut out).unwrap();
+        let h = cache.hit_lease(&1, 100, 2, 2).unwrap();
         assert_eq!(h.stage_next, None);
         // Consuming to within low-water of the end: stage at 108 next.
-        let h = cache.hit_into(&1, 104, 2, 2, &mut out).unwrap();
+        let h = cache.hit_lease(&1, 104, 2, 2).unwrap();
         assert_eq!(h.stage_next, Some(108));
         // Same tail hit on an at-end range: nothing beyond to stage.
-        cache.stage_into(2, 100, Lease::detached(vec![0; 8]), true, 2, &mut out);
-        let h = cache.hit_into(&2, 104, 2, 2, &mut out).unwrap();
+        stage(&cache, 2, 100, vec![0; 8], true);
+        let h = cache.hit_lease(&2, 104, 2, 2).unwrap();
         assert_eq!(h.stage_next, None);
+    }
+
+    #[test]
+    fn run_ahead_lands_beside_the_range_being_read() {
+        let cache = StageCache::<u8>::new();
+        stage(&cache, 1, 100, vec![1, 2, 3, 4], false);
+        // The continuation displaces nothing and evicts nothing.
+        assert!(stage(&cache, 1, 104, vec![5, 6, 7, 8], false).is_none());
+        assert!(cache.covers(&1, 101) && cache.covers(&1, 107));
+        let h = cache.hit_lease(&1, 102, 2, 2).unwrap();
+        assert_eq!(h.lease.get(h.range), Some(&[3u8, 4][..]));
+        assert_eq!(h.stage_next, None, "the next range is already staged");
+        // A second continuation replaces the first, not the current.
+        let displaced = stage(&cache, 1, 104, vec![5, 6, 7, 9], false);
+        assert_eq!(displaced.as_deref(), Some(&[5u8, 6, 7, 8][..]));
+        // The reader's first hit past the current range retires it.
+        let h = cache.hit_lease(&1, 106, 2, 2).unwrap();
+        assert_eq!(h.lease.get(h.range), Some(&[7u8, 9][..]));
+        assert_eq!(h.stage_next, Some(108), "nothing staged beyond it");
+        assert_eq!(hit(&cache, 1, 102, 2), None, "the drained range retired");
+        // Staging anywhere else replaces both ranges.
+        stage(&cache, 1, 108, vec![0; 4], false);
+        let displaced = stage(&cache, 1, 0, vec![1], false);
+        assert_eq!(displaced.as_deref(), Some(&[5u8, 6, 7, 9][..]));
+        assert_eq!(hit(&cache, 1, 108, 2), None, "run-ahead range went with it");
+        assert_eq!(hit(&cache, 1, 0, 1), Some(vec![1]));
     }
 
     #[test]
     fn at_end_range_serves_clamped_and_empty_tails() {
         let cache = StageCache::<u8>::new();
-        let mut out = Vec::new();
-        cache.stage_into(1, 100, Lease::detached(vec![1, 2, 3, 4]), true, 0, &mut out);
+        stage(&cache, 1, 100, vec![1, 2, 3, 4], true);
         // Runs into the end: clamped, not a miss.
         assert_eq!(hit(&cache, 1, 102, 8), Some(vec![3, 4]));
-        assert_eq!(hit_zc(&cache, 1, 102, 8), Some(vec![3, 4]));
         // At and past the end: empty — the stream's EOF answer.
         assert_eq!(hit(&cache, 1, 104, 4), Some(vec![]));
         assert_eq!(hit(&cache, 1, 200, 4), Some(vec![]));
-        assert_eq!(hit_zc(&cache, 1, 200, 4), Some(vec![]));
         // A mid-segment range still misses past its staged end.
-        cache.stage_into(2, 100, Lease::detached(vec![1, 2, 3, 4]), false, 0, &mut out);
+        stage(&cache, 2, 100, vec![1, 2, 3, 4], false);
         assert_eq!(hit(&cache, 2, 102, 8), None);
-        assert_eq!(hit_zc(&cache, 2, 102, 8), None);
     }
 
     #[test]
     fn invalidate_drops_range_and_returns_buffer() {
         let cache = StageCache::<u8>::new();
         assert!(cache.invalidate(&1).is_none(), "nothing staged");
-        let mut out = Vec::new();
-        cache.stage_into(1, 0, Lease::detached(vec![1, 2, 3]), false, 3, &mut out);
+        stage(&cache, 1, 0, vec![1, 2, 3], false);
         assert_eq!(cache.invalidate(&1).as_deref(), Some(&[1u8, 2, 3][..]));
         assert_eq!(hit(&cache, 1, 0, 2), None, "range gone after invalidate");
+        stage(&cache, 1, 0, vec![1, 2], false);
+        stage(&cache, 1, 2, vec![3, 4], false);
+        drop(cache.invalidate(&1));
+        assert_eq!(hit(&cache, 1, 2, 2), None, "run-ahead range goes too");
     }
 
     #[test]
     fn covers_tracks_range_and_segment_end() {
         let cache = StageCache::<u8>::new();
         assert!(!cache.covers(&1, 0), "empty cache covers nothing");
-        let mut out = Vec::new();
-        cache.stage_into(1, 100, Lease::detached(vec![0; 8]), false, 0, &mut out);
+        stage(&cache, 1, 100, vec![0; 8], false);
         assert!(cache.covers(&1, 100));
         assert!(cache.covers(&1, 107));
         assert!(!cache.covers(&1, 108), "just past a mid-segment range");
         assert!(!cache.covers(&1, 99));
         // An at-end range also covers everything past the segment end.
-        cache.stage_into(2, 100, Lease::detached(vec![0; 8]), true, 0, &mut out);
+        stage(&cache, 2, 100, vec![0; 8], true);
         assert!(cache.covers(&2, 108));
         assert!(cache.covers(&2, 10_000));
     }
@@ -476,12 +462,10 @@ mod tests {
     #[test]
     fn eviction_mid_transmit_keeps_pinned_bytes_alive() {
         let cache = StageCache::<u8>::new();
-        let mut out = Vec::new();
-        cache.stage_into(1, 0, Lease::detached(vec![1, 2, 3, 4]), false, 0, &mut out);
+        stage(&cache, 1, 0, vec![1, 2, 3, 4], false);
         let pinned = cache.hit_lease(&1, 1, 2, 0).expect("hit");
         // Evict while the "transmit" still holds its lease clone.
-        let evicted = cache.stage_into(1, 50, Lease::detached(vec![9]), false, 0, &mut out);
-        drop(evicted);
+        drop(stage(&cache, 1, 50, vec![9], false));
         assert_eq!(pinned.lease.get(pinned.range).unwrap_or_default(), &[2, 3]);
     }
 }

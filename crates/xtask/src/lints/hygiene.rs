@@ -8,10 +8,9 @@
 //!    package) must opt into it with `[lints] workspace = true`, so a
 //!    new crate cannot silently skip the shared lint set;
 //! 3. the `unsafe` keyword must not appear in workspace source outside
-//!    `crates/transport/src/verbs.rs` (reserved for a future real-RDMA
-//!    FFI binding), `crates/transport/src/poll.rs` (the reactor's one
-//!    `poll(2)` FFI declaration + EINTR-retrying safe wrapper), and the
-//!    vendored `shims/` (which mirror external crates and carry their
+//!    `crates/transport/src/poll.rs` (the reactor's one `poll(2)` FFI
+//!    declaration + EINTR-retrying safe wrapper) and the vendored
+//!    `shims/` (which mirror external crates and carry their
 //!    own review bar).
 
 use super::Finding;
@@ -70,8 +69,7 @@ pub fn check_source(path: &Path, masked: &str, allowed_unsafe: bool) -> Vec<Find
                 lint: "hygiene",
                 file: path.to_path_buf(),
                 line: idx + 1,
-                message: "`unsafe` is denied outside transport/src/{verbs,poll}.rs and shims/"
-                    .into(),
+                message: "`unsafe` is denied outside transport/src/poll.rs and shims/".into(),
                 code: line.to_string(),
                 chain: Vec::new(),
             });
@@ -83,10 +81,7 @@ pub fn check_source(path: &Path, masked: &str, allowed_unsafe: bool) -> Vec<Find
 /// May `path` legitimately contain `unsafe`?
 pub fn unsafe_allowed(path: &Path) -> bool {
     let p = path.to_string_lossy();
-    p.ends_with("transport/src/verbs.rs")
-        || p.ends_with("transport/src/poll.rs")
-        || p.contains("/shims/")
-        || p.starts_with("shims/")
+    p.ends_with("transport/src/poll.rs") || p.contains("/shims/") || p.starts_with("shims/")
 }
 
 /// Does the manifest text contain `[lints]` followed by
@@ -186,9 +181,8 @@ mod tests {
         let masked = lexer::mask("// unsafe only in comment");
         assert!(check_source(&PathBuf::from("x.rs"), &masked, false).is_empty());
         assert!(unsafe_allowed(&PathBuf::from(
-            "crates/transport/src/verbs.rs"
+            "crates/transport/src/poll.rs"
         )));
-        assert!(unsafe_allowed(&PathBuf::from("crates/transport/src/poll.rs")));
         assert!(unsafe_allowed(&PathBuf::from("shims/loom/src/lib.rs")));
         assert!(!unsafe_allowed(&PathBuf::from("crates/des/src/lib.rs")));
         assert!(!unsafe_allowed(&PathBuf::from("crates/net/src/poll.rs")));

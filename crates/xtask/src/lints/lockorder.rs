@@ -267,7 +267,7 @@ impl S {
         let src = "fn f(&self) { if let Some(e) = lock(&self.alpha).get(k) { lock(&self.beta).x += 1; } }";
         let e = edges_of(src);
         assert_eq!(e.len(), 1, "{e:?}");
-        // …dead after the `if` statement (the verbs.rs `catalog_entry` shape).
+        // …dead after the `if` statement (the lookup-then-insert shape).
         let src = "fn f(&self) { if let Some(e) = lock(&self.alpha).get(k) { return; } let q = lock(&self.beta); lock(&self.alpha).insert(k); }";
         let e = edges_of(src);
         assert_eq!(e.len(), 1, "{e:?}");

@@ -2,7 +2,7 @@
 //!
 //! The dataplane reports through structured tracing (`jbs-obs`) and
 //! typed stats, never ad-hoc stdout/stderr writes: stray prints corrupt
-//! benchmark JSON piped from `shuffle_bench`, interleave garbage into
+//! benchmark JSON piped from the benchmark binary, interleave garbage into
 //! test harness output, and bypass the trace's ring-buffer bound. So in
 //! `crates/transport`, `crates/net`, and `crates/core`, the print
 //! macros (`println!`, `print!`, `eprintln!`, `eprint!`) and `dbg!` are

@@ -282,7 +282,7 @@ lock_order = ["conns", "conn", "stats"]
 
 [[allow]]
 lint = "panic"
-file = "crates/transport/src/verbs.rs"
+file = "crates/transport/src/client.rs"
 contains = "expect(\"supplier not dropped\")"  # trailing comment won't break: no hash in string... kept simple
 reason = "addr() is only callable while the supplier is alive"
 "#;

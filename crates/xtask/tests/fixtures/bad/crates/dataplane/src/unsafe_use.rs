@@ -1,4 +1,4 @@
-//! Fixture: `unsafe` outside verbs.rs/shims — the hygiene fence must
+//! Fixture: `unsafe` outside poll.rs/shims — the hygiene fence must
 //! flag it. Scanned, never compiled.
 
 pub fn peek(p: *const u8) -> u8 {

@@ -74,9 +74,10 @@ fn rediscovers_read_ahead_store_acquisition_in_callers() {
     );
     // …and both staging-path callers inherit the acquisition. The
     // stage-job worker's own body never mentions the store lock, so
-    // its witness chain MUST pass through `read_ahead`; the serve path
-    // also locks the store directly, so only membership is asserted.
-    for caller in ["run_stage_job", "serve"] {
+    // its witness chain MUST pass through `read_ahead`; the reactor-job
+    // path also reaches the store through its direct reads, so only
+    // membership is asserted.
+    for caller in ["run_stage_job", "run_reactor_job"] {
         let (name, acquires) = a
             .transitive_acquires
             .iter()

@@ -84,10 +84,9 @@ pub fn transport_client_config(cfg: &core::JbsConfig) -> transport::ClientConfig
 }
 
 /// Build the real-dataplane supplier options from a [`core::JbsConfig`]:
-/// buffer size, prefetch depth, and the admission-control bounds that
-/// shed excess load with `Busy` pushback instead of stalling. The
-/// `drain_timeout` knob pairs with
-/// [`transport::MofSupplierServer::drain`] at decommission time.
+/// buffer size, prefetch depth, the Fig. 4-vs-Fig. 5 run-ahead switch,
+/// and the admission-control bounds that shed excess load with `Busy`
+/// pushback instead of stalling.
 pub fn transport_server_options(cfg: &core::JbsConfig) -> transport::ServerOptions {
     transport::ServerOptions {
         buffer_bytes: cfg.buffer_bytes,
@@ -206,13 +205,14 @@ mod tests {
             reactor_threads: 3,
             io_read_permits: 9,
             io_append_permits: 5,
+            pipelined_prefetch: false,
             ..core::JbsConfig::default()
         };
         let so = transport_server_options(&cfg);
         assert_eq!(so.reactor_threads, 3);
         assert_eq!(so.io_read_permits, 9);
         assert_eq!(so.io_append_permits, 5);
-        assert!(!so.threaded, "event loop is the default serve mode");
+        assert!(!so.prefetch, "Fig. 4 ablation reaches the reactor");
         assert!(so.iosched.is_none(), "plain options build their own scheduler");
     }
 

@@ -211,11 +211,11 @@ fn shuffle_survives_seeded_chaos_byte_exact() {
     }
 
     // Supplier-side coherence: the prefetch queue drains once traffic
-    // stops, and the buffer pool never returns more than it handed out.
+    // stops, and no lease outlives the response that pinned it.
     for s in &servers {
         let mut snap = s.stats_snapshot();
         for _ in 0..400 {
-            if snap.prefetch_queue_len == 0 {
+            if snap.prefetch_queue_len == 0 && snap.bufpool.outstanding == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -232,11 +232,10 @@ fn shuffle_survives_seeded_chaos_byte_exact() {
             snap.sync_stages + snap.prefetched_batches >= 1,
             "disk thread never staged: {snap:?}"
         );
+        // Once the response queues have flushed, only the DataCache's
+        // own staged ranges (which the gauge leaves out) pin a buffer.
         let bp = snap.bufpool;
-        assert!(
-            bp.returns + bp.dropped <= bp.hits + bp.misses,
-            "pool returned buffers it never handed out: {bp:?}"
-        );
+        assert_eq!(bp.outstanding, 0, "leases still pinned after drain: {bp:?}");
     }
 
     let revived = restarter.join().expect("restart thread");
