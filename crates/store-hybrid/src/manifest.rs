@@ -295,6 +295,58 @@ mod tests {
         ]
     }
 
+    /// Frames written by the parent of the hardware-CRC change (table
+    /// loop only): today's `frame_of` produces the same bytes and
+    /// today's `scan` accepts them, so a manifest on disk does not
+    /// depend on which CRC path wrote or reads it.
+    #[test]
+    fn frames_sealed_by_the_table_loop_still_scan() {
+        const GOLDEN: [&[u8]; 3] = [
+            &[
+                0x29, 0x00, 0x00, 0x00, 0x15, 0x0D, 0xE0, 0xB3, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x40, 0x9C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x78, 0x56, 0x34, 0x12,
+            ],
+            &[
+                0x15, 0x00, 0x00, 0x00, 0xD1, 0x5F, 0xEF, 0x3A, 0x02, 0x07, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x40, 0xAC, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00,
+            ],
+            &[
+                0x0D, 0x00, 0x00, 0x00, 0xB2, 0x44, 0x7B, 0x8F, 0x03, 0x09, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+            ],
+        ];
+        let records = [
+            Record::Extent {
+                mof: 7,
+                reducer: 3,
+                offset: 4096,
+                len: 40_000,
+                file_off: 1 << 20,
+                data_crc: 0x1234_5678,
+            },
+            Record::RemoteMoved {
+                mof: 7,
+                reducer: 3,
+                total: 44_096,
+            },
+            Record::ReplicaDropped { mof: 9, reducer: 1 },
+        ];
+        for (rec, golden) in records.iter().zip(GOLDEN) {
+            assert_eq!(frame_of(rec), golden);
+        }
+        let dir = std::env::temp_dir().join(format!("jbs-manifest-golden-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        fs::write(&path, GOLDEN.concat()).unwrap();
+        let scanned = scan(&path).unwrap();
+        assert_eq!(scanned.records, records);
+        assert!(!scanned.torn);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn records_round_trip_through_frames() {
         let dir = std::env::temp_dir().join(format!("jbs-manifest-rt-{}", std::process::id()));

@@ -31,7 +31,7 @@ use crate::sched::{FetchDone, FetchOp, FetchScheduler};
 use crate::slot::{SlotEvent, SlotMap};
 use crate::stats::{FetchStats, FetchStatsSnapshot};
 use crate::sync::{lock, Mutex};
-use crate::wire::{FetchRequest, FetchResponse, Status, WireVersion, FLAG_BYPASS_CACHE};
+use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BYPASS_CACHE};
 use jbs_des::DetRng;
 use jbs_mapred::levitate::{RecordParser, RecordStream, StreamingMerge};
 use jbs_mapred::merge::{KWayMerge, Record};
@@ -333,6 +333,7 @@ impl NetMergerClient {
 
     /// A client with full control of retry, timeouts, window, and faults.
     pub fn with_client_config(config: ClientConfig) -> Self {
+        crate::poll::pin_malloc_thresholds();
         let shared = Arc::new(ClientShared {
             stats: Mutex::new(ClientStats::default()),
             fetch_stats: FetchStats::new(),
@@ -396,10 +397,13 @@ impl NetMergerClient {
     /// the exchange is lockstep, so any other echo is a desynchronized
     /// stream.
     ///
-    /// Returns the payload plus the total segment length when the peer
-    /// spoke v3 (`OkCrc`), which the caller feeds into expected-length
-    /// accounting. A payload failing its CRC sets `bypass_next` so the
-    /// retry issues a targeted cache-bypass re-fetch.
+    /// The payload is read straight onto the end of `out` and verified
+    /// there; `out` grows only by bytes that verified, and is left as it
+    /// came in on every error. Returns the total segment length when
+    /// the peer spoke v3 (`OkCrc`), which the caller feeds into
+    /// expected-length accounting. A payload failing its CRC sets
+    /// `bypass_next` so the retry issues a targeted cache-bypass
+    /// re-fetch.
     fn try_fetch_chunk(
         &self,
         seg: SegmentRef,
@@ -407,7 +411,8 @@ impl NetMergerClient {
         len: u64,
         bypass: bool,
         bypass_next: &mut bool,
-    ) -> Result<(Vec<u8>, Option<u64>)> {
+        out: &mut Vec<u8>,
+    ) -> Result<Option<u64>> {
         let version = self.shared.versions.version_for(seg.addr);
         let flags = if bypass && version == WireVersion::V3 {
             FLAG_BYPASS_CACHE
@@ -434,21 +439,31 @@ impl NetMergerClient {
                 FaultAction::Stall(d) => std::thread::sleep(d),
                 _ => {}
             }
-            let resp = FetchResponse::read_from(&mut conn.reader)
+            let head = ResponseHead::read_from(&mut conn.reader)
                 .map_err(|e| TransportError::from_io("read response", e))?;
-            if resp.id != 0 {
+            if head.id != 0 {
                 return Err(TransportError::Corrupt {
-                    detail: format!("serial exchange echoed pipelined id {}", resp.id),
+                    detail: format!("serial exchange echoed pipelined id {}", head.id),
                 });
             }
-            match resp.status {
+            let before = out.len();
+            wire::reserve_tail(out, head.len, head.declared_remaining(offset));
+            let verified = head
+                .read_verified(&mut conn.reader, out)
+                .map_err(|e| TransportError::from_io("read response", e))?;
+            if !matches!(head.status, Status::Ok | Status::OkCrc) {
+                // Only a data frame's payload belongs to the segment.
+                out.truncate(before);
+            }
+            let got = (out.len() - before) as u64;
+            match head.status {
                 Status::Ok => {
-                    lock(&self.shared.stats).bytes_fetched += resp.payload.len() as u64;
-                    Ok((resp.payload, None))
+                    lock(&self.shared.stats).bytes_fetched += got;
+                    Ok(None)
                 }
                 Status::OkCrc => {
                     self.shared.versions.confirm_v3(seg.addr);
-                    if !resp.crc_ok() {
+                    if !verified {
                         // The frame parsed cleanly but the payload does
                         // not match its seal: damage on disk, in cache,
                         // or in RAM. Re-fetch with the bypass flag so
@@ -466,15 +481,15 @@ impl NetMergerClient {
                         "integrity.verify",
                         jbs_obs::Entity::mof(seg.mof),
                         offset,
-                        resp.payload.len() as u64,
+                        got,
                     );
-                    lock(&self.shared.stats).bytes_fetched += resp.payload.len() as u64;
-                    Ok((resp.payload, Some(resp.seg_len)))
+                    lock(&self.shared.stats).bytes_fetched += got;
+                    Ok(Some(head.seg_len))
                 }
                 Status::Busy => {
                     self.shared.versions.confirm_v3(seg.addr);
                     Err(TransportError::Busy {
-                        retry_after: Duration::from_millis(resp.retry_after_ms),
+                        retry_after: Duration::from_millis(head.retry_after_ms),
                     })
                 }
                 Status::NotFound => Err(TransportError::NotFound {
@@ -520,12 +535,13 @@ impl NetMergerClient {
         offset: u64,
         len: u64,
         mut bypass_next: bool,
-    ) -> Result<(Vec<u8>, Option<u64>)> {
+        out: &mut Vec<u8>,
+    ) -> Result<Option<u64>> {
         let mut attempt = 0u32;
         loop {
             let bypass = std::mem::take(&mut bypass_next);
-            match self.try_fetch_chunk(seg, offset, len, bypass, &mut bypass_next) {
-                Ok(out) => return Ok(out),
+            match self.try_fetch_chunk(seg, offset, len, bypass, &mut bypass_next, out) {
+                Ok(seg_len) => return Ok(seg_len),
                 Err(e) if e.is_retryable() && attempt < self.shared.config.retry.max_retries => {
                     attempt += 1;
                     record_failure(&self.shared.fetch_stats, &e);
@@ -590,48 +606,50 @@ impl NetMergerClient {
     /// [`TransportError::Truncated`].
     pub fn fetch_segment(&self, seg: SegmentRef) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        let mut offset = 0u64;
         let mut expected: Option<u64> = None;
         let mut integrity_retries = 0u32;
         let mut refetch = false;
         loop {
-            let (chunk, seg_len) = self.fetch_chunk_with_retry(
+            // Each chunk lands on the end of `out`, so its length is the
+            // received offset and the resume point.
+            let offset = out.len() as u64;
+            let seg_len = self.fetch_chunk_with_retry(
                 seg,
                 offset,
                 self.shared.config.buffer_bytes,
                 refetch,
+                &mut out,
             )?;
             refetch = false;
             if seg_len.is_some() {
                 expected = seg_len;
             }
-            if chunk.is_empty() {
-                if let Some(exp) = expected {
-                    if offset < exp {
-                        // Short clean EOF: the accounting says more
-                        // bytes must exist.
-                        if integrity_retries < self.shared.config.integrity_retries {
-                            integrity_retries += 1;
-                            self.shared.fetch_stats.record_corrupt_refetch();
-                            self.shared.config.trace.instant(
-                                "integrity.refetch",
-                                jbs_obs::Entity::mof(seg.mof),
-                                offset,
-                                u64::from(integrity_retries),
-                            );
-                            refetch = true;
-                            continue;
-                        }
-                        return Err(TransportError::Truncated {
-                            got: offset,
-                            expected: exp,
-                        });
-                    }
-                }
-                return Ok(out);
+            if out.len() as u64 > offset {
+                continue;
             }
-            offset += chunk.len() as u64;
-            out.extend_from_slice(&chunk);
+            if let Some(exp) = expected {
+                if offset < exp {
+                    // Short clean EOF: the accounting says more
+                    // bytes must exist.
+                    if integrity_retries < self.shared.config.integrity_retries {
+                        integrity_retries += 1;
+                        self.shared.fetch_stats.record_corrupt_refetch();
+                        self.shared.config.trace.instant(
+                            "integrity.refetch",
+                            jbs_obs::Entity::mof(seg.mof),
+                            offset,
+                            u64::from(integrity_retries),
+                        );
+                        refetch = true;
+                        continue;
+                    }
+                    return Err(TransportError::Truncated {
+                        got: offset,
+                        expected: exp,
+                    });
+                }
+            }
+            return Ok(out);
         }
     }
 
@@ -793,8 +811,17 @@ impl NetMergerClient {
     /// exchange, retried on transient failure). An empty payload means
     /// the segment is exhausted.
     pub fn fetch_chunk(&self, seg: SegmentRef, offset: u64) -> Result<Vec<u8>> {
-        self.fetch_chunk_with_retry(seg, offset, self.shared.config.buffer_bytes, false)
-            .map(|(bytes, _)| bytes)
+        // Room for the one chunk asked for, so the segment-sized
+        // reservation a whole-segment fetch makes is not made here.
+        let mut chunk = Vec::with_capacity(self.shared.config.buffer_bytes as usize);
+        self.fetch_chunk_with_retry(
+            seg,
+            offset,
+            self.shared.config.buffer_bytes,
+            false,
+            &mut chunk,
+        )?;
+        Ok(chunk)
     }
 
     /// **The network-levitated merge over real sockets**: merge a

@@ -11,12 +11,17 @@
 //! its state machines, without epoll's three extra syscalls of
 //! registration bookkeeping or its Linux-only surface.
 //!
-//! This is the **only** module allowed to contain `unsafe` (the
-//! `cargo xtask analyze` hygiene fence enforces it), and
+//! This is one of the two modules allowed to contain `unsafe` (the
+//! `cargo xtask analyze` hygiene fence holds the list; the other is
+//! the checksum crate's `hw.rs`), and
 //! it keeps the surface minimal: one `#[repr(C)]` struct matching the
 //! kernel ABI, one EINTR-retrying safe wrapper, and a [`Waker`] built
 //! on an ordinary nonblocking `UnixStream` pair so cross-thread wakes
 //! need no unsafe at all.
+//!
+//! Being the crate's libc shim, it also holds the one other
+//! hand-declared call the dataplane makes: glibc's `mallopt(3)`, behind
+//! [`pin_malloc_thresholds`].
 
 #![allow(unsafe_code)]
 
@@ -86,6 +91,67 @@ pub(crate) fn sys_poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize>
         if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
+    }
+}
+
+/// `<malloc.h>` parameter numbers of glibc's `mallopt(3)`.
+#[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+const M_TRIM_THRESHOLD: std::ffi::c_int = -1;
+#[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+const M_MMAP_THRESHOLD: std::ffi::c_int = -3;
+
+#[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+extern "C" {
+    /// `int mallopt(int param, int value);`
+    fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
+}
+
+/// Blocks of this size and more are private mappings that go back to
+/// the kernel when dropped; smaller ones recycle through the heap.
+#[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+const MMAP_THRESHOLD: std::ffi::c_int = 2 << 20;
+/// Free heap top above this is returned to the kernel: more than a
+/// thread arena's 64 MiB heap can hold, so in effect never.
+#[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+const TRIM_THRESHOLD: std::ffi::c_int = 256 << 20;
+
+/// Make what the allocator does with a dataplane buffer depend on the
+/// buffer's size alone. Called by the constructors of the client and
+/// the supplier; acts once per process, and only on glibc.
+///
+/// The dataplane cycles buffers of 128 KiB (a chunk) to several MiB (a
+/// fetched segment: reserved by a client worker, dropped by the caller
+/// a wave later) at more than a GiB/s. glibc serves a block above its
+/// mmap threshold with a private `mmap` and gives a heap's free top
+/// back to the kernel above its trim threshold, and by default both
+/// thresholds *float*: each follows the largest mmapped block the
+/// process has freed so far. Whether a wave's segment buffers were
+/// carved from still-mapped heap or had to be page-faulted in again
+/// therefore depended on what the process happened to free earlier —
+/// 14 to 32 thousand faults per 132 MiB pass, constant within one
+/// client/supplier set-up and different in the next — and once CRC32C
+/// ran at memory speed that alone moved a memory-tier fetch between
+/// 1.2 and 2.2 GiB/s (on a lazily backed VM a fault on returned memory
+/// is a trip to the hypervisor). Setting either threshold switches the
+/// floating off. With these two values a chunk buffer or a 1 MiB
+/// read-ahead range always comes from a heap that is never trimmed, a
+/// whole-segment buffer of 2 MiB or more is always a fresh mapping,
+/// and the process's history no longer enters into it.
+pub(crate) fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            // SAFETY: `mallopt` takes two plain integers and only sets
+            // fields of the allocator's parameter block under its own
+            // lock; it may be called at any time from any thread. A
+            // refused value returns 0 and changes nothing, which leaves
+            // the default policy — less steady, never incorrect.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD);
+            }
+        });
     }
 }
 
@@ -189,6 +255,52 @@ mod tests {
             sys_poll(&mut fds, 0).expect("poll"),
             0,
             "drained waker is quiet"
+        );
+    }
+
+    /// Minor faults taken so far by the calling thread.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn thread_minor_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+        let (_, rest) = stat.rsplit_once(')').expect("comm field");
+        rest.split_ascii_whitespace()
+            .nth(7)
+            .and_then(|f| f.parse().ok())
+            .expect("minflt field")
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn what_a_freed_block_costs_next_time_depends_on_its_size_alone() {
+        /// Allocate `len` bytes, write every page, free; the faults taken.
+        fn touch(len: usize) -> u64 {
+            let before = thread_minor_faults();
+            let mut buf: Vec<u8> = Vec::with_capacity(len);
+            buf.resize(len, 1);
+            std::hint::black_box(&buf);
+            drop(buf);
+            thread_minor_faults() - before
+        }
+        pin_malloc_thresholds();
+        pin_malloc_thresholds(); // once per process; later calls are free
+        let (staging, segment) = (1 << 20, 8 << 20);
+        // Under the threshold: mapped by the first use (or before it),
+        // still mapped at the second. glibc's floating default would
+        // `mmap` and unmap a block this size until something larger
+        // had been freed: one fault per 4 KiB page, 256 of them.
+        touch(staging);
+        let again = touch(staging);
+        assert!(
+            again < 32,
+            "a freed 1 MiB block took {again} page faults to use again"
+        );
+        // At or over it: a fresh mapping every time, whatever was freed
+        // before.
+        touch(segment);
+        let again = touch(segment);
+        assert!(
+            again >= (segment / 4096) as u64,
+            "a freed 8 MiB block took only {again} page faults to use again"
         );
     }
 

@@ -47,7 +47,7 @@ use crate::faults::{self, FaultAction, Hook};
 use crate::prefetch::Pop;
 use crate::stats::FetchStats;
 use crate::sync::{lock, Mutex};
-use crate::wire::{FetchRequest, FetchResponse, Status, WireVersion, FLAG_BYPASS_CACHE};
+use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BYPASS_CACHE};
 use jbs_des::DetRng;
 use jbs_obs::Entity;
 use std::collections::{HashMap, VecDeque};
@@ -359,9 +359,13 @@ fn spawn_worker(addr: SocketAddr, shared: Arc<ClientShared>, anchor: Instant) ->
 /// One op admitted into a worker's active set.
 struct ActiveOp {
     op: FetchOp,
-    /// Bytes received and appended so far (multi-chunk ops).
+    /// The segment bytes `[op.offset, committed)`: payloads are read off
+    /// the socket straight onto its end and verified there, and it is
+    /// cut back to `committed` whenever one fails, so it never holds a
+    /// byte that has not passed its CRC.
     buf: Vec<u8>,
-    /// Absolute offset up to which `buf` is complete.
+    /// Absolute offset up to which `buf` is complete:
+    /// `op.offset + buf.len()` between any two worker steps.
     committed: u64,
     /// Absolute offset the *next* (possibly speculative) request starts
     /// at; collapses back to `committed` on a short read or a failure.
@@ -494,38 +498,39 @@ impl Worker {
     }
 
     fn run(&mut self) {
-        loop {
-            self.admit();
-            if self.closed {
-                self.fail_all_active(&shutdown_error());
-                return;
-            }
-            if self.active.is_empty() {
-                if !self.outstanding.is_empty() {
-                    // The last op completed with speculative requests
-                    // still on the wire. Drain their responses (they
-                    // discard as stale) before parking — otherwise the
-                    // next op on this connection would read them as the
-                    // answers to ITS requests and desynchronize.
-                    if let Err(e) = self.read_one() {
-                        self.on_failure(e);
-                    }
-                    continue;
-                }
-                // Parked: nothing to fetch until a submit ticks us, or
-                // the sender disappears (scheduler dropped).
-                match self.ticks.recv() {
-                    Ok(()) => continue,
-                    Err(_) => {
-                        self.closed = true;
-                        continue;
-                    }
-                }
-            }
-            if let Err(e) = self.pump() {
-                self.on_failure(e);
-            }
+        while self.step() {}
+    }
+
+    /// One scheduling step; `false` once the worker has shut down.
+    fn step(&mut self) -> bool {
+        self.admit();
+        if self.closed {
+            self.fail_all_active(&shutdown_error());
+            return false;
         }
+        if self.active.is_empty() {
+            if !self.outstanding.is_empty() {
+                // The last op completed with speculative requests
+                // still on the wire. Drain their responses (they
+                // discard as stale) before parking — otherwise the
+                // next op on this connection would read them as the
+                // answers to ITS requests and desynchronize.
+                if let Err(e) = self.read_one() {
+                    self.on_failure(e);
+                }
+                return true;
+            }
+            // Parked: nothing to fetch until a submit ticks us, or
+            // the sender disappears (scheduler dropped).
+            if self.ticks.recv().is_err() {
+                self.closed = true;
+            }
+            return true;
+        }
+        if let Err(e) = self.pump() {
+            self.on_failure(e);
+        }
+        true
     }
 
     /// Move queued ops into the active set, up to the window.
@@ -732,7 +737,7 @@ impl Worker {
                 during: "read response",
             });
         };
-        let resp = FetchResponse::read_from(&mut conn.reader)
+        let head = ResponseHead::read_from(&mut conn.reader)
             .map_err(|e| TransportError::from_io("read response", e))?;
         let Some(exp) = self.outstanding.pop_front() else {
             return Err(TransportError::Corrupt {
@@ -740,49 +745,72 @@ impl Worker {
             });
         };
         self.shared.fetch_stats.record_window_recv();
-        self.trace()
-            .instant("sched.recv", self.peer(), resp.id, resp.payload.len() as u64);
-        if resp.id != exp.id {
+        self.shared.config.trace.instant(
+            "sched.recv",
+            Entity::peer(u64::from(self.addr.port())),
+            head.id,
+            head.len as u64,
+        );
+        if head.id != exp.id {
             // In-order pipelining means the echoed id MUST match the
             // oldest unanswered request; anything else is a
             // desynchronized stream we cannot trust.
             return Err(TransportError::Corrupt {
                 detail: format!(
                     "pipelined response id {} does not match outstanding id {}",
-                    resp.id, exp.id
+                    head.id, exp.id
                 ),
             });
         }
+        // The id names the op before any payload byte is read, so a
+        // payload that continues its segment goes straight onto the end
+        // of that segment's buffer; anything else (stale speculation,
+        // an op already completed — nearly always an empty frame) is
+        // consumed and verified in a scratch buffer and dropped.
+        let mut scratch = Vec::new();
+        let data = matches!(head.status, Status::Ok | Status::OkCrc);
+        let wanted = match self.active.get_mut(&exp.key) {
+            Some(a) if data && exp.offset == a.committed => {
+                let declared = head.declared_remaining(exp.offset);
+                let extent = if a.op.limit == 0 {
+                    declared
+                } else {
+                    declared.min(a.op.limit)
+                };
+                wire::reserve_tail(&mut a.buf, head.len, extent);
+                Some(&mut a.buf)
+            }
+            _ => None,
+        };
+        let verified = head
+            .read_verified(&mut conn.reader, wanted.unwrap_or(&mut scratch))
+            .map_err(|e| TransportError::from_io("read response", e))?;
         // Any well-formed, correctly-matched response is progress: the
         // connection works, so the failure budget resets.
         self.attempts = 0;
         if self.breaker.on_success(self.now()) == Transition::Closed {
             self.trace().instant("breaker.close", self.peer(), 0, 0);
         }
-        match resp.status {
-            Status::Ok => self.apply_payload(exp, resp.payload),
+        match head.status {
+            Status::Ok => self.apply_payload(exp, head.len),
             Status::OkCrc => {
                 self.shared.versions.confirm_v3(self.addr);
                 self.saw_v3_response = true;
-                if !resp.crc_ok() {
+                if !verified {
                     self.on_bad_payload(exp);
                     return Ok(());
                 }
-                self.trace().instant(
-                    "integrity.verify",
-                    self.peer(),
-                    exp.offset,
-                    resp.payload.len() as u64,
-                );
+                self.trace()
+                    .instant("integrity.verify", self.peer(), exp.offset, head.len as u64);
                 if let Some(a) = self.active.get_mut(&exp.key) {
-                    a.expected = Some(resp.seg_len);
+                    a.expected = Some(head.seg_len);
                 }
-                self.apply_payload(exp, resp.payload)
+                self.apply_payload(exp, head.len)
             }
             Status::Busy => {
                 self.shared.versions.confirm_v3(self.addr);
                 self.saw_v3_response = true;
-                self.on_busy(exp, resp.retry_after_ms);
+                self.on_busy(exp, head.retry_after_ms);
                 Ok(())
             }
             Status::NotFound => {
@@ -863,7 +891,10 @@ impl Worker {
         }
     }
 
-    fn apply_payload(&mut self, exp: Outstanding, payload: Vec<u8>) -> Result<()> {
+    /// Account for a verified payload of `len` bytes answering `exp`.
+    /// If it continued its op's segment it is already the tail of that
+    /// op's buffer (`read_one` put it there); if it did not, it is gone.
+    fn apply_payload(&mut self, exp: Outstanding, len: usize) -> Result<()> {
         let Some(a) = self.active.get_mut(&exp.key) else {
             // The op already completed (or failed); this was a
             // speculative request past its end.
@@ -885,55 +916,19 @@ impl Worker {
                 .instant("sched.spec_discard", self.peer(), exp.offset, committed);
             return Ok(());
         }
-        if a.op.limit > 0 {
-            // Single-exchange chunk: the payload (possibly short or
-            // empty at segment end) IS the result — but an empty chunk
-            // *before* the v3-declared segment end is a boundary
-            // truncation lie, not an EOF (a levitated stream would
-            // otherwise terminate early and silently lose records).
-            if payload.is_empty() {
-                if let Some(exp_len) = a.expected {
-                    if exp.offset < exp_len {
-                        if a.refetch_budget > 0 {
-                            a.refetch_budget -= 1;
-                            a.bypass_next = true;
-                            a.spec = a.committed;
-                            self.shared.fetch_stats.record_corrupt_refetch();
-                            self.shared.config.trace.instant(
-                                "integrity.refetch",
-                                self.peer(),
-                                exp.offset,
-                                exp_len,
-                            );
-                            return Ok(());
-                        }
-                        self.complete(
-                            exp.key,
-                            Err(TransportError::Truncated {
-                                got: exp.offset,
-                                expected: exp_len,
-                            }),
-                        );
-                        return Ok(());
-                    }
-                }
-            }
-            lock(&self.shared.stats).bytes_fetched += payload.len() as u64;
-            self.complete(exp.key, Ok(payload));
-            return Ok(());
-        }
-        if payload.is_empty() {
+        if len == 0 {
             // Empty at exactly the committed offset: end of segment —
             // unless the v3 accounting says bytes are still owed, in
             // which case this "clean EOF" is a truncation lie landing
-            // exactly on a chunk boundary.
+            // exactly on a chunk boundary (a levitated stream would
+            // otherwise terminate early and silently lose records).
             if let Some(exp_len) = a.expected {
                 if a.committed < exp_len {
+                    let committed = a.committed;
                     if a.refetch_budget > 0 {
                         a.refetch_budget -= 1;
                         a.bypass_next = true;
                         a.spec = a.committed;
-                        let committed = a.committed;
                         self.shared.fetch_stats.record_corrupt_refetch();
                         self.shared.config.trace.instant(
                             "integrity.refetch",
@@ -943,11 +938,10 @@ impl Worker {
                         );
                         return Ok(());
                     }
-                    let got = a.committed;
                     self.complete(
                         exp.key,
                         Err(TransportError::Truncated {
-                            got,
+                            got: committed,
                             expected: exp_len,
                         }),
                     );
@@ -958,11 +952,16 @@ impl Worker {
             self.complete(exp.key, Ok(buf));
             return Ok(());
         }
-        let len = payload.len() as u64;
-        lock(&self.shared.stats).bytes_fetched += len;
-        a.buf.extend_from_slice(&payload);
-        a.committed = a.committed.saturating_add(len);
-        if len < exp.len {
+        lock(&self.shared.stats).bytes_fetched += len as u64;
+        a.committed = a.committed.saturating_add(len as u64);
+        if a.op.limit > 0 {
+            // Single-exchange chunk: the payload (possibly short at
+            // segment end) IS the result.
+            let buf = std::mem::take(&mut a.buf);
+            self.complete(exp.key, Ok(buf));
+            return Ok(());
+        }
+        if (len as u64) < exp.len {
             // Short read: outstanding speculation beyond this point is
             // aimed wrong; re-aim the next request at the new committed
             // offset and let the stale responses be discarded above.
@@ -1158,6 +1157,14 @@ mod loom_tests {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::client::{ClientConfig, ClientStats, VersionMap};
+    use crate::faults::{FaultKind, FaultPlan};
+    use crate::retry::RetryPolicy;
+    use crate::server::{MofSupplierServer, ServerOptions};
+    use crate::store::MofStore;
+    use crate::wire::FetchResponse;
+    use std::io::BufReader;
+    use std::net::TcpListener;
 
     #[test]
     fn dispatch_queue_is_fifo_until_closed() {
@@ -1190,5 +1197,321 @@ mod tests {
         let b: SocketAddr = "127.0.0.1:7001".parse().expect("addr");
         assert_eq!(addr_seed(&a), addr_seed(&a));
         assert_ne!(addr_seed(&a), addr_seed(&b));
+    }
+
+    /// A worker stepped by hand on the test's own thread, so its segment
+    /// buffers can be inspected between any two frames: whatever the
+    /// last frame was — verified, corrupt, stale, or cut off mid-payload
+    /// — each buffer must hold exactly its op's committed bytes.
+    struct Rig {
+        worker: Worker,
+        shared: Arc<ClientShared>,
+        done_tx: mpsc::Sender<FetchDone>,
+        done_rx: mpsc::Receiver<FetchDone>,
+        /// Keeps the worker's tick channel open; nothing is ever sent.
+        _tick: mpsc::Sender<()>,
+    }
+
+    impl Rig {
+        fn new(addr: SocketAddr, config: ClientConfig) -> Rig {
+            let shared = Arc::new(ClientShared {
+                stats: Mutex::new(ClientStats::default()),
+                fetch_stats: FetchStats::new(),
+                versions: VersionMap::new(config.checksum),
+                config,
+            });
+            let (tick, ticks) = mpsc::channel();
+            let breaker = Arc::new(Breaker::new(0, 0));
+            let worker = Worker::new(
+                addr,
+                Arc::clone(&shared),
+                Arc::new(DispatchQueue::new()),
+                ticks,
+                breaker,
+                Instant::now(),
+            );
+            let (done_tx, done_rx) = mpsc::channel();
+            Rig {
+                worker,
+                shared,
+                done_tx,
+                done_rx,
+                _tick: tick,
+            }
+        }
+
+        /// Fetch the whole of reducer 0 of MOF 0 from the worker's
+        /// peer, checking the buffer invariant after every step, and
+        /// drain the speculation left on the wire.
+        fn fetch(&mut self) -> Result<Vec<u8>> {
+            let op = FetchOp {
+                token: 0,
+                seg: SegmentRef {
+                    addr: self.worker.addr,
+                    mof: 0,
+                    reducer: 0,
+                },
+                offset: 0,
+                limit: 0,
+                done: self.done_tx.clone(),
+            };
+            assert!(self.worker.queue.push(op).is_ok());
+            let mut result = None;
+            loop {
+                assert!(self.worker.step(), "worker shut down mid-fetch");
+                for a in self.worker.active.values() {
+                    assert_eq!(
+                        a.buf.len() as u64,
+                        a.committed - a.op.offset,
+                        "buffer holds exactly the committed bytes"
+                    );
+                    assert!(a.buf.capacity() <= 2 * wire::RESERVE_STEP);
+                }
+                if let Ok(done) = self.done_rx.try_recv() {
+                    result = Some(done.result);
+                }
+                if self.worker.active.is_empty() && self.worker.outstanding.is_empty() {
+                    break;
+                }
+            }
+            result.expect("the op completed")
+        }
+    }
+
+    fn fast_retry() -> RetryPolicy {
+        RetryPolicy {
+            max_retries: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            jitter_frac: 0.0,
+        }
+    }
+
+    /// One supplier holding a single ~50 KB segment, served in 4 KiB
+    /// chunks under `plan`, and that segment's bytes read back from the
+    /// store as the oracle.
+    fn supplier(plan: Arc<FaultPlan>) -> (MofSupplierServer, Vec<u8>) {
+        let mut store = MofStore::temp().expect("store");
+        let records: Vec<_> = (0..1600u32)
+            .map(|i| (format!("key-{i:06}").into_bytes(), vec![i as u8; 20]))
+            .collect();
+        store.write_mof(0, records, 1, |_| 0).expect("mof");
+        let truth = store
+            .read_segment_range(0, 0, 0, 0)
+            .expect("segment read")
+            .expect("segment exists");
+        assert!(truth.len() > 10 * 4096, "many chunks");
+        let server = MofSupplierServer::start_with_options(
+            store,
+            ServerOptions {
+                buffer_bytes: 4 << 10,
+                faults: Some(plan),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("server");
+        (server, truth)
+    }
+
+    fn rig_for(server: &MofSupplierServer, buffer_bytes: u64) -> Rig {
+        Rig::new(
+            server.addr(),
+            ClientConfig {
+                buffer_bytes,
+                window: 4,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn corrupt_payload_mid_segment_never_reaches_the_buffer() {
+        let plan = FaultPlan::builder(21)
+            .force(Hook::ServerPayload, 5, FaultKind::CorruptPayload)
+            .build();
+        let (server, truth) = supplier(Arc::clone(&plan));
+        let mut rig = rig_for(&server, 4 << 10);
+        assert_eq!(rig.fetch().expect("fetch"), truth);
+        assert_eq!(plan.stats().payload_corruptions, 1);
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert_eq!(fs.corrupt_refetches, 1, "{fs:?}");
+        assert!(
+            fs.spec_discards >= 1,
+            "frames behind the bad one were stale: {fs:?}"
+        );
+        server.shutdown();
+    }
+
+    /// The client asks for 8 KiB, the supplier serves 4 KiB: every read
+    /// is short, so every second frame is a *non-empty* stale
+    /// speculation, consumed, verified and dropped.
+    #[test]
+    fn stale_speculation_after_short_reads_is_dropped() {
+        let (server, truth) = supplier(FaultPlan::builder(22).build());
+        let mut rig = rig_for(&server, 8 << 10);
+        assert_eq!(rig.fetch().expect("fetch"), truth);
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert!(fs.spec_discards >= 3, "{fs:?}");
+        assert_eq!(fs.corrupt_refetches, 0, "{fs:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn clean_eof_lie_on_a_chunk_boundary_is_refetched() {
+        let plan = FaultPlan::builder(23)
+            .force(Hook::ServerPayload, 4, FaultKind::CleanEof)
+            .build();
+        let (server, truth) = supplier(Arc::clone(&plan));
+        let mut rig = rig_for(&server, 4 << 10);
+        assert_eq!(rig.fetch().expect("fetch"), truth);
+        assert_eq!(plan.stats().clean_eof_lies, 1);
+        assert!(rig.shared.fetch_stats.snapshot().corrupt_refetches >= 1);
+        server.shutdown();
+    }
+
+    /// What a scripted supplier does with one request.
+    enum Reply {
+        Frame(FetchResponse),
+        /// Write only the first `n` bytes of the frame, then close.
+        CutAfter(FetchResponse, usize),
+    }
+
+    /// A supplier that answers `connections` connections from a script:
+    /// the real one never lies about `seg_len`, and closes a connection
+    /// with requests unread (a reset that discards what it had sent)
+    /// where this one can end a stream cleanly in mid-payload.
+    fn scripted_supplier(
+        connections: usize,
+        script: impl Fn(&FetchRequest) -> Reply + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let handle = std::thread::spawn(move || {
+            for _ in 0..connections {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                while let Ok(Some((req, _))) = FetchRequest::read_from(&mut reader) {
+                    let mut frame = Vec::new();
+                    let (resp, keep) = match script(&req) {
+                        Reply::Frame(resp) => (resp, usize::MAX),
+                        Reply::CutAfter(resp, keep) => (resp, keep),
+                    };
+                    resp.write_to(&mut frame).expect("encode");
+                    let cut = keep < frame.len();
+                    frame.truncate(keep);
+                    if std::io::Write::write_all(&mut stream, &frame).is_err() || cut {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    /// The supplier sends a head and half its payload, then closes: the
+    /// half-read payload is taken back out of the segment buffer, and
+    /// the fetch resumes at the committed offset on a fresh connection.
+    #[test]
+    fn reset_with_a_half_read_payload_resumes_at_committed() {
+        let truth: Vec<u8> = (0..5 * 4096u32).map(|i| (i % 253) as u8).collect();
+        let segment = truth.clone();
+        let tripped = std::sync::atomic::AtomicBool::new(false);
+        let (addr, supplier) = scripted_supplier(2, move |req| {
+            let from = (req.offset as usize).min(segment.len());
+            let to = (from + 4096).min(segment.len());
+            let resp =
+                FetchResponse::ok_crc(req.id, segment[from..to].to_vec(), segment.len() as u64);
+            if req.offset == 2 * 4096 && !tripped.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                return Reply::CutAfter(resp, 29 + 2048);
+            }
+            Reply::Frame(resp)
+        });
+        let mut rig = Rig::new(
+            addr,
+            ClientConfig {
+                buffer_bytes: 4 << 10,
+                // Lockstep: the supplier has read every request when it
+                // closes, so the close is a FIN after the half payload
+                // and not a reset that discards it.
+                window: 1,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        assert_eq!(rig.fetch().expect("fetch"), truth);
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert_eq!(fs.reconnects, 1, "{fs:?}");
+        assert_eq!(fs.resumed_bytes, 2 * 4096, "{fs:?}");
+        drop(rig);
+        supplier.join().expect("supplier thread");
+    }
+
+    /// One real 4 KiB chunk declared to be the start of 2^64 − 1 bytes,
+    /// then clean EOFs.
+    fn hostile_seg_len(req: &FetchRequest) -> Reply {
+        let payload = if req.offset == 0 {
+            vec![0xAB; 4096]
+        } else {
+            Vec::new()
+        };
+        Reply::Frame(FetchResponse::ok_crc(req.id, payload, u64::MAX))
+    }
+
+    #[test]
+    fn hostile_seg_len_ends_in_truncated_not_a_huge_reserve() {
+        let (addr, supplier) = scripted_supplier(1, hostile_seg_len);
+        let mut rig = Rig::new(
+            addr,
+            ClientConfig {
+                buffer_bytes: 4 << 10,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        // `fetch` bounds the buffer's capacity after every step.
+        let err = rig.fetch().expect_err("the segment can never complete");
+        match err {
+            TransportError::Segment { source, .. } => match *source {
+                TransportError::Truncated { got, expected } => {
+                    assert_eq!((got, expected), (4096, u64::MAX));
+                }
+                other => panic!("expected Truncated, got {other}"),
+            },
+            other => panic!("expected segment context, got {other}"),
+        }
+        let spent = rig.shared.fetch_stats.snapshot().corrupt_refetches;
+        assert_eq!(spent, u64::from(rig.shared.config.integrity_retries));
+        drop(rig);
+        supplier.join().expect("supplier thread");
+    }
+
+    #[test]
+    fn hostile_seg_len_on_the_serial_path_ends_in_truncated() {
+        let (addr, supplier) = scripted_supplier(1, hostile_seg_len);
+        let client = crate::client::NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            retry: fast_retry(),
+            ..ClientConfig::default()
+        });
+        let err = client
+            .fetch_segment(SegmentRef {
+                addr,
+                mof: 0,
+                reducer: 0,
+            })
+            .expect_err("the segment can never complete");
+        assert!(
+            matches!(
+                err,
+                TransportError::Truncated {
+                    got: 4096,
+                    expected: u64::MAX
+                }
+            ),
+            "{err}"
+        );
+        drop(client);
+        supplier.join().expect("supplier thread");
     }
 }

@@ -310,6 +310,7 @@ impl MofSupplierServer {
     }
 
     fn run(listener: TcpListener, store: MofStore, options: ServerOptions) -> io::Result<Self> {
+        crate::poll::pin_malloc_thresholds();
         let addr = listener.local_addr()?;
         let iosched = match &options.iosched {
             Some(s) => Arc::clone(s),

@@ -316,18 +316,165 @@ pub(crate) fn encode_head_parts(
     len_field: u64,
     crc_seg: Option<(u32, u64)>,
 ) -> ([u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN], usize) {
-    let mut buf = BytesMut::with_capacity(RESPONSE_HEADER_LEN + CRC_EXT_LEN);
-    buf.put_u8(status as u8);
-    buf.put_u64(id);
-    buf.put_u64(len_field);
-    if let Some((crc, seg_len)) = crc_seg {
-        buf.put_u32(crc);
-        buf.put_u64(seg_len);
-    }
-    let used = buf.len();
     let mut out = [0u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN];
-    out.get_mut(..used).unwrap_or_default().copy_from_slice(&buf);
+    let mut used = 0;
+    let mut put = |field: &[u8]| {
+        // The array is sized for every field that can be put.
+        if let Some(dst) = out.get_mut(used..used + field.len()) {
+            dst.copy_from_slice(field);
+            used += field.len();
+        }
+    };
+    put(&[status as u8]);
+    put(&id.to_be_bytes());
+    put(&len_field.to_be_bytes());
+    if let Some((crc, seg_len)) = crc_seg {
+        put(&crc.to_be_bytes());
+        put(&seg_len.to_be_bytes());
+    }
     (out, used)
+}
+
+/// How much segment-buffer growth a peer's declaration may buy before
+/// any of it is backed by verified bytes (see [`reserve_tail`]).
+pub(crate) const RESERVE_STEP: usize = 4 << 20;
+
+/// Make room at the end of `buf` for a payload of `incoming` bytes that
+/// the peer says is the start of `declared` more.
+///
+/// `declared` comes off the wire (`seg_len`, or a payload length), so it
+/// is a hint and never an allocation request: it is honoured up to the
+/// larger of [`RESERVE_STEP`] and what `buf` already holds — bytes that
+/// did arrive and verify. An honest segment is reserved once, or grows
+/// geometrically if it is large; a peer declaring `u64::MAX` costs one
+/// step. When that is less than `incoming`, reading grows `buf` as
+/// bytes really arrive.
+pub(crate) fn reserve_tail(buf: &mut Vec<u8>, incoming: usize, declared: u64) {
+    if buf.capacity() - buf.len() >= incoming {
+        return;
+    }
+    let trusted = RESERVE_STEP.max(buf.len());
+    buf.reserve(usize::try_from(declared).unwrap_or(usize::MAX).min(trusted));
+}
+
+/// Everything of a response frame that precedes its payload: the
+/// 17-byte header and, for [`Status::OkCrc`], the integrity extension.
+/// Decoding it first tells the reader which request the frame answers
+/// and how long the payload is *before* any payload byte is read, so
+/// the payload can land in the buffer it belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ResponseHead {
+    pub(crate) status: Status,
+    /// Echo of the request's id.
+    pub(crate) id: u64,
+    /// Payload bytes that follow (0 for `Busy`, whose `len` field is
+    /// the retry hint).
+    pub(crate) len: usize,
+    /// CRC32C over the payload; meaningful iff `status == OkCrc`.
+    pub(crate) crc: u32,
+    /// Total length of the addressed segment; meaningful iff
+    /// `status == OkCrc`.
+    pub(crate) seg_len: u64,
+    /// Retry-after hint in milliseconds; meaningful iff
+    /// `status == Busy`.
+    pub(crate) retry_after_ms: u64,
+}
+
+impl ResponseHead {
+    /// Decode one head from a stream. Never panics: an unknown status
+    /// byte or an implausible payload length is reported as
+    /// `InvalidData` (frame corruption).
+    pub(crate) fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
+        let mut hdr = [0u8; RESPONSE_HEADER_LEN];
+        r.read_exact(&mut hdr)?;
+        let mut buf = hdr.as_slice();
+        let status_byte = buf.get_u8();
+        let status = Status::from_u8(status_byte).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("invalid status byte {status_byte:#04x}"),
+            )
+        })?;
+        let id = buf.get_u64();
+        let len = buf.get_u64();
+        if len > MAX_PAYLOAD as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("payload length {len} exceeds cap {MAX_PAYLOAD}"),
+            ));
+        }
+        let mut head = ResponseHead {
+            status,
+            id,
+            len: len as usize,
+            crc: 0,
+            seg_len: 0,
+            retry_after_ms: 0,
+        };
+        match status {
+            Status::Busy => {
+                head.len = 0;
+                head.retry_after_ms = len;
+            }
+            Status::OkCrc => {
+                let mut ext = [0u8; CRC_EXT_LEN];
+                r.read_exact(&mut ext)?;
+                let mut ebuf = ext.as_slice();
+                head.crc = ebuf.get_u32();
+                head.seg_len = ebuf.get_u64();
+            }
+            Status::Ok | Status::NotFound | Status::BadRequest => {}
+        }
+        Ok(head)
+    }
+
+    /// Bytes of the segment the peer declares from `offset` (where this
+    /// frame's payload starts) to the segment's end. A v2 frame
+    /// declares nothing beyond its own payload.
+    pub(crate) fn declared_remaining(&self, offset: u64) -> u64 {
+        match self.status {
+            Status::OkCrc => self.seg_len.saturating_sub(offset),
+            _ => self.len as u64,
+        }
+    }
+
+    /// Does `payload` match the carried checksum? Always true for
+    /// non-`OkCrc` frames (v2 carries nothing to verify).
+    pub(crate) fn crc_ok(&self, payload: &[u8]) -> bool {
+        self.status != Status::OkCrc || jbs_checksum::crc32c(payload) == self.crc
+    }
+
+    /// Read this frame's payload onto the end of `buf`: straight into
+    /// its spare capacity, with no intermediate buffer and no zero-fill.
+    /// On error `buf` may hold a partial payload past its old length.
+    fn read_payload<R: Read>(&self, r: &mut R, buf: &mut Vec<u8>) -> io::Result<()> {
+        let got = r.by_ref().take(self.len as u64).read_to_end(buf)?;
+        if got < self.len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "truncated response payload",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Read this frame's payload onto the end of `buf` and verify it
+    /// where it lies. `Ok(true)`: `buf` grew by exactly `self.len`
+    /// bytes, all of them verified (or unverifiable: v2). `Ok(false)`:
+    /// the payload failed its CRC32C. `Err`: the stream failed
+    /// mid-payload. In both failure cases `buf` is cut back to the
+    /// length it came in with, so bytes that did not verify are never
+    /// in it once this returns.
+    pub(crate) fn read_verified<R: Read>(&self, r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+        let start = buf.len();
+        let verified = self
+            .read_payload(r, buf)
+            .map(|()| self.crc_ok(buf.get(start..).unwrap_or_default()));
+        if !matches!(verified, Ok(true)) {
+            buf.truncate(start);
+        }
+        verified
+    }
 }
 
 impl FetchResponse {
@@ -442,55 +589,23 @@ impl FetchResponse {
         Ok(())
     }
 
-    /// Read a full response from a stream. Never panics: an unknown
-    /// status byte or an implausible payload length is reported as
-    /// `InvalidData` (frame corruption) without allocating.
+    /// Read a full response from a stream: [`ResponseHead::read_from`]
+    /// plus the payload into a `Vec` of its own. Never panics: an
+    /// unknown status byte or an implausible payload length is reported
+    /// as `InvalidData` (frame corruption) without allocating. The
+    /// payload is *not* verified here; see [`Self::crc_ok`].
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut hdr = [0u8; RESPONSE_HEADER_LEN];
-        r.read_exact(&mut hdr)?;
-        let mut buf = hdr.as_slice();
-        let status_byte = buf.get_u8();
-        let status = Status::from_u8(status_byte).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid status byte {status_byte:#04x}"),
-            )
-        })?;
-        let id = buf.get_u64();
-        let len = buf.get_u64();
-        if len > MAX_PAYLOAD as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("payload length {len} exceeds cap {MAX_PAYLOAD}"),
-            ));
-        }
-        if status == Status::Busy {
-            return Ok(FetchResponse {
-                status,
-                id,
-                payload: Vec::new(),
-                crc: 0,
-                seg_len: 0,
-                retry_after_ms: len,
-            });
-        }
-        let (crc, seg_len) = if status == Status::OkCrc {
-            let mut ext = [0u8; CRC_EXT_LEN];
-            r.read_exact(&mut ext)?;
-            let mut ebuf = ext.as_slice();
-            (ebuf.get_u32(), ebuf.get_u64())
-        } else {
-            (0, 0)
-        };
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
+        let head = ResponseHead::read_from(r)?;
+        let mut payload = Vec::new();
+        reserve_tail(&mut payload, head.len, head.len as u64);
+        head.read_payload(r, &mut payload)?;
         Ok(FetchResponse {
-            status,
-            id,
+            status: head.status,
+            id: head.id,
             payload,
-            crc,
-            seg_len,
-            retry_after_ms: 0,
+            crc: head.crc,
+            seg_len: head.seg_len,
+            retry_after_ms: head.retry_after_ms,
         })
     }
 }
@@ -613,6 +728,91 @@ mod tests {
         buf[n - 10] ^= 0x01;
         let back = FetchResponse::read_from(&mut std::io::Cursor::new(buf)).unwrap();
         assert!(!back.crc_ok());
+    }
+
+    /// The 29 bytes the parent of the hardware-CRC change (slice-by-8
+    /// only) put before this 40 000-byte payload: long enough to cross
+    /// the kernel's 3 × 8 KiB and 3 × 256 B interleaved blocks and its
+    /// tail. The wire format does not depend on which CRC path sealed
+    /// or verifies a frame.
+    #[test]
+    fn v3_frame_sealed_by_the_table_loop_still_verifies() {
+        const HEAD: [u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN] = [
+            0x03, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x9C, 0x40, 0x4F, 0x8B, 0xCB, 0x52, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x9C,
+            0x40,
+        ];
+        let payload: Vec<u8> = (0..40_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut frame = HEAD.to_vec();
+        frame.extend_from_slice(&payload);
+
+        let back = FetchResponse::read_from(&mut frame.as_slice()).unwrap();
+        assert_eq!(back.crc, 0x4F8B_CB52);
+        assert!(back.crc_ok());
+        assert_eq!(back.payload, payload);
+
+        let resealed = FetchResponse::ok_crc(0x0102_0304_0506_0708, payload, 0x1_0000_9C40);
+        let mut out = Vec::new();
+        resealed.write_to(&mut out).unwrap();
+        assert_eq!(out, frame);
+    }
+
+    /// `read_verified` appends to what the buffer already holds, and
+    /// takes back everything it appended when the payload does not
+    /// verify or the stream ends inside it.
+    #[test]
+    fn read_verified_leaves_only_verified_bytes_behind() {
+        let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let mut frame = Vec::new();
+        FetchResponse::ok_crc(1, payload.clone(), 9000)
+            .write_to(&mut frame)
+            .unwrap();
+        let mut buf = vec![0xEE; 7];
+
+        let mut r = frame.as_slice();
+        let head = ResponseHead::read_from(&mut r).unwrap();
+        assert_eq!((head.len, head.seg_len), (5000, 9000));
+        assert_eq!(head.declared_remaining(4000), 5000);
+        assert!(head.read_verified(&mut r, &mut buf).unwrap());
+        assert_eq!(buf.len(), 7 + 5000);
+        assert_eq!(&buf[7..], &payload[..]);
+
+        let mut flipped = frame.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x80;
+        let mut r = flipped.as_slice();
+        let head = ResponseHead::read_from(&mut r).unwrap();
+        assert!(!head.read_verified(&mut r, &mut buf).unwrap());
+        assert_eq!(buf.len(), 7 + 5000, "unverified bytes were taken back");
+
+        let mut r = &frame[..frame.len() - 100];
+        let head = ResponseHead::read_from(&mut r).unwrap();
+        let err = head.read_verified(&mut r, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf.len(), 7 + 5000, "a half-read payload was taken back");
+    }
+
+    /// A declared length buys at most one step of capacity until bytes
+    /// back it; verified bytes then let the buffer grow geometrically.
+    #[test]
+    fn reservation_is_bounded_by_what_has_arrived() {
+        let mut buf = Vec::new();
+        reserve_tail(&mut buf, 128 << 10, u64::MAX);
+        assert!(buf.capacity() >= RESERVE_STEP && buf.capacity() < 2 * RESERVE_STEP);
+
+        let mut exact = Vec::new();
+        reserve_tail(&mut exact, 128 << 10, 2_000_000);
+        assert!(exact.capacity() >= 2_000_000 && exact.capacity() < RESERVE_STEP);
+        let cap = exact.capacity();
+        reserve_tail(&mut exact, 128 << 10, u64::MAX);
+        assert_eq!(exact.capacity(), cap, "room enough: nothing reserved");
+
+        let mut grown = vec![0u8; 3 * RESERVE_STEP];
+        grown.shrink_to_fit();
+        reserve_tail(&mut grown, 128 << 10, u64::MAX);
+        assert!(grown.capacity() >= 6 * RESERVE_STEP && grown.capacity() < 7 * RESERVE_STEP);
     }
 
     #[test]

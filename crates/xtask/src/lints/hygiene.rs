@@ -8,14 +8,25 @@
 //!    package) must opt into it with `[lints] workspace = true`, so a
 //!    new crate cannot silently skip the shared lint set;
 //! 3. the `unsafe` keyword must not appear in workspace source outside
-//!    `crates/transport/src/poll.rs` (the reactor's one `poll(2)` FFI
-//!    declaration + EINTR-retrying safe wrapper) and the vendored
-//!    `shims/` (which mirror external crates and carry their
-//!    own review bar).
+//!    the audited files of [`UNSAFE_ALLOWED`] and the vendored `shims/`
+//!    (which mirror external crates and carry their own review bar).
 
 use super::Finding;
 use crate::lexer;
 use std::path::{Path, PathBuf};
+
+/// The audited list: every workspace file that may contain `unsafe`,
+/// each scoping `#![allow(unsafe_code)]` to that one module. Adding an
+/// entry is a review decision, not a convenience.
+pub const UNSAFE_ALLOWED: [&str; 2] = [
+    // The transport crate's libc shim: the reactor's `poll(2)`
+    // declaration + EINTR-retrying safe wrapper, and the once-per-
+    // process `mallopt(3)` pair behind `pin_malloc_thresholds`.
+    "crates/transport/src/poll.rs",
+    // The one call into the `#[target_feature]` CRC32C kernel, made
+    // after run-time CPU detection.
+    "crates/checksum/src/hw.rs",
+];
 
 /// Check one manifest for the `[lints] workspace = true` opt-in.
 pub fn check_manifest(path: &Path, text: &str) -> Vec<Finding> {
@@ -69,7 +80,10 @@ pub fn check_source(path: &Path, masked: &str, allowed_unsafe: bool) -> Vec<Find
                 lint: "hygiene",
                 file: path.to_path_buf(),
                 line: idx + 1,
-                message: "`unsafe` is denied outside transport/src/poll.rs and shims/".into(),
+                message: format!(
+                    "`unsafe` is denied outside {} and shims/",
+                    UNSAFE_ALLOWED.join(", ")
+                ),
                 code: line.to_string(),
                 chain: Vec::new(),
             });
@@ -80,8 +94,12 @@ pub fn check_source(path: &Path, masked: &str, allowed_unsafe: bool) -> Vec<Find
 
 /// May `path` legitimately contain `unsafe`?
 pub fn unsafe_allowed(path: &Path) -> bool {
-    let p = path.to_string_lossy();
-    p.ends_with("transport/src/poll.rs") || p.contains("/shims/") || p.starts_with("shims/")
+    let p = path.to_string_lossy().replace('\\', "/");
+    UNSAFE_ALLOWED
+        .iter()
+        .any(|f| p == *f || p.ends_with(&format!("/{f}")))
+        || p.contains("/shims/")
+        || p.starts_with("shims/")
 }
 
 /// Does the manifest text contain `[lints]` followed by
@@ -180,11 +198,30 @@ mod tests {
         assert_eq!(f.len(), 1);
         let masked = lexer::mask("// unsafe only in comment");
         assert!(check_source(&PathBuf::from("x.rs"), &masked, false).is_empty());
-        assert!(unsafe_allowed(&PathBuf::from(
-            "crates/transport/src/poll.rs"
-        )));
+        // Exactly the audited list, wherever the checkout lives…
+        for f in UNSAFE_ALLOWED {
+            assert!(unsafe_allowed(&PathBuf::from(f)));
+            assert!(unsafe_allowed(&PathBuf::from(format!("/root/repo/{f}"))));
+        }
         assert!(unsafe_allowed(&PathBuf::from("shims/loom/src/lib.rs")));
+        // …and nothing that merely resembles an entry.
         assert!(!unsafe_allowed(&PathBuf::from("crates/des/src/lib.rs")));
         assert!(!unsafe_allowed(&PathBuf::from("crates/net/src/poll.rs")));
+        assert!(!unsafe_allowed(&PathBuf::from(
+            "crates/checksum/src/lib.rs"
+        )));
+        assert!(!unsafe_allowed(&PathBuf::from(
+            "crates/transport/src/hw.rs"
+        )));
+        assert!(!unsafe_allowed(&PathBuf::from(
+            "crates/xtransport/src/poll.rs"
+        )));
+        let f = check_source(
+            &PathBuf::from("crates/net/src/x.rs"),
+            "unsafe { *p }",
+            false,
+        );
+        assert!(f[0].message.contains("crates/transport/src/poll.rs"));
+        assert!(f[0].message.contains("crates/checksum/src/hw.rs"));
     }
 }

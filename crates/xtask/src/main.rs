@@ -113,6 +113,9 @@ fn main() -> ExitCode {
     }
 
     if verbose {
+        for f in xtask::lints::hygiene::UNSAFE_ALLOWED {
+            println!("unsafe-allowed  {f}");
+        }
         for f in &report.allowed {
             println!("allowed  {f}");
         }
@@ -131,9 +134,10 @@ fn main() -> ExitCode {
     }
     if report.clean() {
         println!(
-            "xtask analyze: clean ({} audited exemption{}{})",
+            "xtask analyze: clean ({} audited exemption{}, `unsafe` allowed in {} files{})",
             report.allowed.len(),
             if report.allowed.len() == 1 { "" } else { "s" },
+            xtask::lints::hygiene::UNSAFE_ALLOWED.len(),
             if report.baselined.is_empty() {
                 String::new()
             } else {

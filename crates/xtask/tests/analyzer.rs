@@ -261,7 +261,16 @@ fn bad_fixture_trips_guard_balance() {
 #[test]
 fn bad_fixture_trips_hygiene() {
     let r = run("bad", &fixture_policy(""));
-    assert_eq!(count(&r, "hygiene", "unsafe"), 2, "fence + root manifest");
+    assert_eq!(
+        count(&r, "hygiene", "unsafe"),
+        3,
+        "fence (a plain file + one named like an audited entry) + root manifest"
+    );
+    assert_eq!(
+        count(&r, "hygiene", "dataplane/src/hw.rs"),
+        1,
+        "the audited list names paths, not file names"
+    );
     assert_eq!(
         count(&r, "hygiene", "dataplane/Cargo.toml"),
         1,
