@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jbs_des::DetRng;
 use jbs_transport::client::SegmentRef;
-use jbs_transport::{MofStore, MofSupplierServer, NetMergerClient};
+use jbs_transport::{ClientConfig, MofStore, MofSupplierServer, NetMergerClient};
 
 /// Build one supplier holding a single-segment MOF of `n` 100-byte
 /// records.
@@ -34,7 +34,10 @@ fn bench_fetch_buffer_sizes(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(20_000 * 100));
     for kb in [8u64, 128] {
         g.bench_function(format!("segment_fetch_{kb}KB_buffers"), |b| {
-            let client = NetMergerClient::with_config(kb << 10, 512);
+            let client = NetMergerClient::with_client_config(ClientConfig {
+                buffer_bytes: kb << 10,
+                ..ClientConfig::default()
+            });
             b.iter(|| client.fetch_segment(seg).expect("fetch").len())
         });
     }

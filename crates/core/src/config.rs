@@ -16,7 +16,9 @@ pub struct JbsConfig {
     /// Segments-worth of read-ahead the MOFSupplier's disk prefetch server
     /// issues per group visit, in transport buffers.
     pub prefetch_batch: u32,
-    /// Live-connection cap before LRU teardown (Sec. IV-A: 512).
+    /// Live-connection cap (Sec. IV-A: 512). Caps the real supplier's
+    /// accepted connections and the simulated engine's LRU connection
+    /// cache; the real NetMerger holds one connection per supplier.
     pub max_connections: usize,
     /// Round-robin injection across per-remote-node request groups
     /// (disable for the fairness ablation; FIFO across all groups then).

@@ -1,44 +1,41 @@
 //! The NetMerger client: consolidated fetching plus network-levitated
 //! merge, over real sockets.
 //!
-//! One client serves all reducers of a "node". Two fetch paths coexist:
+//! One client serves all reducers of a "node", and it has one fetch
+//! path: every call (`fetch_all`, `fetch_segment`, `fetch_chunk`,
+//! `levitated_merge`) hands ops to the background
+//! [`crate::sched::FetchScheduler`]. One worker thread per supplier owns
+//! that supplier's single connection (the paper's consolidation, Sec.
+//! III-C) and keeps a bounded window of requests in flight on it,
+//! injected round-robin across segments, so the supplier's disk
+//! prefetch for chunk `k+1` overlaps the network transmission of chunk
+//! `k` end-to-end. Completions stream back over channels and are
+//! consumed as they land. [`ClientConfig::window`] `= 1` is the Fig. 4
+//! lockstep baseline — one request, wait, one response — as a
+//! configuration of the same path, not a second one.
 //!
-//! * the **serial path** (`fetch_segment`, `fetch_chunk`) is strict
-//!   lockstep — one request, wait, one response — over connections
-//!   cached per supplier address and torn down LRU beyond a cap
-//!   (Sec. IV-A's 512-connection policy, configurable here);
-//! * the **pipelined path** (`fetch_all`, `levitated_merge`) hands ops
-//!   to the background [`crate::sched::FetchScheduler`]: per-supplier
-//!   worker threads keep a bounded window of requests in flight per
-//!   connection, injected round-robin across segments, so the
-//!   supplier's disk prefetch for chunk `k+1` overlaps the network
-//!   transmission of chunk `k` end-to-end. Completions stream back over
-//!   channels and are consumed as they land.
-//!
-//! Every fetch on either path is covered by the recovery machinery:
-//! per-request read/write deadlines, a [`RetryPolicy`] with
-//! deterministic backoff jitter, eviction + re-dial of failed
-//! connections, and — because retry operates per chunk — **resume at
-//! the received offset**: a segment interrupted at byte `o` continues
-//! from `o` on the fresh connection instead of refetching `[0, o)`.
+//! Every fetch is covered by the recovery machinery: per-request
+//! read/write deadlines, a [`RetryPolicy`] with deterministic backoff
+//! jitter, re-dial of failed connections, and — because retry operates
+//! per chunk — **resume at the received offset**: a segment interrupted
+//! at byte `o` continues from `o` on the fresh connection instead of
+//! refetching `[0, o)`.
 //! [`FetchStats`] counts all of it, including the pipeline gauges
 //! (queue depth, window occupancy, speculation discards).
 
 use crate::error::{Result, TransportError};
-use crate::faults::{self, FaultAction, FaultPlan, Hook};
+use crate::faults::FaultPlan;
 use crate::retry::RetryPolicy;
 use crate::sched::{FetchDone, FetchOp, FetchScheduler};
-use crate::slot::{SlotEvent, SlotMap};
 use crate::stats::{FetchStats, FetchStatsSnapshot};
 use crate::sync::{lock, Mutex};
-use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BYPASS_CACHE};
-use jbs_des::DetRng;
+use crate::wire::WireVersion;
 use jbs_mapred::levitate::{RecordParser, RecordStream, StreamingMerge};
 use jbs_mapred::merge::{KWayMerge, Record};
 use jbs_mapred::mof::SegmentReader;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -58,10 +55,8 @@ pub struct SegmentRef {
 pub struct ClientStats {
     /// Connections established.
     pub connections_established: u64,
-    /// Fetches that reused a cached connection.
+    /// Fetch ops admitted onto their supplier's already-open connection.
     pub connections_reused: u64,
-    /// Connections torn down by the LRU cap.
-    pub connections_evicted: u64,
     /// Payload bytes fetched.
     pub bytes_fetched: u64,
 }
@@ -71,11 +66,10 @@ pub struct ClientStats {
 pub struct ClientConfig {
     /// Transport buffer (chunk) size; the paper uses 128 KB.
     pub buffer_bytes: u64,
-    /// Connection-cache cap; the paper uses 512.
-    pub max_connections: usize,
     /// Pipelining depth: requests kept in flight per supplier
     /// connection, and ops admitted concurrently per supplier worker.
-    /// `1` degenerates to lockstep.
+    /// `1` is strict lockstep, the measurement baseline — not a second
+    /// fetch path.
     pub window: usize,
     /// Retry budget and backoff shape for transient failures.
     pub retry: RetryPolicy,
@@ -103,10 +97,10 @@ pub struct ClientConfig {
     /// short-EOF accounting violations) before the typed error
     /// surfaces.
     pub integrity_retries: u32,
-    /// Per-peer circuit breaker (pipelined path): consecutive
-    /// connection-level failures before the peer's breaker opens and
-    /// new ops fail fast with [`TransportError::CircuitOpen`]. `0`
-    /// disables the breaker entirely.
+    /// Per-peer circuit breaker: consecutive connection-level failures
+    /// before the peer's breaker opens and new ops fail fast with
+    /// [`TransportError::CircuitOpen`]. `0` disables the breaker
+    /// entirely.
     pub breaker_threshold: u32,
     /// Base cooldown an open breaker waits before granting its single
     /// half-open probe; doubles on every failed probe (capped at 64x).
@@ -123,7 +117,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             buffer_bytes: 128 << 10,
-            max_connections: 512,
             window: 8,
             retry: RetryPolicy::default(),
             connect_timeout: Duration::from_secs(2),
@@ -139,11 +132,6 @@ impl Default for ClientConfig {
             routes: None,
         }
     }
-}
-
-pub(crate) struct Conn {
-    pub(crate) reader: BufReader<TcpStream>,
-    pub(crate) writer: TcpStream,
 }
 
 /// Per-peer dialect negotiation state (client-driven; see `wire.rs`).
@@ -228,55 +216,6 @@ pub(crate) struct ClientShared {
     pub(crate) config: ClientConfig,
 }
 
-/// Dial a supplier with the configured deadlines (and fault hooks).
-/// Used by both the serial path's connection cache and the scheduler's
-/// per-peer workers.
-pub(crate) fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
-    match faults::decide(&config.faults, Hook::ClientConnect) {
-        FaultAction::RefuseConnect => {
-            return Err(TransportError::Connect {
-                target: addr.to_string(),
-                source: io::Error::new(io::ErrorKind::ConnectionRefused, "injected refusal"),
-            });
-        }
-        FaultAction::Stall(d) => std::thread::sleep(d),
-        _ => {}
-    }
-    let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).map_err(|e| {
-        TransportError::Connect {
-            target: addr.to_string(),
-            source: e,
-        }
-    })?;
-    let setup = |e| TransportError::Io {
-        during: "socket setup",
-        source: e,
-    };
-    stream.set_nodelay(true).map_err(setup)?;
-    stream
-        .set_read_timeout(Some(config.read_timeout))
-        .map_err(setup)?;
-    stream
-        .set_write_timeout(Some(config.write_timeout))
-        .map_err(setup)?;
-    let reader = BufReader::new(stream.try_clone().map_err(setup)?);
-    Ok(Conn {
-        reader,
-        writer: stream,
-    })
-}
-
-/// Bump the per-kind failure counter for a failed attempt.
-pub(crate) fn record_failure(fetch: &FetchStats, e: &TransportError) {
-    match e {
-        TransportError::Timeout { .. } => fetch.record_timeout(),
-        TransportError::Reset { .. } => fetch.record_reset(),
-        TransportError::Corrupt { .. } => fetch.record_corrupt_frame(),
-        TransportError::Connect { .. } => fetch.record_connect_failure(),
-        _ => {}
-    }
-}
-
 /// Round-robin the indices of `segs` across supplier addresses (in
 /// order of first appearance): the paper's balanced injection. Ops
 /// spread evenly into every peer queue from the start, so all supplier
@@ -303,32 +242,17 @@ fn balanced_order(segs: &[SegmentRef]) -> Vec<usize> {
     order
 }
 
-/// The NetMerger. Connection caching for the serial path —
-/// consolidation per supplier, LRU eviction beyond the cap — lives in
-/// [`SlotMap`], where the `cfg(loom)` models exercise it; the pipelined
-/// path's per-supplier workers live in [`FetchScheduler`].
+/// The NetMerger: a facade over the [`FetchScheduler`], whose
+/// per-supplier workers each own one connection.
 pub struct NetMergerClient {
-    conns: SlotMap<SocketAddr, Conn>,
-    backoff_rng: Mutex<DetRng>,
     shared: Arc<ClientShared>,
     sched: FetchScheduler,
 }
 
 impl NetMergerClient {
-    /// A client with the paper's defaults: 128 KB transport buffers and a
-    /// 512-connection cache.
+    /// A client with the paper's defaults: 128 KB transport buffers.
     pub fn new() -> Self {
         Self::with_client_config(ClientConfig::default())
-    }
-
-    /// A client with explicit buffer size and connection cap, defaults
-    /// elsewhere.
-    pub fn with_config(buffer_bytes: u64, max_connections: usize) -> Self {
-        Self::with_client_config(ClientConfig {
-            buffer_bytes,
-            max_connections,
-            ..ClientConfig::default()
-        })
     }
 
     /// A client with full control of retry, timeouts, window, and faults.
@@ -345,8 +269,6 @@ impl NetMergerClient {
             },
         });
         NetMergerClient {
-            conns: SlotMap::new(shared.config.max_connections),
-            backoff_rng: Mutex::new(DetRng::new(shared.config.retry_seed)),
             sched: FetchScheduler::new(Arc::clone(&shared)),
             shared,
         }
@@ -368,289 +290,6 @@ impl NetMergerClient {
     /// zeros.
     pub fn queue_depths(&self) -> Vec<(SocketAddr, usize)> {
         self.sched.queue_depths()
-    }
-
-    fn with_conn<T>(&self, addr: SocketAddr, f: impl FnOnce(&mut Conn) -> Result<T>) -> Result<T> {
-        // The event callback runs at most under the slot's `conn` lock
-        // and takes only `stats`, which the documented lock order places
-        // after `conn`.
-        self.conns.with_conn(
-            addr,
-            || dial(addr, &self.shared.config),
-            |ev| match ev {
-                SlotEvent::Evicted => lock(&self.shared.stats).connections_evicted += 1,
-                SlotEvent::Established { reconnect } => {
-                    lock(&self.shared.stats).connections_established += 1;
-                    if reconnect {
-                        self.shared.fetch_stats.record_reconnect();
-                    }
-                }
-                SlotEvent::Reused => lock(&self.shared.stats).connections_reused += 1,
-            },
-            f,
-        )
-    }
-
-    /// One request/response exchange on a (possibly reused) cached
-    /// connection — the serial path. No retry here; this is the unit the
-    /// retry loop wraps. Serial requests carry id 0 and expect it back:
-    /// the exchange is lockstep, so any other echo is a desynchronized
-    /// stream.
-    ///
-    /// The payload is read straight onto the end of `out` and verified
-    /// there; `out` grows only by bytes that verified, and is left as it
-    /// came in on every error. Returns the total segment length when
-    /// the peer spoke v3 (`OkCrc`), which the caller feeds into
-    /// expected-length accounting. A payload failing its CRC sets
-    /// `bypass_next` so the retry issues a targeted cache-bypass
-    /// re-fetch.
-    fn try_fetch_chunk(
-        &self,
-        seg: SegmentRef,
-        offset: u64,
-        len: u64,
-        bypass: bool,
-        bypass_next: &mut bool,
-        out: &mut Vec<u8>,
-    ) -> Result<Option<u64>> {
-        let version = self.shared.versions.version_for(seg.addr);
-        let flags = if bypass && version == WireVersion::V3 {
-            FLAG_BYPASS_CACHE
-        } else {
-            0
-        };
-        let res = self.with_conn(seg.addr, |conn| {
-            FetchRequest {
-                id: 0,
-                mof: seg.mof,
-                reducer: seg.reducer,
-                offset,
-                len,
-                flags,
-            }
-            .write_versioned(&mut conn.writer, version)
-            .map_err(|e| TransportError::from_io("write request", e))?;
-            match faults::decide(&self.shared.config.faults, Hook::ClientReadResponse) {
-                FaultAction::Reset => {
-                    return Err(TransportError::Reset {
-                        during: "read response (injected)",
-                    })
-                }
-                FaultAction::Stall(d) => std::thread::sleep(d),
-                _ => {}
-            }
-            let head = ResponseHead::read_from(&mut conn.reader)
-                .map_err(|e| TransportError::from_io("read response", e))?;
-            if head.id != 0 {
-                return Err(TransportError::Corrupt {
-                    detail: format!("serial exchange echoed pipelined id {}", head.id),
-                });
-            }
-            let before = out.len();
-            wire::reserve_tail(out, head.len, head.declared_remaining(offset));
-            let verified = head
-                .read_verified(&mut conn.reader, out)
-                .map_err(|e| TransportError::from_io("read response", e))?;
-            if !matches!(head.status, Status::Ok | Status::OkCrc) {
-                // Only a data frame's payload belongs to the segment.
-                out.truncate(before);
-            }
-            let got = (out.len() - before) as u64;
-            match head.status {
-                Status::Ok => {
-                    lock(&self.shared.stats).bytes_fetched += got;
-                    Ok(None)
-                }
-                Status::OkCrc => {
-                    self.shared.versions.confirm_v3(seg.addr);
-                    if !verified {
-                        // The frame parsed cleanly but the payload does
-                        // not match its seal: damage on disk, in cache,
-                        // or in RAM. Re-fetch with the bypass flag so
-                        // the supplier re-reads from disk instead of
-                        // re-serving the same poisoned bytes.
-                        *bypass_next = true;
-                        return Err(TransportError::Corrupt {
-                            detail: format!(
-                                "payload CRC32C mismatch at offset {offset} of mof {} reducer {}",
-                                seg.mof, seg.reducer
-                            ),
-                        });
-                    }
-                    self.shared.config.trace.instant(
-                        "integrity.verify",
-                        jbs_obs::Entity::mof(seg.mof),
-                        offset,
-                        got,
-                    );
-                    lock(&self.shared.stats).bytes_fetched += got;
-                    Ok(Some(head.seg_len))
-                }
-                Status::Busy => {
-                    self.shared.versions.confirm_v3(seg.addr);
-                    Err(TransportError::Busy {
-                        retry_after: Duration::from_millis(head.retry_after_ms),
-                    })
-                }
-                Status::NotFound => Err(TransportError::NotFound {
-                    what: format!("mof {} reducer {}", seg.mof, seg.reducer),
-                }),
-                Status::BadRequest => Err(TransportError::BadRequest {
-                    detail: format!(
-                        "supplier rejected fetch of mof {} reducer {}",
-                        seg.mof, seg.reducer
-                    ),
-                }),
-            }
-        });
-        if let Err(e) = &res {
-            // Negotiation: a connection that died before any v3
-            // response may be a legacy server rejecting the magic.
-            // Dial failures and typed verdicts are not that signature.
-            if version == WireVersion::V3
-                && matches!(
-                    e,
-                    TransportError::Reset { .. }
-                        | TransportError::Timeout { .. }
-                        | TransportError::Io { .. }
-                )
-            {
-                self.shared.versions.record_probe_failure(seg.addr);
-            }
-        }
-        res
-    }
-
-    /// Fetch one chunk under the retry policy. `offset` doubles as the
-    /// resume point: a retried chunk re-requests exactly `[offset, ...)`,
-    /// so bytes before `offset` are never refetched. `bypass_next`
-    /// seeds the first attempt with the cache-bypass flag (the caller
-    /// already convicted the cached bytes); later attempts set it
-    /// themselves on CRC mismatch. A `Busy` pushback sleeps the
-    /// supplier's hint instead of the backoff curve when the hint is
-    /// longer.
-    fn fetch_chunk_with_retry(
-        &self,
-        seg: SegmentRef,
-        offset: u64,
-        len: u64,
-        mut bypass_next: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<Option<u64>> {
-        let mut attempt = 0u32;
-        loop {
-            let bypass = std::mem::take(&mut bypass_next);
-            match self.try_fetch_chunk(seg, offset, len, bypass, &mut bypass_next, out) {
-                Ok(seg_len) => return Ok(seg_len),
-                Err(e) if e.is_retryable() && attempt < self.shared.config.retry.max_retries => {
-                    attempt += 1;
-                    record_failure(&self.shared.fetch_stats, &e);
-                    if bypass_next {
-                        // Integrity-driven targeted re-fetch: tracked
-                        // apart from connection-level retries.
-                        self.shared.fetch_stats.record_corrupt_refetch();
-                        self.shared.config.trace.instant(
-                            "integrity.refetch",
-                            jbs_obs::Entity::mof(seg.mof),
-                            offset,
-                            u64::from(attempt),
-                        );
-                    } else {
-                        self.shared.fetch_stats.record_retry();
-                    }
-                    if attempt == 1 && offset > 0 {
-                        // The segment resumes mid-stream: everything
-                        // before `offset` survives this recovery.
-                        self.shared.fetch_stats.record_resumed_bytes(offset);
-                    }
-                    let mut delay = {
-                        let mut rng = lock(&self.backoff_rng);
-                        self.shared.config.retry.backoff(attempt, &mut rng)
-                    };
-                    if let TransportError::Busy { retry_after } = &e {
-                        // Typed pushback: honor the supplier's hint.
-                        self.shared.fetch_stats.record_busy_backoff();
-                        delay = delay.max(*retry_after);
-                    }
-                    let _backoff = self.shared.config.trace.span(
-                        "retry.backoff",
-                        jbs_obs::Entity::peer(u64::from(seg.addr.port())),
-                        u64::from(attempt),
-                        delay.as_nanos() as u64,
-                    );
-                    std::thread::sleep(delay);
-                }
-                Err(e) if e.is_retryable() => {
-                    record_failure(&self.shared.fetch_stats, &e);
-                    self.shared.fetch_stats.record_exhausted();
-                    return Err(TransportError::RetriesExhausted {
-                        attempts: attempt + 1,
-                        last: Box::new(e),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Fetch one whole segment in transport-buffer-sized chunks, resuming
-    /// at the received offset across transient failures. Serial: each
-    /// chunk waits for the previous one — the baseline the pipelined
-    /// path is measured against.
-    ///
-    /// Under v3 the segment's total length (carried on every `OkCrc`
-    /// frame) is enforced: an empty chunk before `expected` bytes have
-    /// arrived — a truncation landing exactly on a chunk boundary,
-    /// which v2 cannot tell from clean EOF — triggers a bounded
-    /// cache-bypass re-fetch and then a typed
-    /// [`TransportError::Truncated`].
-    pub fn fetch_segment(&self, seg: SegmentRef) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut expected: Option<u64> = None;
-        let mut integrity_retries = 0u32;
-        let mut refetch = false;
-        loop {
-            // Each chunk lands on the end of `out`, so its length is the
-            // received offset and the resume point.
-            let offset = out.len() as u64;
-            let seg_len = self.fetch_chunk_with_retry(
-                seg,
-                offset,
-                self.shared.config.buffer_bytes,
-                refetch,
-                &mut out,
-            )?;
-            refetch = false;
-            if seg_len.is_some() {
-                expected = seg_len;
-            }
-            if out.len() as u64 > offset {
-                continue;
-            }
-            if let Some(exp) = expected {
-                if offset < exp {
-                    // Short clean EOF: the accounting says more
-                    // bytes must exist.
-                    if integrity_retries < self.shared.config.integrity_retries {
-                        integrity_retries += 1;
-                        self.shared.fetch_stats.record_corrupt_refetch();
-                        self.shared.config.trace.instant(
-                            "integrity.refetch",
-                            jbs_obs::Entity::mof(seg.mof),
-                            offset,
-                            u64::from(integrity_retries),
-                        );
-                        refetch = true;
-                        continue;
-                    }
-                    return Err(TransportError::Truncated {
-                        got: offset,
-                        expected: exp,
-                    });
-                }
-            }
-            return Ok(out);
-        }
     }
 
     /// The replica a failed `fetch_all` op should retry against, or
@@ -773,55 +412,35 @@ impl NetMergerClient {
         for slot in out {
             match slot {
                 Some(bytes) => res.push(bytes),
-                None => {
-                    return Err(TransportError::Io {
-                        during: "fetch_all",
-                        source: io::Error::other("fetch op vanished without completing"),
-                    })
-                }
+                None => return Err(vanished()),
             }
         }
         Ok(res)
     }
 
-    /// Serial reference for [`Self::fetch_all`]: one thread per segment,
-    /// each fetching lockstep over the cached connections. Kept as the
-    /// measured baseline (see `crates/bench`) and as a fallback.
-    pub fn fetch_all_serial(&self, segs: &[SegmentRef]) -> Result<Vec<Vec<u8>>> {
-        let results: Vec<Result<Vec<u8>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = segs
-                .iter()
-                .map(|&seg| scope.spawn(move || self.fetch_segment(seg)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(TransportError::Io {
-                        during: "fetch worker",
-                        source: io::Error::other("fetch thread panicked"),
-                    }),
-                })
-                .collect()
-        });
-        results.into_iter().collect()
+    /// Fetch one whole segment: [`Self::fetch_all`] of just `seg`, so it
+    /// gets the same pipelining, resume, integrity and failover, and the
+    /// same [`TransportError::Segment`] context on failure. With
+    /// [`ClientConfig::window`] `= 1` it is strict lockstep — one request
+    /// on the wire at a time — the Fig. 4 baseline.
+    pub fn fetch_segment(&self, seg: SegmentRef) -> Result<Vec<u8>> {
+        self.fetch_all(&[seg])?.pop().ok_or_else(vanished)
     }
 
-    /// Fetch one chunk of a segment (a single serial request/response
-    /// exchange, retried on transient failure). An empty payload means
-    /// the segment is exhausted.
+    /// Fetch one chunk of at most [`ClientConfig::buffer_bytes`] at
+    /// `offset`: a single request/response exchange through the
+    /// segment's supplier worker, retried on transient failure. An empty
+    /// payload means `offset` is at or past the segment's end.
     pub fn fetch_chunk(&self, seg: SegmentRef, offset: u64) -> Result<Vec<u8>> {
-        // Room for the one chunk asked for, so the segment-sized
-        // reservation a whole-segment fetch makes is not made here.
-        let mut chunk = Vec::with_capacity(self.shared.config.buffer_bytes as usize);
-        self.fetch_chunk_with_retry(
+        let (done, rx) = mpsc::channel();
+        self.sched.submit(FetchOp {
+            token: 0,
             seg,
             offset,
-            self.shared.config.buffer_bytes,
-            false,
-            &mut chunk,
-        )?;
-        Ok(chunk)
+            limit: self.shared.config.buffer_bytes,
+            done,
+        });
+        rx.recv().map_err(|_| vanished())?.result
     }
 
     /// **The network-levitated merge over real sockets**: merge a
@@ -860,6 +479,14 @@ impl NetMergerClient {
         }
         let merge = KWayMerge::new(runs.into_iter().map(|r| r.into_iter()).collect());
         Ok(merge.collect())
+    }
+}
+
+/// A submitted op whose completion never arrived (its worker is gone).
+fn vanished() -> TransportError {
+    TransportError::Io {
+        during: "fetch",
+        source: io::Error::other("fetch op vanished without completing"),
     }
 }
 
@@ -983,6 +610,7 @@ impl RecordStream for NetworkSegmentStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Hook;
     use crate::server::MofSupplierServer;
     use crate::store::MofStore;
     use jbs_mapred::merge::is_sorted;
@@ -1051,8 +679,8 @@ mod tests {
         }
         let s = client.stats();
         assert_eq!(s.connections_established, 1, "one connection per supplier");
-        // Reuse is counted per request/response exchange; four segment
-        // fetches over one cached connection reuse it at least thrice.
+        // Reuse is counted per fetch op admitted onto the open
+        // connection: every fetch after the first.
         assert!(s.connections_reused >= 3, "{}", s.connections_reused);
         server.shutdown();
     }
@@ -1098,8 +726,13 @@ mod tests {
             window: 6,
             ..ClientConfig::default()
         });
+        let lockstep = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            window: 1,
+            ..ClientConfig::default()
+        });
         let pipelined = client.fetch_all(&segs).unwrap();
-        let serial = client.fetch_all_serial(&segs).unwrap();
+        let serial = lockstep.fetch_all(&segs).unwrap();
         assert_eq!(pipelined, serial, "pipelining must not change bytes");
 
         let fs = quiesce(&client);
@@ -1118,6 +751,64 @@ mod tests {
         for s in servers {
             s.shutdown();
         }
+    }
+
+    /// `window = 1` is the Fig. 4 baseline: one request on the wire at a
+    /// time, each aimed at the committed offset, so nothing is ever
+    /// speculated and discarded.
+    #[test]
+    fn window_one_is_lockstep() {
+        let server = server_with_records(1500, 1);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            window: 1,
+            ..ClientConfig::default()
+        });
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        let bytes = client.fetch_segment(seg).unwrap();
+        assert!(bytes.len() > 4 * (4 << 10), "many chunks: {}", bytes.len());
+        let fs = quiesce(&client);
+        assert_eq!(fs.window_peak, 1, "{fs:?}");
+        assert_eq!(fs.spec_discards, 0, "{fs:?}");
+        server.shutdown();
+    }
+
+    /// A single-exchange chunk at the start, mid-segment, exactly at the
+    /// end (empty) and past the end (empty), matching the whole segment.
+    #[test]
+    fn fetch_chunk_reads_one_buffer_at_any_offset() {
+        let server = server_with_records(1500, 1);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            ..ClientConfig::default()
+        });
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        let whole = client.fetch_segment(seg).unwrap();
+        let end = whole.len() as u64;
+        let mid = end / 2;
+        assert!(mid > 4 << 10 && end - mid > 4 << 10, "{end}");
+        assert_eq!(client.fetch_chunk(seg, 0).unwrap(), whole[..4 << 10]);
+        assert_eq!(
+            client.fetch_chunk(seg, mid).unwrap(),
+            whole[mid as usize..mid as usize + (4 << 10)]
+        );
+        assert_eq!(
+            client.fetch_chunk(seg, end - 100).unwrap(),
+            whole[end as usize - 100..],
+            "short at the segment's tail"
+        );
+        assert!(client.fetch_chunk(seg, end).unwrap().is_empty());
+        assert!(client.fetch_chunk(seg, end + (1 << 20)).unwrap().is_empty());
+        assert_eq!(client.stats().connections_established, 1);
+        server.shutdown();
     }
 
     /// Regression: `submit` used to count an op *after* pushing it, so
@@ -1226,7 +917,15 @@ mod tests {
                 reducer: 0,
             })
             .unwrap_err();
-        assert!(matches!(err, TransportError::NotFound { .. }), "{err}");
+        match &err {
+            TransportError::Segment { source, .. } => {
+                assert!(
+                    matches!(source.as_ref(), TransportError::NotFound { .. }),
+                    "{source}"
+                );
+            }
+            other => panic!("expected segment context, got {other}"),
+        }
         assert!(!err.is_retryable());
         server.shutdown();
     }
@@ -1256,10 +955,16 @@ mod tests {
                 reducer: 0,
             })
             .unwrap_err();
-        assert!(
-            matches!(err, TransportError::RetriesExhausted { attempts: 3, .. }),
-            "{err}"
-        );
+        match &err {
+            TransportError::Segment { source, .. } => assert!(
+                matches!(
+                    source.as_ref(),
+                    TransportError::RetriesExhausted { attempts: 3, .. }
+                ),
+                "{source}"
+            ),
+            other => panic!("expected segment context, got {other}"),
+        }
         let fs = client.fetch_stats();
         assert_eq!(fs.retries, 2);
         assert_eq!(fs.exhausted, 1);
@@ -1354,7 +1059,10 @@ mod tests {
             })
             .collect();
         // Small buffers so segments need many on-demand refills.
-        let client = NetMergerClient::with_config(2 << 10, 512);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 2 << 10,
+            ..ClientConfig::default()
+        });
         let levitated = client.levitated_merge(&segs).unwrap();
         let materialized = client.shuffle_and_merge(&segs).unwrap();
         assert_eq!(levitated, materialized);
@@ -1368,7 +1076,10 @@ mod tests {
     #[test]
     fn levitated_stream_fetches_on_demand() {
         let server = server_with_records(2000, 1);
-        let client = NetMergerClient::with_config(4 << 10, 512);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            ..ClientConfig::default()
+        });
         let seg = SegmentRef {
             addr: server.addr(),
             mof: 0,
@@ -1582,11 +1293,14 @@ mod tests {
             })
             .unwrap_err();
         match err {
-            TransportError::Truncated { got, expected } => {
-                assert_eq!(got, 0);
-                assert!(expected > 0);
-            }
-            other => panic!("expected Truncated, got {other}"),
+            TransportError::Segment { source, .. } => match *source {
+                TransportError::Truncated { got, expected } => {
+                    assert_eq!(got, 0);
+                    assert!(expected > 0);
+                }
+                other => panic!("expected Truncated, got {other}"),
+            },
+            other => panic!("expected segment context, got {other}"),
         }
         assert_eq!(client.fetch_stats().corrupt_refetches, 2, "budget spent");
         server.shutdown();
@@ -1624,33 +1338,5 @@ mod tests {
             other => panic!("expected partial report, got {other}"),
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn tiny_connection_cache_evicts_lru() {
-        let servers: Vec<MofSupplierServer> = (0..3).map(|_| server_with_records(50, 1)).collect();
-        let client = NetMergerClient::with_config(128 << 10, 1);
-        for s in &servers {
-            client
-                .fetch_segment(SegmentRef {
-                    addr: s.addr(),
-                    mof: 0,
-                    reducer: 0,
-                })
-                .unwrap();
-        }
-        // Revisit the first supplier: its connection was evicted.
-        client
-            .fetch_segment(SegmentRef {
-                addr: servers[0].addr(),
-                mof: 0,
-                reducer: 0,
-            })
-            .unwrap();
-        let s = client.stats();
-        assert_eq!(s.connections_established, 4);
-        for s in servers {
-            s.shutdown();
-        }
     }
 }

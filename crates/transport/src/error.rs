@@ -66,17 +66,12 @@ pub enum TransportError {
     },
     /// The supplier does not have the requested object.
     NotFound {
-        /// What was missing (MOF/reducer, rkey, connection slot, ...).
+        /// What was missing (MOF and reducer).
         what: String,
     },
     /// The peer rejected the request as malformed.
     BadRequest {
         /// The peer's complaint.
-        detail: String,
-    },
-    /// A one-sided read addressed bytes outside the registered region.
-    OutOfBounds {
-        /// The offending range.
         detail: String,
     },
     /// A fetch of one specific segment failed. `source` is the
@@ -145,7 +140,7 @@ impl TransportError {
     /// Transient network failures (dial errors, timeouts, resets,
     /// corrupt frames, truncations, overload pushback, generic I/O) are
     /// retryable; semantic failures (missing segment, malformed
-    /// request, out-of-bounds read), an open circuit breaker (the
+    /// request), an open circuit breaker (the
     /// breaker schedules its own probe), and an already-exhausted
     /// budget are not. Segment context is transparent: it classifies as
     /// whatever it wraps.
@@ -192,9 +187,6 @@ impl TransportError {
             },
             TransportError::NotFound { what } => TransportError::NotFound { what: what.clone() },
             TransportError::BadRequest { detail } => TransportError::BadRequest {
-                detail: detail.clone(),
-            },
-            TransportError::OutOfBounds { detail } => TransportError::OutOfBounds {
                 detail: detail.clone(),
             },
             TransportError::Truncated { got, expected } => TransportError::Truncated {
@@ -248,9 +240,6 @@ impl fmt::Display for TransportError {
             TransportError::Corrupt { detail } => write!(f, "corrupt frame: {detail}"),
             TransportError::NotFound { what } => write!(f, "not found: {what}"),
             TransportError::BadRequest { detail } => write!(f, "bad request: {detail}"),
-            TransportError::OutOfBounds { detail } => {
-                write!(f, "out-of-bounds access: {detail}")
-            }
             TransportError::Truncated { got, expected } => {
                 write!(
                     f,
@@ -327,7 +316,6 @@ fn io_kind(e: &TransportError) -> io::ErrorKind {
             io::ErrorKind::InvalidData
         }
         TransportError::NotFound { .. } => io::ErrorKind::NotFound,
-        TransportError::OutOfBounds { .. } => io::ErrorKind::InvalidInput,
         TransportError::Truncated { .. } => io::ErrorKind::UnexpectedEof,
         // "Try again later"; Busy is normally absorbed by the retry
         // loop long before any io::Error bridge sees it.

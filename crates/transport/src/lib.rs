@@ -14,14 +14,14 @@
 //!   of **disk workers** stages read-ahead ranges from a queue grouped
 //!   by MOF, ordered by offset, and served round-robin (Fig. 5), so disk
 //!   reads overlap network transmission.
-//! * [`client`] — the NetMerger: a client that consolidates fetches over
-//!   cached connections (LRU, capped — Sec. IV's 512-connection policy),
-//!   pulls segments from many suppliers concurrently, and k-way merges
-//!   them into a reduce-ready sorted stream. Its background fetch
-//!   scheduler keeps a bounded window of **pipelined requests** in
-//!   flight per supplier connection, injected round-robin across
-//!   segments, with completions handed back over channels — the other
-//!   half of the read/transmit overlap.
+//! * [`client`] — the NetMerger: a client that consolidates fetches onto
+//!   one connection per supplier, pulls segments from many suppliers
+//!   concurrently, and k-way merges them into a reduce-ready sorted
+//!   stream. Its background fetch scheduler — the one fetch path — keeps
+//!   a bounded window of **pipelined requests** in flight per supplier
+//!   connection, injected round-robin across segments, with completions
+//!   handed back over channels — the other half of the read/transmit
+//!   overlap.
 //!
 //! The integration tests under `tests/` run a full multi-"node" shuffle
 //! over 127.0.0.1 and verify byte-exact results against a reference sort.
@@ -72,7 +72,6 @@ pub mod retry;
 pub mod routes;
 mod sched;
 pub mod server;
-mod slot;
 mod staging;
 pub mod stats;
 pub mod store;

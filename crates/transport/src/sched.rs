@@ -2,11 +2,12 @@
 //! queues drained by worker threads that keep a **bounded window of
 //! pipelined requests** in flight on each connection.
 //!
-//! This is the client half of the Fig. 4 fix. The serial fetch path
-//! (`NetMergerClient::fetch_segment`) is strict lockstep — request,
-//! wait, response, request — so disk time on the supplier and network
-//! time strictly add. Here, each supplier address gets one worker thread
-//! that:
+//! This is the client half of the Fig. 4 fix, and the NetMerger's only
+//! fetch path. With `window = 1` it is strict lockstep — request, wait,
+//! response, request — so disk time on the supplier and network time
+//! strictly add: the Fig. 4 baseline, kept as a configuration. Each
+//! supplier address gets one worker thread that owns the single
+//! connection to it (so no lock guards the socket) and:
 //!
 //! * admits up to `window` fetch ops from its [`DispatchQueue`] into an
 //!   active set;
@@ -41,7 +42,7 @@
 //! socket I/O, sleeps, or a channel send.
 
 use crate::breaker::{Admit, Breaker, Transition};
-use crate::client::{dial, record_failure, ClientShared, SegmentRef};
+use crate::client::{ClientConfig, ClientShared, SegmentRef};
 use crate::error::{Result, TransportError};
 use crate::faults::{self, FaultAction, Hook};
 use crate::prefetch::Pop;
@@ -51,8 +52,8 @@ use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BY
 use jbs_des::DetRng;
 use jbs_obs::Entity;
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::SocketAddr;
+use std::io::{self, BufReader};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -356,6 +357,60 @@ fn spawn_worker(addr: SocketAddr, shared: Arc<ClientShared>, anchor: Instant) ->
     }
 }
 
+/// A worker's one connection to its supplier.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+/// Dial a supplier with the configured deadlines (and fault hooks), for
+/// a scheduler worker's one connection to it.
+fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
+    match faults::decide(&config.faults, Hook::ClientConnect) {
+        FaultAction::RefuseConnect => {
+            return Err(TransportError::Connect {
+                target: addr.to_string(),
+                source: io::Error::new(io::ErrorKind::ConnectionRefused, "injected refusal"),
+            });
+        }
+        FaultAction::Stall(d) => std::thread::sleep(d),
+        _ => {}
+    }
+    let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).map_err(|e| {
+        TransportError::Connect {
+            target: addr.to_string(),
+            source: e,
+        }
+    })?;
+    let setup = |e| TransportError::Io {
+        during: "socket setup",
+        source: e,
+    };
+    stream.set_nodelay(true).map_err(setup)?;
+    stream
+        .set_read_timeout(Some(config.read_timeout))
+        .map_err(setup)?;
+    stream
+        .set_write_timeout(Some(config.write_timeout))
+        .map_err(setup)?;
+    let reader = BufReader::new(stream.try_clone().map_err(setup)?);
+    Ok(Conn {
+        reader,
+        writer: stream,
+    })
+}
+
+/// Bump the per-kind failure counter for a failed attempt.
+fn record_failure(fetch: &FetchStats, e: &TransportError) {
+    match e {
+        TransportError::Timeout { .. } => fetch.record_timeout(),
+        TransportError::Reset { .. } => fetch.record_reset(),
+        TransportError::Corrupt { .. } => fetch.record_corrupt_frame(),
+        TransportError::Connect { .. } => fetch.record_connect_failure(),
+        _ => {}
+    }
+}
+
 /// One op admitted into a worker's active set.
 struct ActiveOp {
     op: FetchOp,
@@ -384,7 +439,9 @@ struct ActiveOp {
     /// cache.
     bypass_next: bool,
     /// Remaining targeted re-fetches (CRC mismatches + boundary-EOF
-    /// lies) before the typed error surfaces for this op.
+    /// lies) at the committed offset before the typed error surfaces;
+    /// refilled whenever `committed` advances, so the budget is per
+    /// chunk position, not per segment.
     refetch_budget: u32,
 }
 
@@ -401,7 +458,7 @@ struct Worker {
     shared: Arc<ClientShared>,
     queue: Arc<DispatchQueue<FetchOp>>,
     ticks: mpsc::Receiver<()>,
-    conn: Option<crate::client::Conn>,
+    conn: Option<Conn>,
     /// Active ops by worker-local key (caller tokens are not unique
     /// across submitters, so they cannot key this map).
     active: HashMap<u64, ActiveOp>,
@@ -459,8 +516,7 @@ impl Worker {
             rotation: VecDeque::new(),
             outstanding: VecDeque::new(),
             next_key: 0,
-            // Id 0 is reserved for the serial (non-pipelined) path.
-            next_id: 1,
+            next_id: 0,
             attempts: 0,
             ever_connected: false,
             rng: DetRng::new(seed),
@@ -954,6 +1010,7 @@ impl Worker {
         }
         lock(&self.shared.stats).bytes_fetched += len as u64;
         a.committed = a.committed.saturating_add(len as u64);
+        a.refetch_budget = self.shared.config.integrity_retries;
         if a.op.limit > 0 {
             // Single-exchange chunk: the payload (possibly short at
             // segment end) IS the result.
@@ -1486,11 +1543,16 @@ mod tests {
         supplier.join().expect("supplier thread");
     }
 
+    /// The same lie through the public client in lockstep
+    /// (`window = 1`): every empty frame answers a request at the
+    /// committed offset, so each spends budget until `Truncated`
+    /// surfaces.
     #[test]
     fn hostile_seg_len_on_the_serial_path_ends_in_truncated() {
         let (addr, supplier) = scripted_supplier(1, hostile_seg_len);
         let client = crate::client::NetMergerClient::with_client_config(ClientConfig {
             buffer_bytes: 4 << 10,
+            window: 1,
             retry: fast_retry(),
             ..ClientConfig::default()
         });
@@ -1501,17 +1563,50 @@ mod tests {
                 reducer: 0,
             })
             .expect_err("the segment can never complete");
-        assert!(
-            matches!(
-                err,
-                TransportError::Truncated {
-                    got: 4096,
-                    expected: u64::MAX
-                }
+        match err {
+            TransportError::Segment { source, .. } => assert!(
+                matches!(
+                    *source,
+                    TransportError::Truncated {
+                        got: 4096,
+                        expected: u64::MAX
+                    }
+                ),
+                "{source}"
             ),
-            "{err}"
-        );
+            other => panic!("expected segment context, got {other}"),
+        }
         drop(client);
         supplier.join().expect("supplier thread");
+    }
+
+    /// The integrity budget is per chunk position: three corrupted
+    /// chunks, each re-fetched once, fit a budget of two because every
+    /// verified chunk refills it.
+    #[test]
+    fn refetch_budget_refills_at_each_chunk() {
+        let plan = FaultPlan::builder(24)
+            .force(Hook::ServerPayload, 1, FaultKind::CorruptPayload)
+            .force(Hook::ServerPayload, 3, FaultKind::CorruptPayload)
+            .force(Hook::ServerPayload, 5, FaultKind::CorruptPayload)
+            .build();
+        let (server, truth) = supplier(Arc::clone(&plan));
+        let mut rig = Rig::new(
+            server.addr(),
+            ClientConfig {
+                buffer_bytes: 4 << 10,
+                // Lockstep, so payload occurrences 1, 3 and 5 are three
+                // different chunks, each followed by its own re-fetch.
+                window: 1,
+                integrity_retries: 2,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        assert_eq!(rig.fetch().expect("fetch"), truth);
+        assert_eq!(plan.stats().payload_corruptions, 3);
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert_eq!(fs.corrupt_refetches, 3, "{fs:?}");
+        server.shutdown();
     }
 }

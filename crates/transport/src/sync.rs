@@ -15,22 +15,16 @@
 //!
 //! Building with `RUSTFLAGS="--cfg loom"` swaps these types for the
 //! vendored loom model checker's (see `shims/loom`), under which the
-//! `loom_` tests in [`crate::slot`] and [`crate::staging`] explore every
-//! bounded interleaving of the production slot/staging logic. The loom
-//! `Mutex::lock` also returns `std::sync::LockResult`, so this one
-//! [`lock`] body serves both builds.
+//! `loom_` tests (dispatch queue, breaker, staging, iosched, reactor
+//! completions) explore every bounded interleaving of the production
+//! logic. The loom `Mutex::lock` also returns `std::sync::LockResult`,
+//! so this one [`lock`] body serves both builds.
 
-#[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicUsize};
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::AtomicBool;
-#[cfg(not(loom))]
 pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
-
-pub(crate) use std::sync::atomic::Ordering;
 
 /// Lock a mutex, tolerating poison.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

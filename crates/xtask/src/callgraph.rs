@@ -1,9 +1,9 @@
 //! Workspace-wide call graph with held-lock-set propagation.
 //!
 //! The per-function lock scanner (PR 2) could not see edges through
-//! calls: a callback locking `stats` while `SlotMap::with_conn` holds
-//! the slot's `conn` lock had to be hand-encoded in the documented
-//! order. This module closes that gap:
+//! calls: a callback locking `stats`, invoked by a wrapper while it
+//! holds a `conn` lock, had to be hand-encoded in the documented order.
+//! This module closes that gap:
 //!
 //! 1. **Extraction** — every function ([`crate::lexer::functions`]) and
 //!    every closure literal becomes a node. One linear walk per body
@@ -22,8 +22,9 @@
 //!    provenance chain per lock for diagnostics. Closures inherit the
 //!    held set at their definition site plus, when passed to a function
 //!    that invokes a callable parameter, that function's
-//!    `callback_held` set — this is what rediscovers the `conn` →
-//!    `stats` edge with zero policy hints.
+//!    `callback_held` set — this is how a callback-carried edge (the
+//!    `conn` → `stats` of `callback_edge_is_rediscovered`) is found
+//!    with zero policy hints.
 //!
 //! Guard *moves* are modeled so the hybrid store's guard-threading
 //! (`append` → `spill_trip` → `flush_one`, and `wait(&cv, g)`) does not

@@ -606,8 +606,8 @@ fn word_at(b: &[char], i: usize, word: &str) -> bool {
     before_ok && after_ok
 }
 
-/// The implemented type of an impl header (`<T> SlotMap<K, C>` →
-/// `SlotMap`, `fmt::Display for Finding` → `Finding`).
+/// The implemented type of an impl header (`<T> DispatchQueue<T>` →
+/// `DispatchQueue`, `fmt::Display for Finding` → `Finding`).
 fn impl_type(header: &str) -> Option<String> {
     let mut rest = header.trim();
     // Skip leading generic parameters.

@@ -5,13 +5,13 @@
 //! poison-tolerant helper `sync::lock(&…)`, which gives the analysis a
 //! reliable syntactic anchor: every `lock(&path)` call is an
 //! acquisition of the lock named by `path`'s last segment
-//! (`self.conns` → `conns`, `slot.conn` → `conn`).
+//! (`self.peers` → `peers`, `self.shared.stats` → `stats`).
 //!
 //! Edge extraction lives in [`crate::callgraph`]: local guard lifetimes
 //! are simulated per function (let-bound = block-scoped, temporary =
 //! statement-scoped, `drop`/moves/`wait` modeled), and held sets
-//! propagate caller → callee to a fixpoint, so an edge like "callback
-//! locks `stats` while `SlotMap::with_conn` holds `conn`" is found
+//! propagate caller → callee to a fixpoint, so an edge like "a callback
+//! locks `stats` while the wrapper invoking it holds `conn`" is found
 //! without policy hints and reported with its full call chain.
 //!
 //! This module judges the resulting edges:

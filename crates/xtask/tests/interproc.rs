@@ -4,17 +4,12 @@
 //! `callgraph::analyze` never reads `lock_order` or `[[allow]]`, so
 //! everything asserted here is derived purely from the call graph.
 //!
-//! The two facts under test:
-//!
-//! 1. `SlotMap::with_conn` holds the per-connection `conn` lock while
-//!    invoking caller-supplied callbacks, and the client's event
-//!    callback acquires `stats` — so `conn -> stats` is a real edge,
-//!    carried through a callback parameter across crate-internal
-//!    function boundaries.
-//! 2. The supplier staging path's `read_ahead` acquires `store`; every
-//!    caller (the stage-job worker, the serve path) therefore holds
-//!    `store` transitively even though no `lock(&…store)` appears in
-//!    its own body.
+//! The fact under test: the supplier staging path's `read_ahead`
+//! acquires `store`; every caller (the stage-job worker, the serve
+//! path) therefore holds `store` transitively even though no
+//! `lock(&…store)` appears in its own body. (Edges carried through a
+//! callback parameter are covered on a fixture by
+//! `callgraph::tests::callback_edge_is_rediscovered`.)
 
 use std::path::Path;
 use xtask::policy::Policy;
@@ -33,29 +28,6 @@ fn live_analysis() -> callgraph::Analysis {
     let config = Config::for_workspace(&root, &policy).expect("workspace members discovered");
     let files = scan_analysis_files(&config).expect("analysis scope scans");
     callgraph::analyze(&files, &policy.primitive_files)
-}
-
-#[test]
-fn rediscovers_conn_to_stats_callback_edge() {
-    let a = live_analysis();
-    let edge = a
-        .edges
-        .iter()
-        .find(|e| e.held == "conn" && e.acquired == "stats")
-        .unwrap_or_else(|| {
-            panic!(
-                "conn -> stats must be discovered through the with_conn callback; edges found: {:?}",
-                a.edges
-                    .iter()
-                    .map(|e| format!("{} -> {}", e.held, e.acquired))
-                    .collect::<Vec<_>>()
-            )
-        });
-    assert!(
-        edge.chain.iter().any(|frame| frame.contains("with_conn")),
-        "the witness chain walks through the callback-invoking wrapper: {:?}",
-        edge.chain
-    );
 }
 
 #[test]
@@ -95,20 +67,21 @@ fn rediscovers_read_ahead_store_acquisition_in_callers() {
     }
 }
 
-/// The full flagship edge, end to end: the callback-carried
-/// `conn -> stats` acquisition is visible to the lock-order lint with
-/// an EMPTY documented order — it surfaces as an undocumented-lock
-/// finding, proving the lint consumes discovered edges rather than
-/// policy annotations.
+/// Discovered nesting, end to end: the hybrid store's `inner ->
+/// objects` acquisition is visible to the lock-order lint with an EMPTY
+/// documented order — it surfaces as an undocumented-lock finding,
+/// proving the lint consumes discovered edges rather than policy
+/// annotations.
 #[test]
 fn empty_lock_order_surfaces_discovered_edges_as_undocumented() {
     let a = live_analysis();
     let policy = Policy::parse("[policy]\nlock_order = []\n").expect("empty policy");
     let findings = xtask::lints::lockorder::check(&a.edges, &policy);
-    // `store` is deliberately absent: the live workspace never nests
-    // it (the staging path drops it before `staged`/`seg_lens`), so no
-    // edge can exist — the edge set above is the complete nesting map.
-    for lock in ["conn", "stats", "inner", "objects"] {
+    // `store` and `stats` are deliberately absent: the live workspace
+    // never nests them (the staging path drops `store` before
+    // `staged`/`seg_lens`; `stats` is taken only with nothing held), so
+    // no edge can exist.
+    for lock in ["inner", "objects"] {
         assert!(
             findings
                 .iter()

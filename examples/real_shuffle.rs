@@ -81,7 +81,7 @@ fn main() {
 
     let stats = client.stats();
     println!(
-        "\nshuffled {} records / {:.1} MB over {} cached connections \
+        "\nshuffled {} records / {:.1} MB over {} consolidated connections \
          ({} established, {} reused)",
         grand_total,
         stats.bytes_fetched as f64 / (1 << 20) as f64,

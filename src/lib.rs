@@ -58,13 +58,15 @@ pub use jbs_workloads as workloads;
 
 /// Build the real-dataplane client configuration from a [`core::JbsConfig`]:
 /// the same knob block drives both the simulator and the TCP NetMerger
-/// (buffer size, connection cap, retry budget, backoff, deadlines).
+/// (buffer size, pipelining window, retry budget, backoff, deadlines).
+/// `max_connections` is not copied: the real client holds exactly one
+/// connection per supplier, and the knob caps the supplier's accepts
+/// ([`transport_server_options`]) and the simulated connection cache.
 pub fn transport_client_config(cfg: &core::JbsConfig) -> transport::ClientConfig {
     use std::time::Duration;
     let io_timeout = Duration::from_nanos(cfg.fetch_io_timeout.as_nanos());
     transport::ClientConfig {
         buffer_bytes: cfg.buffer_bytes,
-        max_connections: cfg.max_connections,
         // The simulator's read-ahead depth doubles as the pipelining
         // window: buffers in flight per supplier connection.
         window: cfg.prefetch_batch.max(1) as usize,
@@ -171,7 +173,6 @@ mod tests {
         assert_eq!(tc.retry.max_retries, 7);
         assert_eq!(tc.buffer_bytes, 64 << 10);
         assert_eq!(tc.window, cfg.prefetch_batch as usize);
-        assert_eq!(tc.max_connections, cfg.max_connections);
         assert_eq!(
             tc.read_timeout.as_nanos() as u64,
             cfg.fetch_io_timeout.as_nanos()

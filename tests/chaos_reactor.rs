@@ -241,7 +241,10 @@ fn reactor_detects_post_checksum_corruption() {
 
     // And a clean fetch of the same segment yields identical bytes —
     // the re-fetched chunks healed the stream.
-    let clean = NetMergerClient::with_config(4 << 10, 8);
+    let clean = NetMergerClient::with_client_config(ClientConfig {
+        buffer_bytes: 4 << 10,
+        ..ClientConfig::default()
+    });
     let reference = clean.fetch_segment(seg).expect("clean fetch");
     assert_eq!(
         fetched, reference,

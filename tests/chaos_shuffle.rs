@@ -272,6 +272,12 @@ fn resumed_fetch_continues_at_received_offset() {
 
     let client = NetMergerClient::with_client_config(ClientConfig {
         buffer_bytes: buffer,
+        // Lockstep: the supplier has read every request when the forced
+        // reset closes the connection, so the two responses it already
+        // wrote arrive. With requests still unread in its socket the
+        // close is an RST that discards them, and nothing would be left
+        // to resume from.
+        window: 1,
         retry: RetryPolicy {
             max_retries: 4,
             base_backoff: Duration::from_millis(5),
@@ -288,7 +294,10 @@ fn resumed_fetch_continues_at_received_offset() {
     let fetched = client.fetch_segment(seg).expect("fetch with resume");
 
     // Reference copy from a fault-free fetch.
-    let clean_client = NetMergerClient::with_config(buffer, 8);
+    let clean_client = NetMergerClient::with_client_config(ClientConfig {
+        buffer_bytes: buffer,
+        ..ClientConfig::default()
+    });
     let reference = clean_client.fetch_segment(seg).expect("clean fetch");
     assert_eq!(fetched, reference, "resumed fetch corrupted the segment");
 

@@ -4,7 +4,7 @@
 use jbs::des::DetRng;
 use jbs::mapred::merge::{is_sorted, sort_run, Record};
 use jbs::transport::client::SegmentRef;
-use jbs::transport::{MofStore, MofSupplierServer, NetMergerClient};
+use jbs::transport::{ClientConfig, MofStore, MofSupplierServer, NetMergerClient};
 use jbs::workloads::{gen_terasort_records, HashPartitioner, Partitioner, RangePartitioner};
 
 struct MiniCluster {
@@ -66,6 +66,13 @@ impl MiniCluster {
             .map(|r| client.shuffle_and_merge(&self.segments_for(r)).expect("merge"))
             .collect()
     }
+}
+
+fn client_with_buffer(buffer_bytes: u64) -> NetMergerClient {
+    NetMergerClient::with_client_config(ClientConfig {
+        buffer_bytes,
+        ..ClientConfig::default()
+    })
 }
 
 #[test]
@@ -132,8 +139,8 @@ fn small_buffers_still_reassemble_exactly() {
     let mut rng = DetRng::new(80);
     let partitioner = HashPartitioner::new(2);
     let cluster = build_cluster(2, 1, 500, 2, &partitioner, &mut rng);
-    let tiny = NetMergerClient::with_config(4 << 10, 512);
-    let big = NetMergerClient::with_config(1 << 20, 512);
+    let tiny = client_with_buffer(4 << 10);
+    let big = client_with_buffer(1 << 20);
     for r in 0..2 {
         let segs = cluster.segments_for(r);
         let a = tiny.shuffle_and_merge(&segs).unwrap();
@@ -149,7 +156,7 @@ fn server_datacache_sees_grouped_requests() {
     let cluster = build_cluster(1, 1, 4000, 1, &partitioner, &mut rng);
     // Small buffers so one segment takes many chunks through the server's
     // read-ahead.
-    let client = NetMergerClient::with_config(8 << 10, 512);
+    let client = client_with_buffer(8 << 10);
     let out = client.shuffle_and_merge(&cluster.segments_for(0)).unwrap();
     assert_eq!(out.len(), 4000);
     let stats = cluster.servers[0].stats();

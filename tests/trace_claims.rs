@@ -90,17 +90,24 @@ fn pipelined_shuffle_overlaps_disk_read_with_net_xmit() {
             },
         )
         .expect("server");
+        // The serial baseline of Fig. 4 is `window = 1`: one chunk at a
+        // time, each waiting for the previous — no request-level
+        // pipelining that could smear xmit over an unrelated segment's
+        // disk pass.
+        let window = if pipelined {
+            ClientConfig::default().window
+        } else {
+            1
+        };
         let client = NetMergerClient::with_client_config(ClientConfig {
             buffer_bytes: 8 << 10,
+            window,
             ..ClientConfig::default()
         });
         let segs = segments(&server, 0..2);
         let fetched: Vec<Vec<u8>> = if pipelined {
             client.fetch_all(&segs).expect("pipelined fetch")
         } else {
-            // The serial baseline of Fig. 4: one chunk at a time, each
-            // waiting for the previous — no request-level pipelining that
-            // could smear xmit over an unrelated segment's disk pass.
             segs.iter()
                 .map(|&s| client.fetch_segment(s).expect("serial fetch"))
                 .collect()
