@@ -11,7 +11,8 @@ use crate::crash::{self, crash_error, CrashPlan, CrashSite};
 use crate::sync::{lock, Mutex};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -103,13 +104,15 @@ impl RemoteStore {
         objects.get(&(mof, reducer)).copied()
     }
 
-    /// Read `len` bytes at `offset` of one partition's object.
-    pub(crate) fn read(&self, mof: u64, reducer: u32, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-        let mut f = fs::File::open(self.path(mof, reducer))?;
-        f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
-        Ok(buf)
+    /// Fill `out` from `offset` of one partition's object.
+    pub(crate) fn read_into(
+        &self,
+        mof: u64,
+        reducer: u32,
+        offset: u64,
+        out: &mut [u8],
+    ) -> io::Result<()> {
+        fs::File::open(self.path(mof, reducer))?.read_exact_at(out, offset)
     }
 
     /// Every stored partition with its object length, sorted.
@@ -133,6 +136,12 @@ fn parse_object_name(name: &str) -> Option<(u64, u32)> {
 mod tests {
     use super::*;
 
+    fn read(store: &RemoteStore, mof: u64, reducer: u32, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        store.read_into(mof, reducer, offset, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn object_names_round_trip() {
         assert_eq!(parse_object_name("part-3-7.obj"), Some((3, 7)));
@@ -147,7 +156,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let store = RemoteStore::at(&dir).unwrap();
         store.put(1, 2, b"hello world", &None).unwrap();
-        assert_eq!(store.read(1, 2, 6, 5).unwrap(), b"world");
+        assert_eq!(read(&store, 1, 2, 6, 5), b"world");
         // A second store over the same dir sees the object.
         let again = RemoteStore::at(&dir).unwrap();
         assert_eq!(again.list(), vec![((1, 2), 11)]);
@@ -164,7 +173,7 @@ mod tests {
         assert!(store.put(1, 2, b"new bytes!", &plan).is_err());
         // The publishing rename never ran: the old object is intact and
         // the complete .tmp sits beside it.
-        assert_eq!(store.read(1, 2, 0, 9).unwrap(), b"old bytes");
+        assert_eq!(read(&store, 1, 2, 0, 9), b"old bytes");
         assert!(dir.join("part-1-2.obj.tmp").exists());
         store.clean_tmp().unwrap();
         assert!(!dir.join("part-1-2.obj.tmp").exists());

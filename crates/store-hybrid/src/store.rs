@@ -31,7 +31,9 @@
 //!
 //! One mutex (`inner`) guards all partition state and counters; it is
 //! never held across file I/O (spill writes and reads plan under the
-//! lock, perform I/O unlocked, and re-lock to commit). A single-flusher
+//! lock, perform I/O unlocked, and re-lock to commit; a read wholly in
+//! the MEMORY tier, [`HybridStore::read_memory_range`], does no I/O and
+//! finishes under the lock, so an event loop may call it). A single-flusher
 //! token (`spill_active`) serializes all writers of the spill file; the
 //! condvar hands off between tripping writers, the flusher, and
 //! backpressured appenders — the handoff the `loom_` models explore.
@@ -46,6 +48,7 @@ use jbs_obs::Entity;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -116,6 +119,73 @@ impl Partition {
     fn total_len(&self) -> u64 {
         self.durable_len + self.mem_len() as u64
     }
+
+    /// End of the range `[offset, offset+len)` clipped to the partition
+    /// (`len == 0` reads to the end); `None` when `offset` is at or past
+    /// the end.
+    fn range_end(&self, offset: u64, len: u64) -> Option<u64> {
+        let plen = self.total_len();
+        if offset >= plen {
+            return None;
+        }
+        Some(if len == 0 {
+            plen
+        } else {
+            offset + len.min(plen - offset)
+        })
+    }
+
+    /// The LOCALFILE and REMOTE pieces of `[offset, end)`, in logical
+    /// order. Planning only: nothing is read.
+    fn durable_pieces(&self, offset: u64, end: u64) -> Vec<Piece> {
+        let mut pieces = Vec::new();
+        for ext in &self.extents {
+            let s = offset.max(ext.offset);
+            let e = end.min(ext.offset + ext.len);
+            if s >= e {
+                continue;
+            }
+            pieces.push(match ext.place {
+                Place::Local { file_off } => Piece::Local {
+                    file_off: file_off + (s - ext.offset),
+                    len: e - s,
+                },
+                Place::Remote => Piece::Remote {
+                    offset: s,
+                    len: e - s,
+                },
+            });
+        }
+        pieces
+    }
+
+    /// Append the MEMORY-tier bytes of `[offset, end)` to `out`. They
+    /// are always the range's suffix, since a partition is `durable
+    /// extents | sealed buffer | active buffer`. Returns whether any
+    /// byte came from memory.
+    fn copy_memory(&self, offset: u64, end: u64, out: &mut Vec<u8>) -> bool {
+        let mut hit = false;
+        let mut base = self.durable_len;
+        for mem in [
+            self.spilling.as_ref().map(|s| s.as_slice()),
+            Some(self.buffer.as_slice()),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let s = offset.max(base);
+            let e = end.min(base + mem.len() as u64);
+            // `[s, e)` is clipped to this buffer, so `get` cannot miss.
+            if s < e {
+                if let Some(bytes) = mem.get((s - base) as usize..(e - base) as usize) {
+                    out.extend_from_slice(bytes);
+                    hit = true;
+                }
+            }
+            base += mem.len() as u64;
+        }
+        hit
+    }
 }
 
 #[derive(Default)]
@@ -133,6 +203,21 @@ struct Counters {
     drains: u64,
     replica_drops: u64,
     replica_dropped_bytes: u64,
+}
+
+impl Counters {
+    /// Count one range read by the tiers it touched.
+    fn record_read(&mut self, memory: bool, durable: &[Piece]) {
+        if memory {
+            self.memory_hits += 1;
+        }
+        if durable.iter().any(|p| matches!(p, Piece::Local { .. })) {
+            self.local_hits += 1;
+        }
+        if durable.iter().any(|p| matches!(p, Piece::Remote { .. })) {
+            self.remote_hits += 1;
+        }
+    }
 }
 
 struct Inner {
@@ -239,9 +324,9 @@ struct Rebuilt {
     sealed: bool,
 }
 
-/// A read piece planned under the lock, resolved after unlocking.
+/// A durable read piece planned under the lock, resolved after
+/// unlocking. Memory-tier bytes are copied out under the lock instead.
 enum Piece {
-    Copied(Vec<u8>),
     Local { file_off: u64, len: u64 },
     Remote { offset: u64, len: u64 },
 }
@@ -317,6 +402,9 @@ pub struct HybridStore {
     cv: Condvar,
     data_dir: PathBuf,
     owns_data_dir: bool,
+    /// Read handle on `spill.data`, opened once: LOCALFILE pieces are
+    /// positioned reads on it, so readers share no cursor.
+    spill_reader: fs::File,
     remote: RemoteStore,
     remote_dir: PathBuf,
     owns_remote_dir: bool,
@@ -362,6 +450,7 @@ impl HybridStore {
         };
         fs::create_dir_all(&data_dir)?;
         fs::File::create(data_dir.join("spill.data"))?;
+        let spill_reader = fs::File::open(data_dir.join("spill.data"))?;
         let manifest_path = data_dir.join(manifest::MANIFEST_FILE);
         let manifest = if cfg.durable_spill {
             Some(ManifestWriter::create(
@@ -395,6 +484,7 @@ impl HybridStore {
             cv: Condvar::new(),
             data_dir,
             owns_data_dir,
+            spill_reader,
             remote,
             remote_dir,
             owns_remote_dir,
@@ -586,6 +676,7 @@ impl HybridStore {
             f.set_len(local_len)?;
             f.sync_all()?;
         }
+        let spill_reader = fs::File::open(&spill_path)?;
         let manifest = if cfg.durable_spill {
             Some(ManifestWriter::open_append(
                 &manifest_path,
@@ -616,6 +707,7 @@ impl HybridStore {
             cv: Condvar::new(),
             data_dir,
             owns_data_dir: false,
+            spill_reader,
             remote,
             remote_dir,
             owns_remote_dir,
@@ -1094,99 +1186,84 @@ impl HybridStore {
         let Some(part) = g.parts.get(&key) else {
             return Ok(None);
         };
-        let plen = part.total_len();
-        if offset >= plen {
+        let Some(end) = part.range_end(offset, len) else {
             return Ok(Some(Vec::new()));
-        }
-        let want = if len == 0 {
-            plen - offset
-        } else {
-            len.min(plen - offset)
         };
-        let end = offset + want;
-        let mut pieces: Vec<Piece> = Vec::new();
-        let (mut hit_mem, mut hit_local, mut hit_remote) = (false, false, false);
-        for ext in &part.extents {
-            let s = offset.max(ext.offset);
-            let e = end.min(ext.offset + ext.len);
-            if s >= e {
-                continue;
-            }
-            match ext.place {
-                Place::Local { file_off } => {
-                    pieces.push(Piece::Local {
-                        file_off: file_off + (s - ext.offset),
-                        len: e - s,
-                    });
-                    hit_local = true;
-                }
-                Place::Remote => {
-                    pieces.push(Piece::Remote {
-                        offset: s,
-                        len: e - s,
-                    });
-                    hit_remote = true;
-                }
-            }
-        }
-        let mut base = part.durable_len;
-        for mem in [
-            part.spilling.as_ref().map(|s| s.as_slice()),
-            Some(part.buffer.as_slice()),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            let s = offset.max(base);
-            let e = end.min(base + mem.len() as u64);
-            if s < e {
-                let lo = (s - base) as usize;
-                let hi = (e - base) as usize;
-                let bytes = mem.get(lo..hi).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "memory tier range out of bounds")
-                })?;
-                pieces.push(Piece::Copied(bytes.to_vec()));
-                hit_mem = true;
-            }
-            base += mem.len() as u64;
-        }
-        if hit_mem {
-            g.stats.memory_hits += 1;
-        }
-        if hit_local {
-            g.stats.local_hits += 1;
-        }
-        if hit_remote {
-            g.stats.remote_hits += 1;
-        }
+        let durable = part.durable_pieces(offset, end);
+        // The memory suffix is copied now, behind a zeroed durable
+        // prefix that is read into place once the lock is dropped.
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        out.resize(end.min(part.durable_len).saturating_sub(offset) as usize, 0);
+        let hit_mem = part.copy_memory(offset, end, &mut out);
+        g.stats.record_read(hit_mem, &durable);
         drop(g);
         if hit_mem {
-            self.cfg.trace.instant("mem.hit", Entity::mof(mof), offset, want);
+            self.cfg
+                .trace
+                .instant("mem.hit", Entity::mof(mof), offset, end - offset);
         }
+        let hit_local = durable.iter().any(|p| matches!(p, Piece::Local { .. }));
         if hit_local && !self.cfg.synthetic_local_read_delay.is_zero() {
             std::thread::sleep(self.cfg.synthetic_local_read_delay);
         }
-        Ok(Some(self.assemble(key, pieces, want)?))
+        self.fill_durable(key, &durable, &mut out)?;
+        Ok(Some(out))
     }
 
-    /// Read `len` bytes at `file_off` of the spill file, opening it at
-    /// most once per logical read via `cache`.
-    fn read_spill(
+    /// [`Self::read_segment_range`] for a range held wholly in the
+    /// MEMORY tier, with the partition's length, both taken under one
+    /// lock and with no I/O: `None` for an unknown partition or as soon
+    /// as any byte of the range lies in a LOCALFILE or REMOTE extent.
+    /// A range past the end reads empty. Safe to call from an event
+    /// loop.
+    pub fn read_memory_range(
         &self,
-        cache: &mut Option<fs::File>,
-        file_off: u64,
+        mof: u64,
+        reducer: u32,
+        offset: u64,
         len: u64,
-    ) -> io::Result<Vec<u8>> {
-        if cache.is_none() {
-            *cache = Some(fs::File::open(self.spill_path())?);
-        }
-        let Some(f) = cache.as_mut() else {
-            return Err(io::Error::other("spill file just opened"));
+    ) -> Option<(Vec<u8>, u64)> {
+        let mut g = lock(&self.inner);
+        let part = g.parts.get(&(mof, reducer))?;
+        let plen = part.total_len();
+        let Some(end) = part.range_end(offset, len) else {
+            return Some((Vec::new(), plen));
         };
-        f.seek(SeekFrom::Start(file_off))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
-        Ok(buf)
+        if !part.durable_pieces(offset, end).is_empty() {
+            return None;
+        }
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        let hit_mem = part.copy_memory(offset, end, &mut out);
+        g.stats.record_read(hit_mem, &[]);
+        drop(g);
+        if hit_mem {
+            self.cfg
+                .trace
+                .instant("mem.hit", Entity::mof(mof), offset, end - offset);
+        }
+        Some((out, plen))
+    }
+
+    /// Read planned durable pieces, in order, into the front of `out`
+    /// (no lock held): LOCALFILE pieces with positioned reads on the
+    /// spill read handle, REMOTE pieces from their objects.
+    fn fill_durable(&self, key: Key, pieces: &[Piece], out: &mut [u8]) -> io::Result<()> {
+        let mut at = 0usize;
+        for piece in pieces {
+            let (Piece::Local { len, .. } | Piece::Remote { len, .. }) = *piece;
+            let dst = out.get_mut(at..at + len as usize).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "planned read overruns its buffer",
+                )
+            })?;
+            match *piece {
+                Piece::Local { file_off, .. } => self.spill_reader.read_exact_at(dst, file_off)?,
+                Piece::Remote { offset, .. } => self.remote.read_into(key.0, key.1, offset, dst)?,
+            }
+            at += len as usize;
+        }
+        Ok(())
     }
 
     /// The partition's current total length, if it exists.
@@ -1305,19 +1382,18 @@ impl HybridStore {
             // append racing the write changes the fingerprint and the
             // partition is re-drained.
             loop {
-                let Some((pieces, total, fingerprint, local_bytes)) = self.plan_drain(key) else {
+                let Some((pieces, mut bytes, fingerprint, local_bytes)) = self.plan_drain(key)
+                else {
                     continue 'keys;
                 };
+                let total = bytes.len() as u64;
                 // The RemoteMoved record is appended after the object's
                 // publishing rename; if a racing append then fails the
                 // fingerprint check, a later re-drain's record simply
                 // supersedes this one in the log.
                 let put = self
-                    .assemble(key, pieces, total)
-                    .and_then(|bytes| {
-                        self.remote
-                            .put(key.0, key.1, &bytes, &self.cfg.crash_plan)
-                    })
+                    .fill_durable(key, &pieces, &mut bytes)
+                    .and_then(|()| self.remote.put(key.0, key.1, &bytes, &self.cfg.crash_plan))
                     .and_then(|()| {
                         self.manifest_commit(manifest::Record::RemoteMoved {
                             mof: key.0,
@@ -1352,10 +1428,11 @@ impl HybridStore {
     }
 
     /// Drain phase 2 (one critical section): plan one partition's full
-    /// prefix — durable extents plus buffered tail — and fingerprint it
-    /// for the racing-append check. `None` means nothing left to move.
+    /// prefix — durable pieces, and a buffer holding the buffered tail
+    /// behind a zeroed prefix for them — and fingerprint it for the
+    /// racing-append check. `None` means nothing left to move.
     #[allow(clippy::type_complexity)]
-    fn plan_drain(&self, key: Key) -> Option<(Vec<Piece>, u64, (u64, usize), u64)> {
+    fn plan_drain(&self, key: Key) -> Option<(Vec<Piece>, Vec<u8>, (u64, usize), u64)> {
         let g = lock(&self.inner);
         let part = g.parts.get(&key)?;
         let buf_len = part.buffer.len();
@@ -1368,25 +1445,18 @@ impl HybridStore {
         if total == 0 || fully_remote {
             return None;
         }
-        let mut pieces: Vec<Piece> = Vec::new();
-        let mut local_bytes = 0u64;
-        for ext in &part.extents {
-            match ext.place {
-                Place::Local { file_off } => {
-                    pieces.push(Piece::Local {
-                        file_off,
-                        len: ext.len,
-                    });
-                    local_bytes += ext.len;
-                }
-                Place::Remote => pieces.push(Piece::Remote {
-                    offset: ext.offset,
-                    len: ext.len,
-                }),
-            }
-        }
-        pieces.push(Piece::Copied(part.buffer.clone()));
-        Some((pieces, total, (part.durable_len, buf_len), local_bytes))
+        let pieces = part.durable_pieces(0, total);
+        let local_bytes = pieces
+            .iter()
+            .map(|p| match *p {
+                Piece::Local { len, .. } => len,
+                Piece::Remote { .. } => 0,
+            })
+            .sum();
+        let mut bytes = Vec::with_capacity(total as usize);
+        bytes.resize(part.durable_len as usize, 0);
+        part.copy_memory(0, total, &mut bytes);
+        Some((pieces, bytes, (part.durable_len, buf_len), local_bytes))
     }
 
     /// Drain phase 3 (one critical section, entered after the unlocked
@@ -1439,24 +1509,6 @@ impl HybridStore {
         g.spill_active = false;
         self.cv.notify_all();
         snapshot_of(&g)
-    }
-
-    /// Resolve planned pieces (no locks held) into contiguous bytes.
-    fn assemble(&self, key: Key, pieces: Vec<Piece>, total: u64) -> io::Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(total as usize);
-        let mut spill_file: Option<fs::File> = None;
-        for piece in pieces {
-            match piece {
-                Piece::Copied(bytes) => out.extend_from_slice(&bytes),
-                Piece::Local { file_off, len } => {
-                    out.extend_from_slice(&self.read_spill(&mut spill_file, file_off, len)?);
-                }
-                Piece::Remote { offset, len } => {
-                    out.extend_from_slice(&self.remote.read(key.0, key.1, offset, len)?);
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1512,6 +1564,36 @@ mod tests {
         assert_eq!(s.spill_trips, 0);
         assert!(s.memory_hits >= 2);
         assert_eq!(store.partition_len(1, 2), Some(100));
+    }
+
+    #[test]
+    fn memory_range_reads_answer_only_from_memory() {
+        let store = HybridStore::new(tiny(100)).unwrap();
+        let mut data = Vec::new();
+        for i in 0..6u8 {
+            let chunk = pattern(10, i);
+            data.extend_from_slice(&chunk);
+            store.append(0, 0, &chunk).unwrap(); // spills past the watermark
+        }
+        let durable = store.layout(0, 0).unwrap().local;
+        assert!(durable > 0 && durable < 60, "spilled prefix, memory tail");
+        let plen = data.len() as u64;
+        // Wholly in the tail: the bytes and the live length, one lock.
+        let (tail, len) = store.read_memory_range(0, 0, durable, 0).unwrap();
+        assert_eq!((tail.as_slice(), len), (&data[durable as usize..], plen));
+        // One byte in the spilled prefix is enough to decline.
+        assert_eq!(store.read_memory_range(0, 0, durable - 1, 2), None);
+        // Past the end reads empty; an unknown partition is declined.
+        assert_eq!(
+            store.read_memory_range(0, 0, plen, 0),
+            Some((Vec::new(), plen))
+        );
+        assert_eq!(store.read_memory_range(9, 9, 0, 0), None);
+        // Only the served read counted, and only as a memory hit.
+        let s = store.stats();
+        assert_eq!((s.memory_hits, s.local_hits), (1, 0), "{s:?}");
+        // The full read stitches the same tail behind the spilled prefix.
+        assert_eq!(store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(), data);
     }
 
     #[test]

@@ -107,9 +107,12 @@ extern "C" {
 }
 
 /// Blocks of this size and more are private mappings that go back to
-/// the kernel when dropped; smaller ones recycle through the heap.
+/// the kernel when dropped; smaller ones recycle through the heap. It
+/// is the largest value glibc documents for 64-bit targets
+/// (`DEFAULT_MMAP_THRESHOLD_MAX`, half a thread arena's 64 MiB heap);
+/// releases that enforce that limit refuse anything above it.
 #[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
-const MMAP_THRESHOLD: std::ffi::c_int = 2 << 20;
+const MMAP_THRESHOLD: std::ffi::c_int = 32 << 20;
 /// Free heap top above this is returned to the kernel: more than a
 /// thread arena's 64 MiB heap can hold, so in effect never.
 #[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
@@ -117,7 +120,9 @@ const TRIM_THRESHOLD: std::ffi::c_int = 256 << 20;
 
 /// Make what the allocator does with a dataplane buffer depend on the
 /// buffer's size alone. Called by the constructors of the client and
-/// the supplier; acts once per process, and only on glibc.
+/// the supplier; acts once per process, and only on glibc. Returns
+/// whether the allocator accepted both values (always `true` where
+/// there is nothing to set).
 ///
 /// The dataplane cycles buffers of 128 KiB (a chunk) to several MiB (a
 /// fetched segment: reserved by a client worker, dropped by the caller
@@ -133,26 +138,32 @@ const TRIM_THRESHOLD: std::ffi::c_int = 256 << 20;
 /// ran at memory speed that alone moved a memory-tier fetch between
 /// 1.2 and 2.2 GiB/s (on a lazily backed VM a fault on returned memory
 /// is a trip to the hypervisor). Setting either threshold switches the
-/// floating off. With these two values a chunk buffer or a 1 MiB
-/// read-ahead range always comes from a heap that is never trimmed, a
-/// whole-segment buffer of 2 MiB or more is always a fresh mapping,
-/// and the process's history no longer enters into it.
-pub(crate) fn pin_malloc_thresholds() {
+/// floating off. With these two values every dataplane buffer under
+/// 32 MiB — chunks, read-ahead ranges and whole-segment buffers alike
+/// — is carved from a heap that is never trimmed, so the next wave's
+/// segment buffers reuse pages the last wave already faulted in, and
+/// the process's history no longer enters into it.
+pub(crate) fn pin_malloc_thresholds() -> bool {
     #[cfg(all(target_os = "linux", target_env = "gnu", not(miri)))]
     {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
+        static ACCEPTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *ACCEPTED.get_or_init(|| {
             // SAFETY: `mallopt` takes two plain integers and only sets
             // fields of the allocator's parameter block under its own
             // lock; it may be called at any time from any thread. A
             // refused value returns 0 and changes nothing, which leaves
             // the default policy — less steady, never incorrect.
-            unsafe {
-                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
-                mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD);
-            }
-        });
+            let (mmap, trim) = unsafe {
+                (
+                    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+                    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD),
+                )
+            };
+            mmap != 0 && trim != 0
+        })
     }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu", not(miri))))]
+    true
 }
 
 /// Cross-thread wakeup for a poll loop: a nonblocking socketpair whose
@@ -283,25 +294,35 @@ mod tests {
         }
         pin_malloc_thresholds();
         pin_malloc_thresholds(); // once per process; later calls are free
-        let (staging, segment) = (1 << 20, 8 << 20);
+        let (segment, huge) = (8 << 20, 64 << 20);
         // Under the threshold: mapped by the first use (or before it),
         // still mapped at the second. glibc's floating default would
         // `mmap` and unmap a block this size until something larger
-        // had been freed: one fault per 4 KiB page, 256 of them.
-        touch(staging);
-        let again = touch(staging);
-        assert!(
-            again < 32,
-            "a freed 1 MiB block took {again} page faults to use again"
-        );
-        // At or over it: a fresh mapping every time, whatever was freed
-        // before.
+        // had been freed: one fault per 4 KiB page, 2048 of them.
         touch(segment);
         let again = touch(segment);
         assert!(
-            again >= (segment / 4096) as u64,
-            "a freed 8 MiB block took only {again} page faults to use again"
+            again < 64,
+            "a freed 8 MiB block took {again} page faults to use again"
         );
+        // At or over it: a fresh mapping every time, whatever was freed
+        // before.
+        touch(huge);
+        let again = touch(huge);
+        assert!(
+            again >= (huge / 4096) as u64,
+            "a freed 64 MiB block took only {again} page faults to use again"
+        );
+    }
+
+    /// A glibc that enforces the documented maximum refuses a larger
+    /// mmap threshold by returning 0 and changing nothing, which would
+    /// silently leave the floating policy in place; both values must
+    /// have been taken.
+    #[test]
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn the_allocator_accepts_both_thresholds() {
+        assert!(pin_malloc_thresholds(), "mallopt refused a threshold");
     }
 
     #[test]

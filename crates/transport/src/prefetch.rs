@@ -10,9 +10,10 @@
 //! [`crate::server`]), and the reactor pushes:
 //!
 //! * **request jobs** carry a [`crate::reactor::JobTicket`]; a peer is
-//!   waiting for these exact bytes (a DataCache miss, a direct or
-//!   hybrid read), so the worker frames the response and delivers it to
-//!   the owning reactor's completion queue — nobody blocks;
+//!   waiting for these exact bytes (a DataCache miss, a direct read,
+//!   or a hybrid read touching a durable tier), so the worker frames
+//!   the response and delivers it to the owning reactor's completion
+//!   queue — nobody blocks;
 //! * **run-ahead jobs** have no reply; they are queued from the hit
 //!   path so the disk works *while* the network transmits
 //!   already-staged bytes.

@@ -1,7 +1,7 @@
 //! The event-driven supplier serve loop: nonblocking sockets, a
 //! `poll(2)` readiness set, and zero-copy vectored transmits straight
 //! out of the DataCache slab. It is the supplier's only serve loop —
-//! no kernel thread per connection, no memcpy per served chunk:
+//! no kernel thread per connection, no memcpy per served MOF chunk:
 //!
 //! * **one reactor thread** (or a few — [`crate::server::ServerOptions::
 //!   reactor_threads`]) owns every admitted connection as a small state
@@ -14,14 +14,19 @@
 //!   syscall — the payload bytes are never copied between the slab and
 //!   the socket, and the lease pins the buffer for exactly as long as
 //!   partial writes keep it in flight;
-//! * **no blocking in the loop**: every disk, hybrid-store, or index
-//!   touch is shipped to the permit-bounded disk-worker pool through
-//!   the grouped prefetch queue (Fig. 5 discipline), and the finished
-//!   frame comes back through a [`CompletionQueue`] plus a [`Waker`]
-//!   byte. The reactor itself only ever does nonblocking socket I/O and
-//!   lock-free-short map touches — a rule `cargo xtask analyze`
-//!   enforces (`nonblocking_context`): no blocking primitive may be
-//!   *reachable* from this file at all.
+//! * **memory-tier hits inline**: a range the attached hybrid store
+//!   holds wholly in its MEMORY tier is copied out under the store's
+//!   lock ([`jbs_store_hybrid::HybridStore::read_memory_range`], no
+//!   I/O) and framed here, like a DataCache hit — no worker, no
+//!   completion, no wake;
+//! * **no blocking in the loop**: every disk, index, or durable-tier
+//!   (LOCALFILE/REMOTE) touch is shipped to the permit-bounded
+//!   disk-worker pool through the grouped prefetch queue (Fig. 5
+//!   discipline), and the finished frame comes back through a
+//!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
+//!   ever does nonblocking socket I/O and short lock-only touches — a
+//!   rule `cargo xtask analyze` enforces (`nonblocking_context`): no
+//!   blocking primitive may be *reachable* from this file at all.
 //!
 //! Responses go out strictly in request order per connection (the wire
 //! contract): completions arriving out of order — the disk workers
@@ -193,6 +198,33 @@ pub(crate) fn build_ok(
     }
 }
 
+/// Frame bytes the hybrid store copied out for a request, on the
+/// reactor (memory tier) or a disk worker (durable tiers). Counted as a
+/// hybrid hit, and as copied rather than zero-copy bytes: the store
+/// copied them out of its tiers into this response's own buffer.
+pub(crate) fn hybrid_ok(
+    shared: &Shared,
+    id: u64,
+    version: WireVersion,
+    seg_len: Option<u64>,
+    bytes: Vec<u8>,
+    mof: u64,
+    offset: u64,
+) -> OutResp {
+    shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
+    shared
+        .options
+        .trace
+        .instant("hybrid.hit", Entity::mof(mof), offset, bytes.len() as u64);
+    shared
+        .stats
+        .copied_bytes
+        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    let lease = shared.pool.lease(bytes);
+    let range = 0..lease.len();
+    build_ok(shared, id, version, seg_len, lease, range, mof, offset)
+}
+
 /// An error response (no payload).
 pub(crate) fn build_error(id: u64, status: Status, mof: u64, offset: u64) -> OutResp {
     let (head, head_len) = wire::encode_head_parts(status, id, 0, None);
@@ -324,7 +356,9 @@ pub(crate) enum JobKind {
     /// Direct store read, DataCache untouched (cache-bypass re-fetch
     /// and whole-segment requests; `want == 0` reads to segment end).
     Direct,
-    /// Serve from the attached hybrid store's tiers.
+    /// Serve from the attached hybrid store's tiers: a range that
+    /// touches a LOCALFILE or REMOTE extent (memory-resident ones are
+    /// answered on the reactor).
     Hybrid,
 }
 
@@ -708,9 +742,9 @@ fn handle_read(
     Ok(ConnEvent::Continue)
 }
 
-/// Serve one parsed request: answer inline from the DataCache
-/// (zero-copy) when possible, otherwise ship a job to the disk thread.
-/// Never blocks, never touches a file.
+/// Serve one parsed request: answer inline from the hybrid store's
+/// MEMORY tier or the DataCache (zero-copy) when possible, otherwise
+/// ship a job to the disk thread. Never blocks, never touches a file.
 fn serve_request(
     shared: &Arc<Shared>,
     handle: &Arc<ReactorHandle>,
@@ -747,17 +781,27 @@ fn serve_request(
 
     let key = (req.mof, req.reducer);
 
-    // Memory-tier-first: hybrid-held partitions are answered by the
-    // disk thread from the hybrid's tiers (its LOCALFILE extents are
-    // real file I/O — not reactor work). The presence check itself is
-    // lock-only.
-    let hybrid_held = shared
-        .options
-        .hybrid
-        .as_ref()
-        .is_some_and(|h| h.partition_len(req.mof, req.reducer).is_some());
-    if hybrid_held {
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Hybrid);
+    // Memory tier first: a hybrid-held range that lies wholly in the
+    // MEMORY tier is copied out under the store's lock and answered
+    // here, like a DataCache hit. One that touches a LOCALFILE or
+    // REMOTE extent is real file I/O, so it goes to a disk worker.
+    if let Some(hybrid) = &shared.options.hybrid {
+        let want = if req.len == 0 {
+            0
+        } else {
+            req.len.min(shared.options.buffer_bytes)
+        };
+        if let Some((bytes, part_len)) =
+            hybrid.read_memory_range(req.mof, req.reducer, req.offset, want)
+        {
+            let seg_len = (version == WireVersion::V3).then_some(part_len);
+            let resp = hybrid_ok(shared, req.id, version, seg_len, bytes, req.mof, req.offset);
+            enqueue_local(shared, conn, resp);
+            return ConnEvent::Continue;
+        }
+        if hybrid.partition_len(req.mof, req.reducer).is_some() {
+            return dispatch(shared, handle, conn, slot, &req, version, JobKind::Hybrid);
+        }
     }
 
     // Targeted cache-bypass re-fetch: invalidate, then a direct read.

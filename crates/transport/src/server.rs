@@ -7,8 +7,8 @@
 //! * an in-memory **IndexCache** (the `MofStore` caches parsed indexes);
 //! * one **serve loop**: every admitted connection is a state machine
 //!   on a [`crate::reactor`] thread, which answers DataCache hits
-//!   inline — zero-copy, straight from the staged lease — and never
-//!   touches a file;
+//!   inline — zero-copy, straight from the staged lease — and hybrid
+//!   MEMORY-tier hits inline too, and never touches a file;
 //! * a **DataCache** with grouped read-ahead: a fetch at segment offset
 //!   `o` stages `prefetch_batch` buffers beyond `o` in one file read, so
 //!   consecutive chunk fetches of the same segment are served from memory
@@ -89,9 +89,10 @@ pub struct SupplierStats {
     /// Payload bytes transmitted straight from a pinned DataCache lease
     /// — never copied between the slab and the socket.
     pub zerocopy_bytes: AtomicU64,
-    /// Payload bytes copied between the DataCache and a per-response
-    /// buffer (only the copy-on-corrupt fault path does). The bench's
-    /// `copies_per_byte` is this over [`SupplierStats::bytes`].
+    /// Payload bytes memcpy'd into a per-response buffer: every
+    /// hybrid-tier response (the store copies its range out) and the
+    /// copy-on-corrupt fault path. The bench's `copies_per_byte` is
+    /// this over [`SupplierStats::bytes`].
     pub copied_bytes: AtomicU64,
     /// `read(2)` calls that returned request bytes.
     pub read_syscalls: AtomicU64,
@@ -134,7 +135,8 @@ pub struct SupplierStatsSnapshot {
     pub partial_writes: u64,
     /// Payload bytes served zero-copy from pinned DataCache leases.
     pub zerocopy_bytes: u64,
-    /// Payload bytes copied between the DataCache and response buffers.
+    /// Payload bytes memcpy'd into response buffers (hybrid tiers and
+    /// the copy-on-corrupt fault path).
     pub copied_bytes: u64,
     /// Socket read syscalls.
     pub read_syscalls: u64,
@@ -896,6 +898,8 @@ fn run_reactor_job(
             }
         }
         JobKind::Direct => direct_read_resp(shared, id, version, mof, reducer, offset, want_raw),
+        // Only ranges that touch a durable tier get here: the reactor
+        // answers memory-resident ones itself.
         JobKind::Hybrid => {
             let len = if want_raw == 0 { 0 } else { clamped };
             let read = shared
@@ -904,25 +908,17 @@ fn run_reactor_job(
                 .as_ref()
                 .map(|h| h.read_segment_range(mof, reducer, offset, len));
             match read {
-                Some(Ok(Some(bytes))) => {
-                    shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-                    shared.options.trace.instant(
-                        "hybrid.hit",
-                        Entity::mof(mof),
-                        offset,
-                        bytes.len() as u64,
-                    );
-                    // `segment_len` checks the hybrid store first, so a
-                    // v3 seg_len here is the partition's live length.
-                    let seg_len = seg_len_for(version);
-                    let lease = shared.pool.lease(bytes);
-                    let range = 0..lease.len();
-                    shared
-                        .stats
-                        .zerocopy_bytes
-                        .fetch_add(range.len() as u64, Ordering::Relaxed);
-                    reactor::build_ok(shared, id, version, seg_len, lease, range, mof, offset)
-                }
+                // `segment_len` checks the hybrid store first, so a v3
+                // seg_len here is the partition's live length.
+                Some(Ok(Some(bytes))) => reactor::hybrid_ok(
+                    shared,
+                    id,
+                    version,
+                    seg_len_for(version),
+                    bytes,
+                    mof,
+                    offset,
+                ),
                 // The partition drained (e.g. to REMOTE) between the
                 // reactor's presence check and this read: fall back to
                 // the MOF store like any non-hybrid key.
@@ -1007,6 +1003,250 @@ mod tests {
         assert_eq!(snap.memory_bytes, 0);
         assert_eq!(snap.remote_bytes, payload.len() as u64);
         assert!(remote_dir.join("part-7-0.obj").exists());
+    }
+
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n as u32)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect()
+    }
+
+    /// `data` appended to hybrid partition `(mof, 0)` in `piece`-sized
+    /// appends, as a spilling ingest would land it.
+    fn feed(hybrid: &HybridStore, mof: u64, data: &[u8], piece: usize) {
+        for chunk in data.chunks(piece) {
+            hybrid.append(mof, 0, chunk).unwrap();
+        }
+    }
+
+    /// A supplier with 4 KiB chunks over one MOF and `hybrid`.
+    fn hybrid_supplier(hybrid: &Arc<HybridStore>, trace: jbs_obs::Trace) -> MofSupplierServer {
+        let recs: Vec<Record> = (0..200)
+            .map(|i| (format!("k{i:04}").into_bytes(), vec![i as u8; 32]))
+            .collect();
+        MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                buffer_bytes: 4 << 10,
+                hybrid: Some(Arc::clone(hybrid)),
+                trace,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// One v3 request for `len` bytes at `offset` of `(mof, 0)`, answered.
+    fn v3_fetch(
+        r: &mut io::BufReader<TcpStream>,
+        w: &mut TcpStream,
+        mof: u64,
+        offset: u64,
+        len: u64,
+    ) -> FetchResponse {
+        let req = FetchRequest {
+            id: offset + 1,
+            mof,
+            reducer: 0,
+            offset,
+            len,
+            flags: 0,
+        };
+        req.write_versioned(w, WireVersion::V3).unwrap();
+        let resp = FetchResponse::read_from(r).unwrap();
+        assert_eq!(resp.status, Status::OkCrc, "at {offset}");
+        assert_eq!(resp.id, req.id);
+        assert!(resp.crc_ok(), "sealed frame verifies at {offset}");
+        resp
+    }
+
+    #[test]
+    fn memory_tier_hits_are_answered_on_the_reactor() {
+        use jbs_obs::{Trace, TraceQuery};
+        use jbs_store_hybrid::HybridConfig;
+        let trace = Trace::recording(1 << 14);
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 1 << 20,
+            trace: trace.clone(),
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        let data = pattern(40_000);
+        feed(&hybrid, 7, &data, 1000);
+        let server = hybrid_supplier(&hybrid, trace.clone());
+        let (mut r, mut w) = connect(server.addr());
+        // The first exchange adopts the connection (one wake); every
+        // later one must be answered without another.
+        let mut got = v3_fetch(&mut r, &mut w, 7, 0, 4 << 10).payload;
+        let wakes = server.stats_snapshot().reactor_wakes;
+        loop {
+            let resp = v3_fetch(&mut r, &mut w, 7, got.len() as u64, 4 << 10);
+            assert_eq!(resp.seg_len, data.len() as u64);
+            if resp.payload.is_empty() {
+                break;
+            }
+            got.extend_from_slice(&resp.payload);
+        }
+        assert_eq!(got, data, "memory tier served byte-exact");
+        let snap = server.stats_snapshot();
+        let chunks = data.len().div_ceil(4 << 10) as u64;
+        assert_eq!(snap.requests, chunks + 1, "{snap:?}");
+        assert_eq!(snap.reactor_wakes, wakes, "no completion woke the reactor");
+        assert_eq!(snap.prefetch_queue_peak, 0, "no disk-worker job: {snap:?}");
+        assert_eq!(snap.datacache_hits + snap.sync_stages, 0, "{snap:?}");
+        assert_eq!(snap.hybrid_hits, snap.requests, "{snap:?}");
+        let tiers = hybrid.stats();
+        assert_eq!((tiers.memory_hits, tiers.local_hits), (chunks, 0));
+        let q = TraceQuery::new(trace.snapshot());
+        assert_eq!(q.count("hybrid.hit") as u64, snap.requests);
+        assert_eq!(q.count("mem.hit") as u64, chunks, "the empty tail read hit no tier");
+        server.shutdown();
+    }
+
+    #[test]
+    fn spilled_prefix_goes_through_a_worker_and_stitches_at_every_chunk_offset() {
+        use jbs_store_hybrid::HybridConfig;
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 64 << 10,
+            high_watermark: 0.5,
+            low_watermark: 0.2,
+            huge_partition_limit: 64 << 10,
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        let data = pattern(100_000);
+        feed(&hybrid, 7, &data, 1000);
+        let layout = hybrid.layout(7, 0).unwrap();
+        assert!(layout.local > 0 && layout.memory > 0, "{layout:?}");
+        let server = hybrid_supplier(&hybrid, jbs_obs::Trace::disabled());
+        let (mut r, mut w) = connect(server.addr());
+        v3_fetch(&mut r, &mut w, 7, 0, 4 << 10);
+        let wakes = server.stats_snapshot().reactor_wakes;
+        let before = hybrid.stats();
+        // Every 1000-byte step: chunks wholly in the spilled prefix, the
+        // ones straddling the memory/LOCALFILE boundary, and the ones
+        // wholly in the memory tail.
+        let (mut durable, mut memory) = (0u64, 0u64);
+        for offset in (0..data.len()).step_by(1000) {
+            let end = (offset + (4 << 10)).min(data.len());
+            let resp = v3_fetch(&mut r, &mut w, 7, offset as u64, 4 << 10);
+            assert_eq!(resp.payload, data[offset..end], "stitched at {offset}");
+            assert_eq!(resp.seg_len, data.len() as u64);
+            durable += u64::from((offset as u64) < layout.local);
+            memory += u64::from(end as u64 > layout.local);
+        }
+        let steps = data.len().div_ceil(1000) as u64;
+        assert!(durable > 0 && steps > durable, "both paths exercised");
+        let snap = server.stats_snapshot();
+        assert_eq!(
+            snap.reactor_wakes - wakes,
+            durable,
+            "exactly the reads touching LOCALFILE went to a worker: {snap:?}"
+        );
+        let tiers = hybrid.stats();
+        assert_eq!(tiers.local_hits - before.local_hits, durable);
+        assert_eq!(tiers.memory_hits - before.memory_hits, memory);
+        server.shutdown();
+    }
+
+    #[test]
+    fn every_frame_carries_a_length_the_growing_partition_had() {
+        use crate::client::{ClientConfig, NetMergerClient, SegmentRef};
+        use jbs_store_hybrid::HybridConfig;
+        const PIECE: usize = 1000;
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 4 << 20,
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        let data = pattern(600 * PIECE);
+        feed(&hybrid, 7, &data[..PIECE], PIECE);
+        let server = hybrid_supplier(&hybrid, jbs_obs::Trace::disabled());
+        // The appender starts after the first round of reads, so those
+        // see the partition at one piece; every later round races it.
+        let (go, started) = std::sync::mpsc::channel::<()>();
+        let appender = {
+            let (hybrid, data) = (Arc::clone(&hybrid), data.clone());
+            std::thread::spawn(move || {
+                started.recv().unwrap();
+                for piece in data[PIECE..].chunks(PIECE) {
+                    hybrid.append(7, 0, piece).unwrap();
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            })
+        };
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            ..ClientConfig::default()
+        });
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 7,
+            reducer: 0,
+        };
+        let (mut r, mut w) = connect(server.addr());
+        let (mut offset, mut shortest) = (0u64, u64::MAX);
+        while offset < data.len() as u64 {
+            let resp = v3_fetch(&mut r, &mut w, 7, offset, 4 << 10);
+            shortest = shortest.min(resp.seg_len);
+            let end = offset + resp.payload.len() as u64;
+            // Appends land whole, so every length the partition had is
+            // a multiple of PIECE — and covers what this frame carries.
+            assert_eq!(resp.seg_len % PIECE as u64, 0, "seg_len {}", resp.seg_len);
+            assert!(resp.seg_len >= end, "seg_len {} short of {end}", resp.seg_len);
+            if resp.payload.is_empty() {
+                assert_eq!(resp.seg_len, offset, "an empty frame ends the segment");
+            }
+            assert_eq!(resp.payload, data[offset as usize..end as usize]);
+            // A whole fetch racing the appender ends cleanly at some
+            // length the partition had: never Truncated or Corrupt.
+            let fetched = client.fetch_segment(seg).unwrap();
+            assert_eq!(fetched.len() % PIECE, 0);
+            assert_eq!(fetched, data[..fetched.len()]);
+            offset = end;
+            let _ = go.send(());
+        }
+        appender.join().unwrap();
+        assert_eq!(shortest, PIECE as u64, "the first frame saw one piece");
+        assert_eq!(client.fetch_segment(seg).unwrap(), data);
+        server.shutdown();
+    }
+
+    #[test]
+    fn copy_meter_counts_hybrid_bytes_copied_and_mof_bytes_zero_copy() {
+        use jbs_store_hybrid::HybridConfig;
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 64 << 10,
+            high_watermark: 0.5,
+            low_watermark: 0.2,
+            huge_partition_limit: 64 << 10,
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        feed(&hybrid, 7, &pattern(10_000), 1000); // memory only
+        feed(&hybrid, 8, &pattern(100_000), 1000); // spilled prefix
+        assert_eq!(hybrid.layout(7, 0).unwrap().local, 0);
+        assert!(hybrid.layout(8, 0).unwrap().local > 0);
+        let server = hybrid_supplier(&hybrid, jbs_obs::Trace::disabled());
+        let (mut r, mut w) = connect(server.addr());
+        // MOF bytes leave from a staged lease (read-ahead) or a direct
+        // read's own buffer: no memcpy.
+        v3_fetch(&mut r, &mut w, 0, 0, 4 << 10);
+        v3_fetch(&mut r, &mut w, 0, 0, 0);
+        let mof = server.stats_snapshot();
+        assert!(mof.bytes > 0);
+        assert_eq!((mof.zerocopy_bytes, mof.copied_bytes), (mof.bytes, 0), "{mof:?}");
+        // Hybrid bytes are copied out of the store's tiers, inline (7)
+        // and on a worker (8), and are counted so.
+        for seg in [7, 8] {
+            v3_fetch(&mut r, &mut w, seg, 0, 4 << 10);
+            v3_fetch(&mut r, &mut w, seg, 0, 0);
+        }
+        let snap = server.stats_snapshot();
+        assert_eq!(snap.zerocopy_bytes, mof.zerocopy_bytes, "{snap:?}");
+        assert_eq!(snap.copied_bytes, snap.bytes - mof.bytes, "{snap:?}");
+        assert_eq!(snap.hybrid_hits, 4);
+        server.shutdown();
     }
 
     fn chunked_fetch_roundtrip(options: ServerOptions) -> MofSupplierServer {

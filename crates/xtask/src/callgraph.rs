@@ -153,6 +153,7 @@ const BLOCKING: &[(&str, &str)] = &[
     ("TcpStream::connect", "socket connect"),
     (".write_all(", "stream write"),
     (".read_exact(", "stream read"),
+    (".read_exact_at(", "file read"),
     (".read_to_end(", "stream read"),
     (".flush(", "stream flush"),
     (".sync_all(", "file sync"),

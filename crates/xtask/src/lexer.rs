@@ -495,7 +495,7 @@ pub fn struct_fields(masked: &str) -> Vec<(String, String)> {
                 .next_back()
                 .unwrap_or("")
                 .to_string();
-            let head = type_head(&field[colon + 1..]);
+            let head = field_type_head(&field[colon + 1..]);
             if !name.is_empty() && !head.is_empty() {
                 out.push((name, head));
             }
@@ -522,6 +522,27 @@ pub fn type_head(ty: &str) -> String {
         None => t,
     };
     t.chars().take_while(|&c| is_ident(c)).collect::<String>()
+}
+
+/// The type a field's methods resolve on: its head, seen through the
+/// `Option`/`Arc`/`Box`/`Rc` wrappers that auto-deref or an
+/// `if let Some(x) = &self.x` binding looks through
+/// (`Option<Arc<HybridStore>>` → `HybridStore`).
+pub fn field_type_head(ty: &str) -> String {
+    let mut t = ty.trim();
+    let mut head = type_head(t);
+    while matches!(head.as_str(), "Option" | "Arc" | "Box" | "Rc") {
+        let Some(inner) = t
+            .find('<')
+            .zip(t.rfind('>'))
+            .and_then(|(o, c)| t.get(o + 1..c))
+        else {
+            break;
+        };
+        t = inner.trim();
+        head = type_head(t);
+    }
+    head
 }
 
 /// The last top-level type argument of a generic type, as a head name
@@ -907,5 +928,13 @@ mod tests {
         assert!(fields
             .iter()
             .any(|(n, t)| n == "pd" && t == "ProtectionDomain"));
+    }
+
+    #[test]
+    fn field_heads_see_through_option_and_pointer_wrappers() {
+        assert_eq!(field_type_head(" Option<Arc<HybridStore>>"), "HybridStore");
+        assert_eq!(field_type_head("Arc<Mutex<Vec<u8>>>"), "Mutex");
+        assert_eq!(field_type_head("Vec<Arc<Waker>>"), "Vec");
+        assert_eq!(field_type_head("Option<u64>"), "u64");
     }
 }

@@ -67,6 +67,54 @@ fn rediscovers_read_ahead_store_acquisition_in_callers() {
     }
 }
 
+/// The reactor answers memory-tier hits by calling into the hybrid
+/// store. The nonblocking lint must resolve that call across the crate
+/// boundary — `serve_request` inherits the store's `inner` lock through
+/// `read_memory_range` — and find no blocking primitive behind it,
+/// while the store's durable read path next to it does reach file I/O.
+#[test]
+fn reactor_memory_hit_reaches_the_hybrid_lock_and_nothing_blocking() {
+    let a = live_analysis();
+    let find = |name: &str| {
+        a.transitive_acquires
+            .iter()
+            .find(|(f, _)| f.as_str() == name || f.ends_with(&format!("::{name}")))
+            .unwrap_or_else(|| panic!("{name} analyzed: {:?}", a.transitive_acquires.keys()))
+    };
+    let (_, memory_read) = find("read_memory_range");
+    assert!(
+        memory_read.contains_key("inner"),
+        "read_memory_range acquires inner: {:?}",
+        memory_read.keys()
+    );
+    let (name, serve) = find("serve_request");
+    let chain = serve
+        .get("inner")
+        .unwrap_or_else(|| panic!("{name} transitively acquires inner: {:?}", serve.keys()));
+    assert!(
+        chain
+            .iter()
+            .any(|frame| frame.contains("read_memory_range")),
+        "{name}'s witness chain passes through read_memory_range: {chain:?}"
+    );
+    let blocking_from = |name: &str| {
+        a.reachable_blocking
+            .iter()
+            .filter(|r| r.from_fn == name || r.from_fn.ends_with(&format!("::{name}")))
+            .map(|r| format!("{} at {}:{}", r.what, r.file.display(), r.line))
+            .collect::<Vec<_>>()
+    };
+    for clean in ["serve_request", "read_memory_range"] {
+        let reach = blocking_from(clean);
+        assert!(reach.is_empty(), "{clean} reaches blocking I/O: {reach:?}");
+    }
+    let durable = blocking_from("read_segment_range");
+    assert!(
+        durable.iter().any(|r| r.starts_with("file read")),
+        "read_segment_range's positioned spill reads are seen as file I/O: {durable:?}"
+    );
+}
+
 /// Discovered nesting, end to end: the hybrid store's `inner ->
 /// objects` acquisition is visible to the lock-order lint with an EMPTY
 /// documented order — it surfaces as an undocumented-lock finding,
