@@ -17,8 +17,9 @@
 //! | `fig12`  | Fig. 12 | Tarazu suite + WordCount/Grep |
 //! | `ablations` | §6 of DESIGN.md | prefetch/grouping/consolidation/fairness |
 //!
-//! Every binary prints a self-describing table to stdout; Criterion micro-
-//! benchmarks for the core data structures live under `benches/`.
+//! Every binary prints a self-describing table to stdout. The repo
+//! benchmark (`--bin benchmark`, see `BENCHMARK.json`) measures the real
+//! dataplane end to end and layer by layer.
 
 pub mod runner;
 

@@ -10,13 +10,17 @@
 //! [`crate::server`]), and the reactor pushes:
 //!
 //! * **request jobs** carry a [`crate::reactor::JobTicket`]; a peer is
-//!   waiting for these exact bytes (a DataCache miss, a direct read,
-//!   or a hybrid read touching a durable tier), so the worker frames
-//!   the response and delivers it to the owning reactor's completion
+//!   waiting for these exact bytes — a `Stage` job for a DataCache
+//!   miss, or a `Read` job for a range served without the DataCache
+//!   (see [`crate::reactor::JobKind`]) — so the worker frames the
+//!   response and delivers it to the owning reactor's completion
 //!   queue — nobody blocks;
 //! * **run-ahead jobs** have no reply; they are queued from the hit
 //!   path so the disk works *while* the network transmits
-//!   already-staged bytes.
+//!   already-staged bytes, and stage only MOF bytes.
+//!
+//! Every job reads through the server's one read path, which decides
+//! once whether the hybrid store or the MOF answers.
 //!
 //! Locking: the single `jobs` mutex is held only to push or pop one job
 //! — never across disk I/O or a completion delivery. In the documented

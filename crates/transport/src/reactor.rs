@@ -22,7 +22,10 @@
 //! * **no blocking in the loop**: every disk, index, or durable-tier
 //!   (LOCALFILE/REMOTE) touch is shipped to the permit-bounded
 //!   disk-worker pool through the grouped prefetch queue (Fig. 5
-//!   discipline), and the finished frame comes back through a
+//!   discipline) as one of two [`JobKind`]s — `Stage` for a DataCache
+//!   miss, `Read` for everything served without the DataCache — and
+//!   the worker's one read path decides which tier answers. The
+//!   finished frame comes back through a
 //!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
 //!   ever does nonblocking socket I/O and short lock-only touches — a
 //!   rule `cargo xtask analyze` enforces (`nonblocking_context`): no
@@ -119,21 +122,48 @@ impl OutResp {
     }
 }
 
-/// Build a served-bytes response in the request's dialect, applying the
-/// post-checksum payload faults: the CRC is computed *before* a
-/// `CorruptPayload` flip (only end-to-end verification can catch the
-/// damage), and `CleanEof` rewrites the frame to a clean empty chunk.
+/// Where a response's payload came from, which decides how the copy
+/// meter counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// The attached hybrid store's tiers, which copy the range out into
+    /// the response's own buffer: a hybrid hit, and copied bytes.
+    Hybrid,
+    /// The MOF, through the DataCache or a disk worker's own read: the
+    /// lease is transmitted as is, so zero-copy bytes.
+    Mof,
+}
+
+/// Build a served-bytes response in the request's dialect, counting its
+/// payload by [`Source`] and applying the post-checksum payload faults:
+/// the CRC is computed *before* a `CorruptPayload` flip (only end-to-end
+/// verification can catch the damage), and `CleanEof` rewrites the
+/// frame to a clean empty chunk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_ok(
     shared: &Shared,
     id: u64,
     version: WireVersion,
     seg_len: Option<u64>,
+    source: Source,
     lease: Lease,
     range: Range<usize>,
     mof: u64,
     offset: u64,
 ) -> OutResp {
+    let served = range.len() as u64;
+    let meter = match source {
+        Source::Hybrid => {
+            shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
+            shared
+                .options
+                .trace
+                .instant("hybrid.hit", Entity::mof(mof), offset, served);
+            &shared.stats.copied_bytes
+        }
+        Source::Mof => &shared.stats.zerocopy_bytes,
+    };
+    meter.fetch_add(served, Ordering::Relaxed);
     let (status, mut crc_seg) = {
         let window = lease.as_slice().get(range.clone()).unwrap_or_default();
         match (version, seg_len) {
@@ -196,33 +226,6 @@ pub(crate) fn build_ok(
         close_after: false,
         span: None,
     }
-}
-
-/// Frame bytes the hybrid store copied out for a request, on the
-/// reactor (memory tier) or a disk worker (durable tiers). Counted as a
-/// hybrid hit, and as copied rather than zero-copy bytes: the store
-/// copied them out of its tiers into this response's own buffer.
-pub(crate) fn hybrid_ok(
-    shared: &Shared,
-    id: u64,
-    version: WireVersion,
-    seg_len: Option<u64>,
-    bytes: Vec<u8>,
-    mof: u64,
-    offset: u64,
-) -> OutResp {
-    shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-    shared
-        .options
-        .trace
-        .instant("hybrid.hit", Entity::mof(mof), offset, bytes.len() as u64);
-    shared
-        .stats
-        .copied_bytes
-        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-    let lease = shared.pool.lease(bytes);
-    let range = 0..lease.len();
-    build_ok(shared, id, version, seg_len, lease, range, mof, offset)
 }
 
 /// An error response (no payload).
@@ -347,19 +350,17 @@ pub(crate) struct JobTicket {
     pub(crate) stage_key: Option<(u64, u32)>,
 }
 
-/// What the disk thread does for a reactor job.
+/// What the disk thread does for a reactor job. Both kinds read through
+/// the worker's one read path, which decides the tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobKind {
-    /// Read-ahead + stage, serve the request's window zero-copy from
-    /// the freshly staged lease (the DataCache miss path).
+    /// A DataCache miss: read one read-ahead batch, stage it when it
+    /// came from the MOF, and serve the request's window from it.
     Stage,
-    /// Direct store read, DataCache untouched (cache-bypass re-fetch
-    /// and whole-segment requests; `want == 0` reads to segment end).
-    Direct,
-    /// Serve from the attached hybrid store's tiers: a range that
-    /// touches a LOCALFILE or REMOTE extent (memory-resident ones are
-    /// answered on the reactor).
-    Hybrid,
+    /// A read served without the DataCache: a hybrid range touching a
+    /// durable tier, a cache-bypass re-fetch, or a whole-segment
+    /// request (`want == 0` reads to the segment end).
+    Read,
 }
 
 impl JobTicket {
@@ -780,31 +781,40 @@ fn serve_request(
     }
 
     let key = (req.mof, req.reducer);
+    // Bytes to serve; 0 (a whole-segment request) reads to the end.
+    let want = req.len.min(shared.options.buffer_bytes);
 
     // Memory tier first: a hybrid-held range that lies wholly in the
     // MEMORY tier is copied out under the store's lock and answered
     // here, like a DataCache hit. One that touches a LOCALFILE or
     // REMOTE extent is real file I/O, so it goes to a disk worker.
     if let Some(hybrid) = &shared.options.hybrid {
-        let want = if req.len == 0 {
-            0
-        } else {
-            req.len.min(shared.options.buffer_bytes)
-        };
         if let Some((bytes, part_len)) =
             hybrid.read_memory_range(req.mof, req.reducer, req.offset, want)
         {
             let seg_len = (version == WireVersion::V3).then_some(part_len);
-            let resp = hybrid_ok(shared, req.id, version, seg_len, bytes, req.mof, req.offset);
+            let lease = shared.pool.lease(bytes);
+            let range = 0..lease.len();
+            let resp = build_ok(
+                shared,
+                req.id,
+                version,
+                seg_len,
+                Source::Hybrid,
+                lease,
+                range,
+                req.mof,
+                req.offset,
+            );
             enqueue_local(shared, conn, resp);
             return ConnEvent::Continue;
         }
         if hybrid.partition_len(req.mof, req.reducer).is_some() {
-            return dispatch(shared, handle, conn, slot, &req, version, JobKind::Hybrid);
+            return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
         }
     }
 
-    // Targeted cache-bypass re-fetch: invalidate, then a direct read.
+    // Targeted cache-bypass re-fetch: invalidate, then read the store.
     if req.bypass_cache() {
         drop(shared.staged.invalidate(&key));
         shared.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
@@ -814,15 +824,15 @@ fn serve_request(
             req.offset,
             req.len,
         );
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Direct);
+        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
     }
 
     // Whole-segment requests bypass staging.
     if req.len == 0 {
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Direct);
+        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
     }
 
-    if let Some(resp) = try_hit(shared, &req, version) {
+    if let Some(resp) = hit_resp(shared, req.id, version, key, req.offset, want) {
         enqueue_local(shared, conn, resp);
         return ConnEvent::Continue;
     }
@@ -842,42 +852,47 @@ fn serve_request(
     dispatch(shared, handle, conn, slot, &req, version, JobKind::Stage)
 }
 
-/// Try to serve `req` zero-copy from the DataCache. `None` means the
-/// request needs the disk thread: a miss, or a v3 hit whose segment
-/// length is not cached yet (first touch raced; frames cannot be sealed
-/// without it, and index I/O is not reactor work).
-fn try_hit(shared: &Shared, req: &FetchRequest, version: WireVersion) -> Option<OutResp> {
-    let key = (req.mof, req.reducer);
-    let buffer = shared.options.buffer_bytes;
-    let want = if req.len == 0 {
-        u64::MAX
-    } else {
-        req.len.min(buffer)
-    };
-    let low_water = buffer * shared.options.prefetch_batch / 2;
-    let hit = shared.staged.hit_lease(&key, req.offset, want, low_water)?;
+/// Serve `want` bytes at `offset` of `key` zero-copy from the DataCache:
+/// the reactor's hit path and a disk worker's recheck of an overtaken
+/// Stage job. A hit low in its staged range also queues the next
+/// read-ahead batch (the pull half of Fig. 5 pipelining). `None` means
+/// the request needs a disk worker: a miss, or a v3 request whose
+/// segment length is not cached (frames cannot be sealed without it,
+/// and index I/O is not reactor work). The length is checked first, so
+/// a hit is never consumed only to be thrown away.
+pub(crate) fn hit_resp(
+    shared: &Shared,
+    id: u64,
+    version: WireVersion,
+    key: (u64, u32),
+    offset: u64,
+    want: u64,
+) -> Option<OutResp> {
     let seg_len = match version {
         WireVersion::V2 => None,
-        WireVersion::V3 => {
-            let cached = lock(&shared.seg_lens).get(&key).copied();
-            cached?;
-            cached
-        }
+        WireVersion::V3 => Some(lock(&shared.seg_lens).get(&key).copied()?),
     };
+    let low_water = crate::server::batch_bytes(shared) / 2;
+    let hit = shared.staged.hit_lease(&key, offset, want, low_water)?;
+    let (mof, reducer) = key;
     shared.stats.datacache_hits.fetch_add(1, Ordering::Relaxed);
     shared
         .options
         .trace
-        .instant("cache.hit", Entity::mof(req.mof), req.offset, want);
+        .instant("cache.hit", Entity::mof(mof), offset, want);
     if let Some(next) = hit.stage_next {
-        crate::server::queue_run_ahead(shared, req.mof, req.reducer, next);
+        crate::server::queue_run_ahead(shared, mof, reducer, next);
     }
-    shared
-        .stats
-        .zerocopy_bytes
-        .fetch_add(hit.range.len() as u64, Ordering::Relaxed);
     Some(build_ok(
-        shared, req.id, version, seg_len, hit.lease, hit.range, req.mof, req.offset,
+        shared,
+        id,
+        version,
+        seg_len,
+        Source::Mof,
+        hit.lease,
+        hit.range,
+        mof,
+        offset,
     ))
 }
 
@@ -902,7 +917,8 @@ fn unpark(
             rest.push_back(p);
             continue;
         }
-        if let Some(resp) = try_hit(shared, &p.req, p.version) {
+        let want = p.req.len.min(shared.options.buffer_bytes);
+        if let Some(resp) = hit_resp(shared, p.req.id, p.version, key, p.req.offset, want) {
             conn.pending.insert(p.seq, resp);
             promote(shared, conn);
         } else if conn.stage_inflight.get(&key).copied().unwrap_or(0) > 0 {

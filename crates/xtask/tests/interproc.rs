@@ -4,11 +4,11 @@
 //! `callgraph::analyze` never reads `lock_order` or `[[allow]]`, so
 //! everything asserted here is derived purely from the call graph.
 //!
-//! The fact under test: the supplier staging path's `read_ahead`
-//! acquires `store`; every caller (the stage-job worker, the serve
-//! path) therefore holds `store` transitively even though no
-//! `lock(&…store)` appears in its own body. (Edges carried through a
-//! callback parameter are covered on a fixture by
+//! The fact under test: the supplier's one worker read path,
+//! `read_range`, acquires `store`; every caller (the stage-job worker,
+//! the reactor-job path) therefore holds `store` transitively even
+//! though no `lock(&…store)` appears in its own body. (Edges carried
+//! through a callback parameter are covered on a fixture by
 //! `callgraph::tests::callback_edge_is_rediscovered`.)
 
 use std::path::Path;
@@ -31,39 +31,33 @@ fn live_analysis() -> callgraph::Analysis {
 }
 
 #[test]
-fn rediscovers_read_ahead_store_acquisition_in_callers() {
+fn rediscovers_read_range_store_acquisition_in_callers() {
     let a = live_analysis();
-    // `read_ahead` itself acquires `store` directly…
-    let ra = a
-        .transitive_acquires
-        .iter()
-        .find(|(f, _)| f.ends_with("read_ahead"))
-        .unwrap_or_else(|| panic!("read_ahead analyzed: {:?}", a.transitive_acquires.keys()));
-    assert!(
-        ra.1.contains_key("store"),
-        "read_ahead acquires store: {:?}",
-        ra.1.keys()
-    );
-    // …and both staging-path callers inherit the acquisition. The
-    // stage-job worker's own body never mentions the store lock, so
-    // its witness chain MUST pass through `read_ahead`; the reactor-job
-    // path also reaches the store through its direct reads, so only
-    // membership is asserted.
-    for caller in ["run_stage_job", "run_reactor_job"] {
-        let (name, acquires) = a
-            .transitive_acquires
+    let find = |name: &str| {
+        a.transitive_acquires
             .iter()
-            .find(|(f, _)| f.as_str() == caller || f.ends_with(&format!("::{caller}")))
-            .unwrap_or_else(|| panic!("{caller} analyzed"));
+            .find(|(f, _)| f.as_str() == name || f.ends_with(&format!("::{name}")))
+            .unwrap_or_else(|| panic!("{name} analyzed: {:?}", a.transitive_acquires.keys()))
+    };
+    // `read_range` itself acquires `store` directly…
+    let (_, read) = find("read_range");
+    assert!(
+        read.contains_key("store"),
+        "read_range acquires store: {:?}",
+        read.keys()
+    );
+    // …and both worker-side callers inherit the acquisition. Neither
+    // body mentions the store lock, so each witness chain MUST pass
+    // through a callee that takes it.
+    for caller in ["run_stage_job", "run_reactor_job"] {
+        let (name, acquires) = find(caller);
         let chain = acquires
             .get("store")
             .unwrap_or_else(|| panic!("{name} transitively acquires store: {:?}", acquires.keys()));
-        if caller == "run_stage_job" {
-            assert!(
-                chain.iter().any(|frame| frame.contains("read_ahead")),
-                "{name}'s witness chain passes through read_ahead: {chain:?}"
-            );
-        }
+        assert!(
+            chain.iter().any(|frame| frame.contains("read_range")),
+            "{name}'s witness chain passes through read_range: {chain:?}"
+        );
     }
 }
 
