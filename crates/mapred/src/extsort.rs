@@ -8,14 +8,17 @@
 //! record format, and the final merge streams them back through
 //! [`crate::levitate`] with bounded memory.
 
-use crate::levitate::{RecordParser, RecordStream, StreamingMerge};
+use crate::levitate::{MemoryStream, RecordParser, RecordStream, StreamingMerge};
 use crate::merge::{sort_run, Record};
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Marker terminating a spill file's record stream (MOF format).
 const END_MARKER: u32 = 0xFFFF_FFFF;
+
+/// Bytes read from a spill file per refill of its parser.
+const SPILL_BLOCK: u64 = 64 << 10;
 
 /// Statistics from one external sort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,7 +107,9 @@ impl ExternalSorter {
         for path in &self.spill_files {
             streams.push(RunStream::file(path)?);
         }
-        streams.push(RunStream::memory(std::mem::take(&mut self.current)));
+        streams.push(RunStream::Memory(MemoryStream::new(std::mem::take(
+            &mut self.current,
+        ))));
         let merged = StreamingMerge::new(streams).collect_all()?;
         for path in &self.spill_files {
             let _ = fs::remove_file(path);
@@ -117,60 +122,29 @@ impl ExternalSorter {
 /// A sorted run: either a spill file streamed through the incremental
 /// parser, or the final in-memory run.
 enum RunStream {
-    File {
-        reader: BufReader<File>,
-        parser: RecordParser,
-        eof: bool,
-    },
-    Memory(std::vec::IntoIter<Record>),
+    File { file: File, parser: RecordParser },
+    Memory(MemoryStream),
 }
 
 impl RunStream {
     fn file(path: &Path) -> io::Result<Self> {
         Ok(RunStream::File {
-            reader: BufReader::new(File::open(path)?),
+            file: File::open(path)?,
             parser: RecordParser::new(),
-            eof: false,
         })
-    }
-
-    fn memory(run: Vec<Record>) -> Self {
-        RunStream::Memory(run.into_iter())
     }
 }
 
 impl RecordStream for RunStream {
     fn next_record(&mut self) -> io::Result<Option<Record>> {
         match self {
-            RunStream::Memory(it) => Ok(it.next()),
-            RunStream::File {
-                reader,
-                parser,
-                eof,
-            } => loop {
-                if let Some(rec) = parser.pop()? {
-                    return Ok(Some(rec));
-                }
-                if parser.finished() {
-                    return Ok(None);
-                }
-                if *eof {
-                    if parser.pending_bytes() == 0 {
-                        return Ok(None);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "spill file truncated",
-                    ));
-                }
-                let mut buf = [0u8; 64 << 10];
-                let n = reader.read(&mut buf)?;
-                if n == 0 {
-                    *eof = true;
-                } else {
-                    parser.push(&buf[..n]);
-                }
-            },
+            RunStream::Memory(run) => run.next_record(),
+            RunStream::File { file, parser } => parser.next_record(|| {
+                // Each block is read straight into the Vec the parser keeps.
+                let mut block = Vec::with_capacity(SPILL_BLOCK as usize);
+                Read::take(&mut *file, SPILL_BLOCK).read_to_end(&mut block)?;
+                Ok((!block.is_empty()).then_some(block))
+            }),
         }
     }
 }

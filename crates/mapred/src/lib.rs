@@ -5,8 +5,9 @@
 //! * [`mof`] — the Map Output File and Index file **binary formats**
 //!   (Hadoop's IFile/index pair, simplified but real: the loopback
 //!   dataplane in `jbs-transport` serves genuine MOF bytes with them);
-//! * [`merge`] — sorting and k-way merge of key/value runs, the substrate
-//!   under both Hadoop's sort/merge and JBS's merging;
+//! * [`merge`] — sorting and merging of key/value runs, the substrate
+//!   under both Hadoop's sort/merge and JBS's merging (the merge itself
+//!   is [`levitate`]'s);
 //! * [`extsort`] — the MapTask's external sort/spill/merge pipeline as a
 //!   real algorithm (bounded memory, spill files in the MOF record
 //!   format);

@@ -8,8 +8,7 @@
 //! real records — the simulator charges time for it, and the loopback
 //! dataplane in `jbs-transport` runs it on genuine bytes.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::levitate::{MemoryStream, StreamingMerge};
 
 /// One key/value record.
 pub type Record = (Vec<u8>, Vec<u8>);
@@ -25,88 +24,15 @@ pub fn is_sorted(records: &[Record]) -> bool {
     records.windows(2).all(|w| w[0].0 <= w[1].0)
 }
 
-struct HeapItem {
-    key: Vec<u8>,
-    value: Vec<u8>,
-    run: usize,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; break key ties by run index so the merge
-        // is stable with respect to run order.
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.run.cmp(&self.run))
-    }
-}
-
-/// A k-way merge over sorted record iterators.
-///
-/// Yields records in non-decreasing key order; among equal keys, records
+/// Merge fully-materialized sorted runs into one sorted vector: the
+/// [`StreamingMerge`] over in-memory streams. Among equal keys, records
 /// from lower-indexed runs come first (stability across runs).
-pub struct KWayMerge<I: Iterator<Item = Record>> {
-    runs: Vec<I>,
-    heap: BinaryHeap<HeapItem>,
-    comparisons: u64,
-}
-
-impl<I: Iterator<Item = Record>> KWayMerge<I> {
-    /// Build a merge over `runs`; each run must already be key-sorted.
-    pub fn new(runs: Vec<I>) -> Self {
-        let mut merge = KWayMerge {
-            heap: BinaryHeap::with_capacity(runs.len()),
-            runs,
-            comparisons: 0,
-        };
-        for i in 0..merge.runs.len() {
-            merge.refill(i);
-        }
-        merge
-    }
-
-    fn refill(&mut self, run: usize) {
-        if let Some((key, value)) = self.runs[run].next() {
-            self.heap.push(HeapItem { key, value, run });
-        }
-    }
-
-    /// Number of heap operations performed (a proxy for merge CPU work,
-    /// used to calibrate simulated merge cost).
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-}
-
-impl<I: Iterator<Item = Record>> Iterator for KWayMerge<I> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Record> {
-        let item = self.heap.pop()?;
-        self.comparisons += (self.heap.len().max(1) as f64).log2().ceil() as u64 + 1;
-        self.refill(item.run);
-        Some((item.key, item.value))
-    }
-}
-
-/// Merge fully-materialized sorted runs into one sorted vector.
 pub fn merge_sorted_runs(runs: Vec<Vec<Record>>) -> Vec<Record> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let merge = KWayMerge::new(runs.into_iter().map(|r| r.into_iter()).collect());
-    let mut out = Vec::with_capacity(total);
-    out.extend(merge);
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut merge = StreamingMerge::new(runs.into_iter().map(MemoryStream::new).collect());
+    while let Some(rec) = merge.next_merged().expect("in-memory runs cannot fail") {
+        out.push(rec);
+    }
     out
 }
 
@@ -227,17 +153,6 @@ mod tests {
         let merged_keys: Vec<_> = merged.iter().map(|(k, _)| k).collect();
         let all_keys: Vec<_> = all.iter().map(|(k, _)| k).collect();
         assert_eq!(merged_keys, all_keys);
-    }
-
-    #[test]
-    fn comparisons_counted() {
-        let runs: Vec<Vec<Record>> = (0..4)
-            .map(|i| vec![rec(&format!("{i}"), "v")])
-            .collect();
-        let mut m = KWayMerge::new(runs.into_iter().map(|r| r.into_iter()).collect());
-        assert_eq!(m.comparisons(), 0);
-        while m.next().is_some() {}
-        assert!(m.comparisons() > 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::stats::{FetchStats, FetchStatsSnapshot};
 use crate::sync::{lock, Mutex};
 use crate::wire::WireVersion;
 use jbs_mapred::levitate::{RecordParser, RecordStream, StreamingMerge};
-use jbs_mapred::merge::{KWayMerge, Record};
+use jbs_mapred::merge::{merge_sorted_runs, Record};
 use jbs_mapred::mof::SegmentReader;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -477,8 +477,7 @@ impl NetMergerClient {
             }
             runs.push(run);
         }
-        let merge = KWayMerge::new(runs.into_iter().map(|r| r.into_iter()).collect());
-        Ok(merge.collect())
+        Ok(merge_sorted_runs(runs))
     }
 }
 
@@ -500,12 +499,18 @@ impl Default for NetMergerClient {
 /// incrementally, with the next buffer already in flight through the
 /// scheduler (double buffering) while this one is consumed.
 pub struct NetworkSegmentStream<'a> {
+    /// Owns the transport buffer being parsed.
+    parser: RecordParser,
+    fetch: ChunkFetch<'a>,
+}
+
+/// The fetch half of a [`NetworkSegmentStream`]: hands out the segment's
+/// transport buffers in order.
+struct ChunkFetch<'a> {
     client: &'a NetMergerClient,
     seg: SegmentRef,
-    /// Absolute offset up to which bytes have been received and parsed.
+    /// Absolute offset up to which bytes have been received.
     offset: u64,
-    parser: RecordParser,
-    exhausted: bool,
     done_tx: mpsc::Sender<FetchDone>,
     done_rx: mpsc::Receiver<FetchDone>,
     /// Offset of the chunk currently in flight, if any.
@@ -518,23 +523,26 @@ impl<'a> NetworkSegmentStream<'a> {
     pub fn new(client: &'a NetMergerClient, seg: SegmentRef) -> Self {
         let (done_tx, done_rx) = mpsc::channel();
         NetworkSegmentStream {
-            client,
-            seg,
-            offset: 0,
             parser: RecordParser::new(),
-            exhausted: false,
-            done_tx,
-            done_rx,
-            pending: None,
-            next_token: 0,
+            fetch: ChunkFetch {
+                client,
+                seg,
+                offset: 0,
+                done_tx,
+                done_rx,
+                pending: None,
+                next_token: 0,
+            },
         }
     }
 
     /// Bytes received from this segment so far.
     pub fn offset(&self) -> u64 {
-        self.offset
+        self.fetch.offset
     }
+}
 
+impl ChunkFetch<'_> {
     fn request(&mut self, offset: u64) {
         let token = self.next_token;
         self.next_token += 1;
@@ -548,10 +556,10 @@ impl<'a> NetworkSegmentStream<'a> {
         self.pending = Some(offset);
     }
 
-    /// The next chunk at `self.offset` (empty at segment end), keeping
+    /// The next chunk at `self.offset` (`None` at segment end), keeping
     /// one chunk speculatively in flight whenever the previous one came
     /// back full-sized.
-    fn next_chunk(&mut self) -> io::Result<Vec<u8>> {
+    fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
         loop {
             if self.pending.is_none() {
                 self.request(self.offset);
@@ -566,44 +574,24 @@ impl<'a> NetworkSegmentStream<'a> {
                 // from the corrected offset.
                 continue;
             }
-            if !payload.is_empty() {
-                self.offset += payload.len() as u64;
-                if payload.len() as u64 == self.client.shared.config.buffer_bytes {
-                    // Full chunk: speculate the next one so it rides the
-                    // wire while the merge consumes this one.
-                    self.request(self.offset);
-                }
+            if payload.is_empty() {
+                return Ok(None);
             }
-            return Ok(payload);
+            self.offset += payload.len() as u64;
+            if payload.len() as u64 == self.client.shared.config.buffer_bytes {
+                // Full chunk: speculate the next one so it rides the
+                // wire while the merge consumes this one.
+                self.request(self.offset);
+            }
+            return Ok(Some(payload));
         }
     }
 }
 
 impl RecordStream for NetworkSegmentStream<'_> {
     fn next_record(&mut self) -> io::Result<Option<Record>> {
-        loop {
-            if let Some(rec) = self.parser.pop()? {
-                return Ok(Some(rec));
-            }
-            if self.parser.finished() {
-                return Ok(None);
-            }
-            if self.exhausted {
-                if self.parser.pending_bytes() == 0 {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "segment ended mid-record",
-                ));
-            }
-            let chunk = self.next_chunk()?;
-            if chunk.is_empty() {
-                self.exhausted = true;
-            } else {
-                self.parser.push(&chunk);
-            }
-        }
+        let fetch = &mut self.fetch;
+        self.parser.next_record(|| fetch.next_chunk())
     }
 }
 
