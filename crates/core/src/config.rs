@@ -52,8 +52,8 @@ pub struct JbsConfig {
     pub fetch_io_timeout: SimTime,
     /// End-to-end integrity on the real dataplane: fetch in the v3 wire
     /// dialect so every chunk payload arrives CRC32C-sealed and is
-    /// verified before the merge admits it. `false` pins peers to the
-    /// checksum-free v2 dialect (legacy fleets, overhead measurement).
+    /// verified before the merge admits it. `false` fetches in the
+    /// checksum-free v2 dialect (overhead measurement).
     pub checksum: bool,
     /// MOFSupplier admission control: fetch jobs one peer may hold
     /// in flight (queued + staging) before further requests are shed

@@ -19,7 +19,9 @@
 //! jitter, re-dial of failed connections, and — because retry operates
 //! per chunk — **resume at the received offset**: a segment interrupted
 //! at byte `o` continues from `o` on the fresh connection instead of
-//! refetching `[0, o)`.
+//! refetching `[0, o)`. With a [`crate::routes::RouteTable`], an op
+//! whose supplier is unhealthy or breaker-open fails over to a replica;
+//! the scheduler decides that for every op shape alike.
 //! [`FetchStats`] counts all of it, including the pipeline gauges
 //! (queue depth, window occupancy, speculation discards).
 
@@ -28,12 +30,9 @@ use crate::faults::FaultPlan;
 use crate::retry::RetryPolicy;
 use crate::sched::{FetchDone, FetchOp, FetchScheduler};
 use crate::stats::{FetchStats, FetchStatsSnapshot};
-use crate::sync::{lock, Mutex};
-use crate::wire::WireVersion;
 use jbs_mapred::levitate::{RecordParser, RecordStream, StreamingMerge};
-use jbs_mapred::merge::{merge_sorted_runs, Record};
-use jbs_mapred::mof::SegmentReader;
-use std::collections::{HashMap, VecDeque};
+use jbs_mapred::merge::Record;
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
@@ -86,11 +85,12 @@ pub struct ClientConfig {
     /// Structured tracing sink; [`jbs_obs::Trace::disabled`] (the
     /// default) is a single branch per instrumentation point.
     pub trace: jbs_obs::Trace,
-    /// End-to-end integrity: open every peer in the v3 dialect so chunk
-    /// payloads arrive CRC32C-sealed and are verified before they are
-    /// admitted to the merge. `false` pins every peer to v2 (no
-    /// checksums, no busy frames) — the escape hatch for measuring the
-    /// checksum overhead or talking to a fleet of legacy suppliers.
+    /// End-to-end integrity: the dialect every connection speaks. `true`
+    /// frames every request in v3, so chunk payloads arrive
+    /// CRC32C-sealed and are verified before they are admitted to the
+    /// merge; `false` frames every request in v2 (no checksums, no busy
+    /// frames), which the benchmark uses to measure the checksum
+    /// overhead. Configured, never negotiated: no failure changes it.
     pub checksum: bool,
     /// Integrity re-fetch budget: how many targeted cache-bypass
     /// re-fetches one chunk position may consume (CRC mismatches and
@@ -134,85 +134,10 @@ impl Default for ClientConfig {
     }
 }
 
-/// Per-peer dialect negotiation state (client-driven; see `wire.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PeerVersion {
-    /// Speaking v3, unconfirmed. Counts connections that died before
-    /// *any* v3 response arrived — the legacy-server signature.
-    Probing(u32),
-    /// Pinned v3: this peer has produced a v3 response.
-    V3,
-    /// Downgraded: consecutive fresh connections died before any v3
-    /// response; the peer is treated as a legacy v2 supplier.
-    V2,
-}
-
-/// Probing connections that may die before a peer is declared legacy.
-const V3_PROBE_BUDGET: u32 = 2;
-
-/// The client side of wire-version negotiation: every peer starts in
-/// v3, pins v3 on the first v3 response, and is downgraded to v2 only
-/// after [`V3_PROBE_BUDGET`] connections died without any v3 response
-/// (a genuine v2-only server drops the unknown magic every time).
-/// Dial failures never count — a dead peer is not a legacy peer.
-pub(crate) struct VersionMap {
-    enabled: bool,
-    versions: Mutex<HashMap<SocketAddr, PeerVersion>>,
-}
-
-impl VersionMap {
-    pub(crate) fn new(enabled: bool) -> Self {
-        VersionMap {
-            enabled,
-            versions: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The dialect to frame the next request to `addr` in.
-    pub(crate) fn version_for(&self, addr: SocketAddr) -> WireVersion {
-        if !self.enabled {
-            return WireVersion::V2;
-        }
-        match lock(&self.versions).get(&addr) {
-            Some(PeerVersion::V2) => WireVersion::V2,
-            _ => WireVersion::V3,
-        }
-    }
-
-    /// A v3 response arrived from `addr`: pin the peer to v3. Pinned
-    /// peers never downgrade — later connection deaths are failures,
-    /// not negotiation signals.
-    pub(crate) fn confirm_v3(&self, addr: SocketAddr) {
-        if self.enabled {
-            lock(&self.versions).insert(addr, PeerVersion::V3);
-        }
-    }
-
-    /// A connection to `addr` died before any v3 response arrived on
-    /// it. After [`V3_PROBE_BUDGET`] such deaths the peer is downgraded
-    /// to the legacy dialect.
-    pub(crate) fn record_probe_failure(&self, addr: SocketAddr) {
-        if !self.enabled {
-            return;
-        }
-        let mut versions = lock(&self.versions);
-        let state = versions.entry(addr).or_insert(PeerVersion::Probing(0));
-        if let PeerVersion::Probing(n) = *state {
-            *state = if n + 1 >= V3_PROBE_BUDGET {
-                PeerVersion::V2
-            } else {
-                PeerVersion::Probing(n + 1)
-            };
-        }
-    }
-}
-
 /// State shared between the client facade and the scheduler's worker
 /// threads.
 pub(crate) struct ClientShared {
-    pub(crate) stats: Mutex<ClientStats>,
     pub(crate) fetch_stats: FetchStats,
-    pub(crate) versions: VersionMap,
     pub(crate) config: ClientConfig,
 }
 
@@ -259,9 +184,7 @@ impl NetMergerClient {
     pub fn with_client_config(config: ClientConfig) -> Self {
         crate::poll::pin_malloc_thresholds();
         let shared = Arc::new(ClientShared {
-            stats: Mutex::new(ClientStats::default()),
             fetch_stats: FetchStats::new(),
-            versions: VersionMap::new(config.checksum),
             config: ClientConfig {
                 buffer_bytes: config.buffer_bytes.max(1),
                 window: config.window.max(1),
@@ -276,7 +199,12 @@ impl NetMergerClient {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> ClientStats {
-        *lock(&self.shared.stats)
+        let s = self.fetch_stats();
+        ClientStats {
+            connections_established: s.connections_established,
+            connections_reused: s.connections_reused,
+            bytes_fetched: s.bytes_fetched,
+        }
     }
 
     /// Recovery counters and pipeline gauges: retries, reconnects,
@@ -292,37 +220,6 @@ impl NetMergerClient {
         self.sched.queue_depths()
     }
 
-    /// The replica a failed `fetch_all` op should retry against, or
-    /// `None` when the failure must surface. Redirects fire **only**
-    /// behind a health signal — the failed peer's circuit breaker is
-    /// open, or the control plane's route table marks it unhealthy —
-    /// so a transient error on a healthy peer stays with that peer's
-    /// own retry budget. Records the failover stat and traces
-    /// `failover.redirect` when a target is found.
-    fn failover_replica(
-        &self,
-        segs: &[SegmentRef],
-        tried: &[Vec<SocketAddr>],
-        idx: usize,
-    ) -> Option<SocketAddr> {
-        let routes = self.shared.config.routes.as_ref()?;
-        let seg = segs.get(idx)?;
-        let tried = tried.get(idx)?;
-        let last = *tried.last()?;
-        if !routes.is_unhealthy(last) && !self.sched.breaker_open(last) {
-            return None;
-        }
-        let next = routes.failover_target(seg.mof, tried)?;
-        self.shared.fetch_stats.record_failover();
-        self.shared.config.trace.instant(
-            "failover.redirect",
-            jbs_obs::Entity::peer(u64::from(next.port())),
-            seg.mof,
-            u64::from(last.port()),
-        );
-        Some(next)
-    }
-
     /// Fetch every segment of a reducer through the pipelined scheduler
     /// and return the raw segment byte vectors in input order.
     ///
@@ -334,13 +231,7 @@ impl NetMergerClient {
     /// naming the exact (MOF, reducer, supplier) that failed; the
     /// lowest-input-index failure is returned.
     pub fn fetch_all(&self, segs: &[SegmentRef]) -> Result<Vec<Vec<u8>>> {
-        if segs.is_empty() {
-            return Ok(Vec::new());
-        }
         let (tx, rx) = mpsc::channel();
-        // Addresses each op (keyed by token = input index) has already
-        // been aimed at, so a failover never revisits a replica.
-        let mut tried: Vec<Vec<SocketAddr>> = segs.iter().map(|s| vec![s.addr]).collect();
         for &i in &balanced_order(segs) {
             let Some(&seg) = segs.get(i) else { continue };
             self.sched.submit(FetchOp {
@@ -349,53 +240,26 @@ impl NetMergerClient {
                 offset: 0,
                 limit: 0,
                 done: tx.clone(),
+                tried: Vec::new(),
             });
         }
+        drop(tx);
         let mut out: Vec<Option<Vec<u8>>> = segs.iter().map(|_| None).collect();
         let mut failures: Vec<(u64, TransportError)> = Vec::new();
-        let mut pending = segs.len();
-        while pending > 0 {
-            let Ok(done) = rx.recv() else { break };
+        // Every submitted op sends exactly one completion; stop at the
+        // last one rather than wait for the workers to drop their
+        // senders, so a wave ends the moment its last segment lands.
+        // (The senders are all gone if the client shuts down first.)
+        for done in rx.iter().take(segs.len()) {
             match done.result {
                 Ok(bytes) => {
-                    pending -= 1;
                     if let Some(slot) = out.get_mut(done.token as usize) {
                         *slot = Some(bytes);
                     }
                 }
-                Err(e) => {
-                    // Reactive failover: a failed op whose peer is
-                    // breaker-open or marked unhealthy resubmits against
-                    // the next untried replica of its MOF; anything else
-                    // (or an exhausted replica set) surfaces the error.
-                    let idx = done.token as usize;
-                    match self.failover_replica(segs, &tried, idx) {
-                        Some(next) => {
-                            if let (Some(t), Some(&seg)) =
-                                (tried.get_mut(idx), segs.get(idx))
-                            {
-                                t.push(next);
-                                self.sched.submit(FetchOp {
-                                    token: done.token,
-                                    seg: SegmentRef { addr: next, ..seg },
-                                    offset: 0,
-                                    limit: 0,
-                                    done: tx.clone(),
-                                });
-                            } else {
-                                pending -= 1;
-                                failures.push((done.token, e));
-                            }
-                        }
-                        None => {
-                            pending -= 1;
-                            failures.push((done.token, e));
-                        }
-                    }
-                }
+                Err(e) => failures.push((done.token, e)),
             }
         }
-        drop(tx);
         // One failure surfaces with its full segment context; several
         // aggregate into a partial-failure report naming every failed
         // segment instead of an opaque first-error.
@@ -408,14 +272,9 @@ impl NetMergerClient {
         if let Some((_, e)) = failures.pop() {
             return Err(e);
         }
-        let mut res = Vec::with_capacity(out.len());
-        for slot in out {
-            match slot {
-                Some(bytes) => res.push(bytes),
-                None => return Err(vanished()),
-            }
-        }
-        Ok(res)
+        out.into_iter()
+            .map(|slot| slot.ok_or_else(vanished))
+            .collect()
     }
 
     /// Fetch one whole segment: [`Self::fetch_all`] of just `seg`, so it
@@ -439,6 +298,7 @@ impl NetMergerClient {
             offset,
             limit: self.shared.config.buffer_bytes,
             done,
+            tried: Vec::new(),
         });
         rx.recv().map_err(|_| vanished())?.result
     }
@@ -450,6 +310,10 @@ impl NetMergerClient {
     /// (double buffering), so the merge consumes chunk `k` while chunk
     /// `k+1` streams in. Peak client memory stays O(segments × buffer),
     /// independent of segment sizes.
+    ///
+    /// A segment's chunks fail over like any other op, and a fetch
+    /// failure surfaces typed, with the same [`TransportError::Segment`]
+    /// context as [`Self::fetch_all`].
     pub fn levitated_merge(&self, segs: &[SegmentRef]) -> Result<Vec<Record>> {
         let streams: Vec<NetworkSegmentStream> = segs
             .iter()
@@ -458,26 +322,7 @@ impl NetMergerClient {
         StreamingMerge::new(streams)
             .with_trace(self.shared.config.trace.clone())
             .collect_all()
-            .map_err(|e| TransportError::from_io("levitated merge", e))
-    }
-
-    /// Materializing variant: fetch all of a reducer's segments through
-    /// the pipelined scheduler and merge them into one key-sorted record
-    /// stream.
-    pub fn shuffle_and_merge(&self, segs: &[SegmentRef]) -> Result<Vec<Record>> {
-        let raw = self.fetch_all(segs)?;
-        let mut runs: Vec<Vec<Record>> = Vec::with_capacity(raw.len());
-        for seg in &raw {
-            let mut run = Vec::new();
-            for rec in SegmentReader::new(seg) {
-                let (k, v) = rec.map_err(|e| TransportError::Corrupt {
-                    detail: format!("segment record: {e}"),
-                })?;
-                run.push((k.to_vec(), v.to_vec()));
-            }
-            runs.push(run);
-        }
-        Ok(merge_sorted_runs(runs))
+            .map_err(|e| TransportError::from_bridged("levitated merge", e))
     }
 }
 
@@ -515,7 +360,6 @@ struct ChunkFetch<'a> {
     done_rx: mpsc::Receiver<FetchDone>,
     /// Offset of the chunk currently in flight, if any.
     pending: Option<u64>,
-    next_token: u64,
 }
 
 impl<'a> NetworkSegmentStream<'a> {
@@ -531,7 +375,6 @@ impl<'a> NetworkSegmentStream<'a> {
                 done_tx,
                 done_rx,
                 pending: None,
-                next_token: 0,
             },
         }
     }
@@ -543,15 +386,16 @@ impl<'a> NetworkSegmentStream<'a> {
 }
 
 impl ChunkFetch<'_> {
+    /// Submit the chunk at `offset`; the stream has at most one in
+    /// flight, so its token needs no numbering.
     fn request(&mut self, offset: u64) {
-        let token = self.next_token;
-        self.next_token += 1;
         self.client.sched.submit(FetchOp {
-            token,
+            token: 0,
             seg: self.seg,
             offset,
             limit: self.client.shared.config.buffer_bytes,
             done: self.done_tx.clone(),
+            tried: Vec::new(),
         });
         self.pending = Some(offset);
     }
@@ -569,6 +413,9 @@ impl ChunkFetch<'_> {
             })?;
             let req_off = self.pending.take().unwrap_or(self.offset);
             let payload = done.result.map_err(io::Error::from)?;
+            // The segment's next chunks go where this one came from: a
+            // replica, once a failover has moved it there.
+            self.seg.addr = done.addr;
             if req_off != self.offset {
                 // A speculative chunk aimed past a short read; refetch
                 // from the corrected offset.
@@ -601,7 +448,8 @@ mod tests {
     use crate::faults::Hook;
     use crate::server::MofSupplierServer;
     use crate::store::MofStore;
-    use jbs_mapred::merge::is_sorted;
+    use jbs_mapred::merge::{is_sorted, merge_sorted_runs};
+    use jbs_mapred::mof::SegmentReader;
 
     /// Wait for the scheduler's gauges to drain: completions hand off
     /// before workers finish reading trailing speculative responses, so
@@ -685,7 +533,7 @@ mod tests {
                 reducer: 0,
             })
             .collect();
-        let merged = client.shuffle_and_merge(&segs).unwrap();
+        let merged = client.levitated_merge(&segs).unwrap();
         assert_eq!(merged.len(), 600);
         assert!(is_sorted(&merged));
         for s in servers {
@@ -1052,13 +900,79 @@ mod tests {
             ..ClientConfig::default()
         });
         let levitated = client.levitated_merge(&segs).unwrap();
-        let materialized = client.shuffle_and_merge(&segs).unwrap();
-        assert_eq!(levitated, materialized);
+        let runs: Vec<Vec<Record>> = client
+            .fetch_all(&segs)
+            .unwrap()
+            .iter()
+            .map(|seg| {
+                SegmentReader::new(seg)
+                    .map(|rec| {
+                        let (k, v) = rec.unwrap();
+                        (k.to_vec(), v.to_vec())
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(levitated, merge_sorted_runs(runs));
         assert!(is_sorted(&levitated));
         assert_eq!(levitated.len(), 1200);
         for s in servers {
             s.shutdown();
         }
+    }
+
+    /// Every op shape fails over through the one routing function:
+    /// whole segments, single chunks and the levitated stream's chunks.
+    /// The first op aimed at the dead primary fails over reactively,
+    /// once its retries left the breaker open; each later op is re-aimed
+    /// at submit, or reactively if the breaker has cooled. Either way
+    /// each op fails over once, and a levitated stream only for its
+    /// first chunk: its later chunks go straight to the replica.
+    #[test]
+    fn every_op_shape_fails_over_to_a_replica() {
+        let replica = server_with_records(1500, 1);
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let routes = Arc::new(crate::routes::RouteTable::new());
+        routes.set_replicas(0, vec![dead, replica.addr()]);
+        let trace = jbs_obs::Trace::recording(1 << 14);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+                jitter_frac: 0.0,
+            },
+            connect_timeout: Duration::from_millis(200),
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_millis(10),
+            routes: Some(routes),
+            trace: trace.clone(),
+            ..ClientConfig::default()
+        });
+        let seg = SegmentRef {
+            addr: dead,
+            mof: 0,
+            reducer: 0,
+        };
+        let truth = NetMergerClient::new()
+            .fetch_segment(SegmentRef {
+                addr: replica.addr(),
+                ..seg
+            })
+            .unwrap();
+        assert!(truth.len() > 4 * (4 << 10), "many chunks: {}", truth.len());
+        assert_eq!(client.fetch_segment(seg).unwrap(), truth);
+        assert_eq!(client.fetch_stats().failovers, 1);
+        assert_eq!(client.fetch_chunk(seg, 0).unwrap(), truth[..4 << 10]);
+        assert_eq!(client.fetch_stats().failovers, 2);
+        assert_eq!(client.levitated_merge(&[seg]).unwrap().len(), 1500);
+        assert_eq!(client.fetch_stats().failovers, 3);
+        assert_eq!(trace.query().count("failover.redirect"), 3);
+        replica.shutdown();
     }
 
     #[test]
@@ -1083,8 +997,45 @@ mod tests {
         server.shutdown();
     }
 
+    /// A levitated merge fails with the same typed, segment-named error
+    /// as `fetch_all`, not a stringified one.
     #[test]
-    fn v3_pins_after_first_response_and_every_chunk_verifies() {
+    fn levitated_merge_error_names_the_failing_segment() {
+        let server = server_with_records(100, 1);
+        let client = NetMergerClient::new();
+        let segs = [
+            SegmentRef {
+                addr: server.addr(),
+                mof: 0,
+                reducer: 0,
+            },
+            SegmentRef {
+                addr: server.addr(),
+                mof: 99,
+                reducer: 5,
+            },
+        ];
+        match client.levitated_merge(&segs).unwrap_err() {
+            TransportError::Segment {
+                mof,
+                reducer,
+                peer,
+                source,
+            } => {
+                assert_eq!((mof, reducer), (99, 5));
+                assert_eq!(peer, server.addr().to_string());
+                assert!(
+                    matches!(*source, TransportError::NotFound { .. }),
+                    "{source}"
+                );
+            }
+            other => panic!("expected segment context, got {other}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn v3_client_verifies_every_chunk() {
         let server = server_with_records(1000, 1);
         let trace = jbs_obs::Trace::recording(1 << 14);
         let client = NetMergerClient::with_client_config(ClientConfig {
@@ -1098,24 +1049,84 @@ mod tests {
             reducer: 0,
         };
         let bytes = client.fetch_segment(seg).unwrap();
-        assert!(!bytes.is_empty());
-        assert_eq!(
-            lock(&client.shared.versions.versions).get(&server.addr()),
-            Some(&PeerVersion::V3),
-            "peer pinned v3 after its first v3 response"
-        );
-        // Every received chunk passed verification before admission.
+        // Every received chunk passed verification before admission (so
+        // did the end frame and any speculation past it).
+        let chunks = bytes.len().div_ceil(4 << 10);
         let verifies = trace.query().count("integrity.verify");
-        assert!(verifies >= 2, "per-chunk verification ran: {verifies}");
+        assert!(
+            verifies > chunks,
+            "{verifies} verifications of {chunks} chunks"
+        );
         assert_eq!(client.fetch_stats().corrupt_refetches, 0);
         server.shutdown();
     }
 
+    /// `checksum: false` speaks v2: the same bytes, and not one chunk
+    /// verified.
     #[test]
     fn checksum_disabled_stays_on_v2() {
-        let server = server_with_records(100, 1);
-        let client = NetMergerClient::with_client_config(ClientConfig {
+        let server = server_with_records(1000, 1);
+        let trace = jbs_obs::Trace::recording(1 << 14);
+        let config = ClientConfig {
+            buffer_bytes: 4 << 10,
+            trace: trace.clone(),
+            ..ClientConfig::default()
+        };
+        let v2 = NetMergerClient::with_client_config(ClientConfig {
             checksum: false,
+            ..config.clone()
+        });
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        let bytes = v2.fetch_segment(seg).unwrap();
+        assert!(bytes.len() > 4 << 10, "several chunks: {}", bytes.len());
+        assert_eq!(trace.query().count("integrity.verify"), 0);
+        let v3 = NetMergerClient::with_client_config(config);
+        assert_eq!(bytes, v3.fetch_segment(seg).unwrap());
+        assert!(trace.query().count("integrity.verify") > 0);
+        server.shutdown();
+    }
+
+    /// The dialect is configured, never inferred from failures: two
+    /// resets before a fresh client's first response must not turn
+    /// CRC32C off, or a corrupting supplier's flipped bytes reach the
+    /// caller.
+    #[test]
+    fn early_resets_never_turn_checksums_off() {
+        let server_plan = FaultPlan::builder(11)
+            .corrupt_payload(Hook::ServerPayload, 0.05)
+            .build();
+        let mut store = MofStore::temp().unwrap();
+        let records: Vec<Record> = (0..1500)
+            .map(|i| (format!("key-{i:06}").into_bytes(), vec![i as u8; 20]))
+            .collect();
+        store.write_mof(0, records, 1, |_| 0).unwrap();
+        let truth = store.read_segment_range(0, 0, 0, 0).unwrap().unwrap();
+        let server = crate::server::MofSupplierServer::start_with_options(
+            store,
+            crate::server::ServerOptions {
+                buffer_bytes: 4 << 10,
+                faults: Some(Arc::clone(&server_plan)),
+                ..crate::server::ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let client_plan = FaultPlan::builder(12)
+            .force(Hook::ClientReadResponse, 0, crate::faults::FaultKind::Reset)
+            .force(Hook::ClientReadResponse, 1, crate::faults::FaultKind::Reset)
+            .build();
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            retry: RetryPolicy {
+                max_retries: 4,
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+                jitter_frac: 0.0,
+            },
+            faults: Some(Arc::clone(&client_plan)),
             ..ClientConfig::default()
         });
         let seg = SegmentRef {
@@ -1123,11 +1134,15 @@ mod tests {
             mof: 0,
             reducer: 0,
         };
-        client.fetch_segment(seg).unwrap();
-        assert_eq!(
-            client.shared.versions.version_for(server.addr()),
-            WireVersion::V2
-        );
+        for i in 0..20 {
+            assert!(
+                client.fetch_segment(seg).unwrap() == truth,
+                "fetch {i} corrupted"
+            );
+        }
+        assert_eq!(client_plan.stats().resets, 2);
+        assert!(server_plan.stats().payload_corruptions > 0);
+        assert!(client.fetch_stats().corrupt_refetches > 0);
         server.shutdown();
     }
 

@@ -331,12 +331,31 @@ fn io_kind(e: &TransportError) -> io::ErrorKind {
     }
 }
 
-/// Lossy bridge to `io::Error` for io-trait boundaries (e.g. the
-/// [`jbs_mapred::levitate::RecordStream`] implementation). The message
-/// keeps the full context chain; the kind comes from the root cause.
+/// Bridge to `io::Error` for io-trait boundaries (e.g. the
+/// [`jbs_mapred::levitate::RecordStream`] implementation). The error
+/// rides inside, typed, for [`TransportError::from_bridged`] to take
+/// back out; the kind comes from the root cause.
 impl From<TransportError> for io::Error {
     fn from(e: TransportError) -> io::Error {
-        io::Error::new(io_kind(&e), e.to_string())
+        io::Error::new(io_kind(&e), e)
+    }
+}
+
+impl TransportError {
+    /// The way back over an io-trait boundary: a transport error that
+    /// crossed it through the `io::Error` bridge comes out as itself,
+    /// context and all; any other `io::Error` is classified by
+    /// [`Self::from_io`].
+    pub fn from_bridged(during: &'static str, e: io::Error) -> Self {
+        if !matches!(e.get_ref(), Some(inner) if inner.is::<TransportError>()) {
+            return Self::from_io(during, e);
+        }
+        let kind = e.kind();
+        match e.into_inner().map(|i| i.downcast::<TransportError>()) {
+            Some(Ok(t)) => *t,
+            // Unreachable: the payload was checked to be one above.
+            _ => Self::from_io(during, io::Error::from(kind)),
+        }
     }
 }
 
@@ -412,6 +431,19 @@ mod tests {
         assert!(msg.contains("10.0.0.2:9999"), "{msg}");
         let e: io::Error = seg.into();
         assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
+        assert!(e.to_string().contains("mof 7"), "{e}");
+        match TransportError::from_bridged("merge", e) {
+            TransportError::Segment { mof, source, .. } => {
+                assert_eq!(mof, 7);
+                assert!(matches!(*source, TransportError::Reset { .. }));
+            }
+            other => panic!("the bridge lost the typed error: {other}"),
+        }
+        let plain = io::Error::new(io::ErrorKind::InvalidData, "bad record");
+        assert!(matches!(
+            TransportError::from_bridged("merge", plain),
+            TransportError::Corrupt { .. }
+        ));
 
         let terminal = TransportError::Segment {
             mof: 1,

@@ -2,19 +2,18 @@
 //!
 //! The control plane (`jbs-control`) resolves where each MOF's segments
 //! live — primary first, then the replicas its pipeline fan-out wrote —
-//! and pushes that map here. The transport reads it in two places:
+//! and pushes that map here. The transport reads it in one place, the
+//! fetch scheduler's routing function, which has two callers:
 //!
-//! * [`crate::sched::FetchScheduler::submit`] *proactively* rewrites an
-//!   op aimed at a peer already marked unhealthy (or whose circuit
-//!   breaker is open) to the first healthy untried replica, before any
-//!   wire traffic;
-//! * `fetch_all` *reactively* resubmits a failed op against the next
-//!   replica when the failure coincides with a breaker-open or
-//!   unhealthy mark — so a supplier killed mid-shuffle costs one
-//!   breaker trip, not the job.
+//! * `FetchScheduler::submit` *proactively* re-aims an op aimed at a
+//!   peer already marked unhealthy (or whose circuit breaker is open)
+//!   at the first healthy untried replica, before any wire traffic;
+//! * a scheduler worker about to fail an op *reactively* re-queues it at
+//!   the next replica when its peer is breaker-open or unhealthy — so a
+//!   supplier killed mid-shuffle costs one breaker trip, not the job.
 //!
-//! Both paths trace `failover.redirect`, and both fire **only** behind
-//! a health signal: a transient error on a healthy peer stays with that
+//! Both trace `failover.redirect`, and both fire **only** behind a
+//! health signal: a transient error on a healthy peer stays with that
 //! peer's retry budget (`tests/chaos_cluster.rs` pins this ordering).
 //!
 //! The table is deliberately dumb — no liveness policy, no heartbeat

@@ -36,10 +36,17 @@
 //! merge consume segments as they land instead of joining threads in
 //! order.
 //!
+//! Every per-peer policy lives here. A worker frames every request in
+//! the one dialect the client is configured for (v3 with checksums, or
+//! v2 without). Failover is one routing function, [`Registry::route`],
+//! with two callers: `submit` before queueing (proactive) and a worker
+//! about to fail an op (reactive), which re-queues the op at a replica
+//! at its own offset. So every op shape — whole segments, single
+//! chunks, the levitated stream's chunks — fails over the same way.
+//!
 //! Locking: `peers` (the worker registry) is taken before a worker's
-//! `ops` queue lock on the submit path; workers take `ops` alone, and
-//! `stats` only with nothing else held. Neither is ever held across
-//! socket I/O, sleeps, or a channel send.
+//! `ops` queue lock on the submit path; workers take `ops` alone.
+//! Neither is ever held across socket I/O, sleeps, or a channel send.
 
 use crate::breaker::{Admit, Breaker, Transition};
 use crate::client::{ClientConfig, ClientShared, SegmentRef};
@@ -54,7 +61,7 @@ use jbs_obs::Entity;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// One queued fetch: a chunk (or whole remainder) of one segment.
@@ -72,6 +79,10 @@ pub(crate) struct FetchOp {
     pub(crate) limit: u64,
     /// Completion handoff; every accepted op sends exactly one result.
     pub(crate) done: mpsc::Sender<FetchDone>,
+    /// Peers a failover has routed this op away from, never to be
+    /// routed back to: it grows strictly, so failover is bounded by the
+    /// replica set. Empty for a fresh op.
+    pub(crate) tried: Vec<SocketAddr>,
 }
 
 /// The completion record for one [`FetchOp`].
@@ -79,6 +90,9 @@ pub(crate) struct FetchDone {
     /// The op's `token`, so a submitter multiplexing one channel can
     /// tell its completions apart.
     pub(crate) token: u64,
+    /// The supplier the op ended on: its own, or the replica a failover
+    /// redirected it to.
+    pub(crate) addr: SocketAddr,
     /// The fetched bytes, or the failure wrapped in per-segment context.
     pub(crate) result: Result<Vec<u8>>,
 }
@@ -141,12 +155,51 @@ impl<T> DispatchQueue<T> {
     }
 }
 
+/// The per-peer registry: one handle per supplier address, `None` once
+/// closed. Factored out like [`DispatchQueue`] so a `cfg(loom)` model
+/// drives it. Handles are registered only under the `peers` lock while
+/// it is open, and `close` takes them all under that lock, so a worker
+/// re-queueing an op while the scheduler drops never spawns a worker
+/// nobody joins.
+pub(crate) struct PeerMap<H> {
+    peers: Mutex<Option<HashMap<SocketAddr, H>>>,
+}
+
+impl<H> PeerMap<H> {
+    pub(crate) fn new() -> Self {
+        PeerMap {
+            peers: Mutex::new(Some(HashMap::new())),
+        }
+    }
+
+    /// `f` of the registered handles; `None` once closed.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut HashMap<SocketAddr, H>) -> R) -> Option<R> {
+        lock(&self.peers).as_mut().map(f)
+    }
+
+    /// Close the registry and take every handle, so the caller can shut
+    /// the workers down and join them.
+    pub(crate) fn close(&self) -> Vec<H> {
+        let handles = lock(&self.peers).take();
+        handles
+            .map(|h| h.into_values().collect())
+            .unwrap_or_default()
+    }
+}
+
 /// The scheduler owned by [`crate::client::NetMergerClient`]: a registry
 /// of per-supplier queues and worker threads, spawned lazily on the
 /// first op for an address and joined on drop.
 pub(crate) struct FetchScheduler {
+    registry: Arc<Registry>,
+}
+
+/// What the scheduler shares with its workers. The scheduler owns it;
+/// workers reach it through a `Weak`, to re-queue an op at a replica,
+/// so a worker never keeps a dropped scheduler alive.
+struct Registry {
     shared: Arc<ClientShared>,
-    peers: Mutex<HashMap<SocketAddr, PeerHandle>>,
+    peers: PeerMap<PeerHandle>,
     /// Monotonic time origin shared with every worker, so the circuit
     /// breakers (which never read a clock themselves) see one timeline.
     anchor: Instant,
@@ -165,122 +218,125 @@ struct PeerHandle {
 impl FetchScheduler {
     pub(crate) fn new(shared: Arc<ClientShared>) -> Self {
         FetchScheduler {
-            shared,
-            peers: Mutex::new(HashMap::new()),
-            anchor: Instant::now(),
+            registry: Arc::new(Registry {
+                shared,
+                peers: PeerMap::new(),
+                anchor: Instant::now(),
+            }),
         }
     }
 
-    /// Whether `addr`'s circuit breaker is currently open. Peers no op
-    /// has ever been submitted for have no breaker and read closed.
-    pub(crate) fn breaker_open(&self, addr: SocketAddr) -> bool {
-        let breaker = {
-            let peers = lock(&self.peers);
-            peers.get(&addr).map(|h| Arc::clone(&h.breaker))
-        };
-        match breaker {
-            Some(b) => b.is_open(self.anchor.elapsed().as_nanos() as u64),
-            None => false,
-        }
+    /// Hand an op to its supplier's worker, re-aimed first at a replica
+    /// if its peer is unhealthy or breaker-open (proactive failover).
+    pub(crate) fn submit(&self, mut op: FetchOp) {
+        self.registry.route(&mut op);
+        self.registry.enqueue(op);
     }
 
-    /// Proactive failover: an op aimed at a peer the control plane marks
-    /// unhealthy (or whose breaker is already open) is rewritten to the
-    /// first healthy replica of its MOF before any queueing. Fires only
-    /// behind one of those health signals — a healthy peer's ops are
-    /// never rerouted — and only when a [`crate::routes::RouteTable`]
-    /// is configured.
-    fn reroute(&self, mut op: FetchOp) -> FetchOp {
+    /// Per-peer queue depths (ops admitted but not yet picked up), for
+    /// the pipeline gauges.
+    pub(crate) fn queue_depths(&self) -> Vec<(SocketAddr, usize)> {
+        let depths = self
+            .registry
+            .peers
+            .with(|m| m.iter().map(|(addr, h)| (*addr, h.queue.len())).collect());
+        depths.unwrap_or_default()
+    }
+}
+
+impl Registry {
+    /// Nanoseconds since the breakers' shared anchor.
+    fn now(&self) -> u64 {
+        self.anchor.elapsed().as_nanos() as u64
+    }
+
+    /// The one failover decision, for both callers: `submit` before
+    /// queueing, and a worker about to fail an op. If `op`'s peer is
+    /// marked unhealthy or its breaker is open, re-aim the op at the
+    /// first healthy replica of its MOF it has not been routed away
+    /// from, and say so. Fires only behind one of those health signals
+    /// and only with a [`crate::routes::RouteTable`] configured, so a
+    /// transient error on a healthy peer stays with that peer's own
+    /// retry budget. Replicas are byte-identical, so the op keeps its
+    /// offset.
+    fn route(&self, op: &mut FetchOp) -> bool {
         let Some(routes) = &self.shared.config.routes else {
-            return op;
+            return false;
         };
-        let addr = op.seg.addr;
-        if !routes.is_unhealthy(addr) && !self.breaker_open(addr) {
-            return op;
+        let from = op.seg.addr;
+        // A peer no op was ever submitted for has no breaker: closed.
+        let breaker = self
+            .peers
+            .with(|m| m.get(&from).map(|h| Arc::clone(&h.breaker)));
+        let open = breaker.flatten().is_some_and(|b| b.is_open(self.now()));
+        if !routes.is_unhealthy(from) && !open {
+            return false;
         }
-        let Some(next) = routes.failover_target(op.seg.mof, &[addr]) else {
-            return op;
+        op.tried.push(from);
+        let Some(next) = routes.failover_target(op.seg.mof, &op.tried) else {
+            op.tried.pop();
+            return false;
         };
         self.shared.fetch_stats.record_failover();
         self.shared.config.trace.instant(
             "failover.redirect",
             Entity::peer(u64::from(next.port())),
             op.seg.mof,
-            u64::from(addr.port()),
+            u64::from(from.port()),
         );
         op.seg.addr = next;
-        op
+        true
     }
 
-    /// Hand an op to its supplier's worker, spawning the worker on first
-    /// contact. An op for a peer whose circuit breaker is open fails
-    /// fast with [`TransportError::CircuitOpen`] — no queueing, no wire
-    /// traffic — unless a configured route table redirects it to a
-    /// healthy replica first. An op refused by a closed queue (client
+    /// Queue an op on its supplier's worker, spawning the worker on
+    /// first contact. An op for a peer whose circuit breaker is open
+    /// fails fast with [`TransportError::CircuitOpen`] — no queueing, no
+    /// wire traffic. An op refused by a closed registry or queue (client
     /// shutting down) fails through its own completion channel.
-    pub(crate) fn submit(&self, op: FetchOp) {
-        let op = self.reroute(op);
+    fn enqueue(self: &Arc<Self>, op: FetchOp) {
         let addr = op.seg.addr;
-        let (peer_id, mof, reducer) = (
-            u64::from(op.seg.addr.port()),
+        let (peer, mof, reducer) = (
+            Entity::peer(u64::from(addr.port())),
             op.seg.mof,
             u64::from(op.seg.reducer),
         );
-        let (queue, tick, breaker) = {
-            let mut peers = lock(&self.peers);
-            let h = peers
-                .entry(op.seg.addr)
-                .or_insert_with(|| spawn_worker(op.seg.addr, Arc::clone(&self.shared), self.anchor));
+        let link = self.peers.with(|m| {
+            let h = m.entry(addr).or_insert_with(|| spawn_worker(addr, self));
             (Arc::clone(&h.queue), h.tick.clone(), Arc::clone(&h.breaker))
+        });
+        let Some((queue, tick, breaker)) = link else {
+            finish(op, Err(shutdown_error()));
+            return;
         };
-        if breaker.is_open(self.anchor.elapsed().as_nanos() as u64) {
+        let trace = &self.shared.config.trace;
+        if breaker.is_open(self.now()) {
             self.shared.fetch_stats.record_breaker_fast_fail();
-            self.shared
-                .config
-                .trace
-                .instant("breaker.fast_fail", Entity::peer(peer_id), mof, reducer);
-            fail_op(op, TransportError::CircuitOpen {
+            trace.instant("breaker.fast_fail", peer, mof, reducer);
+            let open = TransportError::CircuitOpen {
                 peer: addr.to_string(),
-            });
+            };
+            finish(op, Err(open));
             return;
         }
         match push_counted(&queue, &self.shared.fetch_stats, op) {
             Ok(()) => {
-                self.shared.config.trace.instant(
-                    "sched.dispatch",
-                    Entity::peer(peer_id),
-                    mof,
-                    reducer,
-                );
+                trace.instant("sched.dispatch", peer, mof, reducer);
                 let _ = tick.send(());
             }
-            Err(op) => fail_op(op, shutdown_error()),
+            Err(op) => finish(op, Err(shutdown_error())),
         }
-    }
-
-    /// Per-peer queue depths (ops admitted but not yet picked up), for
-    /// the pipeline gauges.
-    pub(crate) fn queue_depths(&self) -> Vec<(SocketAddr, usize)> {
-        let peers = lock(&self.peers);
-        peers
-            .iter()
-            .map(|(addr, h)| (*addr, h.queue.len()))
-            .collect()
     }
 }
 
 impl Drop for FetchScheduler {
     fn drop(&mut self) {
-        let handles: Vec<PeerHandle> = {
-            let mut peers = lock(&self.peers);
-            peers.drain().map(|(_, h)| h).collect()
-        };
+        let handles = self.registry.peers.close();
         // Close every queue first so no worker admits more work, and
         // fail the ops that never reached a worker.
         for h in &handles {
             for op in h.queue.close() {
-                self.shared.fetch_stats.record_op_dequeued();
-                fail_op(op, shutdown_error());
+                self.registry.shared.fetch_stats.record_op_dequeued();
+                finish(op, Err(shutdown_error()));
             }
             let _ = h.tick.send(());
         }
@@ -315,16 +371,18 @@ fn shutdown_error() -> TransportError {
     }
 }
 
-fn fail_op(op: FetchOp, e: TransportError) {
-    let err = TransportError::Segment {
+/// Send `op`'s one completion.
+fn finish(op: FetchOp, result: Result<Vec<u8>>) {
+    let result = result.map_err(|e| TransportError::Segment {
         mof: op.seg.mof,
         reducer: op.seg.reducer,
         peer: op.seg.addr.to_string(),
         source: Box::new(e),
-    };
+    });
     let _ = op.done.send(FetchDone {
         token: op.token,
-        result: Err(err),
+        addr: op.seg.addr,
+        result,
     });
 }
 
@@ -337,23 +395,21 @@ fn addr_seed(addr: &SocketAddr) -> u64 {
     h.finish()
 }
 
-fn spawn_worker(addr: SocketAddr, shared: Arc<ClientShared>, anchor: Instant) -> PeerHandle {
+fn spawn_worker(addr: SocketAddr, registry: &Arc<Registry>) -> PeerHandle {
     let queue = Arc::new(DispatchQueue::new());
-    let (tick_tx, tick_rx) = mpsc::channel();
+    let (tick, ticks) = mpsc::channel();
+    let config = &registry.shared.config;
     let breaker = Arc::new(Breaker::new(
-        shared.config.breaker_threshold,
-        shared.config.breaker_cooldown.as_nanos() as u64,
+        config.breaker_threshold,
+        config.breaker_cooldown.as_nanos() as u64,
     ));
-    let worker_queue = Arc::clone(&queue);
-    let worker_breaker = Arc::clone(&breaker);
-    let worker = std::thread::spawn(move || {
-        Worker::new(addr, shared, worker_queue, tick_rx, worker_breaker, anchor).run();
-    });
+    let (worker_queue, worker_breaker) = (Arc::clone(&queue), Arc::clone(&breaker));
+    let mut worker = Worker::new(addr, registry, worker_queue, ticks, worker_breaker);
     PeerHandle {
         queue,
-        tick: tick_tx,
+        tick,
         breaker,
-        worker: Some(worker),
+        worker: Some(std::thread::spawn(move || worker.run())),
     }
 }
 
@@ -430,8 +486,8 @@ struct ActiveOp {
     resume_mark: u64,
     /// Segment length declared by the supplier's v3 `OkCrc` frames —
     /// the accounting that unmasks a truncation landing exactly on a
-    /// chunk boundary. `None` until the first v3 response (v2 peers
-    /// never fill it; their clean EOFs are trusted blind).
+    /// chunk boundary. `None` until the first v3 response (a v2 client
+    /// never fills it; its clean EOFs are trusted blind).
     expected: Option<u64>,
     /// The next request at the committed offset must carry
     /// [`FLAG_BYPASS_CACHE`]: the last chunk there failed verification,
@@ -456,6 +512,9 @@ struct Outstanding {
 struct Worker {
     addr: SocketAddr,
     shared: Arc<ClientShared>,
+    /// The scheduler's registry, for re-queueing an op at a replica;
+    /// dead once the scheduler is dropped.
+    registry: Weak<Registry>,
     queue: Arc<DispatchQueue<FetchOp>>,
     ticks: mpsc::Receiver<()>,
     conn: Option<Conn>,
@@ -476,13 +535,9 @@ struct Worker {
     breaker: Arc<Breaker>,
     /// Monotonic origin for breaker timestamps.
     anchor: Instant,
-    /// Dialect the current connection incarnation speaks, decided by
-    /// the [`crate::client::VersionMap`] at dial time.
-    conn_version: WireVersion,
-    /// Whether any v3 response arrived on the current connection — the
-    /// signal that separates "legacy server dropped the unknown magic"
-    /// from an ordinary mid-stream failure during negotiation.
-    saw_v3_response: bool,
+    /// The dialect every request is framed in: v3 when the client
+    /// verifies checksums, v2 when it does not.
+    version: WireVersion,
 }
 
 impl Worker {
@@ -499,16 +554,22 @@ impl Worker {
 
     fn new(
         addr: SocketAddr,
-        shared: Arc<ClientShared>,
+        registry: &Arc<Registry>,
         queue: Arc<DispatchQueue<FetchOp>>,
         ticks: mpsc::Receiver<()>,
         breaker: Arc<Breaker>,
-        anchor: Instant,
     ) -> Self {
+        let shared = Arc::clone(&registry.shared);
         let seed = shared.config.retry_seed ^ addr_seed(&addr);
+        let version = if shared.config.checksum {
+            WireVersion::V3
+        } else {
+            WireVersion::V2
+        };
         Worker {
             addr,
             shared,
+            registry: Arc::downgrade(registry),
             queue,
             ticks,
             conn: None,
@@ -522,9 +583,8 @@ impl Worker {
             rng: DetRng::new(seed),
             closed: false,
             breaker,
-            anchor,
-            conn_version: WireVersion::V2,
-            saw_v3_response: false,
+            anchor: registry.anchor,
+            version,
         }
     }
 
@@ -605,7 +665,7 @@ impl Worker {
                     if self.conn.is_some() {
                         // The pipelined analogue of a connection-cache
                         // hit: this op rides the worker's live socket.
-                        lock(&self.shared.stats).connections_reused += 1;
+                        self.shared.fetch_stats.record_connection_reused();
                     }
                     let key = self.next_key;
                     self.next_key += 1;
@@ -656,14 +716,12 @@ impl Worker {
                 }
             }
             let conn = dial(self.addr, &self.shared.config)?;
-            lock(&self.shared.stats).connections_established += 1;
+            self.shared.fetch_stats.record_connection_established();
             if self.ever_connected {
                 self.shared.fetch_stats.record_reconnect();
             }
             self.ever_connected = true;
             self.conn = Some(conn);
-            self.conn_version = self.shared.versions.version_for(self.addr);
-            self.saw_v3_response = false;
         }
         self.fill_window()?;
         if self.outstanding.is_empty() {
@@ -732,8 +790,7 @@ impl Worker {
         // A targeted re-fetch after a failed verification asks the
         // supplier to re-read disk instead of serving the poisoned
         // cache entry back (v3-only; v2 has no flags byte).
-        let bypass =
-            a.bypass_next && offset == a.committed && self.conn_version == WireVersion::V3;
+        let bypass = a.bypass_next && offset == a.committed && self.version == WireVersion::V3;
         let id = self.next_id;
         self.next_id += 1;
         let Some(conn) = self.conn.as_mut() else {
@@ -749,7 +806,7 @@ impl Worker {
             len,
             flags: if bypass { FLAG_BYPASS_CACHE } else { 0 },
         }
-        .write_versioned(&mut conn.writer, self.conn_version)
+        .write_versioned(&mut conn.writer, self.version)
         .map_err(|e| TransportError::from_io("write request", e))?;
         self.outstanding.push_back(Outstanding {
             id,
@@ -850,8 +907,6 @@ impl Worker {
         match head.status {
             Status::Ok => self.apply_payload(exp, head.len),
             Status::OkCrc => {
-                self.shared.versions.confirm_v3(self.addr);
-                self.saw_v3_response = true;
                 if !verified {
                     self.on_bad_payload(exp);
                     return Ok(());
@@ -864,8 +919,6 @@ impl Worker {
                 self.apply_payload(exp, head.len)
             }
             Status::Busy => {
-                self.shared.versions.confirm_v3(self.addr);
-                self.saw_v3_response = true;
                 self.on_busy(exp, head.retry_after_ms);
                 Ok(())
             }
@@ -1008,7 +1061,7 @@ impl Worker {
             self.complete(exp.key, Ok(buf));
             return Ok(());
         }
-        lock(&self.shared.stats).bytes_fetched += len as u64;
+        self.shared.fetch_stats.record_bytes_fetched(len as u64);
         a.committed = a.committed.saturating_add(len as u64);
         a.refetch_budget = self.shared.config.integrity_retries;
         if a.op.limit > 0 {
@@ -1027,20 +1080,23 @@ impl Worker {
         Ok(())
     }
 
-    /// Deliver one op's result and retire it from the active set.
+    /// Retire one op from the active set and deliver its result. A
+    /// failure on a peer that is unhealthy or breaker-open is the
+    /// reactive failover instead: [`Registry::route`] re-aims the op at
+    /// a replica and it is re-queued there at its own offset.
     fn complete(&mut self, key: u64, result: Result<Vec<u8>>) {
-        if let Some(a) = self.active.remove(&key) {
-            let result = result.map_err(|e| TransportError::Segment {
-                mof: a.op.seg.mof,
-                reducer: a.op.seg.reducer,
-                peer: a.op.seg.addr.to_string(),
-                source: Box::new(e),
-            });
-            let _ = a.op.done.send(FetchDone {
-                token: a.op.token,
-                result,
-            });
+        let Some(mut a) = self.active.remove(&key) else {
+            return;
+        };
+        if result.is_err() {
+            if let Some(registry) = self.registry.upgrade() {
+                if registry.route(&mut a.op) {
+                    registry.enqueue(a.op);
+                    return;
+                }
+            }
         }
+        finish(a.op, result);
     }
 
     /// A connection-level failure: drain the window, rewind every active
@@ -1048,22 +1104,6 @@ impl Worker {
     /// retry or fail everything with exhausted context.
     fn on_failure(&mut self, e: TransportError) {
         record_failure(&self.shared.fetch_stats, &e);
-        // Version negotiation: a connection that died mid-stream before
-        // producing ANY v3 response is the legacy-server signature (a
-        // v2-only supplier drops the unknown magic). Dial failures are
-        // excluded — a dead peer is not a legacy peer.
-        if self.conn_version == WireVersion::V3
-            && !self.saw_v3_response
-            && matches!(
-                e,
-                TransportError::Reset { .. }
-                    | TransportError::Timeout { .. }
-                    | TransportError::Io { .. }
-            )
-            && self.conn.is_some()
-        {
-            self.shared.versions.record_probe_failure(self.addr);
-        }
         if self.breaker.on_failure(self.now()) == Transition::Opened {
             self.trace()
                 .instant("breaker.open", self.peer(), u64::from(self.attempts + 1), 0);
@@ -1209,12 +1249,63 @@ mod loom_tests {
             assert!(matches!(q.try_pop(), Pop::Closed));
         });
     }
+
+    /// A worker's reactive re-queue races the scheduler's drop. The
+    /// worker reaches the registry through a `Weak` and registers the
+    /// replica's queue on first contact (where the scheduler spawns its
+    /// worker); the dropping side closes the registry, closes every
+    /// queue it drained, and would join one worker per drained handle.
+    /// In every interleaving the op surfaces exactly once — refused back
+    /// to the worker, which fails it, or drained by a queue close — and
+    /// every handle ever registered was drained, so no worker goes
+    /// unjoined. (The shim's `Arc`/`Weak` are std's: `upgrade` is not a
+    /// decision point, but the registry and queue locks around it are.)
+    #[test]
+    fn loom_requeue_races_drop_exactly_once() {
+        use loom::sync::atomic::{AtomicUsize, Ordering};
+        loom::model(|| {
+            let replica = SocketAddr::from(([127, 0, 0, 1], 7001));
+            let peers = Arc::new(PeerMap::<Arc<DispatchQueue<u32>>>::new());
+            let spawned = Arc::new(AtomicUsize::new(0));
+            let (weak, counter) = (Arc::downgrade(&peers), Arc::clone(&spawned));
+            let worker = loom::thread::spawn(move || {
+                let Some(peers) = weak.upgrade() else {
+                    return Some(7);
+                };
+                let queue = peers.with(|m| {
+                    let q = m.entry(replica).or_insert_with(|| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        Arc::new(DispatchQueue::new())
+                    });
+                    Arc::clone(q)
+                });
+                match queue {
+                    Some(queue) => queue.push(7u32).err(),
+                    None => Some(7),
+                }
+            });
+            let handles = peers.close();
+            let drained: Vec<u32> = handles.iter().flat_map(|q| q.close()).collect();
+            drop(peers);
+            let refused = match worker.join() {
+                Ok(r) => r,
+                Err(_) => panic!("worker panicked"),
+            };
+            let surfaced = usize::from(refused.is_some()) + drained.len();
+            assert_eq!(surfaced, 1, "op must complete exactly once");
+            assert_eq!(
+                spawned.load(Ordering::SeqCst),
+                handles.len(),
+                "a worker was spawned that drop never joins"
+            );
+        });
+    }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::client::{ClientConfig, ClientStats, VersionMap};
+    use crate::client::ClientConfig;
     use crate::faults::{FaultKind, FaultPlan};
     use crate::retry::RetryPolicy;
     use crate::server::{MofSupplierServer, ServerOptions};
@@ -1272,21 +1363,20 @@ mod tests {
     impl Rig {
         fn new(addr: SocketAddr, config: ClientConfig) -> Rig {
             let shared = Arc::new(ClientShared {
-                stats: Mutex::new(ClientStats::default()),
                 fetch_stats: FetchStats::new(),
-                versions: VersionMap::new(config.checksum),
                 config,
             });
             let (tick, ticks) = mpsc::channel();
+            // The registry drops at the end of this function, so the
+            // worker fails its ops in place instead of re-queueing them.
+            let registry = Arc::new(Registry {
+                shared: Arc::clone(&shared),
+                peers: PeerMap::new(),
+                anchor: Instant::now(),
+            });
             let breaker = Arc::new(Breaker::new(0, 0));
-            let worker = Worker::new(
-                addr,
-                Arc::clone(&shared),
-                Arc::new(DispatchQueue::new()),
-                ticks,
-                breaker,
-                Instant::now(),
-            );
+            let queue = Arc::new(DispatchQueue::new());
+            let worker = Worker::new(addr, &registry, queue, ticks, breaker);
             let (done_tx, done_rx) = mpsc::channel();
             Rig {
                 worker,
@@ -1311,6 +1401,7 @@ mod tests {
                 offset: 0,
                 limit: 0,
                 done: self.done_tx.clone(),
+                tried: Vec::new(),
             };
             assert!(self.worker.queue.push(op).is_ok());
             let mut result = None;

@@ -34,6 +34,9 @@ pub struct FetchStats {
     busy_backoffs: AtomicU64,
     breaker_fast_fails: AtomicU64,
     failovers: AtomicU64,
+    connections_established: AtomicU64,
+    connections_reused: AtomicU64,
+    bytes_fetched: AtomicU64,
 }
 
 /// A point-in-time copy of [`FetchStats`].
@@ -83,9 +86,15 @@ pub struct FetchStatsSnapshot {
     pub breaker_fast_fails: u64,
     /// Fetch ops redirected to another replica of their MOF, either
     /// proactively (submitted against a peer already marked unhealthy /
-    /// breaker-open) or reactively (resubmitted after such a peer
-    /// failed the op). Requires a [`crate::routes::RouteTable`].
+    /// breaker-open) or reactively (re-queued when such a peer was
+    /// about to fail the op). Requires a [`crate::routes::RouteTable`].
     pub failovers: u64,
+    /// Connections established.
+    pub connections_established: u64,
+    /// Fetch ops admitted onto their supplier's already-open connection.
+    pub connections_reused: u64,
+    /// Verified payload bytes fetched.
+    pub bytes_fetched: u64,
 }
 
 impl FetchStats {
@@ -187,6 +196,21 @@ impl FetchStats {
         self.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one dialed connection.
+    pub fn record_connection_established(&self) {
+        self.connections_established.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one op admitted onto an already-open connection.
+    pub fn record_connection_reused(&self) {
+        self.connections_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record `n` verified payload bytes.
+    pub fn record_bytes_fetched(&self, n: u64) {
+        self.bytes_fetched.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Copy out all counters.
     pub fn snapshot(&self) -> FetchStatsSnapshot {
         FetchStatsSnapshot {
@@ -207,6 +231,9 @@ impl FetchStats {
             busy_backoffs: self.busy_backoffs.load(Ordering::Relaxed),
             breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
+            connections_established: self.connections_established.load(Ordering::Relaxed),
+            connections_reused: self.connections_reused.load(Ordering::Relaxed),
+            bytes_fetched: self.bytes_fetched.load(Ordering::Relaxed),
         }
     }
 }
@@ -276,10 +303,17 @@ mod tests {
         s.record_busy_backoff();
         s.record_breaker_fast_fail();
         s.record_failover();
+        s.record_connection_established();
+        s.record_connection_reused();
+        s.record_connection_reused();
+        s.record_bytes_fetched(4096);
         let snap = s.snapshot();
         assert_eq!(snap.corrupt_refetches, 2);
         assert_eq!(snap.busy_backoffs, 1);
         assert_eq!(snap.breaker_fast_fails, 1);
         assert_eq!(snap.failovers, 1);
+        assert_eq!(snap.connections_established, 1);
+        assert_eq!(snap.connections_reused, 2);
+        assert_eq!(snap.bytes_fetched, 4096);
     }
 }

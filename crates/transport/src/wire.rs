@@ -41,10 +41,10 @@
 //!   shedding load. No payload; the header's `len` field carries a
 //!   retry-after hint in milliseconds instead of a payload length.
 //!
-//! Version negotiation is client-driven: a client opens with v3 and a
-//! genuine v2-only server rejects the unknown magic by dropping the
-//! connection, which the client observes as a reset *before any v3
-//! response* and downgrades that peer to v2 (see `client.rs`).
+//! The dialect is the client's configuration, not a negotiation: a
+//! client with `ClientConfig::checksum` set frames every request in v3,
+//! one without it frames every request in v2, and no failure switches
+//! a client from one to the other.
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::io::{self, IoSlice, Read, Write};

@@ -63,7 +63,7 @@ fn main() {
                 })
             })
             .collect();
-        let merged = client.shuffle_and_merge(&segs).expect("shuffle");
+        let merged = client.levitated_merge(&segs).expect("shuffle");
         assert!(is_sorted(&merged), "reducer {reducer} output not sorted");
         // Range partitioning keeps outputs globally ordered across reducers.
         if let (Some(prev), Some((first, _))) = (&last_max_key, merged.first()) {

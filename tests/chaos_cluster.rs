@@ -234,7 +234,7 @@ fn shuffle_survives_killed_supplier_via_replica_failover() {
 
     // Wave 1: all suppliers up (resets/stalls only).
     let mut outputs: Vec<Vec<Record>> = (0..2)
-        .map(|r| client.shuffle_and_merge(&segments_for(r)).expect("wave 1"))
+        .map(|r| client.levitated_merge(&segments_for(r)).expect("wave 1"))
         .collect();
 
     // Kill the victim mid-shuffle: crash-stop its heartbeats and tear
@@ -249,7 +249,7 @@ fn shuffle_survives_killed_supplier_via_replica_failover() {
     // Wave 2: fetches still name the victim as primary; they must fail
     // over to the surviving replica of each of its MOFs.
     outputs
-        .extend((2..REDUCERS).map(|r| client.shuffle_and_merge(&segments_for(r)).expect("wave 2")));
+        .extend((2..REDUCERS).map(|r| client.levitated_merge(&segments_for(r)).expect("wave 2")));
 
     // Byte-exact conservation across the kill.
     let mut got: Vec<Record> = outputs.iter().flatten().cloned().collect();

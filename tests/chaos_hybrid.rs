@@ -240,7 +240,7 @@ fn shuffle_survives_spill_drain_and_remote_restart() {
     let mut outputs: Vec<Vec<Record>> = (0..2)
         .map(|r| {
             client
-                .shuffle_and_merge(&segments_for(r))
+                .levitated_merge(&segments_for(r))
                 .expect("merge during spill")
         })
         .collect();
@@ -278,7 +278,7 @@ fn shuffle_survives_spill_drain_and_remote_restart() {
     // Second reduce wave: node 2's bytes now come from the REMOTE tier.
     outputs.extend((2..REDUCERS).map(|r| {
         client
-            .shuffle_and_merge(&segments_for(r))
+            .levitated_merge(&segments_for(r))
             .expect("merge after remote restart")
     }));
 

@@ -172,7 +172,7 @@ fn shuffle_survives_corruption_busy_storms_and_restart() {
     let outputs: Vec<Vec<Record>> = (0..REDUCERS)
         .map(|r| {
             client
-                .shuffle_and_merge(&segments_for(r))
+                .levitated_merge(&segments_for(r))
                 .expect("merge under integrity chaos")
         })
         .collect();

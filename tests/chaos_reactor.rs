@@ -122,7 +122,7 @@ fn reactor_shuffle_survives_seeded_chaos_byte_exact() {
     let outputs: Vec<Vec<Record>> = (0..REDUCERS)
         .map(|r| {
             client
-                .shuffle_and_merge(&segments_for(r))
+                .levitated_merge(&segments_for(r))
                 .expect("merge under reactor chaos")
         })
         .collect();

@@ -282,7 +282,7 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
 
     // Wave 1: all suppliers up (resets/stalls only).
     let mut outputs: Vec<Vec<Record>> = (0..2)
-        .map(|r| client.shuffle_and_merge(&segments_for(r)).expect("wave 1"))
+        .map(|r| client.levitated_merge(&segments_for(r)).expect("wave 1"))
         .collect();
 
     // Crash-stop the victim: no deregistration, no drain — heartbeats
@@ -295,7 +295,7 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
     // Wave 2: fetches still name the victim as primary; they must fail
     // over to the surviving replica of each of its MOFs.
     outputs
-        .extend((2..REDUCERS).map(|r| client.shuffle_and_merge(&segments_for(r)).expect("wave 2")));
+        .extend((2..REDUCERS).map(|r| client.levitated_merge(&segments_for(r)).expect("wave 2")));
 
     // Waves 1+2 are byte-exact despite the kill.
     let mut got: Vec<Record> = outputs.iter().flatten().cloned().collect();
@@ -403,7 +403,7 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
 
     // Wave 3: the full shuffle again, now THROUGH the restarted primary.
     let wave3: Vec<Vec<Record>> = (0..REDUCERS)
-        .map(|r| client.shuffle_and_merge(&segments_for(r)).expect("wave 3"))
+        .map(|r| client.levitated_merge(&segments_for(r)).expect("wave 3"))
         .collect();
     let mut got3: Vec<Record> = wave3.iter().flatten().cloned().collect();
     sort_run(&mut got3);

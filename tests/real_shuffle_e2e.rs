@@ -63,7 +63,7 @@ impl MiniCluster {
 
     fn shuffle_all(&self, client: &NetMergerClient) -> Vec<Vec<Record>> {
         (0..self.reducers)
-            .map(|r| client.shuffle_and_merge(&self.segments_for(r)).expect("merge"))
+            .map(|r| client.levitated_merge(&self.segments_for(r)).expect("merge"))
             .collect()
     }
 }
@@ -143,8 +143,8 @@ fn small_buffers_still_reassemble_exactly() {
     let big = client_with_buffer(1 << 20);
     for r in 0..2 {
         let segs = cluster.segments_for(r);
-        let a = tiny.shuffle_and_merge(&segs).unwrap();
-        let b = big.shuffle_and_merge(&segs).unwrap();
+        let a = tiny.levitated_merge(&segs).unwrap();
+        let b = big.levitated_merge(&segs).unwrap();
         assert_eq!(a, b, "buffer size must not change the merged stream");
     }
 }
@@ -157,7 +157,7 @@ fn server_datacache_sees_grouped_requests() {
     // Small buffers so one segment takes many chunks through the server's
     // read-ahead.
     let client = client_with_buffer(8 << 10);
-    let out = client.shuffle_and_merge(&cluster.segments_for(0)).unwrap();
+    let out = client.levitated_merge(&cluster.segments_for(0)).unwrap();
     assert_eq!(out.len(), 4000);
     let stats = cluster.servers[0].stats();
     let hits = stats.datacache_hits.load(std::sync::atomic::Ordering::Relaxed);
