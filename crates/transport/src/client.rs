@@ -576,9 +576,9 @@ mod tests {
         assert!(fs.queue_depth_peak >= 1, "{fs:?}");
         assert_eq!(fs.window_inflight, 0, "window must drain: {fs:?}");
         assert_eq!(fs.queued_ops, 0, "queues must drain: {fs:?}");
-        assert!(
-            fs.spec_discards >= 1,
-            "segment tails must discard stale speculation: {fs:?}"
+        assert_eq!(
+            fs.spec_discards, 0,
+            "v3 never speculates past a declared end: {fs:?}"
         );
         assert!(
             client.queue_depths().iter().all(|(_, d)| *d == 0),
@@ -610,6 +610,75 @@ mod tests {
         let fs = quiesce(&client);
         assert_eq!(fs.window_peak, 1, "{fs:?}");
         assert_eq!(fs.spec_discards, 0, "{fs:?}");
+        server.shutdown();
+    }
+
+    fn served(server: &MofSupplierServer) -> u64 {
+        server
+            .stats()
+            .requests
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// In lockstep a v3 fetch asks only for bytes it keeps: a segment
+    /// shorter than one buffer is one request, a longer one of length L
+    /// exactly `ceil(L / buffer_bytes)`, with no empty-frame probe.
+    #[test]
+    fn lockstep_v3_requests_only_bytes_it_keeps() {
+        let server = server_with_records(1500, 1);
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        let whole = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 1 << 20,
+            window: 1,
+            ..ClientConfig::default()
+        });
+        let bytes = whole.fetch_segment(seg).unwrap();
+        assert!(bytes.len() < 1 << 20 && bytes.len() > 4 * (4 << 10));
+        assert_eq!(served(&server), 1);
+        let chunked = NetMergerClient::with_client_config(ClientConfig {
+            buffer_bytes: 4 << 10,
+            window: 1,
+            ..ClientConfig::default()
+        });
+        assert_eq!(chunked.fetch_segment(seg).unwrap(), bytes);
+        let chunks = bytes.len().div_ceil(4 << 10) as u64;
+        assert_eq!(served(&server), 1 + chunks);
+        server.shutdown();
+    }
+
+    /// A v2 frame declares no segment length, so a `checksum: false`
+    /// fetch still ends on an empty frame, byte-exact.
+    #[test]
+    fn v2_fetch_still_ends_on_an_empty_frame() {
+        let server = server_with_records(1500, 1);
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        let config = ClientConfig {
+            buffer_bytes: 4 << 10,
+            window: 1,
+            ..ClientConfig::default()
+        };
+        let v3 = NetMergerClient::with_client_config(config.clone());
+        let truth = v3.fetch_segment(seg).unwrap();
+        let before = served(&server);
+        let v2 = NetMergerClient::with_client_config(ClientConfig {
+            checksum: false,
+            ..config
+        });
+        assert_eq!(v2.fetch_segment(seg).unwrap(), truth);
+        let chunks = truth.len().div_ceil(4 << 10) as u64;
+        assert_eq!(
+            served(&server) - before,
+            chunks + 1,
+            "the chunks, then the end frame"
+        );
         server.shutdown();
     }
 
@@ -1049,12 +1118,13 @@ mod tests {
             reducer: 0,
         };
         let bytes = client.fetch_segment(seg).unwrap();
-        // Every received chunk passed verification before admission (so
-        // did the end frame and any speculation past it).
+        // Every received chunk passed verification before admission,
+        // and the op ended at the declared length: no end frame, no
+        // speculation past it.
         let chunks = bytes.len().div_ceil(4 << 10);
         let verifies = trace.query().count("integrity.verify");
-        assert!(
-            verifies > chunks,
+        assert_eq!(
+            verifies, chunks,
             "{verifies} verifications of {chunks} chunks"
         );
         assert_eq!(client.fetch_stats().corrupt_refetches, 0);

@@ -11,19 +11,26 @@
 //!
 //! * admits up to `window` fetch ops from its [`DispatchQueue`] into an
 //!   active set;
-//! * round-robins chunk requests across the active ops (the paper's
-//!   balanced injection), keeping up to `window` requests on the wire —
-//!   so while chunk `k` streams back, chunk `k+1` is already being
-//!   staged by the supplier's prefetch thread;
+//! * gives a free window slot first to an active op with nothing in
+//!   flight, then round-robins further chunk requests across the active
+//!   ops (the paper's balanced injection), keeping up to `window`
+//!   requests on the wire — so while chunk `k` streams back, chunk
+//!   `k+1` is already being staged by the supplier's prefetch thread;
 //! * matches responses to requests by the **id echo** in strict FIFO
 //!   order: TCP delivers responses in request order, so a mismatched id
 //!   means the stream desynchronized and the connection is torn down as
 //!   corrupt rather than trusted;
 //! * requests *speculative* offsets for multi-chunk ops (chunk `k+1`'s
-//!   offset is predicted before chunk `k` lands). A short read proves
-//!   the prediction wrong: speculation collapses back to the committed
-//!   offset and the stale responses are discarded by offset mismatch
-//!   ([`crate::stats::FetchStatsSnapshot::spec_discards`]);
+//!   offset is predicted before chunk `k` lands), but never at or past
+//!   the segment length a v3 frame declared, and the last request is
+//!   sized to what remains. Until the first response declares that
+//!   length, a v3 op runs at most one request ahead. A short read
+//!   proves a prediction wrong: speculation collapses back to the
+//!   committed offset and the stale responses are discarded by offset
+//!   mismatch ([`crate::stats::FetchStatsSnapshot::spec_discards`]);
+//! * ends a whole-segment op the moment its committed bytes reach the
+//!   declared length, with no empty-frame probe. A v2 frame declares no
+//!   length, so a v2 op ends on an empty frame at its committed offset;
 //! * keeps PR 1's recovery semantics **per in-flight op**: any
 //!   connection-level failure drains the window, resets every active op
 //!   to its committed offset (resume — bytes received are never
@@ -484,10 +491,12 @@ struct ActiveOp {
     /// Offset up to which resume credit was already recorded, so one op
     /// surviving several reconnects doesn't double-count.
     resume_mark: u64,
-    /// Segment length declared by the supplier's v3 `OkCrc` frames —
-    /// the accounting that unmasks a truncation landing exactly on a
-    /// chunk boundary. `None` until the first v3 response (a v2 client
-    /// never fills it; its clean EOFs are trusted blind).
+    /// Segment length declared by the supplier's v3 `OkCrc` frames. A
+    /// whole-segment op ends when `committed` reaches it, requests
+    /// nothing at or past it, and treats an empty frame before it as a
+    /// truncation lie landing exactly on a chunk boundary. `None` until
+    /// the first v3 response (a v2 client never fills it; it ends on an
+    /// empty frame, trusted blind).
     expected: Option<u64>,
     /// The next request at the committed offset must carry
     /// [`FLAG_BYPASS_CACHE`]: the last chunk there failed verification,
@@ -735,23 +744,50 @@ impl Worker {
     /// The next chunk request for an active op, or `None` if the op has
     /// nothing more to ask for right now.
     fn next_request(&self, a: &ActiveOp) -> Option<(u64, u64)> {
-        if a.op.limit == 0 {
-            // Whole-remainder op: always another (speculative) chunk;
-            // the window bounds how far ahead we run.
-            Some((a.spec, self.shared.config.buffer_bytes))
-        } else if a.spec == a.op.offset {
+        let buffer = self.shared.config.buffer_bytes;
+        if a.op.limit > 0 {
             // Single-exchange chunk: issued at most once per connection
             // incarnation (spec collapses back on failure for re-issue).
-            Some((a.spec, a.op.limit))
-        } else {
-            None
+            return (a.spec == a.op.offset).then_some((a.spec, a.op.limit));
+        }
+        match a.expected {
+            // The length is declared: nothing at or past the end, and
+            // the last request asks for exactly what remains.
+            Some(end) => (a.spec < end).then(|| (a.spec, buffer.min(end - a.spec))),
+            // v3 before its first response: one request beyond the
+            // first, so a wave of few ops still fills the window.
+            None if self.version == WireVersion::V3 => {
+                (a.spec.saturating_sub(a.committed) <= buffer).then_some((a.spec, buffer))
+            }
+            // v2 declares no length: always another (speculative)
+            // chunk; the window bounds how far ahead we run.
+            None => Some((a.spec, buffer)),
         }
     }
 
-    /// Top up the pipeline window, visiting active ops round-robin so
-    /// chunk injection stays balanced across segments.
+    /// Top up the pipeline window: first one request for each active op
+    /// with nothing in flight, so a newly admitted op never waits behind
+    /// another op's speculation, then further chunks round-robin so
+    /// injection stays balanced across segments.
     fn fill_window(&mut self) -> Result<()> {
         let window = self.shared.config.window.max(1);
+        for i in 0..self.rotation.len() {
+            if self.outstanding.len() >= window {
+                return Ok(());
+            }
+            let Some(&key) = self.rotation.get(i) else {
+                break;
+            };
+            let Some(a) = self.active.get(&key) else {
+                continue;
+            };
+            if a.spec != a.committed {
+                continue;
+            }
+            if let Some((offset, len)) = self.next_request(a) {
+                self.send_request(key, offset, len)?;
+            }
+        }
         loop {
             if self.outstanding.len() >= window {
                 return Ok(());
@@ -764,7 +800,6 @@ impl Worker {
                 let Some(key) = self.rotation.pop_front() else {
                     break;
                 };
-                // Completed ops leave stale rotation entries; drop them.
                 let Some(a) = self.active.get(&key) else {
                     continue;
                 };
@@ -875,11 +910,22 @@ impl Worker {
                 ),
             });
         }
+        if head.len as u64 > head.declared_remaining(exp.offset) {
+            // A v3 frame whose payload runs past the segment length it
+            // declares contradicts itself: trusting it would complete
+            // an op on bytes the supplier never declared.
+            return Err(TransportError::Corrupt {
+                detail: format!(
+                    "frame at offset {} carries {} bytes past its declared segment length {}",
+                    exp.offset, head.len, head.seg_len
+                ),
+            });
+        }
         // The id names the op before any payload byte is read, so a
         // payload that continues its segment goes straight onto the end
         // of that segment's buffer; anything else (stale speculation,
-        // an op already completed — nearly always an empty frame) is
-        // consumed and verified in a scratch buffer and dropped.
+        // an op already completed) is consumed and verified in a
+        // scratch buffer and dropped.
         let mut scratch = Vec::new();
         let data = matches!(head.status, Status::Ok | Status::OkCrc);
         let wanted = match self.active.get_mut(&exp.key) {
@@ -1026,11 +1072,12 @@ impl Worker {
             return Ok(());
         }
         if len == 0 {
-            // Empty at exactly the committed offset: end of segment —
-            // unless the v3 accounting says bytes are still owed, in
-            // which case this "clean EOF" is a truncation lie landing
-            // exactly on a chunk boundary (a levitated stream would
-            // otherwise terminate early and silently lose records).
+            // Empty at exactly the committed offset: the v2 end of
+            // segment (and a v3 one at the declared length) — unless
+            // the v3 accounting says bytes are still owed, in which
+            // case this "clean EOF" is a truncation lie landing exactly
+            // on a chunk boundary (a levitated stream would otherwise
+            // terminate early and silently lose records).
             if let Some(exp_len) = a.expected {
                 if a.committed < exp_len {
                     let committed = a.committed;
@@ -1064,9 +1111,10 @@ impl Worker {
         self.shared.fetch_stats.record_bytes_fetched(len as u64);
         a.committed = a.committed.saturating_add(len as u64);
         a.refetch_budget = self.shared.config.integrity_retries;
-        if a.op.limit > 0 {
-            // Single-exchange chunk: the payload (possibly short at
-            // segment end) IS the result.
+        if a.op.limit > 0 || a.expected == Some(a.committed) {
+            // A single-exchange chunk's payload (possibly short at
+            // segment end) IS the result; a whole-segment op ends at
+            // the length v3 declared.
             let buf = std::mem::take(&mut a.buf);
             self.complete(exp.key, Ok(buf));
             return Ok(());
@@ -1088,6 +1136,9 @@ impl Worker {
         let Some(mut a) = self.active.remove(&key) else {
             return;
         };
+        // The rotation holds only active ops, so neither pass of
+        // `fill_window` walks over completed ones.
+        self.rotation.retain(|&k| k != key);
         if result.is_err() {
             if let Some(registry) = self.registry.upgrade() {
                 if registry.route(&mut a.op) {
@@ -1164,7 +1215,6 @@ impl Worker {
         for key in keys {
             self.complete(key, Err(e.duplicate()));
         }
-        self.rotation.clear();
     }
 }
 
@@ -1387,24 +1437,31 @@ mod tests {
             }
         }
 
-        /// Fetch the whole of reducer 0 of MOF 0 from the worker's
-        /// peer, checking the buffer invariant after every step, and
-        /// drain the speculation left on the wire.
-        fn fetch(&mut self) -> Result<Vec<u8>> {
-            let op = FetchOp {
-                token: 0,
-                seg: SegmentRef {
-                    addr: self.worker.addr,
-                    mof: 0,
-                    reducer: 0,
-                },
-                offset: 0,
-                limit: 0,
-                done: self.done_tx.clone(),
-                tried: Vec::new(),
-            };
-            assert!(self.worker.queue.push(op).is_ok());
-            let mut result = None;
+        /// Queue whole-segment fetches of `reducers` of MOF 0 from the
+        /// worker's peer, all before its next step.
+        fn queue(&mut self, reducers: std::ops::Range<u32>) {
+            for reducer in reducers {
+                let op = FetchOp {
+                    token: u64::from(reducer),
+                    seg: SegmentRef {
+                        addr: self.worker.addr,
+                        mof: 0,
+                        reducer,
+                    },
+                    offset: 0,
+                    limit: 0,
+                    done: self.done_tx.clone(),
+                    tried: Vec::new(),
+                };
+                assert!(self.worker.queue.push(op).is_ok());
+            }
+        }
+
+        /// Step the worker until every queued op completed and the
+        /// speculation left on the wire drained, checking the buffer
+        /// invariant after every step. The results, by reducer.
+        fn drain(&mut self) -> Vec<Result<Vec<u8>>> {
+            let mut results = Vec::new();
             loop {
                 assert!(self.worker.step(), "worker shut down mid-fetch");
                 for a in self.worker.active.values() {
@@ -1415,14 +1472,22 @@ mod tests {
                     );
                     assert!(a.buf.capacity() <= 2 * wire::RESERVE_STEP);
                 }
-                if let Ok(done) = self.done_rx.try_recv() {
-                    result = Some(done.result);
-                }
-                if self.worker.active.is_empty() && self.worker.outstanding.is_empty() {
+                results.extend(self.done_rx.try_iter().map(|d| (d.token, d.result)));
+                if self.worker.active.is_empty()
+                    && self.worker.outstanding.is_empty()
+                    && self.worker.queue.len() == 0
+                {
                     break;
                 }
             }
-            result.expect("the op completed")
+            results.sort_by_key(|(token, _)| *token);
+            results.into_iter().map(|(_, r)| r).collect()
+        }
+
+        /// Fetch the whole of reducer 0 of MOF 0 from the worker's peer.
+        fn fetch(&mut self) -> Result<Vec<u8>> {
+            self.queue(0..1);
+            self.drain().pop().expect("the op completed")
         }
     }
 
@@ -1435,20 +1500,30 @@ mod tests {
         }
     }
 
-    /// One supplier holding a single ~50 KB segment, served in 4 KiB
-    /// chunks under `plan`, and that segment's bytes read back from the
-    /// store as the oracle.
-    fn supplier(plan: Arc<FaultPlan>) -> (MofSupplierServer, Vec<u8>) {
+    /// One supplier holding ~50 KB of records in MOF 0, hashed into
+    /// `partitions` segments and served in 4 KiB chunks under `plan`,
+    /// and each segment's bytes read back from the store as the oracle.
+    fn supplier_split(
+        partitions: usize,
+        plan: Arc<FaultPlan>,
+    ) -> (MofSupplierServer, Vec<Vec<u8>>) {
         let mut store = MofStore::temp().expect("store");
         let records: Vec<_> = (0..1600u32)
             .map(|i| (format!("key-{i:06}").into_bytes(), vec![i as u8; 20]))
             .collect();
-        store.write_mof(0, records, 1, |_| 0).expect("mof");
-        let truth = store
-            .read_segment_range(0, 0, 0, 0)
-            .expect("segment read")
-            .expect("segment exists");
-        assert!(truth.len() > 10 * 4096, "many chunks");
+        let hash = |k: &[u8]| {
+            k.iter()
+                .fold(0usize, |h, &b| h.wrapping_mul(31) ^ usize::from(b))
+        };
+        store
+            .write_mof(0, records, partitions, |k| hash(k) % partitions)
+            .expect("mof");
+        let truths: Vec<Vec<u8>> = (0..partitions as u32)
+            .map(|r| {
+                let seg = store.read_segment_range(0, r, 0, 0).expect("segment read");
+                seg.expect("segment exists")
+            })
+            .collect();
         let server = MofSupplierServer::start_with_options(
             store,
             ServerOptions {
@@ -1458,7 +1533,76 @@ mod tests {
             },
         )
         .expect("server");
+        (server, truths)
+    }
+
+    /// [`supplier_split`] with the records in a single segment of many
+    /// chunks.
+    fn supplier(plan: Arc<FaultPlan>) -> (MofSupplierServer, Vec<u8>) {
+        let (server, mut truths) = supplier_split(1, plan);
+        let truth = truths.pop().expect("one segment");
+        assert!(truth.len() > 10 * 4096, "many chunks");
         (server, truth)
+    }
+
+    fn served(server: &MofSupplierServer) -> u64 {
+        server
+            .stats()
+            .requests
+            .load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// A wave of many segments, each shorter than one buffer: every op
+    /// is fresh when admitted and ends at its declared length, so the
+    /// only requests past an end are the wave tail's, one for each op
+    /// still waiting on its first response when the queue runs dry.
+    #[test]
+    fn small_segment_wave_wastes_at_most_the_window_tail() {
+        let (server, truths) = supplier_split(64, FaultPlan::builder(25).build());
+        assert!(truths.iter().all(|t| !t.is_empty() && t.len() < 4096));
+        let mut rig = Rig::new(
+            server.addr(),
+            ClientConfig {
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        rig.queue(0..64);
+        let got: Vec<Vec<u8>> = rig.drain().into_iter().map(|r| r.expect("fetch")).collect();
+        assert_eq!(got, truths);
+        let window = rig.shared.config.window as u64;
+        let sent = served(&server);
+        // At most one wasted request per other slot of the window.
+        assert!(sent < 64 + window, "{sent} requests for 64 segments");
+        server.shutdown();
+    }
+
+    /// Before any length is declared, each op of a small wave may run
+    /// one request ahead, so 4 ops fill a window of 8 before the first
+    /// response; every one of those requests is a chunk the op needs.
+    #[test]
+    fn unknown_length_still_fills_the_window() {
+        let (server, truths) = supplier_split(4, FaultPlan::builder(26).build());
+        assert!(truths.iter().all(|t| t.len() > 2 * 4096), "multi-chunk");
+        let mut rig = Rig::new(
+            server.addr(),
+            ClientConfig {
+                buffer_bytes: 4 << 10,
+                window: 8,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        rig.queue(0..4);
+        assert!(rig.worker.step());
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert_eq!(fs.window_peak, 8, "{fs:?}");
+        assert_eq!(rig.worker.outstanding.len(), 7, "one response read");
+        let got: Vec<Vec<u8>> = rig.drain().into_iter().map(|r| r.expect("fetch")).collect();
+        assert_eq!(got, truths);
+        let chunks: usize = truths.iter().map(|t| t.len().div_ceil(4096)).sum();
+        assert_eq!(served(&server), chunks as u64, "no request past an end");
+        server.shutdown();
     }
 
     fn rig_for(server: &MofSupplierServer, buffer_bytes: u64) -> Rig {
@@ -1591,6 +1735,43 @@ mod tests {
         let fs = rig.shared.fetch_stats.snapshot();
         assert_eq!(fs.reconnects, 1, "{fs:?}");
         assert_eq!(fs.resumed_bytes, 2 * 4096, "{fs:?}");
+        drop(rig);
+        supplier.join().expect("supplier thread");
+    }
+
+    /// A frame whose payload runs one byte past the segment length it
+    /// declares is corrupt: the connection is torn down before its
+    /// payload is read, every retry meets the same lie, and the fetch
+    /// ends in a typed error instead of the undeclared bytes.
+    #[test]
+    fn frame_overrunning_its_declared_length_is_corrupt() {
+        let segment: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let retry = fast_retry();
+        let (addr, supplier) = scripted_supplier(retry.max_retries as usize + 1, move |req| {
+            let from = (req.offset as usize).min(segment.len());
+            let payload = segment[from..].to_vec();
+            let lie = segment.len() as u64 - 1;
+            Reply::Frame(FetchResponse::ok_crc(req.id, payload, lie))
+        });
+        let mut rig = Rig::new(
+            addr,
+            ClientConfig {
+                retry,
+                ..ClientConfig::default()
+            },
+        );
+        let err = rig.fetch().expect_err("the frame contradicts itself");
+        match err {
+            TransportError::Segment { source, .. } => match *source {
+                TransportError::RetriesExhausted { last, .. } => {
+                    assert!(matches!(*last, TransportError::Corrupt { .. }), "{last}");
+                }
+                other => panic!("expected exhausted retries, got {other}"),
+            },
+            other => panic!("expected segment context, got {other}"),
+        }
+        let fs = rig.shared.fetch_stats.snapshot();
+        assert_eq!(fs.bytes_fetched, 0, "{fs:?}");
         drop(rig);
         supplier.join().expect("supplier thread");
     }

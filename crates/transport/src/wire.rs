@@ -33,10 +33,11 @@
 //! * [`Status::OkCrc`] (v3 only) — the 17-byte header is followed by a
 //!   12-byte extension: `crc32c u32 | seg_len u64`, then the payload.
 //!   `crc32c` covers exactly the payload bytes; `seg_len` is the total
-//!   length of the addressed segment, which lets the client account for
-//!   expected bytes and turn a truncation landing exactly on a chunk
-//!   boundary (indistinguishable from clean EOF in v2) into a typed
-//!   error.
+//!   length of the addressed segment, which lets the client end a
+//!   whole-segment fetch there without an end-of-segment request,
+//!   account for expected bytes, and turn a truncation landing exactly
+//!   on a chunk boundary (indistinguishable from clean EOF in v2) into
+//!   a typed error.
 //! * [`Status::Busy`] (v3 only) — admission control: the supplier is
 //!   shedding load. No payload; the header's `len` field carries a
 //!   retry-after hint in milliseconds instead of a payload length.
