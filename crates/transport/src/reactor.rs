@@ -855,11 +855,9 @@ fn serve_request(
 /// Serve `want` bytes at `offset` of `key` zero-copy from the DataCache:
 /// the reactor's hit path and a disk worker's recheck of an overtaken
 /// Stage job. A hit low in its staged range also queues the next
-/// read-ahead batch (the pull half of Fig. 5 pipelining). `None` means
-/// the request needs a disk worker: a miss, or a v3 request whose
-/// segment length is not cached (frames cannot be sealed without it,
-/// and index I/O is not reactor work). The length is checked first, so
-/// a hit is never consumed only to be thrown away.
+/// read-ahead batch (the pull half of Fig. 5 pipelining). A v3 frame is
+/// sealed with the segment length the staged range carries. `None` is
+/// a miss, which needs a disk worker.
 pub(crate) fn hit_resp(
     shared: &Shared,
     id: u64,
@@ -868,10 +866,6 @@ pub(crate) fn hit_resp(
     offset: u64,
     want: u64,
 ) -> Option<OutResp> {
-    let seg_len = match version {
-        WireVersion::V2 => None,
-        WireVersion::V3 => Some(lock(&shared.seg_lens).get(&key).copied()?),
-    };
     let low_water = crate::server::batch_bytes(shared) / 2;
     let hit = shared.staged.hit_lease(&key, offset, want, low_water)?;
     let (mof, reducer) = key;
@@ -887,7 +881,7 @@ pub(crate) fn hit_resp(
         shared,
         id,
         version,
-        seg_len,
+        (version == WireVersion::V3).then_some(hit.seg_len),
         Source::Mof,
         hit.lease,
         hit.range,

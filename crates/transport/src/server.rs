@@ -4,7 +4,8 @@
 //! cached connections, and mirrors the paper's server design ("epoll,
 //! event-driven, multiple data threads"):
 //!
-//! * an in-memory **IndexCache** (the `MofStore` caches parsed indexes);
+//! * an in-memory **IndexCache** (the `MofStore` caches each MOF's
+//!   parsed index and open data file, and answers through `&self`);
 //! * one **serve loop**: every admitted connection is a state machine
 //!   on a [`crate::reactor`] thread, which answers DataCache hits
 //!   inline — zero-copy, straight from the staged lease — and hybrid
@@ -229,10 +230,13 @@ impl Default for ServerOptions {
 }
 
 pub(crate) struct Shared {
-    pub(crate) store: Mutex<MofStore>,
-    /// DataCache: one staged read-ahead range per (mof, reducer); the
-    /// hit/stage logic lives in [`StageCache`], where the `cfg(loom)`
-    /// models exercise it.
+    /// The MOFs and their IndexCache, read through `&self` by every
+    /// disk worker at once; the store's own lock is never held across
+    /// I/O.
+    pub(crate) store: MofStore,
+    /// DataCache: one staged read-ahead range per (mof, reducer), each
+    /// carrying its segment's length; the hit/stage logic lives in
+    /// [`StageCache`], where the `cfg(loom)` models exercise it.
     pub(crate) staged: StageCache<(u64, u32)>,
     /// Maker (and live-count gauge) of the slab leases staged ranges
     /// and responses are pinned through.
@@ -252,11 +256,6 @@ pub(crate) struct Shared {
     pub(crate) active_conns: AtomicU64,
     /// Connections currently being served, per peer IP (admission).
     pub(crate) conns_per_peer: Mutex<HashMap<IpAddr, u64>>,
-    /// Total segment lengths, cached off the store index so v3 `OkCrc`
-    /// replies don't pay an index lock per chunk. Filled before any MOF
-    /// range is staged, so every DataCache hit finds its length here.
-    /// Never held together with any other lock.
-    pub(crate) seg_lens: Mutex<HashMap<(u64, u32), u64>>,
     pub(crate) options: ServerOptions,
 }
 
@@ -328,7 +327,7 @@ impl MofSupplierServer {
             )),
         };
         let shared = Arc::new(Shared {
-            store: Mutex::new(store),
+            store,
             staged: StageCache::new(),
             pool: BufPool::new(),
             prefetch: PrefetchQueue::new(),
@@ -339,7 +338,6 @@ impl MofSupplierServer {
             draining: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
             conns_per_peer: Mutex::new(HashMap::new()),
-            seg_lens: Mutex::new(HashMap::new()),
             options: ServerOptions {
                 buffer_bytes: options.buffer_bytes.max(1),
                 prefetch_batch: options.prefetch_batch.max(1),
@@ -644,35 +642,16 @@ fn reject_busy(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Total length of one reducer's segment, from the per-supplier cache
-/// or (on first touch) the store's index. `None` for an unknown
-/// MOF/reducer. The two locks are taken strictly in sequence, never
-/// nested.
+/// Total length of one reducer's segment: a hybrid partition's live
+/// length (it grows with every append), else the MOF index's. `None`
+/// for an unknown MOF/reducer.
 fn segment_len(shared: &Shared, mof: u64, reducer: u32) -> Option<u64> {
-    // Hybrid partitions first, and never through the cache: their
-    // length grows with every append, so a cached value would go stale
-    // and poison the v3 seg_len accounting.
     if let Some(hybrid) = &shared.options.hybrid {
         if let Some(len) = hybrid.partition_len(mof, reducer) {
             return Some(len);
         }
     }
-    let key = (mof, reducer);
-    {
-        let cache = lock(&shared.seg_lens);
-        if let Some(&len) = cache.get(&key) {
-            return Some(len);
-        }
-    }
-    let len = {
-        let mut store = lock(&shared.store);
-        match store.index(mof) {
-            Ok(ix) => ix.entry(reducer as usize).map(|e| e.part_len),
-            Err(_) => None,
-        }
-    }?;
-    lock(&shared.seg_lens).insert(key, len);
-    Some(len)
+    shared.store.segment_len(mof, reducer).ok().flatten()
 }
 
 /// One read-ahead batch: `prefetch_batch` transport buffers.
@@ -708,24 +687,25 @@ fn read_range(
     if !delay.is_zero() {
         std::thread::sleep(delay);
     }
-    let read = {
-        let mut store = lock(&shared.store);
-        store.read_segment_range(mof, reducer, offset, len)?
-    };
+    let read = shared.store.read_segment_range(mof, reducer, offset, len)?;
     Ok(read.map(|bytes| (bytes, Source::Mof)))
 }
 
-/// Stage one MOF read-ahead batch read at `offset` into the DataCache.
-/// The segment's length is cached first, whatever dialect asked, so a
-/// v3 hit on these bytes can be sealed on the reactor. Returns whether
-/// the batch reaches the segment's end.
+/// Stage one MOF read-ahead batch read at `offset` into the DataCache,
+/// with the segment length from the index the read just went through.
+/// Returns whether the batch reaches the segment's end.
 fn stage_batch(shared: &Shared, key: (u64, u32), offset: u64, lease: Lease) -> bool {
-    let at_end = (lease.len() as u64) < batch_bytes(shared);
-    let _ = segment_len(shared, key.0, key.1);
+    let end = offset + lease.len() as u64;
+    let seg_len = shared
+        .store
+        .segment_len(key.0, key.1)
+        .ok()
+        .flatten()
+        .unwrap_or(end);
     // A displaced lease drops here; its buffer is freed once nothing in
     // flight still pins it.
-    drop(shared.staged.stage_lease(key, offset, lease, at_end));
-    at_end
+    drop(shared.staged.stage_lease(key, offset, lease, seg_len));
+    end >= seg_len
 }
 
 /// One disk worker: pop stage jobs (round-robin across MOF groups,
@@ -847,8 +827,7 @@ fn run_reactor_job(
                     queue_run_ahead(shared, mof, reducer, next);
                 }
             }
-            // A hybrid partition's length is its live one: `segment_len`
-            // asks the store first and never caches it.
+            // A hybrid partition's length is its live one.
             let seg_len = match version {
                 WireVersion::V2 => None,
                 WireVersion::V3 => segment_len(shared, mof, reducer),
@@ -1175,7 +1154,7 @@ mod tests {
         for &(backing, mof, tier) in rows {
             let truth = |offset, len| match tier {
                 Some(_) => hybrid.read_segment_range(mof, 0, offset, len),
-                None => lock(&server.shared.store).read_segment_range(mof, 0, offset, len),
+                None => server.shared.store.read_segment_range(mof, 0, offset, len),
             };
             for (kind, len, flags) in requests {
                 for version in [WireVersion::V2, WireVersion::V3] {
@@ -1318,6 +1297,36 @@ mod tests {
         assert_eq!(after.datacache_hits - before.datacache_hits, 1, "{after:?}");
         assert_eq!(after.reactor_wakes, before.reactor_wakes, "{after:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_segment_ending_on_a_batch_boundary_queues_no_run_ahead() {
+        use jbs_obs::{Trace, TraceQuery};
+        let recs: Vec<Record> = (0..500)
+            .map(|i| (format!("k{i:05}").into_bytes(), vec![0x5A; 64]))
+            .collect();
+        let store = store_with_one_mof(recs);
+        let seg_len = store.segment_len(0, 0).unwrap().unwrap();
+        let trace = Trace::recording(1 << 12);
+        // One batch is exactly the segment, so the stage is a full read
+        // that nonetheless reaches the end.
+        let server = MofSupplierServer::start_with_options(
+            store,
+            ServerOptions {
+                buffer_bytes: seg_len,
+                prefetch_batch: 1,
+                trace: trace.clone(),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(server.addr());
+        let resp = v3_fetch(&mut r, &mut w, 0, 0, seg_len);
+        assert_eq!(resp.payload.len() as u64, seg_len);
+        assert_eq!(resp.seg_len, seg_len);
+        server.shutdown();
+        let q = TraceQuery::new(trace.snapshot());
+        assert_eq!(q.count("prefetch.queue"), 0, "nothing lies past the end");
     }
 
     fn chunked_fetch_roundtrip(options: ServerOptions) -> MofSupplierServer {
@@ -1644,7 +1653,7 @@ mod tests {
             (0, 0),
             0,
             crate::bufpool::Lease::detached(vec![0xEE; 32 << 10]),
-            false,
+            server.shared.store.segment_len(0, 0).unwrap().unwrap(),
         );
         // A plain re-fetch serves the poison (this is the failure the
         // integrity layer exists to catch)...

@@ -14,9 +14,10 @@
 //!
 //! Two things make the map pipeline-aware:
 //!
-//! * a range remembers whether it reaches the **end of its segment**
-//!   (`at_end`), so the prefetch machinery knows when running further
-//!   ahead would be wasted disk work;
+//! * a range carries the **length of its segment** as the store
+//!   declared it when the range was read, so a range that reaches the
+//!   segment's end knows it — even one that ends exactly on a batch
+//!   boundary — and the prefetch machinery never runs ahead past it;
 //! * a hit reports when the reader is **close to draining** the range
 //!   ([`LeaseHit::stage_next`]), which is the signal the server turns
 //!   into an asynchronous read-ahead job — a disk worker stages the next
@@ -30,9 +31,9 @@
 //! caller decides where that pin drops.
 //!
 //! Locking: the single `staged` mutex is held only to clone a lease or
-//! swap a range in — never across disk I/O. In the documented order it
-//! sits after `store`, because the stage path reads the store first and
-//! stages the result; a hit never takes `store` at all.
+//! swap a range in — never across disk I/O, and never together with
+//! another lock. A hit needs nothing else: the staged range carries the
+//! segment length a v3 frame is sealed with.
 
 use crate::bufpool::Lease;
 use crate::sync::{lock, Mutex};
@@ -44,15 +45,19 @@ struct StagedRange {
     /// Segment offset of `bytes[0]`.
     offset: u64,
     bytes: Lease,
-    /// Whether this range reaches the end of its segment (a shorter-
-    /// than-requested store read proved there is nothing beyond it).
-    at_end: bool,
+    /// Total length of the segment the range was read from.
+    seg_len: u64,
 }
 
 impl StagedRange {
     /// Segment offset one past the last staged byte.
     fn end(&self) -> u64 {
         self.offset.saturating_add(self.bytes.len() as u64)
+    }
+
+    /// Whether this range reaches the end of its segment.
+    fn at_end(&self) -> bool {
+        self.end() >= self.seg_len
     }
 
     fn contains(&self, offset: u64) -> bool {
@@ -80,6 +85,8 @@ pub(crate) struct LeaseHit {
     /// range and the segment continues past it: the caller should queue
     /// an asynchronous read-ahead starting at absolute offset `next`.
     pub(crate) stage_next: Option<u64>,
+    /// Total length of the segment, which a v3 frame is sealed with.
+    pub(crate) seg_len: u64,
 }
 
 /// Keyed staging map (the DataCache).
@@ -111,7 +118,7 @@ impl<K: Hash + Eq> StageCache<K> {
             .filter(|&hi| hi <= s.bytes.len() && lo <= hi)
         {
             Some(hi) => Some(lo..hi),
-            None if s.at_end => {
+            None if s.at_end() => {
                 let lo = lo.min(s.bytes.len());
                 Some(lo..s.bytes.len())
             }
@@ -143,34 +150,36 @@ impl<K: Hash + Eq> StageCache<K> {
         }
         let range = Self::window(&s.cur, offset, want)?;
         let remaining = s.cur.end().saturating_sub(offset.saturating_add(want));
-        let pull = !s.cur.at_end && s.next.is_none() && remaining <= low_water;
+        let pull = !s.cur.at_end() && s.next.is_none() && remaining <= low_water;
         Some(LeaseHit {
             lease: s.cur.bytes.clone(),
             range,
             stage_next: pull.then_some(s.cur.end()),
+            seg_len: s.cur.seg_len,
         })
     }
 
-    /// Stage `bytes` (read from the store at `offset`); a miss-path
-    /// caller clones the lease *before* staging and builds its response
-    /// window from the clone. Bytes that continue the current range
-    /// become `key`'s run-ahead range; anything else replaces what was
-    /// staged. Returns the lease this displaced, if any.
+    /// Stage `bytes` (read from the store at `offset` of a segment
+    /// `seg_len` long); a miss-path caller clones the lease *before*
+    /// staging and builds its response window from the clone. Bytes
+    /// that continue the current range become `key`'s run-ahead range;
+    /// anything else replaces what was staged. Returns the lease this
+    /// displaced, if any.
     pub(crate) fn stage_lease(
         &self,
         key: K,
         offset: u64,
         bytes: Lease,
-        at_end: bool,
+        seg_len: u64,
     ) -> Option<Lease> {
         let new = StagedRange {
             offset,
             bytes,
-            at_end,
+            seg_len,
         };
         let mut staged = lock(&self.staged);
         if let Some(s) = staged.get_mut(&key) {
-            if !s.cur.at_end && s.cur.end() == offset {
+            if !s.cur.at_end() && s.cur.end() == offset {
                 return s.next.replace(new).map(|r| r.bytes);
             }
         }
@@ -198,17 +207,18 @@ impl<K: Hash + Eq> StageCache<K> {
         ranges.filter(|r| r.bytes.is_sole_pooled_pin()).count() as u64
     }
 
-    /// Whether a read-ahead starting at `offset` would be redundant: a
-    /// staged range already contains `offset`, or one reaches the
-    /// segment end and `offset` lies at or beyond it.
+    /// Whether a read-ahead starting at `offset` would be redundant:
+    /// `offset` lies at or past the end of a segment with a staged
+    /// range, or a staged range already contains it.
     pub(crate) fn covers(&self, key: &K, offset: u64) -> bool {
         let staged = lock(&self.staged);
         let Some(s) = staged.get(key) else {
             return false;
         };
-        std::iter::once(&s.cur)
-            .chain(&s.next)
-            .any(|r| r.contains(offset) || (r.at_end && offset >= r.end()))
+        offset >= s.cur.seg_len
+            || std::iter::once(&s.cur)
+                .chain(&s.next)
+                .any(|r| r.contains(offset))
     }
 }
 
@@ -225,8 +235,11 @@ mod loom_tests {
             .map(|h| h.lease.get(h.range).unwrap_or_default().to_vec())
     }
 
+    /// Every modelled range lies well inside a segment this long.
+    const SEG_LEN: u64 = 64;
+
     fn stage(cache: &StageCache<u8>, key: u8, offset: u64, bytes: Vec<u8>) -> Option<Lease> {
-        cache.stage_lease(key, offset, Lease::detached(bytes), false)
+        cache.stage_lease(key, offset, Lease::detached(bytes), SEG_LEN)
     }
 
     /// A disk worker stages a range while the reactor looks the same
@@ -332,6 +345,10 @@ mod loom_tests {
 mod tests {
     use super::*;
 
+    /// A segment length past every range these tests stage, so each
+    /// staged range stops short of its segment's end.
+    const MID: u64 = 1000;
+
     fn hit(cache: &StageCache<u8>, key: u8, offset: u64, want: u64) -> Option<Vec<u8>> {
         cache
             .hit_lease(&key, offset, want, 0)
@@ -343,16 +360,16 @@ mod tests {
         key: u8,
         offset: u64,
         bytes: Vec<u8>,
-        at_end: bool,
+        seg_len: u64,
     ) -> Option<Lease> {
-        cache.stage_lease(key, offset, Lease::detached(bytes), at_end)
+        cache.stage_lease(key, offset, Lease::detached(bytes), seg_len)
     }
 
     #[test]
     fn hit_requires_containment() {
         let cache = StageCache::<u8>::new();
         assert_eq!(hit(&cache, 1, 0, 4), None, "empty cache misses");
-        stage(&cache, 1, 100, vec![1, 2, 3, 4, 5, 6], false);
+        stage(&cache, 1, 100, vec![1, 2, 3, 4, 5, 6], MID);
         assert_eq!(hit(&cache, 1, 100, 4), Some(vec![1, 2, 3, 4]));
         assert_eq!(hit(&cache, 1, 102, 3), Some(vec![3, 4, 5]));
         assert_eq!(hit(&cache, 1, 99, 2), None, "below staged base");
@@ -363,8 +380,8 @@ mod tests {
     #[test]
     fn restage_replaces_range_and_returns_evicted_buffer() {
         let cache = StageCache::<u8>::new();
-        assert!(stage(&cache, 1, 0, vec![1, 2, 3], false).is_none());
-        let evicted = stage(&cache, 1, 10, vec![4, 5, 6], false);
+        assert!(stage(&cache, 1, 0, vec![1, 2, 3], MID).is_none());
+        let evicted = stage(&cache, 1, 10, vec![4, 5, 6], MID);
         assert_eq!(
             evicted.as_deref(),
             Some(&[1u8, 2, 3][..]),
@@ -378,7 +395,7 @@ mod tests {
     fn tail_hits_request_read_ahead() {
         let cache = StageCache::<u8>::new();
         // Range [100, 108), segment continues beyond it.
-        stage(&cache, 1, 100, vec![0; 8], false);
+        stage(&cache, 1, 100, vec![0; 8], MID);
         // Head of the range with 2 bytes of low-water: plenty left.
         let h = cache.hit_lease(&1, 100, 2, 2).unwrap();
         assert_eq!(h.stage_next, None);
@@ -386,7 +403,7 @@ mod tests {
         let h = cache.hit_lease(&1, 104, 2, 2).unwrap();
         assert_eq!(h.stage_next, Some(108));
         // Same tail hit on an at-end range: nothing beyond to stage.
-        stage(&cache, 2, 100, vec![0; 8], true);
+        stage(&cache, 2, 100, vec![0; 8], 108);
         let h = cache.hit_lease(&2, 104, 2, 2).unwrap();
         assert_eq!(h.stage_next, None);
     }
@@ -394,15 +411,15 @@ mod tests {
     #[test]
     fn run_ahead_lands_beside_the_range_being_read() {
         let cache = StageCache::<u8>::new();
-        stage(&cache, 1, 100, vec![1, 2, 3, 4], false);
+        stage(&cache, 1, 100, vec![1, 2, 3, 4], MID);
         // The continuation displaces nothing and evicts nothing.
-        assert!(stage(&cache, 1, 104, vec![5, 6, 7, 8], false).is_none());
+        assert!(stage(&cache, 1, 104, vec![5, 6, 7, 8], MID).is_none());
         assert!(cache.covers(&1, 101) && cache.covers(&1, 107));
         let h = cache.hit_lease(&1, 102, 2, 2).unwrap();
         assert_eq!(h.lease.get(h.range), Some(&[3u8, 4][..]));
         assert_eq!(h.stage_next, None, "the next range is already staged");
         // A second continuation replaces the first, not the current.
-        let displaced = stage(&cache, 1, 104, vec![5, 6, 7, 9], false);
+        let displaced = stage(&cache, 1, 104, vec![5, 6, 7, 9], MID);
         assert_eq!(displaced.as_deref(), Some(&[5u8, 6, 7, 8][..]));
         // The reader's first hit past the current range retires it.
         let h = cache.hit_lease(&1, 106, 2, 2).unwrap();
@@ -410,8 +427,8 @@ mod tests {
         assert_eq!(h.stage_next, Some(108), "nothing staged beyond it");
         assert_eq!(hit(&cache, 1, 102, 2), None, "the drained range retired");
         // Staging anywhere else replaces both ranges.
-        stage(&cache, 1, 108, vec![0; 4], false);
-        let displaced = stage(&cache, 1, 0, vec![1], false);
+        stage(&cache, 1, 108, vec![0; 4], MID);
+        let displaced = stage(&cache, 1, 0, vec![1], MID);
         assert_eq!(displaced.as_deref(), Some(&[5u8, 6, 7, 9][..]));
         assert_eq!(hit(&cache, 1, 108, 2), None, "run-ahead range went with it");
         assert_eq!(hit(&cache, 1, 0, 1), Some(vec![1]));
@@ -420,14 +437,14 @@ mod tests {
     #[test]
     fn at_end_range_serves_clamped_and_empty_tails() {
         let cache = StageCache::<u8>::new();
-        stage(&cache, 1, 100, vec![1, 2, 3, 4], true);
+        stage(&cache, 1, 100, vec![1, 2, 3, 4], 104);
         // Runs into the end: clamped, not a miss.
         assert_eq!(hit(&cache, 1, 102, 8), Some(vec![3, 4]));
         // At and past the end: empty — the stream's EOF answer.
         assert_eq!(hit(&cache, 1, 104, 4), Some(vec![]));
         assert_eq!(hit(&cache, 1, 200, 4), Some(vec![]));
         // A mid-segment range still misses past its staged end.
-        stage(&cache, 2, 100, vec![1, 2, 3, 4], false);
+        stage(&cache, 2, 100, vec![1, 2, 3, 4], MID);
         assert_eq!(hit(&cache, 2, 102, 8), None);
     }
 
@@ -435,11 +452,11 @@ mod tests {
     fn invalidate_drops_range_and_returns_buffer() {
         let cache = StageCache::<u8>::new();
         assert!(cache.invalidate(&1).is_none(), "nothing staged");
-        stage(&cache, 1, 0, vec![1, 2, 3], false);
+        stage(&cache, 1, 0, vec![1, 2, 3], MID);
         assert_eq!(cache.invalidate(&1).as_deref(), Some(&[1u8, 2, 3][..]));
         assert_eq!(hit(&cache, 1, 0, 2), None, "range gone after invalidate");
-        stage(&cache, 1, 0, vec![1, 2], false);
-        stage(&cache, 1, 2, vec![3, 4], false);
+        stage(&cache, 1, 0, vec![1, 2], MID);
+        stage(&cache, 1, 2, vec![3, 4], MID);
         drop(cache.invalidate(&1));
         assert_eq!(hit(&cache, 1, 2, 2), None, "run-ahead range goes too");
     }
@@ -448,13 +465,13 @@ mod tests {
     fn covers_tracks_range_and_segment_end() {
         let cache = StageCache::<u8>::new();
         assert!(!cache.covers(&1, 0), "empty cache covers nothing");
-        stage(&cache, 1, 100, vec![0; 8], false);
+        stage(&cache, 1, 100, vec![0; 8], MID);
         assert!(cache.covers(&1, 100));
         assert!(cache.covers(&1, 107));
         assert!(!cache.covers(&1, 108), "just past a mid-segment range");
         assert!(!cache.covers(&1, 99));
         // An at-end range also covers everything past the segment end.
-        stage(&cache, 2, 100, vec![0; 8], true);
+        stage(&cache, 2, 100, vec![0; 8], 108);
         assert!(cache.covers(&2, 108));
         assert!(cache.covers(&2, 10_000));
     }
@@ -462,10 +479,10 @@ mod tests {
     #[test]
     fn eviction_mid_transmit_keeps_pinned_bytes_alive() {
         let cache = StageCache::<u8>::new();
-        stage(&cache, 1, 0, vec![1, 2, 3, 4], false);
+        stage(&cache, 1, 0, vec![1, 2, 3, 4], MID);
         let pinned = cache.hit_lease(&1, 1, 2, 0).expect("hit");
         // Evict while the "transmit" still holds its lease clone.
-        drop(stage(&cache, 1, 50, vec![9], false));
+        drop(stage(&cache, 1, 50, vec![9], MID));
         assert_eq!(pinned.lease.get(pinned.range).unwrap_or_default(), &[2, 3]);
     }
 }

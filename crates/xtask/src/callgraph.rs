@@ -878,8 +878,12 @@ fn resolve(callee: &str, nodes: &[Node], caller: usize, index: &Index) -> Vec<us
         }
         return fallback(name);
     }
-    if let Some(&field) = recv_segs.last() {
-        if let Some(heads) = index.field_types.get(field) {
+    // Only a field path (`self.store`, `shared.store`) is typed through
+    // the field table; a bare local that shares a field's name (a guard
+    // named after the `Mutex` field it locked) is not that field, so it
+    // falls back to name matching.
+    if let [_, .., field] = recv_segs {
+        if let Some(heads) = index.field_types.get(*field) {
             if heads.len() == 1 {
                 let head = heads.iter().next().cloned().unwrap_or_default();
                 // A known field of a known (std) type: definitively not

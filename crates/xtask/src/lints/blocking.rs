@@ -136,6 +136,26 @@ mod tests {
     }
 
     #[test]
+    fn guard_local_named_like_its_field_is_not_typed_as_the_field() {
+        // The guard `store` shares its name with the `Mutex` field it
+        // came from; typing it as that std field would resolve the call
+        // to nothing and hide the file read under the lock. (The method
+        // is not called `read`: name matching skips std method names.)
+        let src = r#"
+struct Server { store: Mutex<Store> }
+impl Server {
+    fn serve(&self) { let store = lock(&self.store); store.read_segment(); }
+}
+impl Store {
+    fn read_segment(&self) { fs::read(p); }
+}
+"#;
+        let f = run(src, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`store`"), "{}", f[0].message);
+    }
+
+    #[test]
     fn transitive_blocking_carries_chain() {
         let src = r#"
 impl S {

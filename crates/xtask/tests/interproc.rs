@@ -4,11 +4,12 @@
 //! `callgraph::analyze` never reads `lock_order` or `[[allow]]`, so
 //! everything asserted here is derived purely from the call graph.
 //!
-//! The fact under test: the supplier's one worker read path,
-//! `read_range`, acquires `store`; every caller (the stage-job worker,
-//! the reactor-job path) therefore holds `store` transitively even
-//! though no `lock(&…store)` appears in its own body. (Edges carried
-//! through a callback parameter are covered on a fixture by
+//! The fact under test: the MOF store's range read,
+//! `MofStore::read_segment_range`, acquires the store's own IndexCache
+//! lock `indexes`; the supplier's worker paths (the stage-job worker,
+//! the reactor-job path) therefore take `indexes` transitively even
+//! though no `lock(&…indexes)` appears in their own bodies. (Edges
+//! carried through a callback parameter are covered on a fixture by
 //! `callgraph::tests::callback_edge_is_rediscovered`.)
 
 use std::path::Path;
@@ -31,7 +32,7 @@ fn live_analysis() -> callgraph::Analysis {
 }
 
 #[test]
-fn rediscovers_read_range_store_acquisition_in_callers() {
+fn rediscovers_the_index_cache_acquisition_in_worker_callers() {
     let a = live_analysis();
     let find = |name: &str| {
         a.transitive_acquires
@@ -39,24 +40,29 @@ fn rediscovers_read_range_store_acquisition_in_callers() {
             .find(|(f, _)| f.as_str() == name || f.ends_with(&format!("::{name}")))
             .unwrap_or_else(|| panic!("{name} analyzed: {:?}", a.transitive_acquires.keys()))
     };
-    // `read_range` itself acquires `store` directly…
-    let (_, read) = find("read_range");
+    // The store's range read takes its IndexCache lock…
+    let (_, read) = find("MofStore::read_segment_range");
     assert!(
-        read.contains_key("store"),
-        "read_range acquires store: {:?}",
+        read.contains_key("indexes"),
+        "MofStore::read_segment_range acquires indexes: {:?}",
         read.keys()
     );
     // …and both worker-side callers inherit the acquisition. Neither
-    // body mentions the store lock, so each witness chain MUST pass
-    // through a callee that takes it.
+    // body mentions the lock, so each witness chain MUST pass through
+    // the store's range read.
     for caller in ["run_stage_job", "run_reactor_job"] {
         let (name, acquires) = find(caller);
-        let chain = acquires
-            .get("store")
-            .unwrap_or_else(|| panic!("{name} transitively acquires store: {:?}", acquires.keys()));
+        let chain = acquires.get("indexes").unwrap_or_else(|| {
+            panic!(
+                "{name} transitively acquires indexes: {:?}",
+                acquires.keys()
+            )
+        });
         assert!(
-            chain.iter().any(|frame| frame.contains("read_range")),
-            "{name}'s witness chain passes through read_range: {chain:?}"
+            chain
+                .iter()
+                .any(|frame| frame.contains("MofStore::read_segment_range")),
+            "{name}'s witness chain passes through MofStore::read_segment_range: {chain:?}"
         );
     }
 }
@@ -119,10 +125,10 @@ fn empty_lock_order_surfaces_discovered_edges_as_undocumented() {
     let a = live_analysis();
     let policy = Policy::parse("[policy]\nlock_order = []\n").expect("empty policy");
     let findings = xtask::lints::lockorder::check(&a.edges, &policy);
-    // `store` and `stats` are deliberately absent: the live workspace
-    // never nests them (the staging path drops `store` before
-    // `staged`/`seg_lens`; `stats` is taken only with nothing held), so
-    // no edge can exist.
+    // `indexes` and `stats` are deliberately absent: the live workspace
+    // never nests them (the MOF store's IndexCache lock is held only to
+    // look up or insert an entry; `stats` is taken only with nothing
+    // held), so no edge can exist.
     for lock in ["inner", "objects"] {
         assert!(
             findings

@@ -270,7 +270,7 @@ fn reactor_serves_the_stores_bytes_under_seeded_chaos() {
             .write_mof(m as u64, recs, REDUCERS, |k| partitioner.partition(k))
             .expect("write mof");
     }
-    let mut oracle = MofStore::at(&dir).expect("oracle handle");
+    let oracle = MofStore::at(&dir).expect("oracle handle");
 
     let plan = reactor_plan(99);
     let server = MofSupplierServer::start_with_options(
