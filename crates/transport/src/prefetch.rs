@@ -24,7 +24,8 @@
 //!
 //! Locking: the single `jobs` mutex is held only to push or pop one job
 //! — never across disk I/O or a completion delivery. In the documented
-//! order it sits before `store` (a worker pops, then reads the store).
+//! order it sits before `indexes`, the MOF store's IndexCache (a worker
+//! pops, then reads the store).
 
 use crate::sync::{lock, wait, Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -59,9 +60,6 @@ pub(crate) struct StageJob {
     pub(crate) reducer: u32,
     /// Absolute segment offset the read-ahead starts at.
     pub(crate) offset: u64,
-    /// Bytes the waiting request wants served back (0 for pure
-    /// run-ahead jobs, which only stage).
-    pub(crate) want: u64,
     /// Who is waiting for the bytes, if anyone.
     pub(crate) reply: Reply,
 }
@@ -221,7 +219,6 @@ mod tests {
             mof,
             reducer: 0,
             offset,
-            want: 0,
             reply: Reply::None,
         }
     }

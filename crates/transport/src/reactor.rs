@@ -4,10 +4,14 @@
 //! no kernel thread per connection, no memcpy per served MOF chunk:
 //!
 //! * **one reactor thread** (or a few — [`crate::server::ServerOptions::
-//!   reactor_threads`]) owns every admitted connection as a small state
+//!   reactor_threads`]) owns every accepted connection as a small state
 //!   machine: read-buffer framing, a per-request sequence number, and a
 //!   FIFO of outgoing responses with a byte cursor for partial-write
-//!   resumption;
+//!   resumption. A connection refused admission lives here too, for at
+//!   most [`UNADMITTED_DEADLINE`]: its first request is shed;
+//! * **every request is a bounded range**: 1 to `buffer_bytes` bytes
+//!   (longer is served short; `len == 0` is a `BadRequest`), so no
+//!   request reads, copies or frames more than one transport buffer;
 //! * **zero-copy serving**: a DataCache hit clones the staged range's
 //!   refcounted [`Lease`] ([`crate::staging::StageCache::hit_lease`])
 //!   and transmits `head + lease[window]` with a single vectored
@@ -60,7 +64,7 @@ use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cap on IoSlice entries per vectored write (2 per response). Linux's
 /// `UIO_MAXIOV` is 1024; staying far below it keeps one syscall's work
@@ -71,6 +75,11 @@ const MAX_BATCH_RESPONSES: usize = 32;
 /// peer that streams garbage without ever framing a request is cut off
 /// rather than ballooning the read buffer.
 const MAX_RBUF: usize = 64 << 10;
+
+/// How long a connection refused admission may stay open: enough for
+/// its first request to arrive and be answered with pushback. One that
+/// sends nothing is closed at this deadline.
+const UNADMITTED_DEADLINE: Duration = Duration::from_millis(500);
 
 // ---------------------------------------------------------------------
 // Outgoing responses
@@ -344,6 +353,9 @@ pub(crate) struct JobTicket {
     pub(crate) id: u64,
     pub(crate) version: WireVersion,
     pub(crate) kind: JobKind,
+    /// Bytes to serve back: the request's range, already capped at
+    /// `buffer_bytes` and never 0.
+    pub(crate) want: u64,
     /// `(mof, reducer)` when `kind` is [`JobKind::Stage`]; carried back
     /// in the completion so the reactor can unpark requests waiting on
     /// this staging.
@@ -358,8 +370,7 @@ pub(crate) enum JobKind {
     /// came from the MOF, and serve the request's window from it.
     Stage,
     /// A read served without the DataCache: a hybrid range touching a
-    /// durable tier, a cache-bypass re-fetch, or a whole-segment
-    /// request (`want == 0` reads to the segment end).
+    /// durable tier, or a cache-bypass re-fetch.
     Read,
 }
 
@@ -385,14 +396,17 @@ impl JobTicket {
 // The reactor
 // ---------------------------------------------------------------------
 
-/// An admitted connection handed over by the accept thread.
+/// A connection handed over by the accept thread.
 pub(crate) struct NewConn {
     pub(crate) stream: TcpStream,
     pub(crate) peer_ip: Option<IpAddr>,
     pub(crate) conn_no: u64,
+    /// Holds an admission slot. An unadmitted connection is only ever
+    /// answered with pushback, and takes or releases no slot.
+    pub(crate) admitted: bool,
 }
 
-/// The accept thread's handle to one reactor: an inbox of admitted
+/// The accept thread's handle to one reactor: an inbox of accepted
 /// sockets plus the waker that interrupts the poll loop, and the
 /// completion queue the disk thread delivers into.
 pub(crate) struct ReactorHandle {
@@ -413,7 +427,7 @@ impl ReactorHandle {
         }))
     }
 
-    /// Hand an admitted connection to this reactor (accept thread).
+    /// Hand an accepted connection to this reactor (accept thread).
     pub(crate) fn submit(&self, conn: NewConn) {
         lock(&self.inbox).push(conn);
         self.waker.wake();
@@ -456,6 +470,9 @@ struct Conn {
     parked: VecDeque<Parked>,
     /// Injected stall: no transmit until this deadline.
     stall_until: Option<Instant>,
+    /// Refused admission: every request is shed, and the connection is
+    /// closed at this deadline at the latest. `None` once admitted.
+    unadmitted_until: Option<Instant>,
     /// Read half done (peer EOF, v2 pushback, or drain).
     eof: bool,
     /// A fault or protocol decision closed the write half; drop the
@@ -498,13 +515,12 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
         let mut timeout_ms: i32 = 100;
         for (slot, c) in conns.iter_mut().enumerate() {
             let Some(conn) = c.as_mut() else { continue };
-            if let Some(t) = conn.stall_until {
-                if t <= now {
-                    conn.stall_until = None;
-                } else {
-                    let ms = t.duration_since(now).as_millis() as i32;
-                    timeout_ms = timeout_ms.min(ms.max(1));
-                }
+            if conn.stall_until.is_some_and(|t| t <= now) {
+                conn.stall_until = None;
+            }
+            for t in conn.stall_until.iter().chain(&conn.unadmitted_until) {
+                let ms = t.saturating_duration_since(now).as_millis() as i32;
+                timeout_ms = timeout_ms.min(ms.max(1));
             }
             let mut interest = 0i16;
             if !conn.eof && !draining {
@@ -532,11 +548,13 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
                 .instant("reactor.wake", Entity::node(handle.idx), 0, 0);
         }
 
-        // Phase 1: adopt admitted connections.
+        // Phase 1: adopt accepted connections.
         for nc in handle.take_inbox() {
             let ok = nc.stream.set_nonblocking(true).is_ok() && nc.stream.set_nodelay(true).is_ok();
             if !ok {
-                release(shared, nc.peer_ip);
+                if nc.admitted {
+                    release(shared, nc.peer_ip);
+                }
                 continue;
             }
             next_gen += 1;
@@ -554,6 +572,7 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
                 stage_inflight: HashMap::new(),
                 parked: VecDeque::new(),
                 stall_until: None,
+                unadmitted_until: (!nc.admitted).then(|| Instant::now() + UNADMITTED_DEADLINE),
                 eof: false,
                 close_when_flushed: false,
             });
@@ -625,14 +644,16 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
             }
         }
 
-        // Phase 4: reap connections that have nothing left to say.
+        // Phase 4: reap connections that have nothing left to say, and
+        // unadmitted ones past their deadline as of this iteration.
         for slot in 0..conns.len() {
             let done = conns.get(slot).and_then(Option::as_ref).is_some_and(|c| {
-                (c.eof || draining)
+                let idle = (c.eof || draining)
                     && c.outq.is_empty()
                     && c.pending.is_empty()
                     && c.inflight == 0
-                    && c.parked.is_empty()
+                    && c.parked.is_empty();
+                idle || c.unadmitted_until.is_some_and(|t| t <= now)
             });
             if done {
                 close_conn(shared, &mut conns, slot);
@@ -649,7 +670,9 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
 
 fn close_conn(shared: &Shared, conns: &mut [Option<Conn>], slot: usize) {
     if let Some(conn) = conns.get_mut(slot).and_then(Option::take) {
-        release(shared, conn.peer_ip);
+        if conn.unadmitted_until.is_none() {
+            release(shared, conn.peer_ip);
+        }
         // Dropping the Conn drops queued leases and closes the socket.
     }
 }
@@ -743,7 +766,8 @@ fn handle_read(
     Ok(ConnEvent::Continue)
 }
 
-/// Serve one parsed request: answer inline from the hybrid store's
+/// Serve one parsed request — the supplier's only request path: shed
+/// it, refuse an empty range, answer inline from the hybrid store's
 /// MEMORY tier or the DataCache (zero-copy) when possible, otherwise
 /// ship a job to the disk thread. Never blocks, never touches a file.
 fn serve_request(
@@ -758,10 +782,12 @@ fn serve_request(
         conn.eof = true;
         return ConnEvent::Close;
     }
-    // Per-request shedding: an injected busy storm, or a stage queue
-    // already past its bound (queueing more would stall the peer behind
-    // a backlog the disk cannot clear).
-    let shed = faults::decide(&shared.options.faults, Hook::ServerAdmission) == FaultAction::Busy
+    // Per-request shedding: a connection refused admission, an injected
+    // busy storm, or a stage queue already past its bound (queueing more
+    // would stall the peer behind a backlog the disk cannot clear).
+    let unadmitted = conn.unadmitted_until.is_some();
+    let shed = unadmitted
+        || faults::decide(&shared.options.faults, Hook::ServerAdmission) == FaultAction::Busy
         || shared.prefetch.len() as u64 >= shared.options.prefetch_queue_cap;
     if shed {
         shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
@@ -770,19 +796,31 @@ fn serve_request(
             .options
             .trace
             .instant("server.busy", Entity::mof(req.mof), req.offset, hint);
-        if version == WireVersion::V2 {
-            // v2 has no pushback frame: stop reading and close once
-            // earlier responses flush.
+        if version == WireVersion::V3 {
+            enqueue_local(shared, conn, build_busy(req.id, hint, req.mof, req.offset));
+        }
+        if version == WireVersion::V2 || unadmitted {
+            // v2 has no pushback frame, and an unadmitted connection
+            // gets one answer: stop reading and close once earlier
+            // responses flush.
             conn.eof = true;
             return ConnEvent::Close;
         }
-        enqueue_local(shared, conn, build_busy(req.id, hint, req.mof, req.offset));
         return ConnEvent::Continue;
     }
 
-    let key = (req.mof, req.reducer);
-    // Bytes to serve; 0 (a whole-segment request) reads to the end.
-    let want = req.len.min(shared.options.buffer_bytes);
+    // Every request is a range of 1 to `buffer_bytes` bytes, capped
+    // here once; an empty one is malformed.
+    if req.len == 0 {
+        let resp = build_error(req.id, Status::BadRequest, req.mof, req.offset);
+        enqueue_local(shared, conn, resp);
+        return ConnEvent::Continue;
+    }
+    let req = FetchRequest {
+        len: req.len.min(shared.options.buffer_bytes),
+        ..req
+    };
+    let (key, want) = ((req.mof, req.reducer), req.len);
 
     // Memory tier first: a hybrid-held range that lies wholly in the
     // MEMORY tier is copied out under the store's lock and answered
@@ -824,11 +862,6 @@ fn serve_request(
             req.offset,
             req.len,
         );
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
-    }
-
-    // Whole-segment requests bypass staging.
-    if req.len == 0 {
         return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
     }
 
@@ -911,8 +944,7 @@ fn unpark(
             rest.push_back(p);
             continue;
         }
-        let want = p.req.len.min(shared.options.buffer_bytes);
-        if let Some(resp) = hit_resp(shared, p.req.id, p.version, key, p.req.offset, want) {
+        if let Some(resp) = hit_resp(shared, p.req.id, p.version, key, p.req.offset, p.req.len) {
             conn.pending.insert(p.seq, resp);
             promote(shared, conn);
         } else if conn.stage_inflight.get(&key).copied().unwrap_or(0) > 0 {
@@ -982,13 +1014,13 @@ fn dispatch_at(
         id: req.id,
         version,
         kind,
+        want: req.len,
         stage_key,
     };
     let job = StageJob {
         mof: req.mof,
         reducer: req.reducer,
         offset: req.offset,
-        want: req.len,
         reply: Reply::Reactor(ticket),
     };
     match shared.prefetch.push(job) {

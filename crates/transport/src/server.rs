@@ -1,12 +1,13 @@
 //! The MOFSupplier server: a real TCP server over a [`MofStore`].
 //!
-//! One supplier runs per "node". It answers framed [`FetchRequest`]s on
-//! cached connections, and mirrors the paper's server design ("epoll,
-//! event-driven, multiple data threads"):
+//! One supplier runs per "node". It answers framed
+//! [`crate::wire::FetchRequest`]s — each a range of at most one
+//! transport buffer — on cached connections, and mirrors the paper's
+//! server design ("epoll, event-driven, multiple data threads"):
 //!
 //! * an in-memory **IndexCache** (the `MofStore` caches each MOF's
 //!   parsed index and open data file, and answers through `&self`);
-//! * one **serve loop**: every admitted connection is a state machine
+//! * one **serve loop**: every accepted connection is a state machine
 //!   on a [`crate::reactor`] thread, which answers DataCache hits
 //!   inline — zero-copy, straight from the staged lease — and hybrid
 //!   MEMORY-tier hits inline too, and never touches a file;
@@ -50,7 +51,7 @@ use crate::staging::StageCache;
 use crate::stats::{FetchStats, FetchStatsSnapshot};
 use crate::store::MofStore;
 use crate::sync::{lock, Mutex};
-use crate::wire::{FetchRequest, FetchResponse, Status, WireVersion};
+use crate::wire::{Status, WireVersion};
 use jbs_obs::Entity;
 use jbs_store_hybrid::HybridStore;
 use std::collections::HashMap;
@@ -70,7 +71,7 @@ pub struct SupplierStats {
     pub bytes: AtomicU64,
     /// Requests satisfied from the DataCache (read-ahead hits).
     pub datacache_hits: AtomicU64,
-    /// Connections accepted.
+    /// Connections admitted.
     pub connections: AtomicU64,
     /// Asynchronous run-ahead batches staged by the disk thread.
     pub prefetched_batches: AtomicU64,
@@ -115,7 +116,7 @@ pub struct SupplierStatsSnapshot {
     pub bytes: u64,
     /// Requests satisfied from the DataCache.
     pub datacache_hits: u64,
-    /// Connections accepted.
+    /// Connections admitted.
     pub connections: u64,
     /// Asynchronous run-ahead batches staged by the disk thread.
     pub prefetched_batches: u64,
@@ -277,18 +278,6 @@ impl MofSupplierServer {
         Self::start_with_options(store, ServerOptions::default())
     }
 
-    /// Start with explicit transport-buffer size and prefetch batch.
-    pub fn start_with(store: MofStore, buffer_bytes: u64, prefetch_batch: u64) -> io::Result<Self> {
-        Self::start_with_options(
-            store,
-            ServerOptions {
-                buffer_bytes,
-                prefetch_batch,
-                ..ServerOptions::default()
-            },
-        )
-    }
-
     /// Start with full options on an ephemeral port.
     pub fn start_with_options(store: MofStore, options: ServerOptions) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -392,33 +381,34 @@ impl MofSupplierServer {
                     _ => {}
                 }
                 // Admission: a connection over the global or per-peer
-                // bound gets one typed `Busy` reply, never a reactor
-                // slot of its own.
+                // bound still goes to a reactor, which sheds its first
+                // request and closes it; it holds no slot and is not
+                // counted in `connections`.
                 let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-                if !admit(&accept_shared, peer_ip) {
-                    let busy_shared = Arc::clone(&accept_shared);
-                    std::thread::spawn(move || {
-                        reject_busy(stream, &busy_shared);
-                    });
-                    continue;
-                }
+                let admitted = admit(&accept_shared, peer_ip);
                 let conn_no = accept_shared
                     .stats
                     .connections
-                    .fetch_add(1, Ordering::Relaxed);
-                accept_shared
-                    .options
-                    .trace
-                    .instant("server.accept", Entity::conn(conn_no), 0, 0);
+                    .fetch_add(u64::from(admitted), Ordering::Relaxed);
+                if admitted {
+                    accept_shared.options.trace.instant(
+                        "server.accept",
+                        Entity::conn(conn_no),
+                        0,
+                        0,
+                    );
+                }
                 let idx = conn_no as usize % accept_reactors.len().max(1);
                 match accept_reactors.get(idx) {
                     Some(reactor) => reactor.submit(NewConn {
                         stream,
                         peer_ip,
                         conn_no,
+                        admitted,
                     }),
                     // `run` always starts at least one reactor.
-                    None => release(&accept_shared, peer_ip),
+                    None if admitted => release(&accept_shared, peer_ip),
+                    None => {}
                 }
             }
         });
@@ -606,42 +596,6 @@ pub(crate) fn release(shared: &Shared, peer_ip: Option<IpAddr>) {
     shared.active_conns.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Shed one request with typed pushback: a v3 requester gets a `Busy`
-/// frame carrying the retry-after hint; the legacy v2 dialect has no
-/// pushback frame, so the connection is closed instead (`Ok(false)`).
-fn push_back<W: io::Write>(
-    shared: &Shared,
-    w: &mut W,
-    req: &FetchRequest,
-    version: WireVersion,
-) -> io::Result<bool> {
-    shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    let hint = shared.options.busy_retry_hint.as_millis() as u64;
-    shared
-        .options
-        .trace
-        .instant("server.busy", Entity::mof(req.mof), req.offset, hint);
-    if version == WireVersion::V2 {
-        return Ok(false);
-    }
-    FetchResponse::busy(req.id, hint).write_to(w)?;
-    w.flush()?;
-    Ok(true)
-}
-
-/// A connection refused admission: answer its first request with `Busy`
-/// pushback (instead of stalling it behind capacity that does not
-/// exist) and drop the socket.
-fn reject_busy(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let Ok(clone) = stream.try_clone() else { return };
-    let mut reader = io::BufReader::new(clone);
-    let mut writer = stream;
-    if let Ok(Some((req, version))) = FetchRequest::read_from(&mut reader) {
-        let _ = push_back(shared, &mut writer, &req, version);
-    }
-}
-
 /// Total length of one reducer's segment: a hybrid partition's live
 /// length (it grows with every append), else the MOF index's. `None`
 /// for an unknown MOF/reducer.
@@ -659,8 +613,8 @@ pub(crate) fn batch_bytes(shared: &Shared) -> u64 {
     shared.options.buffer_bytes * shared.options.prefetch_batch
 }
 
-/// Every disk-worker read of a segment range (`len == 0` reads to the
-/// segment end), with the tier decided once: under one Read permit
+/// Every disk-worker read of a segment range, with the tier decided
+/// once: under one Read permit
 /// (arbitrating against spill-flush appends), the attached hybrid store
 /// answers a partition it holds from its own tiers; any other range is
 /// read from the MOF, charged the synthetic disk delay — it models the
@@ -749,7 +703,7 @@ fn run_stage_job(shared: &Shared, job: StageJob) {
             }
         }
         Reply::Reactor(ticket) => {
-            run_reactor_job(shared, ticket, job.mof, job.reducer, job.offset, job.want);
+            run_reactor_job(shared, ticket, job.mof, job.reducer, job.offset);
         }
     }
 }
@@ -768,7 +722,6 @@ pub(crate) fn queue_run_ahead(shared: &Shared, mof: u64, reducer: u32, next: u64
         mof,
         reducer,
         offset: next,
-        want: 0,
         reply: Reply::None,
     });
     if queued.is_ok() {
@@ -788,13 +741,10 @@ fn run_reactor_job(
     mof: u64,
     reducer: u32,
     offset: u64,
-    want_raw: u64,
 ) {
     let key = (mof, reducer);
-    let (id, version) = (ticket.id, ticket.version);
+    let (id, version, want) = (ticket.id, ticket.version, ticket.want);
     let stage = ticket.kind == JobKind::Stage;
-    // Bytes to serve; 0 (a whole-segment Read) reads to the end.
-    let want = want_raw.min(shared.options.buffer_bytes);
     // An async run-ahead may have staged this range while the job sat
     // queued: serve the overtaken request as the reactor would have,
     // pulling the next batch too — in a request burst most hits land
@@ -810,10 +760,7 @@ fn run_reactor_job(
     let resp = match read_range(shared, mof, reducer, offset, len) {
         Ok(Some((bytes, source))) => {
             let lease = shared.pool.lease(bytes);
-            let hi = match want {
-                0 => lease.len(),
-                w => lease.len().min(w as usize),
-            };
+            let hi = lease.len().min(want as usize);
             // A staged batch's response window is a clone of the lease
             // going into the cache: both pin one allocation.
             if stage && source == Source::Mof {
@@ -854,7 +801,7 @@ fn run_reactor_job(
 mod tests {
     use super::*;
     use crate::faults::FaultKind;
-    use crate::wire::FLAG_BYPASS_CACHE;
+    use crate::wire::{FetchRequest, FetchResponse, FLAG_BYPASS_CACHE};
     use jbs_mapred::merge::Record;
 
     fn store_with_one_mof(records: Vec<Record>) -> MofStore {
@@ -868,17 +815,31 @@ mod tests {
         (io::BufReader::new(stream.try_clone().unwrap()), stream)
     }
 
+    /// The first 128 KiB chunk of `(mof, 0)`: at the default transport
+    /// buffer, every segment these tests write in one piece.
+    fn first_chunk(mof: u64) -> FetchRequest {
+        FetchRequest {
+            id: 0,
+            mof,
+            reducer: 0,
+            offset: 0,
+            len: 128 << 10,
+            flags: 0,
+        }
+    }
+
     #[test]
-    fn serves_whole_segment() {
+    fn serves_a_small_segment_in_its_first_chunk() {
         let recs: Vec<Record> = (0..100)
             .map(|i| (format!("k{i:03}").into_bytes(), vec![i as u8; 16]))
             .collect();
         let server = MofSupplierServer::start(store_with_one_mof(recs)).unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok);
-        assert!(!resp.payload.is_empty());
+        let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
+        assert_eq!(resp.payload, whole.unwrap().unwrap());
         assert_eq!(server.stats().requests.load(Ordering::Relaxed), 1);
         server.shutdown();
     }
@@ -906,12 +867,12 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(7, 0).write_to(&mut w).unwrap();
+        first_chunk(7).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.payload, payload, "hybrid bytes byte-exact");
         assert_eq!(server.stats().hybrid_hits.load(Ordering::Relaxed), 1);
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok, "MOF path still serves");
         drop((r, w));
@@ -1144,11 +1105,8 @@ mod tests {
         rows: &[(&str, u64, TierHits)],
     ) {
         const CHUNK: u64 = 4 << 10;
-        let requests = [
-            ("chunk", CHUNK, 0),
-            ("whole", 0, 0),
-            ("bypass", CHUNK, FLAG_BYPASS_CACHE),
-        ];
+        const OFFSET: u64 = 1000;
+        let requests = [("chunk", 0), ("bypass", FLAG_BYPASS_CACHE)];
         let (mut r, mut w) = connect(server.addr());
         let mut id = 0;
         for &(backing, mof, tier) in rows {
@@ -1156,24 +1114,23 @@ mod tests {
                 Some(_) => hybrid.read_segment_range(mof, 0, offset, len),
                 None => server.shared.store.read_segment_range(mof, 0, offset, len),
             };
-            for (kind, len, flags) in requests {
+            for (kind, flags) in requests {
                 for version in [WireVersion::V2, WireVersion::V3] {
                     let cell = format!("{kind} × {backing} × {version:?}");
-                    let offset = if len == 0 { 0 } else { 1000 };
                     id += 1;
                     let (before, tiers) = (server.stats_snapshot(), hybrid.stats());
                     let req = FetchRequest {
                         id,
                         mof,
                         reducer: 0,
-                        offset,
-                        len,
+                        offset: OFFSET,
+                        len: CHUNK,
                         flags,
                     };
                     req.write_versioned(&mut w, version).unwrap();
                     let resp = FetchResponse::read_from(&mut r).unwrap();
                     let (after, tiers_after) = (server.stats_snapshot(), hybrid.stats());
-                    let want = truth(offset, len).unwrap().unwrap();
+                    let want = truth(OFFSET, CHUNK).unwrap().unwrap();
                     let seg_len = truth(0, 0).unwrap().unwrap().len() as u64;
                     assert!(!want.is_empty(), "{cell}: the cell reads bytes");
                     assert_eq!(resp.id, id, "{cell}");
@@ -1210,9 +1167,9 @@ mod tests {
         }
     }
 
-    /// The supplier's read matrix: request kind (chunk, whole segment,
-    /// cache bypass) × backing (MOF, hybrid MEMORY, LOCALFILE, REMOTE)
-    /// × dialect (v2, v3).
+    /// The supplier's read matrix: request kind (chunk, cache bypass) ×
+    /// backing (MOF, hybrid MEMORY, LOCALFILE, REMOTE) × dialect (v2,
+    /// v3).
     #[test]
     fn copy_meter_counts_hybrid_bytes_copied_and_mof_bytes_zero_copy() {
         use jbs_store_hybrid::HybridConfig;
@@ -1258,7 +1215,6 @@ mod tests {
                 mof: 7,
                 reducer: 0,
                 offset: 0,
-                want: 0,
                 reply: Reply::None,
             },
         );
@@ -1273,7 +1229,15 @@ mod tests {
         let recs: Vec<Record> = (0..2000)
             .map(|i| (format!("k{i:05}").into_bytes(), vec![0xAB; 64]))
             .collect();
-        let server = MofSupplierServer::start_with(store_with_one_mof(recs), 4 << 10, 8).unwrap();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                buffer_bytes: 4 << 10,
+                prefetch_batch: 8,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
         let (mut r, mut w) = connect(server.addr());
         // Warm (0, 0) in the length-less dialect: a miss that stages
         // [0, 32 KiB) on a worker.
@@ -1337,9 +1301,9 @@ mod tests {
         let server = MofSupplierServer::start_with_options(store, options).unwrap();
         let (mut r, mut w) = connect(server.addr());
 
-        // Whole segment as reference.
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
-        let whole = FetchResponse::read_from(&mut r).unwrap().payload;
+        // The store's own bytes as reference.
+        let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
+        let whole = whole.unwrap().unwrap();
 
         // Chunked fetch on the same (reused) connection.
         let mut assembled = Vec::new();
@@ -1438,7 +1402,7 @@ mod tests {
             MofSupplierServer::start(store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]))
                 .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(42, 0).write_to(&mut w).unwrap();
+        first_chunk(42).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::NotFound);
         // A *chunked* miss takes the sync-stage path through a disk
@@ -1470,7 +1434,7 @@ mod tests {
         for _ in 0..8 {
             joins.push(std::thread::spawn(move || {
                 let (mut r, mut w) = connect(addr);
-                FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+                first_chunk(0).write_to(&mut w).unwrap();
                 FetchResponse::read_from(&mut r).unwrap().payload.len()
             }));
         }
@@ -1496,7 +1460,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let err = FetchResponse::read_from(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(plan.stats().corruptions, 1);
@@ -1520,7 +1484,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let err = FetchResponse::read_from(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(plan.stats().truncations, 1);
@@ -1534,8 +1498,8 @@ mod tests {
             .collect();
         let server = MofSupplierServer::start(store_with_one_mof(recs)).unwrap();
         let (mut r, mut w) = connect(server.addr());
-        // Whole segment in one v3 exchange: seg_len equals the payload.
-        FetchRequest::whole_segment(0, 0)
+        // The whole segment in one v3 chunk: seg_len equals the payload.
+        first_chunk(0)
             .write_versioned(&mut w, WireVersion::V3)
             .unwrap();
         let whole = FetchResponse::read_from(&mut r).unwrap();
@@ -1568,7 +1532,7 @@ mod tests {
             MofSupplierServer::start(store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]))
                 .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok, "v2 dialect answered in kind");
         server.shutdown();
@@ -1592,7 +1556,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        let req = FetchRequest::whole_segment(0, 0);
+        let req = first_chunk(0);
         req.write_versioned(&mut w, WireVersion::V3).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Busy);
@@ -1619,7 +1583,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        FetchRequest::whole_segment(0, 0)
+        first_chunk(0)
             .write_versioned(&mut w, WireVersion::V3)
             .unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
@@ -1629,12 +1593,133 @@ mod tests {
         server.shutdown();
     }
 
+    /// A connection over the admission cap is answered on a reactor like
+    /// any other: its first request gets one `Busy` frame (v3) or a bare
+    /// close (v2), one that sends nothing is closed at the deadline, and
+    /// none of them holds an admission slot.
+    #[test]
+    fn unadmitted_connections_get_pushback_or_a_deadline_and_hold_no_slot() {
+        use std::io::Read;
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]),
+            ServerOptions {
+                max_connections: 1,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(server.addr());
+        first_chunk(0).write_to(&mut w).unwrap();
+        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        let start = std::time::Instant::now();
+        let silent: Vec<TcpStream> = (0..16)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        let (mut r3, mut w3) = connect(server.addr());
+        first_chunk(0)
+            .write_versioned(&mut w3, WireVersion::V3)
+            .unwrap();
+        let resp = FetchResponse::read_from(&mut r3).unwrap();
+        assert_eq!(resp.status, Status::Busy);
+        assert_eq!(r3.read(&mut [0u8; 1]).unwrap(), 0, "closed after the Busy");
+        let (mut r2, mut w2) = connect(server.addr());
+        first_chunk(0).write_to(&mut w2).unwrap();
+        let mut frame = Vec::new();
+        assert_eq!(
+            r2.read_to_end(&mut frame).unwrap(),
+            0,
+            "v2: closed, no frame"
+        );
+        for mut s in silent {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "silent one closed");
+            assert!(
+                start.elapsed() >= Duration::from_millis(500),
+                "not before the deadline"
+            );
+        }
+        // The admitted connection is still served.
+        first_chunk(0).write_to(&mut w).unwrap();
+        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        let snap = server.stats_snapshot();
+        assert_eq!((snap.connections, snap.busy_rejections), (1, 2), "{snap:?}");
+        server.shutdown();
+    }
+
+    /// `len == 0` is malformed on every backing and in both dialects: it
+    /// is answered `BadRequest` with its id, reads no tier, and the next
+    /// chunk on the same connection is served.
+    #[test]
+    fn zero_length_requests_are_bad_requests_on_every_backing() {
+        use jbs_store_hybrid::HybridConfig;
+        const CHUNK: u64 = 4 << 10;
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 1 << 20,
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        let data = pattern(10_000);
+        feed(&hybrid, 7, &data, 1000);
+        let server = hybrid_supplier(&hybrid, jbs_obs::Trace::disabled());
+        let (mut r, mut w) = connect(server.addr());
+        let before = hybrid.stats();
+        let mut id = 0;
+        for mof in [0, 7] {
+            let truth = match mof {
+                7 => data[..CHUNK as usize].to_vec(),
+                _ => (server.shared.store)
+                    .read_segment_range(0, 0, 0, CHUNK)
+                    .unwrap()
+                    .unwrap(),
+            };
+            for (version, ok) in [
+                (WireVersion::V2, Status::Ok),
+                (WireVersion::V3, Status::OkCrc),
+            ] {
+                let cell = format!("MOF {mof} × {version:?}");
+                id += 1;
+                let empty = FetchRequest {
+                    id,
+                    len: 0,
+                    ..first_chunk(mof)
+                };
+                empty.write_versioned(&mut w, version).unwrap();
+                let resp = FetchResponse::read_from(&mut r).unwrap();
+                assert_eq!((resp.status, resp.id), (Status::BadRequest, id), "{cell}");
+                assert!(resp.payload.is_empty(), "{cell}");
+                id += 1;
+                let chunk = FetchRequest {
+                    id,
+                    len: CHUNK,
+                    ..first_chunk(mof)
+                };
+                chunk.write_versioned(&mut w, version).unwrap();
+                let resp = FetchResponse::read_from(&mut r).unwrap();
+                assert_eq!((resp.status, resp.id), (ok, id), "{cell}");
+                assert!(resp.crc_ok(), "{cell}");
+                assert_eq!(resp.payload, truth, "{cell}");
+            }
+        }
+        let hits = hybrid.stats().memory_hits - before.memory_hits;
+        assert_eq!(hits, 2, "only the two real chunks read the MEMORY tier");
+        assert_eq!(server.stats_snapshot().hybrid_hits, 2);
+        server.shutdown();
+    }
+
     #[test]
     fn bypass_flag_skips_poisoned_datacache() {
         let recs: Vec<Record> = (0..2000)
             .map(|i| (format!("k{i:05}").into_bytes(), vec![0xCD; 64]))
             .collect();
-        let server = MofSupplierServer::start_with(store_with_one_mof(recs), 4 << 10, 8).unwrap();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                buffer_bytes: 4 << 10,
+                prefetch_batch: 8,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
         let (mut r, mut w) = connect(server.addr());
         // Warm the DataCache, remembering the true first chunk.
         let chunk = FetchRequest {
@@ -1687,7 +1772,7 @@ mod tests {
         let server = MofSupplierServer::start(store_with_one_mof(recs)).unwrap();
         let addr = server.addr();
         let (mut r, mut w) = connect(addr);
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok);
         // Close our connection so the drain can converge, then drain.
@@ -1699,7 +1784,7 @@ mod tests {
         // The drained supplier is gone: a new exchange cannot complete.
         let refused = TcpStream::connect(addr)
             .and_then(|mut s| {
-                FetchRequest::whole_segment(0, 0).write_to(&mut s)?;
+                first_chunk(0).write_to(&mut s)?;
                 let mut rd = io::BufReader::new(s.try_clone()?);
                 FetchResponse::read_from(&mut rd)
             })
@@ -1724,7 +1809,7 @@ mod tests {
         let revived = MofSupplierServer::start_on(addr, store, ServerOptions::default()).unwrap();
         assert_eq!(revived.addr(), addr);
         let (mut r, mut w) = connect(addr);
-        FetchRequest::whole_segment(0, 0).write_to(&mut w).unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok);
         revived.shutdown();

@@ -11,7 +11,11 @@
 //! response    := status u8 | id u64 | len u64 | ext | payload[...]
 //! ```
 //!
-//! `len == 0` requests the whole remainder of the segment from `offset`.
+//! `len` is a range of 1 to the supplier's transport buffer
+//! (`buffer_bytes`, 128 KiB by default): a longer request is served
+//! short at that cap, and a range past the segment's end comes back
+//! empty. The supplier answers `len == 0` with [`Status::BadRequest`],
+//! so no request ever reads an unbounded range.
 //!
 //! `id` is a client-chosen request identifier echoed verbatim in the
 //! response. The server answers requests strictly in arrival order, so
@@ -34,7 +38,7 @@
 //!   12-byte extension: `crc32c u32 | seg_len u64`, then the payload.
 //!   `crc32c` covers exactly the payload bytes; `seg_len` is the total
 //!   length of the addressed segment, which lets the client end a
-//!   whole-segment fetch there without an end-of-segment request,
+//!   chunked segment fetch there without an end-of-segment request,
 //!   account for expected bytes, and turn a truncation landing exactly
 //!   on a chunk boundary (indistinguishable from clean EOF in v2) into
 //!   a typed error.
@@ -135,7 +139,8 @@ pub struct FetchRequest {
     pub reducer: u32,
     /// Segment-relative byte offset.
     pub offset: u64,
-    /// Bytes requested (0 = rest of the segment).
+    /// Bytes requested: 1 to the supplier's transport buffer, which
+    /// caps a longer request; 0 is answered with [`Status::BadRequest`].
     pub len: u64,
     /// v3 request flags ([`FLAG_BYPASS_CACHE`]); dropped on the v2
     /// frame, which has no flags byte.
@@ -143,18 +148,6 @@ pub struct FetchRequest {
 }
 
 impl FetchRequest {
-    /// Request a whole segment.
-    pub fn whole_segment(mof: u64, reducer: u32) -> Self {
-        FetchRequest {
-            id: 0,
-            mof,
-            reducer,
-            offset: 0,
-            len: 0,
-            flags: 0,
-        }
-    }
-
     /// Does this request carry the cache-bypass flag?
     pub fn bypass_cache(&self) -> bool {
         self.flags & FLAG_BYPASS_CACHE != 0
@@ -651,8 +644,12 @@ mod tests {
     #[test]
     fn v2_frame_drops_flags() {
         let req = FetchRequest {
+            id: 0,
+            mof: 1,
+            reducer: 2,
+            offset: 0,
+            len: 4096,
             flags: FLAG_BYPASS_CACHE,
-            ..FetchRequest::whole_segment(1, 2)
         };
         let (back, _) = FetchRequest::decode(&req.encode()).unwrap();
         assert!(!back.bypass_cache());
@@ -660,7 +657,15 @@ mod tests {
 
     #[test]
     fn request_rejects_bad_magic() {
-        let mut enc = FetchRequest::whole_segment(1, 2).encode();
+        let mut enc = FetchRequest {
+            id: 0,
+            mof: 1,
+            reducer: 2,
+            offset: 0,
+            len: 4096,
+            flags: 0,
+        }
+        .encode();
         enc[0] ^= 0xF0;
         assert!(FetchRequest::decode(&enc).is_err());
         assert!(FetchRequest::decode(&enc[..8]).is_err());
@@ -668,7 +673,14 @@ mod tests {
 
     #[test]
     fn request_stream_roundtrip_and_eof() {
-        let req = FetchRequest::whole_segment(9, 1);
+        let req = FetchRequest {
+            id: 3,
+            mof: 9,
+            reducer: 1,
+            offset: 64,
+            len: 4096,
+            flags: 0,
+        };
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
         req.write_versioned(&mut buf, WireVersion::V3).unwrap();
@@ -688,7 +700,14 @@ mod tests {
     #[test]
     fn truncated_request_is_an_error() {
         for version in [WireVersion::V2, WireVersion::V3] {
-            let req = FetchRequest::whole_segment(9, 1);
+            let req = FetchRequest {
+                id: 3,
+                mof: 9,
+                reducer: 1,
+                offset: 64,
+                len: 4096,
+                flags: 0,
+            };
             let mut buf = Vec::new();
             req.write_versioned(&mut buf, version).unwrap();
             buf.truncate(buf.len() - 3);
@@ -935,7 +954,11 @@ mod tests {
         for i in 0..10u64 {
             let req = FetchRequest {
                 id: i,
-                ..FetchRequest::whole_segment(i, i as u32)
+                mof: i,
+                reducer: i as u32,
+                offset: i << 12,
+                len: 4096,
+                flags: 0,
             };
             let version = if i % 2 == 0 {
                 WireVersion::V2
