@@ -2,7 +2,7 @@
 //!
 //! The paper's motivation (Sec. II) quotes production experience — shuffle
 //! traffic "can consume more than 98% network bandwidth" and
-//! "oversubscription can quickly saturate the network links" [6] — but its
+//! "oversubscription can quickly saturate the network links" \[6\] — but its
 //! testbed switch was non-blocking. This study sweeps the oversubscription
 //! factor on the simulated fabric to ask: does JVM-bypass still matter
 //! when the core, not the JVM, is the bottleneck?

@@ -48,7 +48,8 @@ pub struct JbsConfig {
     pub fetch_backoff_base: SimTime,
     /// Upper clamp on any single fetch-retry backoff sleep.
     pub fetch_backoff_max: SimTime,
-    /// Per-request read/write deadline on the real dataplane.
+    /// Connect and per-request read/write deadline on the real
+    /// dataplane.
     pub fetch_io_timeout: SimTime,
     /// End-to-end integrity on the real dataplane: fetch in the v3 wire
     /// dialect so every chunk payload arrives CRC32C-sealed and is
@@ -93,13 +94,14 @@ pub struct JbsConfig {
     /// saturates loopback; more help only past several NICs' worth of
     /// concurrent reducers.
     pub reactor_threads: usize,
-    /// Disk IO scheduler permits for staging/segment reads. Bounds how
-    /// many reads hit the disk at once so a prefetch burst keeps its
-    /// sequential head position. 0 disables arbitration for the class.
+    /// Disk IO scheduler permits for staging/segment reads (>= 1).
+    /// Bounds how many reads hit the disk at once so a prefetch burst
+    /// keeps its sequential head position; the supplier runs one disk
+    /// worker per permit.
     pub io_read_permits: usize,
-    /// Disk IO scheduler permits for hybrid-store spill appends. Keeps
-    /// a spill burst from stealing the disk head from the prefetcher.
-    /// 0 disables arbitration for the class.
+    /// Disk IO scheduler permits for hybrid-store spill appends (>= 1).
+    /// Keeps a spill burst from stealing the disk head from the
+    /// prefetcher.
     pub io_append_permits: usize,
     /// Spacing between a supplier's heartbeats into the registry.
     pub heartbeat_interval: SimTime,
@@ -201,6 +203,9 @@ impl JbsConfig {
         }
         if self.reactor_threads == 0 {
             return Err("reactor thread count must be positive".into());
+        }
+        if self.io_read_permits == 0 || self.io_append_permits == 0 {
+            return Err("disk IO permits must be positive per class".into());
         }
         if self.heartbeat_interval == SimTime::ZERO {
             return Err("heartbeat interval must be positive".into());
@@ -307,13 +312,17 @@ mod tests {
             ..JbsConfig::default()
         };
         assert!(c.validate().is_err());
-        // Zero permits means "unlimited class", a valid disable setting.
+        // Arbitration is always on: a class with no permits is rejected.
         let c = JbsConfig {
             io_read_permits: 0,
+            ..JbsConfig::default()
+        };
+        assert!(c.validate().is_err());
+        let c = JbsConfig {
             io_append_permits: 0,
             ..JbsConfig::default()
         };
-        assert!(c.validate().is_ok());
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl Fabric {
     /// aggregate cross-node bandwidth is `nodes * goodput / factor`.
     /// Production datacenters of the paper's era commonly ran 4:1 or
     /// worse, which is why "the intermediate data shuffling … can consume
-    /// more than 98% network bandwidth" (Sec. II, citing Camdoop [6]).
+    /// more than 98% network bandwidth" (Sec. II, citing Camdoop \[6\]).
     /// `factor <= 1` degenerates to non-blocking.
     pub fn with_oversubscription(nodes: usize, protocol: Protocol, factor: f64) -> Self {
         let mut fabric = Self::new(nodes, protocol);

@@ -77,9 +77,6 @@ pub struct HybridConfig {
     /// Synthetic per-buffer delay charged inside each spill write, so
     /// tests can hold the store mid-spill long enough to race it.
     pub synthetic_spill_delay: Duration,
-    /// Synthetic delay charged per LOCALFILE read, standing in for a
-    /// rotational-disk seek when benchmarking memory-tier hit rates.
-    pub synthetic_local_read_delay: Duration,
     /// Directory for the LOCALFILE tier's spill file; `None` creates a
     /// per-store temp dir removed on drop.
     pub data_dir: Option<PathBuf>,
@@ -122,7 +119,6 @@ impl Default for HybridConfig {
             huge_partition_limit: 16 << 20,
             background_flush: false,
             synthetic_spill_delay: Duration::ZERO,
-            synthetic_local_read_delay: Duration::ZERO,
             data_dir: None,
             remote_dir: None,
             trace: Trace::disabled(),

@@ -1202,10 +1202,6 @@ impl HybridStore {
                 .trace
                 .instant("mem.hit", Entity::mof(mof), offset, end - offset);
         }
-        let hit_local = durable.iter().any(|p| matches!(p, Piece::Local { .. }));
-        if hit_local && !self.cfg.synthetic_local_read_delay.is_zero() {
-            std::thread::sleep(self.cfg.synthetic_local_read_delay);
-        }
         self.fill_durable(key, &durable, &mut out)?;
         Ok(Some(out))
     }

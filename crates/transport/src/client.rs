@@ -3,8 +3,8 @@
 //!
 //! One client serves all reducers of a "node", and it has one fetch
 //! path: every call (`fetch_all`, `fetch_segment`, `fetch_chunk`,
-//! `levitated_merge`) hands ops to the background
-//! [`crate::sched::FetchScheduler`]. One worker thread per supplier owns
+//! `levitated_merge`) hands ops to the background fetch scheduler
+//! (`sched::FetchScheduler`). One worker thread per supplier owns
 //! that supplier's single connection (the paper's consolidation, Sec.
 //! III-C) and keeps a bounded window of requests in flight on it,
 //! injected round-robin across segments, so the supplier's disk
@@ -14,9 +14,10 @@
 //! lockstep baseline — one request, wait, one response — as a
 //! configuration of the same path, not a second one.
 //!
-//! Every fetch is covered by the recovery machinery: per-request
-//! read/write deadlines, a [`RetryPolicy`] with deterministic backoff
-//! jitter, re-dial of failed connections, and — because retry operates
+//! Every fetch is covered by the recovery machinery: one
+//! connect/read/write deadline ([`ClientConfig::io_timeout`]), a
+//! [`RetryPolicy`] with deterministic backoff jitter, re-dial of failed
+//! connections, and — because retry operates
 //! per chunk — **resume at the received offset**: a segment interrupted
 //! at byte `o` continues from `o` on the fresh connection instead of
 //! refetching `[0, o)`. With a [`crate::routes::RouteTable`], an op
@@ -72,14 +73,9 @@ pub struct ClientConfig {
     pub window: usize,
     /// Retry budget and backoff shape for transient failures.
     pub retry: RetryPolicy,
-    /// Deadline for establishing a connection.
-    pub connect_timeout: Duration,
-    /// Per-request read deadline.
-    pub read_timeout: Duration,
-    /// Per-request write deadline.
-    pub write_timeout: Duration,
-    /// Seed for the backoff-jitter rng streams.
-    pub retry_seed: u64,
+    /// Deadline for establishing a connection and for each socket read
+    /// and write on it.
+    pub io_timeout: Duration,
     /// Optional fault-injection plan (tests only; `None` in production).
     pub faults: Option<Arc<FaultPlan>>,
     /// Structured tracing sink; [`jbs_obs::Trace::disabled`] (the
@@ -119,10 +115,7 @@ impl Default for ClientConfig {
             buffer_bytes: 128 << 10,
             window: 8,
             retry: RetryPolicy::default(),
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            retry_seed: 0x4A42_5331,
+            io_timeout: Duration::from_secs(5),
             faults: None,
             trace: jbs_obs::Trace::disabled(),
             checksum: true,
@@ -167,7 +160,7 @@ fn balanced_order(segs: &[SegmentRef]) -> Vec<usize> {
     order
 }
 
-/// The NetMerger: a facade over the [`FetchScheduler`], whose
+/// The NetMerger: a facade over the fetch scheduler, whose
 /// per-supplier workers each own one connection.
 pub struct NetMergerClient {
     shared: Arc<ClientShared>,
@@ -358,8 +351,8 @@ struct ChunkFetch<'a> {
     offset: u64,
     done_tx: mpsc::Sender<FetchDone>,
     done_rx: mpsc::Receiver<FetchDone>,
-    /// Offset of the chunk currently in flight, if any.
-    pending: Option<u64>,
+    /// Whether the chunk at `offset` is in flight.
+    pending: bool,
 }
 
 impl<'a> NetworkSegmentStream<'a> {
@@ -374,7 +367,7 @@ impl<'a> NetworkSegmentStream<'a> {
                 offset: 0,
                 done_tx,
                 done_rx,
-                pending: None,
+                pending: false,
             },
         }
     }
@@ -386,52 +379,45 @@ impl<'a> NetworkSegmentStream<'a> {
 }
 
 impl ChunkFetch<'_> {
-    /// Submit the chunk at `offset`; the stream has at most one in
+    /// Submit the chunk at `self.offset`; the stream has at most one in
     /// flight, so its token needs no numbering.
-    fn request(&mut self, offset: u64) {
+    fn request(&mut self) {
         self.client.sched.submit(FetchOp {
             token: 0,
             seg: self.seg,
-            offset,
+            offset: self.offset,
             limit: self.client.shared.config.buffer_bytes,
             done: self.done_tx.clone(),
             tried: Vec::new(),
         });
-        self.pending = Some(offset);
+        self.pending = true;
     }
 
     /// The next chunk at `self.offset` (`None` at segment end), keeping
     /// one chunk speculatively in flight whenever the previous one came
     /// back full-sized.
     fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            if self.pending.is_none() {
-                self.request(self.offset);
-            }
-            let done = self.done_rx.recv().map_err(|_| {
-                io::Error::new(io::ErrorKind::Interrupted, "fetch scheduler disconnected")
-            })?;
-            let req_off = self.pending.take().unwrap_or(self.offset);
-            let payload = done.result.map_err(io::Error::from)?;
-            // The segment's next chunks go where this one came from: a
-            // replica, once a failover has moved it there.
-            self.seg.addr = done.addr;
-            if req_off != self.offset {
-                // A speculative chunk aimed past a short read; refetch
-                // from the corrected offset.
-                continue;
-            }
-            if payload.is_empty() {
-                return Ok(None);
-            }
-            self.offset += payload.len() as u64;
-            if payload.len() as u64 == self.client.shared.config.buffer_bytes {
-                // Full chunk: speculate the next one so it rides the
-                // wire while the merge consumes this one.
-                self.request(self.offset);
-            }
-            return Ok(Some(payload));
+        if !self.pending {
+            self.request();
         }
+        let done = self.done_rx.recv().map_err(|_| {
+            io::Error::new(io::ErrorKind::Interrupted, "fetch scheduler disconnected")
+        })?;
+        self.pending = false;
+        let payload = done.result.map_err(io::Error::from)?;
+        // The segment's next chunks go where this one came from: a
+        // replica, once a failover has moved it there.
+        self.seg.addr = done.addr;
+        if payload.is_empty() {
+            return Ok(None);
+        }
+        self.offset += payload.len() as u64;
+        if payload.len() as u64 == self.client.shared.config.buffer_bytes {
+            // Full chunk: speculate the next one so it rides the wire
+            // while the merge consumes this one.
+            self.request();
+        }
+        Ok(Some(payload))
     }
 }
 
@@ -614,10 +600,7 @@ mod tests {
     }
 
     fn served(server: &MofSupplierServer) -> u64 {
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed)
+        server.stats_snapshot().requests
     }
 
     /// In lockstep a v3 fetch asks only for bytes it keeps: a segment
@@ -848,9 +831,8 @@ mod tests {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                jitter_frac: 0.0,
             },
-            connect_timeout: Duration::from_millis(200),
+            io_timeout: Duration::from_millis(200),
             ..ClientConfig::default()
         });
         let err = client
@@ -887,9 +869,8 @@ mod tests {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                jitter_frac: 0.0,
             },
-            connect_timeout: Duration::from_millis(200),
+            io_timeout: Duration::from_millis(200),
             ..ClientConfig::default()
         });
         let err = client
@@ -932,7 +913,6 @@ mod tests {
                 max_retries: 3,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                jitter_frac: 0.0,
             },
             faults: Some(Arc::clone(&plan)),
             ..ClientConfig::default()
@@ -1013,9 +993,7 @@ mod tests {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                jitter_frac: 0.0,
             },
-            connect_timeout: Duration::from_millis(200),
             breaker_threshold: 1,
             breaker_cooldown: Duration::from_millis(10),
             routes: Some(routes),
@@ -1194,7 +1172,6 @@ mod tests {
                 max_retries: 4,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                jitter_frac: 0.0,
             },
             faults: Some(Arc::clone(&client_plan)),
             ..ClientConfig::default()
@@ -1276,7 +1253,6 @@ mod tests {
             store,
             crate::server::ServerOptions {
                 faults: Some(Arc::clone(&plan)),
-                busy_retry_hint: Duration::from_millis(5),
                 ..crate::server::ServerOptions::default()
             },
         )

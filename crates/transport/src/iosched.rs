@@ -19,9 +19,14 @@
 //! separate RAII value), and the condvar wait releases it — both facts
 //! the blocking-under-lock lint checks.
 //!
+//! Every class has at least one permit: arbitration is always on. A
+//! supplier started without a scheduler builds one with
+//! [`IoScheduler::DEFAULT_READ_PERMITS`] /
+//! [`IoScheduler::DEFAULT_APPEND_PERMITS`].
+//!
 //! The hybrid store cannot depend on this crate (it would be a cycle),
 //! so it defines the two-method [`jbs_store_hybrid::SpillGate`] trait
-//! and [`IoScheduler`] implements it; `src/lib.rs` wires one shared
+//! and [`IoScheduler`] implements it; `jbs::dataplane` wires one shared
 //! scheduler into both the server options and the hybrid config.
 
 use crate::sync::{lock, wait, Condvar, Mutex};
@@ -121,9 +126,13 @@ impl std::fmt::Debug for IoScheduler {
 }
 
 impl IoScheduler {
+    /// Read permits of the scheduler a supplier builds for itself.
+    pub const DEFAULT_READ_PERMITS: usize = 4;
+    /// Append permits of the scheduler a supplier builds for itself.
+    pub const DEFAULT_APPEND_PERMITS: usize = 2;
+
     /// A scheduler with `read_permits`/`append_permits` per class,
-    /// tracing disabled. Zero permits for a class means that class is
-    /// unlimited (acquire never blocks, useful to disable arbitration).
+    /// tracing disabled. A class given 0 permits gets 1.
     pub fn new(read_permits: usize, append_permits: usize) -> Self {
         Self::with_trace(read_permits, append_permits, jbs_obs::Trace::disabled())
     }
@@ -131,6 +140,7 @@ impl IoScheduler {
     /// A scheduler that records `iosched.acquire` instants and
     /// `iosched.wait` spans to `trace`.
     pub fn with_trace(read_permits: usize, append_permits: usize, trace: jbs_obs::Trace) -> Self {
+        let (read_permits, append_permits) = (read_permits.max(1), append_permits.max(1));
         IoScheduler {
             permits: Mutex::new(PermitState {
                 read: ClassState {
@@ -158,7 +168,7 @@ impl IoScheduler {
         }
     }
 
-    /// The configured Read-class permit cap (0 = unlimited). The server
+    /// The configured Read-class permit cap (at least 1). The server
     /// sizes its disk-worker pool off this, so the permits bound real
     /// concurrency rather than an oversubscribed thread herd.
     pub fn read_permits(&self) -> usize {
@@ -187,14 +197,6 @@ impl IoScheduler {
     /// return a borrow-carrying guard across the crate boundary). Every
     /// `acquire_raw` must be paired with exactly one `release_raw`.
     pub fn acquire_raw(&self, class: IoClass) {
-        let cap = self.cap(class);
-        if cap == 0 {
-            // Unlimited class: count the grant, skip the semaphore.
-            self.counters(class)
-                .acquires
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut g = lock(&self.permits);
         if g.class(class).free == 0 {
             self.counters(class).waits.fetch_add(1, Ordering::Relaxed);
@@ -213,7 +215,7 @@ impl IoScheduler {
             drop(span);
         }
         g.class(class).free -= 1;
-        let held = (cap - g.class(class).free) as u64;
+        let held = (self.cap(class) - g.class(class).free) as u64;
         drop(g);
         self.counters(class)
             .acquires
@@ -228,12 +230,11 @@ impl IoScheduler {
 
     /// Return a permit of `class`; wakes one queued acquirer.
     pub fn release_raw(&self, class: IoClass) {
-        let cap = self.cap(class);
-        if cap == 0 {
-            return;
-        }
         let mut g = lock(&self.permits);
-        debug_assert!(g.class(class).free < cap, "permit released twice");
+        debug_assert!(
+            g.class(class).free < self.cap(class),
+            "permit released twice"
+        );
         g.class(class).free += 1;
         let any_queued = g.read.queued + g.append.queued > 0;
         drop(g);
@@ -393,15 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_permit_class_is_unlimited() {
-        let sched = Arc::new(IoScheduler::new(0, 1));
+    fn zero_permits_clamp_to_one() {
+        let sched = Arc::new(IoScheduler::new(0, 0));
+        assert_eq!(sched.read_permits(), 1);
         let a = sched.acquire(IoClass::Read);
-        let b = sched.acquire(IoClass::Read);
-        let c = sched.acquire(IoClass::Read);
         let st = sched.stats();
-        assert_eq!(st.read_held, 0, "unlimited class holds no permits");
-        assert_eq!(st.read_acquires, 3);
-        drop((a, b, c));
+        assert_eq!((st.read_permits, st.append_permits), (1, 1));
+        assert_eq!(st.read_held, 1, "the one permit is held");
+        drop(a);
+        assert_eq!(sched.stats().read_held, 0);
     }
 
     #[test]

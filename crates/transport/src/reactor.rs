@@ -81,6 +81,14 @@ const MAX_RBUF: usize = 64 << 10;
 /// sends nothing is closed at this deadline.
 const UNADMITTED_DEADLINE: Duration = Duration::from_millis(500);
 
+/// Admission: a request that would push the disk workers' stage queue
+/// to this depth is shed rather than queued behind a backlog the disk
+/// cannot clear — pushback instead of an unbounded stall.
+const PREFETCH_QUEUE_CAP: usize = 4096;
+
+/// Retry-after hint, in milliseconds, carried in `Busy` pushback frames.
+pub(crate) const BUSY_RETRY_HINT_MS: u64 = 25;
+
 // ---------------------------------------------------------------------
 // Outgoing responses
 // ---------------------------------------------------------------------
@@ -788,16 +796,18 @@ fn serve_request(
     let unadmitted = conn.unadmitted_until.is_some();
     let shed = unadmitted
         || faults::decide(&shared.options.faults, Hook::ServerAdmission) == FaultAction::Busy
-        || shared.prefetch.len() as u64 >= shared.options.prefetch_queue_cap;
+        || shared.prefetch.len() >= PREFETCH_QUEUE_CAP;
     if shed {
         shared.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-        let hint = shared.options.busy_retry_hint.as_millis() as u64;
-        shared
-            .options
-            .trace
-            .instant("server.busy", Entity::mof(req.mof), req.offset, hint);
+        shared.options.trace.instant(
+            "server.busy",
+            Entity::mof(req.mof),
+            req.offset,
+            BUSY_RETRY_HINT_MS,
+        );
         if version == WireVersion::V3 {
-            enqueue_local(shared, conn, build_busy(req.id, hint, req.mof, req.offset));
+            let busy = build_busy(req.id, BUSY_RETRY_HINT_MS, req.mof, req.offset);
+            enqueue_local(shared, conn, busy);
         }
         if version == WireVersion::V2 || unadmitted {
             // v2 has no pushback frame, and an unadmitted connection

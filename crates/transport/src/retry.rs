@@ -3,11 +3,16 @@
 //! The NetMerger client retries transient dataplane failures (see
 //! [`crate::error::TransportError::is_retryable`]) under a
 //! [`RetryPolicy`]: each attempt after the first sleeps for an
-//! exponentially growing backoff, jittered by a [`jbs_des::DetRng`]
-//! stream so a given seed always produces the same sleep schedule.
+//! exponentially growing backoff, jittered by [`JITTER_FRAC`] from a
+//! [`jbs_des::DetRng`] stream so a given seed always produces the same
+//! sleep schedule.
 
 use jbs_des::DetRng;
 use std::time::Duration;
+
+/// Multiplicative backoff jitter: each sleep is scaled uniformly in
+/// `[1 - JITTER_FRAC, 1 + JITTER_FRAC]`.
+pub const JITTER_FRAC: f64 = 0.2;
 
 /// Retry budget and backoff shape for one logical operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,9 +23,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper clamp on any single backoff sleep.
     pub max_backoff: Duration,
-    /// Multiplicative jitter: each sleep is scaled uniformly in
-    /// `[1 - jitter_frac, 1 + jitter_frac]`.
-    pub jitter_frac: f64,
 }
 
 impl Default for RetryPolicy {
@@ -29,7 +31,6 @@ impl Default for RetryPolicy {
             max_retries: 4,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(500),
-            jitter_frac: 0.2,
         }
     }
 }
@@ -45,19 +46,14 @@ impl RetryPolicy {
 
     /// Sleep duration before retry number `attempt` (1-based: the
     /// first retry is attempt 1). Exponential in `attempt`, clamped to
-    /// `max_backoff`, then jittered from `rng`.
+    /// `max_backoff`, then jittered by [`JITTER_FRAC`] from `rng`.
     pub fn backoff(&self, attempt: u32, rng: &mut DetRng) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
         let raw = self
             .base_backoff
             .saturating_mul(1u32 << exp)
             .min(self.max_backoff);
-        if self.jitter_frac <= 0.0 {
-            return raw;
-        }
-        let lo = (1.0 - self.jitter_frac).max(0.0);
-        let hi = 1.0 + self.jitter_frac;
-        raw.mul_f64(rng.uniform_f64(lo, hi))
+        raw.mul_f64(rng.uniform_f64(1.0 - JITTER_FRAC, 1.0 + JITTER_FRAC))
     }
 }
 
@@ -71,15 +67,19 @@ mod tests {
             max_retries: 8,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(100),
-            jitter_frac: 0.0,
         };
         let mut rng = DetRng::new(1);
-        assert_eq!(p.backoff(1, &mut rng), Duration::from_millis(10));
-        assert_eq!(p.backoff(2, &mut rng), Duration::from_millis(20));
-        assert_eq!(p.backoff(3, &mut rng), Duration::from_millis(40));
+        // Each sleep is its unjittered value within the jitter band.
+        let within = |d: Duration, ms: f64| {
+            let ms_got = d.as_secs_f64() * 1e3;
+            ms_got >= ms * (1.0 - JITTER_FRAC) - 1e-6 && ms_got <= ms * (1.0 + JITTER_FRAC) + 1e-6
+        };
+        assert!(within(p.backoff(1, &mut rng), 10.0));
+        assert!(within(p.backoff(2, &mut rng), 20.0));
+        assert!(within(p.backoff(3, &mut rng), 40.0));
         // Clamped past the cap.
-        assert_eq!(p.backoff(6, &mut rng), Duration::from_millis(100));
-        assert_eq!(p.backoff(30, &mut rng), Duration::from_millis(100));
+        assert!(within(p.backoff(6, &mut rng), 100.0));
+        assert!(within(p.backoff(30, &mut rng), 100.0));
     }
 
     #[test]
@@ -95,8 +95,8 @@ mod tests {
                 .base_backoff
                 .saturating_mul(1 << (attempt - 1))
                 .min(p.max_backoff);
-            assert!(da >= raw.mul_f64(1.0 - p.jitter_frac - 1e-9));
-            assert!(da <= raw.mul_f64(1.0 + p.jitter_frac + 1e-9));
+            assert!(da >= raw.mul_f64(1.0 - JITTER_FRAC - 1e-9));
+            assert!(da <= raw.mul_f64(1.0 + JITTER_FRAC + 1e-9));
         }
     }
 

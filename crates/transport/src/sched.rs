@@ -393,8 +393,12 @@ fn finish(op: FetchOp, result: Result<Vec<u8>>) {
     });
 }
 
+/// Seed of the backoff-jitter rng streams, mixed with each worker's
+/// [`addr_seed`].
+const RETRY_SEED: u64 = 0x4A42_5331;
+
 /// Seed material that differs per worker but is identical across runs,
-/// so backoff jitter stays deterministic under a fixed `retry_seed`.
+/// so backoff jitter stays deterministic under [`RETRY_SEED`].
 fn addr_seed(addr: &SocketAddr) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -439,7 +443,7 @@ fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
         FaultAction::Stall(d) => std::thread::sleep(d),
         _ => {}
     }
-    let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).map_err(|e| {
+    let stream = TcpStream::connect_timeout(&addr, config.io_timeout).map_err(|e| {
         TransportError::Connect {
             target: addr.to_string(),
             source: e,
@@ -451,10 +455,10 @@ fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
     };
     stream.set_nodelay(true).map_err(setup)?;
     stream
-        .set_read_timeout(Some(config.read_timeout))
+        .set_read_timeout(Some(config.io_timeout))
         .map_err(setup)?;
     stream
-        .set_write_timeout(Some(config.write_timeout))
+        .set_write_timeout(Some(config.io_timeout))
         .map_err(setup)?;
     let reader = BufReader::new(stream.try_clone().map_err(setup)?);
     Ok(Conn {
@@ -569,7 +573,7 @@ impl Worker {
         breaker: Arc<Breaker>,
     ) -> Self {
         let shared = Arc::clone(&registry.shared);
-        let seed = shared.config.retry_seed ^ addr_seed(&addr);
+        let seed = RETRY_SEED ^ addr_seed(&addr);
         let version = if shared.config.checksum {
             WireVersion::V3
         } else {
@@ -1496,7 +1500,6 @@ mod tests {
             max_retries: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
-            jitter_frac: 0.0,
         }
     }
 
@@ -1546,10 +1549,7 @@ mod tests {
     }
 
     fn served(server: &MofSupplierServer) -> u64 {
-        server
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed)
+        server.stats_snapshot().requests
     }
 
     /// A wave of many segments, each shorter than one buffer: every op

@@ -8,14 +8,14 @@
 //! * an in-memory **IndexCache** (the `MofStore` caches each MOF's
 //!   parsed index and open data file, and answers through `&self`);
 //! * one **serve loop**: every accepted connection is a state machine
-//!   on a [`crate::reactor`] thread, which answers DataCache hits
+//!   on a reactor thread (`reactor.rs`), which answers DataCache hits
 //!   inline — zero-copy, straight from the staged lease — and hybrid
 //!   MEMORY-tier hits inline too, and never touches a file;
 //! * a **DataCache** with grouped read-ahead: a fetch at segment offset
 //!   `o` stages `prefetch_batch` buffers beyond `o` in one file read, so
 //!   consecutive chunk fetches of the same segment are served from memory
 //!   and the disk sees long sequential runs (Fig. 5);
-//! * a pool of **disk workers** ([`crate::prefetch`]), one per read
+//! * a pool of **disk workers** (`prefetch.rs`), one per read
 //!   permit: stage requests are queued grouped by MOF, offset-ordered
 //!   within a group, and served round-robin across groups. The reactor
 //!   writes already-staged buffers while the disk runs ahead, so disk
@@ -62,9 +62,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server statistics.
+/// Server statistics: the live counters behind
+/// [`MofSupplierServer::stats_snapshot`].
 #[derive(Debug, Default)]
-pub struct SupplierStats {
+pub(crate) struct SupplierStats {
     /// Requests served.
     pub requests: AtomicU64,
     /// Payload bytes served.
@@ -181,12 +182,6 @@ pub struct ServerOptions {
     /// above this bound are shed — one misbehaving NetMerger cannot
     /// monopolize the supplier's connection slots.
     pub max_inflight_per_peer: u64,
-    /// Admission: a request that would push the disk workers' stage
-    /// queue to this depth is shed rather than queued behind a backlog
-    /// the disk cannot clear — pushback instead of an unbounded stall.
-    pub prefetch_queue_cap: u64,
-    /// Retry-after hint carried in `Busy` pushback frames.
-    pub busy_retry_hint: Duration,
     /// Optional memory-tier hybrid store. Partitions it holds are
     /// answered from its tiers *before* the DataCache/disk path — hot
     /// tails straight from memory — and [`MofSupplierServer::drain`]
@@ -196,15 +191,12 @@ pub struct ServerOptions {
     /// assigned round-robin at accept. One loop drives thousands of
     /// loopback connections; more mainly help multi-NIC setups.
     pub reactor_threads: usize,
-    /// Concurrent staging/segment reads the disk may serve at once
-    /// (the IO scheduler's `Read` class). 0 = unlimited.
-    pub io_read_permits: usize,
-    /// Concurrent spill-flush appends (the `Append` class), arbitrated
-    /// against reads through the same scheduler. 0 = unlimited.
-    pub io_append_permits: usize,
-    /// Share an externally built IO scheduler (e.g. one also installed
-    /// as the hybrid store's spill gate) instead of constructing one
-    /// from the permit counts above.
+    /// Disk IO arbitration: the scheduler whose Read permits bound the
+    /// disk workers' reads, shared with whatever else should queue on
+    /// the same disk (e.g. installed as the hybrid store's spill gate).
+    /// `None` builds a private one with
+    /// [`IoScheduler::DEFAULT_READ_PERMITS`] /
+    /// [`IoScheduler::DEFAULT_APPEND_PERMITS`], tracing to `trace`.
     pub iosched: Option<Arc<IoScheduler>>,
 }
 
@@ -217,14 +209,10 @@ impl Default for ServerOptions {
             synthetic_disk_delay: Duration::ZERO,
             faults: None,
             trace: jbs_obs::Trace::disabled(),
-            max_connections: 1024,
+            max_connections: 512,
             max_inflight_per_peer: 256,
-            prefetch_queue_cap: 4096,
-            busy_retry_hint: Duration::from_millis(25),
             hybrid: None,
             reactor_threads: 1,
-            io_read_permits: 4,
-            io_append_permits: 2,
             iosched: None,
         }
     }
@@ -310,8 +298,8 @@ impl MofSupplierServer {
         let iosched = match &options.iosched {
             Some(s) => Arc::clone(s),
             None => Arc::new(IoScheduler::with_trace(
-                options.io_read_permits,
-                options.io_append_permits,
+                IoScheduler::DEFAULT_READ_PERMITS,
+                IoScheduler::DEFAULT_APPEND_PERMITS,
                 options.trace.clone(),
             )),
         };
@@ -336,14 +324,9 @@ impl MofSupplierServer {
         // The reactor ships *every* disk touch through the queue, so it
         // runs a pool of disk workers — one per read permit — and the
         // IO scheduler bounds how many of them actually hit the disk at
-        // once. An unlimited Read class (cap 0) still needs a concrete
-        // pool width; default to the paper's 4-permit arbitration.
-        let disk_workers = match shared.iosched.read_permits() {
-            0 => 4,
-            cap => cap,
-        };
+        // once.
         let mut prefetch_threads = Vec::new();
-        for _ in 0..disk_workers {
+        for _ in 0..shared.iosched.read_permits() {
             let disk_shared = Arc::clone(&shared);
             prefetch_threads.push(std::thread::spawn(move || {
                 prefetch_loop(&disk_shared);
@@ -425,11 +408,6 @@ impl MofSupplierServer {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Server statistics.
-    pub fn stats(&self) -> &SupplierStats {
-        &self.shared.stats
     }
 
     /// Full observability snapshot: request counters plus the pipeline
@@ -840,7 +818,7 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
         assert_eq!(resp.payload, whole.unwrap().unwrap());
-        assert_eq!(server.stats().requests.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats_snapshot().requests, 1);
         server.shutdown();
     }
 
@@ -871,7 +849,7 @@ mod tests {
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.payload, payload, "hybrid bytes byte-exact");
-        assert_eq!(server.stats().hybrid_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats_snapshot().hybrid_hits, 1);
         first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Ok, "MOF path still serves");
@@ -1342,8 +1320,8 @@ mod tests {
             ..ServerOptions::default()
         });
         // Read-ahead must have served most chunks from memory.
-        let hits = server.stats().datacache_hits.load(Ordering::Relaxed);
-        let reqs = server.stats().requests.load(Ordering::Relaxed);
+        let snap = server.stats_snapshot();
+        let (hits, reqs) = (snap.datacache_hits, snap.requests);
         assert!(hits * 2 > reqs, "hits {hits} of {reqs} requests");
         // The disk workers ran ahead of the reader: the pipeline gauges
         // are coherent.
@@ -1440,7 +1418,7 @@ mod tests {
         }
         let sizes: Vec<usize> = joins.into_iter().map(|j| j.join().unwrap()).collect();
         assert!(sizes.windows(2).all(|w| w[0] == w[1]));
-        assert!(server.stats().connections.load(Ordering::Relaxed) >= 8);
+        assert!(server.stats_snapshot().connections >= 8);
     }
 
     #[test]
@@ -1550,7 +1528,6 @@ mod tests {
             store_with_one_mof(recs),
             ServerOptions {
                 faults: Some(Arc::clone(&plan)),
-                busy_retry_hint: Duration::from_millis(7),
                 ..ServerOptions::default()
             },
         )
@@ -1560,7 +1537,11 @@ mod tests {
         req.write_versioned(&mut w, WireVersion::V3).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Busy);
-        assert_eq!(resp.retry_after_ms, 7, "hint travels in the frame");
+        assert_eq!(
+            resp.retry_after_ms,
+            crate::reactor::BUSY_RETRY_HINT_MS,
+            "hint travels in the frame"
+        );
         assert!(resp.payload.is_empty());
         // The connection survived the pushback: the retry is served.
         req.write_versioned(&mut w, WireVersion::V3).unwrap();

@@ -583,8 +583,8 @@ impl FetchResponse {
         Ok(())
     }
 
-    /// Read a full response from a stream: [`ResponseHead::read_from`]
-    /// plus the payload into a `Vec` of its own. Never panics: an
+    /// Read a full response from a stream: the response head
+    /// (`ResponseHead::read_from`) plus the payload into a `Vec` of its own. Never panics: an
     /// unknown status byte or an implausible payload length is reported
     /// as `InvalidData` (frame corruption) without allocating. The
     /// payload is *not* verified here; see [`Self::crc_ok`].

@@ -7,7 +7,7 @@
 //! clocks, real sleeps, and OS entropy all break that, so inside those
 //! crates they are denied outside `#[cfg(test)]`:
 //!
-//! * `Instant::now` / `SystemTime` — simulated time ([`SimTime`]) only;
+//! * `Instant::now` / `SystemTime` — simulated time (`SimTime`) only;
 //! * `thread::sleep` — time advances via the event queue, never the OS;
 //! * `thread_rng` / `from_entropy` / `rand::random` — all randomness
 //!   flows through seeded `DetRng` streams.

@@ -5,7 +5,7 @@
 //! `Rng::{gen_range, gen_bool}` over integer and float ranges, and
 //! `rngs::StdRng`. The generator is xoshiro256++ seeded through
 //! splitmix64 — deterministic for a given seed, which is all the
-//! simulator's [`DetRng`]-style reproducibility needs. It is **not** a
+//! simulator's `DetRng`-style reproducibility needs. It is **not** a
 //! cryptographic RNG and does not match upstream `StdRng`'s stream.
 
 use std::ops::Range;

@@ -56,111 +56,150 @@ pub use jbs_store_hybrid as store_hybrid;
 pub use jbs_transport as transport;
 pub use jbs_workloads as workloads;
 
-/// Build the real-dataplane client configuration from a [`core::JbsConfig`]:
-/// the same knob block drives both the simulator and the TCP NetMerger
-/// (buffer size, pipelining window, retry budget, backoff, deadlines).
-/// `max_connections` is not copied: the real client holds exactly one
-/// connection per supplier, and the knob caps the supplier's accepts
-/// ([`transport_server_options`]) and the simulated connection cache.
-pub fn transport_client_config(cfg: &core::JbsConfig) -> transport::ClientConfig {
+/// The real dataplane's configuration, built from one
+/// [`core::JbsConfig`] by [`dataplane`]: the same knob block drives the
+/// simulator and the TCP supplier, store, client and registry.
+pub struct Dataplane {
+    /// The NetMerger client: buffer size, pipelining window, retry
+    /// budget and backoff, I/O deadline, dialect, breaker threshold.
+    pub client: transport::ClientConfig,
+    /// The MOFSupplier: buffer size, prefetch depth, the Fig. 4-vs-Fig. 5
+    /// run-ahead switch, admission bounds, reactor threads, and the
+    /// disk IO scheduler shared with [`Dataplane::hybrid`].
+    pub server: transport::ServerOptions,
+    /// The supplier's hybrid store: memory budget, spill watermarks,
+    /// huge-partition limit and crash-consistency knobs. Pair it with
+    /// [`transport::ServerOptions::hybrid`] via
+    /// [`store_hybrid::HybridStore::new`]; with `durable_spill` on, pin
+    /// `data_dir` so a restarted supplier can rebuild from it with
+    /// [`store_hybrid::HybridStore::recover`].
+    pub hybrid: store_hybrid::HybridConfig,
+    /// The control plane's registry: heartbeat spacing, missed-beat
+    /// expiry multiple and replication factor. The registry pushes its
+    /// view into a [`transport::RouteTable`] (wired via
+    /// [`transport::ClientConfig::routes`]); the data plane never calls
+    /// the registry directly.
+    pub registry: control::RegistryConfig,
+}
+
+/// Build the whole real dataplane's configuration from a
+/// [`core::JbsConfig`].
+///
+/// The supplier's staging reads and the hybrid store's spill appends
+/// share one [`transport::IoScheduler`] (`server.iosched` and
+/// `hybrid.spill_gate`), so they arbitrate for the same disk through its
+/// two permit classes: a spill burst queues on append permits instead
+/// of stealing the head position from the prefetcher.
+///
+/// `max_connections` reaches only the supplier: the real client holds
+/// exactly one connection per supplier, and the knob caps the
+/// supplier's accepts and the simulated connection cache.
+pub fn dataplane(cfg: &core::JbsConfig) -> Dataplane {
+    use std::sync::Arc;
     use std::time::Duration;
-    let io_timeout = Duration::from_nanos(cfg.fetch_io_timeout.as_nanos());
-    transport::ClientConfig {
-        buffer_bytes: cfg.buffer_bytes,
-        // The simulator's read-ahead depth doubles as the pipelining
-        // window: buffers in flight per supplier connection.
-        window: cfg.prefetch_batch.max(1) as usize,
-        retry: transport::RetryPolicy {
-            max_retries: cfg.fetch_retry_max,
-            base_backoff: Duration::from_nanos(cfg.fetch_backoff_base.as_nanos()),
-            max_backoff: Duration::from_nanos(cfg.fetch_backoff_max.as_nanos()),
-            ..transport::RetryPolicy::default()
-        },
-        connect_timeout: io_timeout,
-        read_timeout: io_timeout,
-        write_timeout: io_timeout,
-        checksum: cfg.checksum,
-        breaker_threshold: cfg.breaker_threshold,
-        ..transport::ClientConfig::default()
-    }
-}
-
-/// Build the real-dataplane supplier options from a [`core::JbsConfig`]:
-/// buffer size, prefetch depth, the Fig. 4-vs-Fig. 5 run-ahead switch,
-/// and the admission-control bounds that shed excess load with `Busy`
-/// pushback instead of stalling.
-pub fn transport_server_options(cfg: &core::JbsConfig) -> transport::ServerOptions {
-    transport::ServerOptions {
-        buffer_bytes: cfg.buffer_bytes,
-        prefetch_batch: u64::from(cfg.prefetch_batch),
-        prefetch: cfg.pipelined_prefetch,
-        max_connections: cfg.max_connections as u64,
-        max_inflight_per_peer: cfg.max_inflight_per_peer,
-        reactor_threads: cfg.reactor_threads,
-        io_read_permits: cfg.io_read_permits,
-        io_append_permits: cfg.io_append_permits,
-        ..transport::ServerOptions::default()
-    }
-}
-
-/// Build the supplier options *and* a hybrid-store configuration that
-/// share one [`transport::IoScheduler`]: the supplier's staging reads
-/// and the hybrid store's spill appends then arbitrate for the same
-/// disk through the scheduler's two permit classes, which is the whole
-/// point of the scheduler — a spill burst queues on append permits
-/// instead of stealing the head position from the prefetcher.
-pub fn transport_supplier_stack(
-    cfg: &core::JbsConfig,
-) -> (transport::ServerOptions, store_hybrid::HybridConfig) {
-    let sched = std::sync::Arc::new(transport::IoScheduler::new(
+    let duration = |t: des::SimTime| Duration::from_nanos(t.as_nanos());
+    let iosched = Arc::new(transport::IoScheduler::new(
         cfg.io_read_permits,
         cfg.io_append_permits,
     ));
-    let mut options = transport_server_options(cfg);
-    options.iosched = Some(std::sync::Arc::clone(&sched));
-    let mut hybrid = hybrid_store_config(cfg);
-    hybrid.spill_gate = Some(sched);
-    (options, hybrid)
-}
-
-/// Build the cluster control plane's registry configuration from a
-/// [`core::JbsConfig`]: heartbeat spacing, the missed-beat expiry
-/// multiple, and the replication factor map onto
-/// [`control::RegistryConfig`]. The registry pushes its view into a
-/// [`transport::RouteTable`] (wired via
-/// [`transport::ClientConfig::routes`]) — the data plane never calls
-/// the registry directly.
-pub fn control_registry_config(cfg: &core::JbsConfig) -> control::RegistryConfig {
-    control::RegistryConfig {
-        heartbeat_interval_nanos: cfg.heartbeat_interval.as_nanos(),
-        unhealthy_after_missed: cfg.unhealthy_after_missed,
-        replication: cfg.replication_factor,
-        ..control::RegistryConfig::default()
-    }
-}
-
-/// Build a hybrid-store configuration from a [`core::JbsConfig`]: the
-/// memory budget, spill watermarks, huge-partition limit, and
-/// crash-consistency knobs map onto [`store_hybrid::HybridConfig`].
-/// Pair the result with [`transport::ServerOptions::hybrid`] via
-/// [`store_hybrid::HybridStore::new`] to give a supplier a memory tier;
-/// with `durable_spill` on, pin `data_dir` so a restarted supplier can
-/// rebuild from it with [`store_hybrid::HybridStore::recover`].
-pub fn hybrid_store_config(cfg: &core::JbsConfig) -> store_hybrid::HybridConfig {
-    store_hybrid::HybridConfig {
-        memory_budget: cfg.hybrid_memory_budget as usize,
-        high_watermark: cfg.memory_spill_high_watermark,
-        low_watermark: cfg.memory_spill_low_watermark,
-        huge_partition_limit: cfg.huge_partition_limit as usize,
-        durable_spill: cfg.durable_spill,
-        manifest_sync_interval: cfg.manifest_sync_interval,
-        ..store_hybrid::HybridConfig::default()
+    Dataplane {
+        client: transport::ClientConfig {
+            buffer_bytes: cfg.buffer_bytes,
+            // The simulator's read-ahead depth doubles as the pipelining
+            // window: buffers in flight per supplier connection.
+            window: cfg.prefetch_batch.max(1) as usize,
+            retry: transport::RetryPolicy {
+                max_retries: cfg.fetch_retry_max,
+                base_backoff: duration(cfg.fetch_backoff_base),
+                max_backoff: duration(cfg.fetch_backoff_max),
+            },
+            io_timeout: duration(cfg.fetch_io_timeout),
+            checksum: cfg.checksum,
+            breaker_threshold: cfg.breaker_threshold,
+            ..transport::ClientConfig::default()
+        },
+        server: transport::ServerOptions {
+            buffer_bytes: cfg.buffer_bytes,
+            prefetch_batch: u64::from(cfg.prefetch_batch),
+            prefetch: cfg.pipelined_prefetch,
+            max_connections: cfg.max_connections as u64,
+            max_inflight_per_peer: cfg.max_inflight_per_peer,
+            reactor_threads: cfg.reactor_threads,
+            iosched: Some(Arc::clone(&iosched)),
+            ..transport::ServerOptions::default()
+        },
+        hybrid: store_hybrid::HybridConfig {
+            memory_budget: cfg.hybrid_memory_budget as usize,
+            high_watermark: cfg.memory_spill_high_watermark,
+            low_watermark: cfg.memory_spill_low_watermark,
+            huge_partition_limit: cfg.huge_partition_limit as usize,
+            durable_spill: cfg.durable_spill,
+            manifest_sync_interval: cfg.manifest_sync_interval,
+            spill_gate: Some(iosched),
+            ..store_hybrid::HybridConfig::default()
+        },
+        registry: control::RegistryConfig {
+            heartbeat_interval_nanos: cfg.heartbeat_interval.as_nanos(),
+            unhealthy_after_missed: cfg.unhealthy_after_missed,
+            replication: cfg.replication_factor,
+            ..control::RegistryConfig::default()
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `JbsConfig`'s paper defaults are the defaults each dataplane
+    /// config already has: building from `JbsConfig::default()` changes
+    /// no field the bridge writes.
+    #[test]
+    fn paper_defaults_are_the_dataplane_defaults() {
+        let dp = dataplane(&core::JbsConfig::default());
+
+        let (c, d) = (&dp.client, transport::ClientConfig::default());
+        assert_eq!(c.buffer_bytes, d.buffer_bytes);
+        assert_eq!(c.window, d.window);
+        assert_eq!(c.retry, d.retry);
+        assert_eq!(c.io_timeout, d.io_timeout);
+        assert_eq!(c.checksum, d.checksum);
+        assert_eq!(c.breaker_threshold, d.breaker_threshold);
+
+        let (s, d) = (&dp.server, transport::ServerOptions::default());
+        assert_eq!(s.buffer_bytes, d.buffer_bytes);
+        assert_eq!(s.prefetch_batch, d.prefetch_batch);
+        assert_eq!(s.prefetch, d.prefetch);
+        assert_eq!(s.max_connections, d.max_connections);
+        assert_eq!(s.max_inflight_per_peer, d.max_inflight_per_peer);
+        assert_eq!(s.reactor_threads, d.reactor_threads);
+        let sched = s
+            .iosched
+            .as_ref()
+            .expect("the bridge wires a scheduler")
+            .stats();
+        assert_eq!(
+            sched.read_permits,
+            transport::IoScheduler::DEFAULT_READ_PERMITS
+        );
+        assert_eq!(
+            sched.append_permits,
+            transport::IoScheduler::DEFAULT_APPEND_PERMITS
+        );
+
+        let (h, d) = (&dp.hybrid, store_hybrid::HybridConfig::default());
+        assert_eq!(h.memory_budget, d.memory_budget);
+        assert_eq!(h.high_watermark, d.high_watermark);
+        assert_eq!(h.low_watermark, d.low_watermark);
+        assert_eq!(h.huge_partition_limit, d.huge_partition_limit);
+        assert_eq!(h.durable_spill, d.durable_spill);
+        assert_eq!(h.manifest_sync_interval, d.manifest_sync_interval);
+
+        let (r, d) = (&dp.registry, control::RegistryConfig::default());
+        assert_eq!(r.heartbeat_interval_nanos, d.heartbeat_interval_nanos);
+        assert_eq!(r.unhealthy_after_missed, d.unhealthy_after_missed);
+        assert_eq!(r.replication, d.replication);
+    }
 
     #[test]
     fn jbs_config_drives_the_real_dataplane() {
@@ -169,12 +208,12 @@ mod tests {
             buffer_bytes: 64 << 10,
             ..core::JbsConfig::default()
         };
-        let tc = transport_client_config(&cfg);
+        let tc = dataplane(&cfg).client;
         assert_eq!(tc.retry.max_retries, 7);
         assert_eq!(tc.buffer_bytes, 64 << 10);
         assert_eq!(tc.window, cfg.prefetch_batch as usize);
         assert_eq!(
-            tc.read_timeout.as_nanos() as u64,
+            tc.io_timeout.as_nanos() as u64,
             cfg.fetch_io_timeout.as_nanos()
         );
         // The configured client actually works.
@@ -191,13 +230,12 @@ mod tests {
             breaker_threshold: 0,
             ..core::JbsConfig::default()
         };
-        let so = transport_server_options(&cfg);
-        assert_eq!(so.max_inflight_per_peer, 33);
-        assert_eq!(so.buffer_bytes, 64 << 10);
-        assert_eq!(so.max_connections, cfg.max_connections as u64);
-        let tc = transport_client_config(&cfg);
-        assert!(!tc.checksum, "v2 pin propagates");
-        assert_eq!(tc.breaker_threshold, 0, "breaker disable propagates");
+        let Dataplane { client, server, .. } = dataplane(&cfg);
+        assert_eq!(server.max_inflight_per_peer, 33);
+        assert_eq!(server.buffer_bytes, 64 << 10);
+        assert_eq!(server.max_connections, cfg.max_connections as u64);
+        assert!(!client.checksum, "v2 pin propagates");
+        assert_eq!(client.breaker_threshold, 0, "breaker disable propagates");
     }
 
     #[test]
@@ -209,19 +247,19 @@ mod tests {
             pipelined_prefetch: false,
             ..core::JbsConfig::default()
         };
-        let so = transport_server_options(&cfg);
+        let so = dataplane(&cfg).server;
         assert_eq!(so.reactor_threads, 3);
-        assert_eq!(so.io_read_permits, 9);
-        assert_eq!(so.io_append_permits, 5);
+        let sched = so.iosched.as_ref().expect("the bridge wires a scheduler");
+        assert_eq!(sched.stats().read_permits, 9);
+        assert_eq!(sched.stats().append_permits, 5);
         assert!(!so.prefetch, "Fig. 4 ablation reaches the reactor");
-        assert!(so.iosched.is_none(), "plain options build their own scheduler");
     }
 
     #[test]
     fn supplier_stack_shares_one_io_scheduler() {
-        let (so, hc) = transport_supplier_stack(&core::JbsConfig::default());
-        let sched = so.iosched.expect("stack wires a scheduler");
-        let gate = hc.spill_gate.expect("stack wires the spill gate");
+        let Dataplane { server, hybrid, .. } = dataplane(&core::JbsConfig::default());
+        let sched = server.iosched.expect("the bridge wires a scheduler");
+        let gate = hybrid.spill_gate.expect("the bridge wires the spill gate");
         // The gate and the scheduler are the same instance: an append
         // permit taken through the hybrid store's gate shows up in the
         // supplier scheduler's gauges.
@@ -240,7 +278,7 @@ mod tests {
             replication_factor: 3,
             ..core::JbsConfig::default()
         };
-        let rc = control_registry_config(&cfg);
+        let rc = dataplane(&cfg).registry;
         assert_eq!(rc.heartbeat_interval_nanos, 100_000_000);
         assert_eq!(rc.unhealthy_after_missed, 5);
         assert_eq!(rc.replication, 3);
@@ -261,7 +299,7 @@ mod tests {
             huge_partition_limit: 128 << 10,
             ..core::JbsConfig::default()
         };
-        let hc = hybrid_store_config(&cfg);
+        let hc = dataplane(&cfg).hybrid;
         assert_eq!(hc.memory_budget, 1 << 20);
         assert_eq!(hc.huge_partition_limit, 128 << 10);
         assert!(hc.validate().is_ok());
@@ -284,7 +322,7 @@ mod tests {
             manifest_sync_interval: 1,
             ..core::JbsConfig::default()
         };
-        let mut hc = hybrid_store_config(&cfg);
+        let mut hc = dataplane(&cfg).hybrid;
         assert!(hc.durable_spill, "durability knob propagates");
         assert_eq!(hc.manifest_sync_interval, 1);
         hc.data_dir = Some(dir.join("data"));

@@ -63,11 +63,8 @@ fn chaos_client() -> NetMergerClient {
             max_retries: 10,
             base_backoff: Duration::from_millis(30),
             max_backoff: Duration::from_millis(300),
-            jitter_frac: 0.2,
         },
-        connect_timeout: Duration::from_secs(1),
-        read_timeout: Duration::from_millis(200),
-        write_timeout: Duration::from_secs(1),
+        io_timeout: Duration::from_millis(200),
         integrity_retries: 32,
         ..ClientConfig::default()
     })

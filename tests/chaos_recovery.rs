@@ -254,11 +254,8 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
             max_retries: 10,
             base_backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(200),
-            jitter_frac: 0.2,
         },
-        connect_timeout: Duration::from_secs(1),
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_secs(1),
+        io_timeout: Duration::from_millis(500),
         integrity_retries: 32,
         breaker_threshold: 2,
         // Short base cooldown: it doubles per reopen (capped at 64x =

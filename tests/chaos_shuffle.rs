@@ -43,11 +43,8 @@ fn chaos_client() -> NetMergerClient {
             max_retries: 10,
             base_backoff: Duration::from_millis(30),
             max_backoff: Duration::from_millis(300),
-            jitter_frac: 0.2,
         },
-        connect_timeout: Duration::from_secs(1),
-        read_timeout: Duration::from_millis(200),
-        write_timeout: Duration::from_secs(1),
+        io_timeout: Duration::from_millis(200),
         ..ClientConfig::default()
     })
 }
@@ -282,7 +279,6 @@ fn resumed_fetch_continues_at_received_offset() {
             max_retries: 4,
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(20),
-            jitter_frac: 0.0,
         },
         ..ClientConfig::default()
     });

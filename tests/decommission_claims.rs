@@ -108,7 +108,6 @@ fn decommission_sequence_is_ordered_and_loses_no_reads() {
             max_retries: 6,
             base_backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(200),
-            ..RetryPolicy::default()
         },
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(50),

@@ -159,9 +159,8 @@ fn server_datacache_sees_grouped_requests() {
     let client = client_with_buffer(8 << 10);
     let out = client.levitated_merge(&cluster.segments_for(0)).unwrap();
     assert_eq!(out.len(), 4000);
-    let stats = cluster.servers[0].stats();
-    let hits = stats.datacache_hits.load(std::sync::atomic::Ordering::Relaxed);
-    let reqs = stats.requests.load(std::sync::atomic::Ordering::Relaxed);
+    let stats = cluster.servers[0].stats_snapshot();
+    let (hits, reqs) = (stats.datacache_hits, stats.requests);
     assert!(
         hits * 2 > reqs,
         "read-ahead should serve most chunks: {hits}/{reqs}"

@@ -11,6 +11,7 @@
 use jbs::des::DetRng;
 use jbs::obs::{Entity, Trace};
 use jbs::transport::client::SegmentRef;
+use jbs::transport::retry::JITTER_FRAC;
 use jbs::transport::{
     ClientConfig, FaultKind, FaultPlan, Hook, MofStore, MofSupplierServer, NetMergerClient,
     RetryPolicy, ServerOptions,
@@ -186,9 +187,8 @@ fn balanced_injection_bounds_per_peer_dispatch_gap() {
             max_retries: 8,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(100),
-            jitter_frac: 0.2,
         },
-        read_timeout: Duration::from_millis(100),
+        io_timeout: Duration::from_millis(100),
         trace: trace.clone(),
         ..ClientConfig::default()
     });
@@ -244,12 +244,11 @@ fn retry_backoff_trace_matches_exponential_schedule() {
         base_backoff: Duration::from_millis(5),
         // High enough that no attempt clamps, so monotonicity must hold.
         max_backoff: Duration::from_secs(10),
-        jitter_frac: 0.2,
     };
     let trace = Trace::recording(1 << 10);
     let client = NetMergerClient::with_client_config(ClientConfig {
         retry: policy,
-        connect_timeout: Duration::from_millis(200),
+        io_timeout: Duration::from_millis(200),
         trace: trace.clone(),
         ..ClientConfig::default()
     });
@@ -287,7 +286,7 @@ fn retry_backoff_trace_matches_exponential_schedule() {
             .as_nanos() as f64;
         let d = delay as f64;
         assert!(
-            d >= raw * (1.0 - policy.jitter_frac) - 1.0 && d <= raw * (1.0 + policy.jitter_frac) + 1.0,
+            d >= raw * (1.0 - JITTER_FRAC) - 1.0 && d <= raw * (1.0 + JITTER_FRAC) + 1.0,
             "attempt {attempt}: delay {d}ns outside jitter band of raw {raw}ns"
         );
         if i > 0 {
