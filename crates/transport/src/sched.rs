@@ -20,6 +20,12 @@
 //!   order: TCP delivers responses in request order, so a mismatched id
 //!   means the stream desynchronized and the connection is torn down as
 //!   corrupt rather than trusted;
+//! * batches its socket I/O: a window refill is encoded into one buffer
+//!   and sent with one write, and after its one blocking read a step
+//!   also takes every response already whole in the 64 KiB receive
+//!   buffer, down to half the window — so the supplier reads a refill
+//!   with one syscall and always has half a window left to serve while
+//!   the client verifies the rest;
 //! * requests *speculative* offsets for multi-chunk ops (chunk `k+1`'s
 //!   offset is predicted before chunk `k` lands), but never at or past
 //!   the segment length a v3 frame declared, and the last request is
@@ -66,7 +72,7 @@ use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BY
 use jbs_des::DetRng;
 use jbs_obs::Entity;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
@@ -424,10 +430,19 @@ fn spawn_worker(addr: SocketAddr, registry: &Arc<Registry>) -> PeerHandle {
     }
 }
 
+/// Capacity of a connection's receive buffer: one `recv` takes a whole
+/// window of small frames (8 × ~6.8 KiB on `small_seg`). Past the
+/// first fill, `read_to_end` asks for the rest of a large payload in
+/// slices at least this large, which bypass the buffer.
+const RECV_BUF_BYTES: usize = 64 << 10;
+
 /// A worker's one connection to its supplier.
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Requests encoded by one `fill_window` pass and not yet written:
+    /// at most `window` frames, flushed with one write.
+    wbuf: Vec<u8>,
 }
 
 /// Dial a supplier with the configured deadlines (and fault hooks), for
@@ -460,10 +475,11 @@ fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
     stream
         .set_write_timeout(Some(config.io_timeout))
         .map_err(setup)?;
-    let reader = BufReader::new(stream.try_clone().map_err(setup)?);
+    let reader = BufReader::with_capacity(RECV_BUF_BYTES, stream.try_clone().map_err(setup)?);
     Ok(Conn {
         reader,
         writer: stream,
+        wbuf: Vec::new(),
     })
 }
 
@@ -650,9 +666,12 @@ impl Worker {
                 return true;
             }
             // Parked: nothing to fetch until a submit ticks us, or
-            // the sender disappears (scheduler dropped).
-            if self.ticks.recv().is_err() {
-                self.closed = true;
+            // the sender disappears (scheduler dropped). One wake per
+            // burst: every op whose tick is pending was pushed before
+            // its tick was sent, so the next `admit` sees them all.
+            match self.ticks.recv() {
+                Ok(()) => self.ticks.try_iter().for_each(drop),
+                Err(_) => self.closed = true,
             }
             return true;
         }
@@ -709,7 +728,8 @@ impl Worker {
 
     /// One scheduling step: connect if needed (subject to the circuit
     /// breaker), top up the in-flight window round-robin across active
-    /// ops, then consume one response.
+    /// ops, then consume one response — and any more already in the
+    /// receive buffer, down to half the window.
     fn pump(&mut self) -> Result<()> {
         if self.conn.is_none() {
             match self.breaker.try_acquire(self.now()) {
@@ -742,7 +762,24 @@ impl Worker {
             // transiently; go round again rather than blocking on read.
             return Ok(());
         }
-        self.read_one()
+        self.read_one()?;
+        // Frames that already arrived cost no syscall to take, so take
+        // them now and refill the freed slots with one write next step.
+        // Stopping at half the window keeps the supplier serving the
+        // other half meanwhile, instead of the two ends taking turns.
+        let keep = self.shared.config.window.max(1) / 2;
+        while self.outstanding.len() > keep && self.frame_buffered() {
+            self.read_one()?;
+        }
+        Ok(())
+    }
+
+    /// Is a whole response frame already in the receive buffer, so
+    /// [`Self::read_one`] takes it without touching the socket?
+    fn frame_buffered(&self) -> bool {
+        self.conn
+            .as_ref()
+            .is_some_and(|c| wire::response_frame_len(c.reader.buffer()).is_some())
     }
 
     /// The next chunk request for an active op, or `None` if the op has
@@ -769,11 +806,28 @@ impl Worker {
         }
     }
 
-    /// Top up the pipeline window: first one request for each active op
-    /// with nothing in flight, so a newly admitted op never waits behind
+    /// Top up the pipeline window and put the whole pass on the wire
+    /// with one write. A batch is at most `window` requests (360 B at
+    /// the default window of 8), so the write never waits on a response
+    /// stream this worker is not reading.
+    fn fill_window(&mut self) -> Result<()> {
+        self.queue_requests()?;
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(());
+        };
+        if conn.wbuf.is_empty() {
+            return Ok(());
+        }
+        let sent = conn.writer.write_all(&conn.wbuf);
+        conn.wbuf.clear();
+        sent.map_err(|e| TransportError::from_io("write request", e))
+    }
+
+    /// Queue one pass of requests: first one for each active op with
+    /// nothing in flight, so a newly admitted op never waits behind
     /// another op's speculation, then further chunks round-robin so
     /// injection stays balanced across segments.
-    fn fill_window(&mut self) -> Result<()> {
+    fn queue_requests(&mut self) -> Result<()> {
         let window = self.shared.config.window.max(1);
         for i in 0..self.rotation.len() {
             if self.outstanding.len() >= window {
@@ -821,6 +875,8 @@ impl Worker {
         }
     }
 
+    /// Encode one request into the connection's write buffer and book
+    /// it as sent: it goes on the wire with the rest of its pass.
     fn send_request(&mut self, key: u64, offset: u64, len: u64) -> Result<()> {
         let Some(a) = self.active.get(&key) else {
             return Ok(());
@@ -845,7 +901,7 @@ impl Worker {
             len,
             flags: if bypass { FLAG_BYPASS_CACHE } else { 0 },
         }
-        .write_versioned(&mut conn.writer, self.version)
+        .write_versioned(&mut conn.wbuf, self.version)
         .map_err(|e| TransportError::from_io("write request", e))?;
         self.outstanding.push_back(Outstanding {
             id,
@@ -1580,6 +1636,8 @@ mod tests {
     /// Before any length is declared, each op of a small wave may run
     /// one request ahead, so 4 ops fill a window of 8 before the first
     /// response; every one of those requests is a chunk the op needs.
+    /// A step takes buffered responses down to half the window, no
+    /// further.
     #[test]
     fn unknown_length_still_fills_the_window() {
         let (server, truths) = supplier_split(4, FaultPlan::builder(26).build());
@@ -1597,11 +1655,43 @@ mod tests {
         assert!(rig.worker.step());
         let fs = rig.shared.fetch_stats.snapshot();
         assert_eq!(fs.window_peak, 8, "{fs:?}");
-        assert_eq!(rig.worker.outstanding.len(), 7, "one response read");
+        let half = rig.shared.config.window / 2;
+        assert!(rig.worker.outstanding.len() >= half, "{fs:?}");
         let got: Vec<Vec<u8>> = rig.drain().into_iter().map(|r| r.expect("fetch")).collect();
         assert_eq!(got, truths);
         let chunks: usize = truths.iter().map(|t| t.len().div_ceil(4096)).sum();
         assert_eq!(served(&server), chunks as u64, "no request past an end");
+        server.shutdown();
+    }
+
+    /// A window of fresh ops goes out as one batch: the supplier reads
+    /// all eight requests with one `read(2)`.
+    #[test]
+    fn a_window_of_fresh_ops_reaches_the_supplier_in_one_read() {
+        let (server, truths) = supplier_split(64, FaultPlan::builder(27).build());
+        let mut rig = Rig::new(
+            server.addr(),
+            ClientConfig {
+                buffer_bytes: 4 << 10,
+                window: 8,
+                retry: fast_retry(),
+                ..ClientConfig::default()
+            },
+        );
+        assert!(truths.iter().all(|t| t.len() < 4096), "one chunk each");
+        rig.queue(0..8);
+        assert!(rig.worker.step());
+        // The worker sends nothing until its next step, so the supplier
+        // serves exactly the first batch; `requests` counts a response
+        // once it is queued for the wire, after its request was read.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while served(&server) < 8 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = server.stats_snapshot();
+        assert_eq!((snap.requests, snap.read_syscalls), (8, 1), "{snap:?}");
+        let got: Vec<Vec<u8>> = rig.drain().into_iter().map(|r| r.expect("fetch")).collect();
+        assert_eq!(got, truths[..8]);
         server.shutdown();
     }
 

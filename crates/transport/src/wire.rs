@@ -51,7 +51,7 @@
 //! one without it frames every request in v2, and no failure switches
 //! a client from one to the other.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol magic ("JBS2" — v2 added pipelined request ids).
@@ -155,31 +155,31 @@ impl FetchRequest {
 
     /// Encode to the legacy v2 wire format (flags are dropped).
     pub fn encode(&self) -> [u8; REQUEST_LEN] {
-        let mut buf = BytesMut::with_capacity(REQUEST_LEN);
-        buf.put_u32(REQUEST_MAGIC);
-        buf.put_u64(self.id);
-        buf.put_u64(self.mof);
-        buf.put_u32(self.reducer);
-        buf.put_u64(self.offset);
-        buf.put_u64(self.len);
         let mut out = [0u8; REQUEST_LEN];
-        out.copy_from_slice(&buf);
+        let mut put = Put::new(&mut out);
+        put.u32(REQUEST_MAGIC);
+        self.put_fields(&mut put);
         out
     }
 
     /// Encode to the v3 wire format (magic + flags byte).
     pub fn encode_v3(&self) -> [u8; REQUEST_LEN_V3] {
-        let mut buf = BytesMut::with_capacity(REQUEST_LEN_V3);
-        buf.put_u32(REQUEST_MAGIC_V3);
-        buf.put_u8(self.flags);
-        buf.put_u64(self.id);
-        buf.put_u64(self.mof);
-        buf.put_u32(self.reducer);
-        buf.put_u64(self.offset);
-        buf.put_u64(self.len);
         let mut out = [0u8; REQUEST_LEN_V3];
-        out.copy_from_slice(&buf);
+        let mut put = Put::new(&mut out);
+        put.u32(REQUEST_MAGIC_V3);
+        put.u8(self.flags);
+        self.put_fields(&mut put);
         out
+    }
+
+    /// The fields both dialects share, in wire order after the magic
+    /// (and, in v3, the flags byte).
+    fn put_fields(&self, put: &mut Put<'_>) {
+        put.u64(self.id);
+        put.u64(self.mof);
+        put.u32(self.reducer);
+        put.u64(self.offset);
+        put.u64(self.len);
     }
 
     /// Decode either request dialect, reporting which one was spoken.
@@ -256,6 +256,39 @@ impl FetchRequest {
     }
 }
 
+/// A big-endian writer over a fixed array: each field lands in place,
+/// with no intermediate buffer. The arrays are sized for exactly the
+/// fields put into them, so a put never runs out of room.
+struct Put<'a> {
+    out: &'a mut [u8],
+    used: usize,
+}
+
+impl<'a> Put<'a> {
+    fn new(out: &'a mut [u8]) -> Self {
+        Put { out, used: 0 }
+    }
+
+    fn bytes(&mut self, field: &[u8]) {
+        if let Some(dst) = self.out.get_mut(self.used..self.used + field.len()) {
+            dst.copy_from_slice(field);
+            self.used += field.len();
+        }
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_be_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_be_bytes());
+    }
+}
+
 /// Read exactly `buf.len()` bytes, looping on `Interrupted`. Returns
 /// `Ok(false)` on clean EOF before any byte iff `eof_ok`; mid-buffer
 /// EOF is always `UnexpectedEof`.
@@ -311,21 +344,15 @@ pub(crate) fn encode_head_parts(
     crc_seg: Option<(u32, u64)>,
 ) -> ([u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN], usize) {
     let mut out = [0u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN];
-    let mut used = 0;
-    let mut put = |field: &[u8]| {
-        // The array is sized for every field that can be put.
-        if let Some(dst) = out.get_mut(used..used + field.len()) {
-            dst.copy_from_slice(field);
-            used += field.len();
-        }
-    };
-    put(&[status as u8]);
-    put(&id.to_be_bytes());
-    put(&len_field.to_be_bytes());
+    let mut put = Put::new(&mut out);
+    put.u8(status as u8);
+    put.u64(id);
+    put.u64(len_field);
     if let Some((crc, seg_len)) = crc_seg {
-        put(&crc.to_be_bytes());
-        put(&seg_len.to_be_bytes());
+        put.u32(crc);
+        put.u64(seg_len);
     }
+    let used = put.used;
     (out, used)
 }
 
@@ -349,6 +376,29 @@ pub(crate) fn reserve_tail(buf: &mut Vec<u8>, incoming: usize, declared: u64) {
     }
     let trusted = RESERVE_STEP.max(buf.len());
     buf.reserve(usize::try_from(declared).unwrap_or(usize::MAX).min(trusted));
+}
+
+/// The length of the response frame at the start of `buf` — header,
+/// v3 extension and payload — if every byte of it is there. `None`
+/// while any of it has yet to arrive, and for a head that
+/// `ResponseHead::read_from` would reject (that reader reports it). A
+/// reader holding buffered bytes asks this whether it can take the
+/// next frame without blocking.
+pub fn response_frame_len(buf: &[u8]) -> Option<usize> {
+    let mut hdr = buf.get(..RESPONSE_HEADER_LEN)?;
+    let status = Status::from_u8(hdr.get_u8())?;
+    let _id = hdr.get_u64();
+    let len = hdr.get_u64();
+    if len > MAX_PAYLOAD as u64 {
+        return None;
+    }
+    let body = match status {
+        Status::Busy => 0,
+        Status::OkCrc => CRC_EXT_LEN + len as usize,
+        Status::Ok | Status::NotFound | Status::BadRequest => len as usize,
+    };
+    let total = RESPONSE_HEADER_LEN + body;
+    (buf.len() >= total).then_some(total)
 }
 
 /// Everything of a response frame that precedes its payload: the

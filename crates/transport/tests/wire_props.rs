@@ -5,7 +5,8 @@
 //! or truncated bytes, it returns an error.
 
 use jbs_transport::wire::{
-    FetchRequest, FetchResponse, Status, WireVersion, MAX_PAYLOAD, REQUEST_LEN, REQUEST_LEN_V3,
+    response_frame_len, FetchRequest, FetchResponse, Status, WireVersion, MAX_PAYLOAD, REQUEST_LEN,
+    REQUEST_LEN_V3,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -86,6 +87,44 @@ proptest! {
             prop_assert!(resp.payload.len() <= MAX_PAYLOAD);
             prop_assert!(resp.payload.len() <= bytes.len());
         }
+    }
+
+    /// The buffered-frame check never panics on arbitrary bytes, and
+    /// never claims more bytes than it was shown.
+    #[test]
+    fn frame_len_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        if let Some(n) = response_frame_len(&bytes) {
+            prop_assert!(n <= bytes.len());
+        }
+    }
+
+    /// On an encoded frame followed by anything, the check measures
+    /// exactly that frame; on every strict prefix of it, the frame is
+    /// not complete — in every status, so a reader draining buffered
+    /// frames never blocks inside one it was told had arrived.
+    #[test]
+    fn frame_len_measures_exactly_one_frame(
+        id in any::<u64>(),
+        payload in prop::collection::vec(any::<u8>(), 0..4096),
+        seg_len in any::<u64>(),
+        status_pick in 0u8..5,
+        trailing in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let resp = match status_pick {
+            0 => FetchResponse::ok(id, payload),
+            1 => FetchResponse::error(id, Status::NotFound),
+            2 => FetchResponse::error(id, Status::BadRequest),
+            3 => FetchResponse::ok_crc(id, payload, seg_len),
+            _ => FetchResponse::busy(id, seg_len % 60_000),
+        };
+        let mut frame = Vec::new();
+        resp.write_to(&mut frame).unwrap();
+        let len = frame.len();
+        for cut in 0..len {
+            prop_assert_eq!(response_frame_len(&frame[..cut]), None, "prefix of {}", cut);
+        }
+        frame.extend_from_slice(&trailing);
+        prop_assert_eq!(response_frame_len(&frame), Some(len));
     }
 
     /// Every truncation of a valid request frame is a clean error, and
