@@ -56,9 +56,9 @@ pub struct JbsConfig {
     /// verified before the merge admits it. `false` fetches in the
     /// checksum-free v2 dialect (overhead measurement).
     pub checksum: bool,
-    /// MOFSupplier admission control: fetch jobs one peer may hold
-    /// in flight (queued + staging) before further requests are shed
-    /// with a retryable `Busy` pushback instead of stalling everyone.
+    /// MOFSupplier admission control: connections one peer IP may have
+    /// served at once. A connection over the bound is answered with a
+    /// retryable `Busy` pushback and closed instead of stalling everyone.
     pub max_inflight_per_peer: u64,
     /// Consecutive connection-level failures before a supplier's
     /// circuit breaker opens and new fetch ops for it fail fast
@@ -89,11 +89,6 @@ pub struct JbsConfig {
     /// values batch the barriers — a crash may then lose the last
     /// unsynced records, which recovery treats as cleanly absent.
     pub manifest_sync_interval: u64,
-    /// Event-loop threads the real-dataplane MOFSupplier runs; admitted
-    /// connections are sharded across them round-robin. One reactor
-    /// saturates loopback; more help only past several NICs' worth of
-    /// concurrent reducers.
-    pub reactor_threads: usize,
     /// Disk IO scheduler permits for staging/segment reads (>= 1).
     /// Bounds how many reads hit the disk at once so a prefetch burst
     /// keeps its sequential head position; the supplier runs one disk
@@ -138,7 +133,6 @@ impl Default for JbsConfig {
             huge_partition_limit: 16 << 20,
             durable_spill: false,
             manifest_sync_interval: 1,
-            reactor_threads: 1,
             io_read_permits: 4,
             io_append_permits: 2,
             heartbeat_interval: SimTime::from_millis(500),
@@ -200,9 +194,6 @@ impl JbsConfig {
         }
         if self.manifest_sync_interval == 0 {
             return Err("manifest sync interval must be at least 1".into());
-        }
-        if self.reactor_threads == 0 {
-            return Err("reactor thread count must be positive".into());
         }
         if self.io_read_permits == 0 || self.io_append_permits == 0 {
             return Err("disk IO permits must be positive per class".into());
@@ -304,14 +295,8 @@ mod tests {
     #[test]
     fn reactor_knob_validation() {
         let c = JbsConfig::default();
-        assert_eq!(c.reactor_threads, 1);
         assert_eq!(c.io_read_permits, 4);
         assert_eq!(c.io_append_permits, 2);
-        let c = JbsConfig {
-            reactor_threads: 0,
-            ..JbsConfig::default()
-        };
-        assert!(c.validate().is_err());
         // Arbitration is always on: a class with no permits is rejected.
         let c = JbsConfig {
             io_read_permits: 0,

@@ -50,12 +50,6 @@ pub enum TransportError {
         /// Bytes the segment was declared to hold.
         expected: u64,
     },
-    /// The supplier is shedding load (admission control): retry after
-    /// the hinted delay.
-    Busy {
-        /// The supplier's retry-after hint.
-        retry_after: std::time::Duration,
-    },
     /// The per-peer circuit breaker is open: recent consecutive
     /// failures exceeded the threshold, so requests to this peer fail
     /// fast instead of burning the retry budget. Not retryable — the
@@ -138,7 +132,7 @@ impl TransportError {
     /// Whether a retry with a fresh connection can plausibly succeed.
     ///
     /// Transient network failures (dial errors, timeouts, resets,
-    /// corrupt frames, truncations, overload pushback, generic I/O) are
+    /// corrupt frames, truncations, generic I/O) are
     /// retryable; semantic failures (missing segment, malformed
     /// request), an open circuit breaker (the
     /// breaker schedules its own probe), and an already-exhausted
@@ -154,7 +148,6 @@ impl TransportError {
                     | TransportError::Reset { .. }
                     | TransportError::Corrupt { .. }
                     | TransportError::Truncated { .. }
-                    | TransportError::Busy { .. }
                     | TransportError::Io { .. }
             ),
         }
@@ -192,9 +185,6 @@ impl TransportError {
             TransportError::Truncated { got, expected } => TransportError::Truncated {
                 got: *got,
                 expected: *expected,
-            },
-            TransportError::Busy { retry_after } => TransportError::Busy {
-                retry_after: *retry_after,
             },
             TransportError::CircuitOpen { peer } => TransportError::CircuitOpen {
                 peer: peer.clone(),
@@ -244,13 +234,6 @@ impl fmt::Display for TransportError {
                 write!(
                     f,
                     "segment truncated: got {got} of {expected} expected bytes"
-                )
-            }
-            TransportError::Busy { retry_after } => {
-                write!(
-                    f,
-                    "supplier busy; retry after {} ms",
-                    retry_after.as_millis()
                 )
             }
             TransportError::CircuitOpen { peer } => {
@@ -317,9 +300,6 @@ fn io_kind(e: &TransportError) -> io::ErrorKind {
         }
         TransportError::NotFound { .. } => io::ErrorKind::NotFound,
         TransportError::Truncated { .. } => io::ErrorKind::UnexpectedEof,
-        // "Try again later"; Busy is normally absorbed by the retry
-        // loop long before any io::Error bridge sees it.
-        TransportError::Busy { .. } => io::ErrorKind::WouldBlock,
         TransportError::CircuitOpen { .. } => io::ErrorKind::ConnectionRefused,
         TransportError::Partial { failures } => failures
             .first()
@@ -458,13 +438,6 @@ mod tests {
 
     #[test]
     fn robustness_variants_classify() {
-        let busy = TransportError::Busy {
-            retry_after: std::time::Duration::from_millis(50),
-        };
-        assert!(busy.is_retryable(), "busy is explicit retry pushback");
-        assert!(!busy.is_timeout());
-        assert!(busy.to_string().contains("50 ms"));
-
         let trunc = TransportError::Truncated {
             got: 100,
             expected: 256,
@@ -486,11 +459,13 @@ mod tests {
             mof: 1,
             reducer: 2,
             peer: "p".into(),
-            source: Box::new(TransportError::Busy {
-                retry_after: std::time::Duration::ZERO,
+            source: Box::new(TransportError::Truncated {
+                got: 0,
+                expected: 1,
             }),
         };
         assert!(seg.is_retryable());
+        assert!(!seg.is_timeout());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`store`] — an on-disk MOF store using the byte-real
 //!   [`jbs_mapred::mof`] formats (data + index files).
 //! * [`server`] — the MOFSupplier: one event-driven serve loop (a
-//!   `poll(2)` reactor) with an in-memory IndexCache and a DataCache
+//!   `poll(2)` reactor thread that accepts from its own poll set and
+//!   owns every connection) with an in-memory IndexCache and a DataCache
 //!   that serves segment ranges zero-copy from refcounted leases. A pool
 //!   of **disk workers** stages read-ahead ranges from a queue grouped
 //!   by MOF, ordered by offset, and served round-robin (Fig. 5), so disk
@@ -46,8 +47,10 @@
 //!   classified retryable or not.
 //! * [`retry`] — [`retry::RetryPolicy`]: bounded retries with
 //!   exponential backoff and seed-deterministic jitter.
-//! * [`stats`] — [`stats::FetchStats`]: retries, reconnects, timeouts,
-//!   resumed bytes, observable from both client and server.
+//! * [`stats`] — [`stats::FetchStats`]: the client's retries,
+//!   reconnects, timeouts and resumed bytes. The supplier counts the
+//!   connections it closed on an error in
+//!   [`SupplierStatsSnapshot::conn_errors`].
 //! * [`faults`] — a seeded [`faults::FaultPlan`] that injects those
 //!   same failures at named hooks, deterministically, for chaos tests
 //!   (`tests/chaos_shuffle.rs`).

@@ -13,8 +13,8 @@
 //!   waiting for these exact bytes — a `Stage` job for a DataCache
 //!   miss, or a `Read` job for a range served without the DataCache
 //!   (see [`crate::reactor::JobKind`]) — so the worker frames the
-//!   response and delivers it to the owning reactor's completion
-//!   queue — nobody blocks;
+//!   response and delivers it to the reactor's completion queue —
+//!   nobody blocks;
 //! * **run-ahead jobs** have no reply; they are queued from the hit
 //!   path so the disk works *while* the network transmits
 //!   already-staged bytes, and stage only MOF bytes.
@@ -36,9 +36,8 @@ pub(crate) enum Reply {
     None,
     /// A request is parked on these bytes; nobody blocks. The disk
     /// worker builds the complete response frame and delivers it to the
-    /// connection's reactor completion queue (see
-    /// [`crate::reactor::JobTicket`]), then wakes the reactor's poll
-    /// loop.
+    /// reactor's completion queue (see [`crate::reactor::JobTicket`]),
+    /// then wakes the reactor's poll loop.
     Reactor(crate::reactor::JobTicket),
 }
 

@@ -3,12 +3,16 @@
 //! out of the DataCache slab. It is the supplier's only serve loop —
 //! no kernel thread per connection, no memcpy per served MOF chunk:
 //!
-//! * **one reactor thread** (or a few — [`crate::server::ServerOptions::
-//!   reactor_threads`]) owns every accepted connection as a small state
-//!   machine: read-buffer framing, a per-request sequence number, and a
-//!   FIFO of outgoing responses with a byte cursor for partial-write
-//!   resumption. A connection refused admission lives here too, for at
-//!   most [`UNADMITTED_DEADLINE`]: its first request is shed;
+//! * **one reactor thread** per supplier owns its sockets: the
+//!   nonblocking listener sits in the same poll set as the connections
+//!   and is accepted from there, and every accepted connection is a
+//!   small state machine: read-buffer framing, a per-request sequence
+//!   number, and a FIFO of outgoing responses with a byte cursor for
+//!   partial-write resumption. Admission counts are the reactor's own
+//!   state. A connection refused admission lives here too, for at most
+//!   [`UNADMITTED_DEADLINE`]: its first request is shed. Once the
+//!   supplier drains, the reactor closes the listener, so later dials
+//!   are refused;
 //! * **every request is a bounded range**: 1 to `buffer_bytes` bytes
 //!   (longer is served short; `len == 0` is a `BadRequest`), so no
 //!   request reads, copies or frames more than one transport buffer;
@@ -33,7 +37,9 @@
 //!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
 //!   ever does nonblocking socket I/O and short lock-only touches — a
 //!   rule `cargo xtask analyze` enforces (`nonblocking_context`): no
-//!   blocking primitive may be *reachable* from this file at all.
+//!   blocking primitive may be *reachable* from this file at all. Its
+//!   one audited exemption is `accept` on the listener, which the
+//!   supplier sets nonblocking before the loop starts.
 //!
 //! Responses go out strictly in request order per connection (the wire
 //! contract): completions arriving out of order — the disk workers
@@ -44,13 +50,15 @@
 //! transmit deadline (the loop never sleeps), `Reset` drops the
 //! connection, `Truncate` halves the frame and closes after the flush,
 //! `Corrupt` flips the length header — all decided once per response at
-//! [`Hook::ServerWriteResponse`].
+//! [`Hook::ServerWriteResponse`]. At [`Hook::ServerAccept`], decided
+//! once per accepted socket, `RefuseConnect` and `Reset` drop it before
+//! any exchange and a `Stall` withholds its responses until a deadline.
 
 use crate::bufpool::Lease;
 use crate::faults::{self, FaultAction, Hook};
-use crate::poll::{sys_poll, PollFd, Waker, POLLIN, POLLOUT};
+use crate::poll::{sys_poll, PollFd, POLLIN, POLLOUT};
 use crate::prefetch::{Reply, StageJob};
-use crate::server::{release, Shared};
+use crate::server::Shared;
 use crate::sync::{lock, Mutex};
 use crate::wire::{
     self, FetchRequest, Status, WireVersion, REQUEST_LEN, REQUEST_LEN_V3, REQUEST_MAGIC,
@@ -59,11 +67,10 @@ use crate::wire::{
 use jbs_obs::{Entity, OwnedSpan};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{IpAddr, TcpStream};
+use std::net::{IpAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cap on IoSlice entries per vectored write (2 per response). Linux's
@@ -350,11 +357,9 @@ impl CompletionQueue {
 
 /// Everything the disk thread needs to finish a reactor-dispatched
 /// request: what to do ([`JobKind`]), how to frame it (id + dialect),
-/// and where to deliver the frame (queue, waker, generation-tagged
+/// and where in the reactor to deliver the frame (generation-tagged
 /// connection slot, in-order sequence number).
 pub(crate) struct JobTicket {
-    pub(crate) cq: Arc<CompletionQueue>,
-    pub(crate) waker: Arc<Waker>,
     pub(crate) slot: usize,
     pub(crate) gen: u64,
     pub(crate) seq: u64,
@@ -383,10 +388,10 @@ pub(crate) enum JobKind {
 }
 
 impl JobTicket {
-    /// Deliver `resp` to the owning reactor and wake its poll loop. A
-    /// closed queue (reactor shut down) just drops the frame — the
-    /// payload lease is released on this thread.
-    pub(crate) fn deliver(self, resp: OutResp) {
+    /// Deliver `resp` to the reactor and wake its poll loop. A closed
+    /// queue (reactor shut down) just drops the frame — the payload
+    /// lease is released on this thread.
+    pub(crate) fn deliver(self, shared: &Shared, resp: OutResp) {
         let c = Completion {
             slot: self.slot,
             gen: self.gen,
@@ -394,8 +399,8 @@ impl JobTicket {
             key: self.stage_key,
             resp,
         };
-        if self.cq.push(c).is_ok() {
-            self.waker.wake();
+        if shared.completions.push(c).is_ok() {
+            shared.waker.wake();
         }
     }
 }
@@ -404,52 +409,47 @@ impl JobTicket {
 // The reactor
 // ---------------------------------------------------------------------
 
-/// A connection handed over by the accept thread.
-pub(crate) struct NewConn {
-    pub(crate) stream: TcpStream,
-    pub(crate) peer_ip: Option<IpAddr>,
-    pub(crate) conn_no: u64,
-    /// Holds an admission slot. An unadmitted connection is only ever
-    /// answered with pushback, and takes or releases no slot.
-    pub(crate) admitted: bool,
+/// Admission, owned by the reactor: connections holding a slot, in all
+/// and per peer IP. [`Shared::active_conns`] mirrors the total for
+/// `drain()` to wait on.
+#[derive(Default)]
+struct Admission {
+    active: u64,
+    per_peer: HashMap<IpAddr, u64>,
 }
 
-/// The accept thread's handle to one reactor: an inbox of accepted
-/// sockets plus the waker that interrupts the poll loop, and the
-/// completion queue the disk thread delivers into.
-pub(crate) struct ReactorHandle {
-    /// Reactor index, for trace labeling.
-    pub(crate) idx: u64,
-    pub(crate) waker: Arc<Waker>,
-    inbox: Mutex<Vec<NewConn>>,
-    pub(crate) completions: Arc<CompletionQueue>,
-}
-
-impl ReactorHandle {
-    pub(crate) fn new(idx: u64) -> io::Result<Arc<Self>> {
-        Ok(Arc::new(ReactorHandle {
-            idx,
-            waker: Arc::new(Waker::new()?),
-            inbox: Mutex::new(Vec::new()),
-            completions: Arc::new(CompletionQueue::new()),
-        }))
+impl Admission {
+    /// Reserve a slot (global and per-peer) or refuse. The slot is given
+    /// back by [`Admission::release`] when the connection is reaped.
+    fn admit(&mut self, shared: &Shared, peer: IpAddr) -> bool {
+        let of_peer = self.per_peer.get(&peer).copied().unwrap_or(0);
+        if self.active >= shared.options.max_connections
+            || of_peer >= shared.options.max_inflight_per_peer
+        {
+            return false;
+        }
+        self.per_peer.insert(peer, of_peer + 1);
+        self.active += 1;
+        shared.active_conns.store(self.active, Ordering::Release);
+        true
     }
 
-    /// Hand an accepted connection to this reactor (accept thread).
-    pub(crate) fn submit(&self, conn: NewConn) {
-        lock(&self.inbox).push(conn);
-        self.waker.wake();
-    }
-
-    fn take_inbox(&self) -> Vec<NewConn> {
-        std::mem::take(&mut lock(&self.inbox))
+    fn release(&mut self, shared: &Shared, peer: IpAddr) {
+        if let Some(n) = self.per_peer.get_mut(&peer) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.per_peer.remove(&peer);
+            }
+        }
+        self.active = self.active.saturating_sub(1);
+        shared.active_conns.store(self.active, Ordering::Release);
     }
 }
 
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    peer_ip: Option<IpAddr>,
+    peer_ip: IpAddr,
     conn_no: u64,
     gen: u64,
     /// Unparsed request bytes.
@@ -476,7 +476,8 @@ struct Conn {
     /// dispatch if genuinely past the staged range) when a completion
     /// for their key arrives.
     parked: VecDeque<Parked>,
-    /// Injected stall: no transmit until this deadline.
+    /// Injected stall (at accept or at a response write): no transmit
+    /// until this deadline.
     stall_until: Option<Instant>,
     /// Refused admission: every request is shed, and the connection is
     /// closed at this deadline at the latest. `None` once admitted.
@@ -504,9 +505,12 @@ enum ConnEvent {
     Close,
 }
 
-/// Run one reactor until the supplier stops. Owns its connections
-/// exclusively; everything shared sits behind `Shared`'s own locks.
-pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
+/// Run the supplier's reactor until it stops. Owns the listener, every
+/// connection and the admission counts; everything shared sits behind
+/// `Shared`'s own locks.
+pub(crate) fn run(shared: &Shared, listener: TcpListener) {
+    let mut listener = Some(listener);
+    let mut admission = Admission::default();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut next_gen: u64 = 0;
     let mut scratch = vec![0u8; 64 << 10];
@@ -514,9 +518,17 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
     let mut slots: Vec<usize> = Vec::new();
     while !shared.stop.load(Ordering::Acquire) {
         let draining = shared.draining.load(Ordering::Acquire);
+        if draining {
+            // Closing the listener refuses every later dial.
+            listener = None;
+        }
         fds.clear();
         slots.clear();
-        fds.push(PollFd::new(handle.waker.fd(), POLLIN));
+        fds.push(PollFd::new(shared.waker.fd(), POLLIN));
+        if let Some(l) = &listener {
+            fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+        }
+        let first_conn = fds.len();
         let now = Instant::now();
         // Bounded timeout so stop/drain flags are observed promptly
         // even with no traffic.
@@ -548,52 +560,26 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
             break;
         }
         if fds.first().is_some_and(|w| w.readable()) {
-            handle.waker.drain();
+            shared.waker.drain();
             shared.stats.reactor_wakes.fetch_add(1, Ordering::Relaxed);
             shared
                 .options
                 .trace
-                .instant("reactor.wake", Entity::node(handle.idx), 0, 0);
+                .instant("reactor.wake", Entity::node(0), 0, 0);
         }
 
-        // Phase 1: adopt accepted connections.
-        for nc in handle.take_inbox() {
-            let ok = nc.stream.set_nonblocking(true).is_ok() && nc.stream.set_nodelay(true).is_ok();
-            if !ok {
-                if nc.admitted {
-                    release(shared, nc.peer_ip);
-                }
-                continue;
-            }
-            next_gen += 1;
-            let adopted = Some(Conn {
-                stream: nc.stream,
-                peer_ip: nc.peer_ip,
-                conn_no: nc.conn_no,
-                gen: next_gen,
-                rbuf: Vec::new(),
-                next_seq: 0,
-                next_send: 0,
-                pending: BTreeMap::new(),
-                outq: VecDeque::new(),
-                inflight: 0,
-                stage_inflight: HashMap::new(),
-                parked: VecDeque::new(),
-                stall_until: None,
-                unadmitted_until: (!nc.admitted).then(|| Instant::now() + UNADMITTED_DEADLINE),
-                eof: false,
-                close_when_flushed: false,
-            });
-            match conns.iter_mut().find(|c| c.is_none()) {
-                Some(free) => *free = adopted,
-                None => conns.push(adopted),
-            }
+        // Phase 1: accept every connection waiting on the listener.
+        let ready = listener
+            .as_ref()
+            .filter(|_| fds.get(1).is_some_and(PollFd::readable));
+        if let Some(l) = ready {
+            while accept_one(shared, l, &mut admission, &mut conns, &mut next_gen) {}
         }
 
         // Phase 2: disk-thread completions → per-connection reorder
         // buffers. A stale generation means the slot was reused; the
         // orphaned response just drops (releasing its lease).
-        for c in handle.completions.drain() {
+        for c in shared.completions.drain() {
             let Some(conn) = conns.get_mut(c.slot).and_then(Option::as_mut) else {
                 continue;
             };
@@ -612,26 +598,26 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
             conn.pending.insert(c.seq, c.resp);
             promote(shared, conn);
             if let Some(k) = c.key {
-                unpark(shared, handle, conn, c.slot, k);
+                unpark(shared, conn, c.slot, k);
             }
         }
 
         // Phase 3: socket readiness — reads first (may queue responses),
-        // then transmit for every connection with queued output.
-        for (i, fd) in fds.iter().enumerate().skip(1) {
-            let Some(&slot) = slots.get(i - 1) else { break };
+        // then transmit for every connection with queued output. A
+        // socket or framing error closes the connection and is counted.
+        for (fd, &slot) in fds.iter().skip(first_conn).zip(&slots) {
             if !fd.readable() {
                 continue;
             }
             let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
                 continue;
             };
-            match handle_read(shared, handle, conn, slot, &mut scratch) {
+            match handle_read(shared, conn, slot, &mut scratch) {
                 Ok(ConnEvent::Continue) => {}
-                Ok(ConnEvent::Close) => close_conn(shared, &mut conns, slot),
+                Ok(ConnEvent::Close) => close_conn(shared, &mut admission, &mut conns, slot),
                 Err(_) => {
-                    shared.fetch_stats.record_reset();
-                    close_conn(shared, &mut conns, slot);
+                    shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+                    close_conn(shared, &mut admission, &mut conns, slot);
                 }
             }
         }
@@ -644,10 +630,10 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
             }
             match try_xmit(shared, conn) {
                 Ok(ConnEvent::Continue) => {}
-                Ok(ConnEvent::Close) => close_conn(shared, &mut conns, slot),
+                Ok(ConnEvent::Close) => close_conn(shared, &mut admission, &mut conns, slot),
                 Err(_) => {
-                    shared.fetch_stats.record_reset();
-                    close_conn(shared, &mut conns, slot);
+                    shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+                    close_conn(shared, &mut admission, &mut conns, slot);
                 }
             }
         }
@@ -664,22 +650,95 @@ pub(crate) fn run(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>) {
                 idle || c.unadmitted_until.is_some_and(|t| t <= now)
             });
             if done {
-                close_conn(shared, &mut conns, slot);
+                close_conn(shared, &mut admission, &mut conns, slot);
             }
         }
     }
     // Shutdown: refuse further completions (in-flight leases drop on
-    // the disk worker) and release every admission slot.
-    drop(handle.completions.close());
+    // the disk worker) and release every admission slot. The listener
+    // closes as it drops.
+    drop(shared.completions.close());
     for slot in 0..conns.len() {
-        close_conn(shared, &mut conns, slot);
+        close_conn(shared, &mut admission, &mut conns, slot);
     }
 }
 
-fn close_conn(shared: &Shared, conns: &mut [Option<Conn>], slot: usize) {
+/// Accept one connection and give it a slot. In order: the accept-time
+/// fault decision, admission, the `connections` count and
+/// `server.accept` instant (admitted connections only), adoption. A
+/// connection over an admission bound is adopted too: it holds no
+/// admission slot, and its first request is shed. Returns `false` once
+/// the backlog is empty (or `accept` failed; the next readiness report
+/// retries).
+fn accept_one(
+    shared: &Shared,
+    listener: &TcpListener,
+    admission: &mut Admission,
+    conns: &mut Vec<Option<Conn>>,
+    next_gen: &mut u64,
+) -> bool {
+    let (stream, peer) = match listener.accept() {
+        Ok(accepted) => accepted,
+        Err(e) => return e.kind() == io::ErrorKind::Interrupted,
+    };
+    let now = Instant::now();
+    let stall_until = match faults::decide(&shared.options.faults, Hook::ServerAccept) {
+        // Drop the socket before any exchange; the client sees a
+        // refused/reset connection.
+        FaultAction::RefuseConnect | FaultAction::Reset => return true,
+        // The loop never sleeps: the stall is a deadline before which
+        // this connection transmits nothing.
+        FaultAction::Stall(d) => Some(now + d),
+        _ => None,
+    };
+    let peer_ip = peer.ip();
+    let admitted = admission.admit(shared, peer_ip);
+    let conn_no = shared
+        .stats
+        .connections
+        .fetch_add(u64::from(admitted), Ordering::Relaxed);
+    if admitted {
+        shared
+            .options
+            .trace
+            .instant("server.accept", Entity::conn(conn_no), 0, 0);
+    }
+    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+        if admitted {
+            admission.release(shared, peer_ip);
+        }
+        return true;
+    }
+    *next_gen += 1;
+    let adopted = Some(Conn {
+        stream,
+        peer_ip,
+        conn_no,
+        gen: *next_gen,
+        rbuf: Vec::new(),
+        next_seq: 0,
+        next_send: 0,
+        pending: BTreeMap::new(),
+        outq: VecDeque::new(),
+        inflight: 0,
+        stage_inflight: HashMap::new(),
+        parked: VecDeque::new(),
+        stall_until,
+        unadmitted_until: (!admitted).then(|| now + UNADMITTED_DEADLINE),
+        eof: false,
+        close_when_flushed: false,
+    });
+    match conns.iter_mut().find(|c| c.is_none()) {
+        Some(free) => *free = adopted,
+        None => conns.push(adopted),
+    }
+    true
+}
+
+fn close_conn(shared: &Shared, admission: &mut Admission, conns: &mut [Option<Conn>], slot: usize) {
     if let Some(conn) = conns.get_mut(slot).and_then(Option::take) {
         if conn.unadmitted_until.is_none() {
-            release(shared, conn.peer_ip);
+            admission.release(shared, conn.peer_ip);
         }
         // Dropping the Conn drops queued leases and closes the socket.
     }
@@ -705,8 +764,7 @@ fn promote(shared: &Shared, conn: &mut Conn) {
 /// Drain the socket's read buffer and serve every complete request
 /// frame found in it.
 fn handle_read(
-    shared: &Arc<Shared>,
-    handle: &Arc<ReactorHandle>,
+    shared: &Shared,
     conn: &mut Conn,
     slot: usize,
     scratch: &mut [u8],
@@ -754,7 +812,7 @@ fn handle_read(
         }
         let (req, version) = FetchRequest::decode(buf.get(..total).unwrap_or_default())?;
         consumed += total;
-        match serve_request(shared, handle, conn, slot, req, version) {
+        match serve_request(shared, conn, slot, req, version) {
             ConnEvent::Continue => {}
             ConnEvent::Close => {
                 conn.rbuf.drain(..consumed);
@@ -779,8 +837,7 @@ fn handle_read(
 /// MEMORY tier or the DataCache (zero-copy) when possible, otherwise
 /// ship a job to the disk thread. Never blocks, never touches a file.
 fn serve_request(
-    shared: &Arc<Shared>,
-    handle: &Arc<ReactorHandle>,
+    shared: &Shared,
     conn: &mut Conn,
     slot: usize,
     req: FetchRequest,
@@ -858,7 +915,7 @@ fn serve_request(
             return ConnEvent::Continue;
         }
         if hybrid.partition_len(req.mof, req.reducer).is_some() {
-            return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
+            return dispatch(shared, conn, slot, &req, version, JobKind::Read);
         }
     }
 
@@ -872,7 +929,7 @@ fn serve_request(
             req.offset,
             req.len,
         );
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Read);
+        return dispatch(shared, conn, slot, &req, version, JobKind::Read);
     }
 
     if let Some(resp) = hit_resp(shared, req.id, version, key, req.offset, want) {
@@ -892,7 +949,7 @@ fn serve_request(
         return ConnEvent::Continue;
     }
 
-    dispatch(shared, handle, conn, slot, &req, version, JobKind::Stage)
+    dispatch(shared, conn, slot, &req, version, JobKind::Stage)
 }
 
 /// Serve `want` bytes at `offset` of `key` zero-copy from the DataCache:
@@ -938,13 +995,7 @@ pub(crate) fn hit_resp(
 /// dispatch the first one past it (later ones park again behind that
 /// new stage). Responses land at the sequence numbers reserved when the
 /// requests parked, so the in-order stream is unaffected.
-fn unpark(
-    shared: &Arc<Shared>,
-    handle: &Arc<ReactorHandle>,
-    conn: &mut Conn,
-    slot: usize,
-    key: (u64, u32),
-) {
+fn unpark(shared: &Shared, conn: &mut Conn, slot: usize, key: (u64, u32)) {
     if conn.parked.is_empty() {
         return;
     }
@@ -960,16 +1011,7 @@ fn unpark(
         } else if conn.stage_inflight.get(&key).copied().unwrap_or(0) > 0 {
             rest.push_back(p);
         } else {
-            dispatch_at(
-                shared,
-                handle,
-                conn,
-                slot,
-                &p.req,
-                p.version,
-                JobKind::Stage,
-                p.seq,
-            );
+            dispatch_at(shared, conn, slot, &p.req, p.version, JobKind::Stage, p.seq);
         }
     }
     conn.parked = rest;
@@ -987,8 +1029,7 @@ fn enqueue_local(shared: &Shared, conn: &mut Conn, resp: OutResp) {
 /// queue. The job's completion comes back through the reactor's
 /// completion queue under this request's sequence number.
 fn dispatch(
-    shared: &Arc<Shared>,
-    handle: &Arc<ReactorHandle>,
+    shared: &Shared,
     conn: &mut Conn,
     slot: usize,
     req: &FetchRequest,
@@ -997,16 +1038,14 @@ fn dispatch(
 ) -> ConnEvent {
     let seq = conn.next_seq;
     conn.next_seq += 1;
-    dispatch_at(shared, handle, conn, slot, req, version, kind, seq)
+    dispatch_at(shared, conn, slot, req, version, kind, seq)
 }
 
 /// [`dispatch`] at a sequence number reserved earlier (parked requests
 /// keep the seq they drew on arrival so the response stream stays in
 /// request order).
-#[allow(clippy::too_many_arguments)]
 fn dispatch_at(
-    shared: &Arc<Shared>,
-    handle: &Arc<ReactorHandle>,
+    shared: &Shared,
     conn: &mut Conn,
     slot: usize,
     req: &FetchRequest,
@@ -1016,8 +1055,6 @@ fn dispatch_at(
 ) -> ConnEvent {
     let stage_key = (kind == JobKind::Stage).then_some((req.mof, req.reducer));
     let ticket = JobTicket {
-        cq: Arc::clone(&handle.completions),
-        waker: Arc::clone(&handle.waker),
         slot,
         gen: conn.gen,
         seq,

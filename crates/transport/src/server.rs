@@ -7,10 +7,11 @@
 //!
 //! * an in-memory **IndexCache** (the `MofStore` caches each MOF's
 //!   parsed index and open data file, and answers through `&self`);
-//! * one **serve loop**: every accepted connection is a state machine
-//!   on a reactor thread (`reactor.rs`), which answers DataCache hits
-//!   inline — zero-copy, straight from the staged lease — and hybrid
-//!   MEMORY-tier hits inline too, and never touches a file;
+//! * one **serve loop**: one reactor thread (`reactor.rs`) accepts
+//!   from the listener in its own poll set, runs admission, and keeps
+//!   every accepted connection as a state machine. It answers DataCache
+//!   hits inline — zero-copy, straight from the staged lease — and
+//!   hybrid MEMORY-tier hits inline too, and never touches a file;
 //! * a **DataCache** with grouped read-ahead: a fetch at segment offset
 //!   `o` stages `prefetch_batch` buffers beyond `o` in one file read, so
 //!   consecutive chunk fetches of the same segment are served from memory
@@ -26,6 +27,9 @@
 //!   decides the tier once under one Read permit: the attached hybrid
 //!   store if it holds the partition, otherwise the MOF. Only MOF bytes
 //!   are ever staged; hybrid bytes are answered and dropped.
+//!
+//! A supplier thus runs `1 + read_permits` threads: 5 with the default
+//! [`IoScheduler`].
 //!
 //! For chaos testing the server takes an optional [`FaultPlan`]
 //! ([`ServerOptions::faults`]): at the accept and response-write hooks it
@@ -43,20 +47,18 @@
 //! expose (or measure away) the disk/network overlap.
 
 use crate::bufpool::{BufPool, BufPoolStats, Lease};
-use crate::faults::{self, FaultAction, FaultPlan, FaultStatsSnapshot, Hook};
+use crate::faults::{FaultPlan, FaultStatsSnapshot};
 use crate::iosched::{IoClass, IoSchedStats, IoScheduler};
+use crate::poll::Waker;
 use crate::prefetch::{Pop, PrefetchQueue, Reply, StageJob};
-use crate::reactor::{self, JobKind, NewConn, ReactorHandle, Source};
+use crate::reactor::{self, CompletionQueue, JobKind, Source};
 use crate::staging::StageCache;
-use crate::stats::{FetchStats, FetchStatsSnapshot};
 use crate::store::MofStore;
-use crate::sync::{lock, Mutex};
 use crate::wire::{Status, WireVersion};
 use jbs_obs::Entity;
 use jbs_store_hybrid::HybridStore;
-use std::collections::HashMap;
 use std::io;
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -87,8 +89,9 @@ pub(crate) struct SupplierStats {
     /// Requests answered by the attached hybrid store's tiers (memory
     /// tail or its own spill/remote extents) instead of the MOF path.
     pub hybrid_hits: AtomicU64,
-    /// Reactor poll-loop wakeups: disk-worker completions plus newly
-    /// admitted connections.
+    /// Reactor poll-loop wakeups through the waker: disk-worker
+    /// completions (and the one wake a drain or shutdown sends).
+    /// Accepts never wake it — the listener is in its own poll set.
     pub reactor_wakes: AtomicU64,
     /// Vectored transmits cut short by a full socket buffer and resumed
     /// from a byte cursor on the next writability report.
@@ -105,6 +108,9 @@ pub(crate) struct SupplierStats {
     pub read_syscalls: AtomicU64,
     /// `write(2)`/`writev(2)` calls that moved response bytes.
     pub write_syscalls: AtomicU64,
+    /// Connections closed on a socket or framing error: a peer reset, a
+    /// bad magic, an unframed request flood.
+    pub conn_errors: AtomicU64,
 }
 
 /// A point-in-time copy of the supplier's pipeline observability:
@@ -136,7 +142,8 @@ pub struct SupplierStatsSnapshot {
     /// Slab-lease gauges (`outstanding` = allocations a response still
     /// pins; 0 once the response queues have flushed).
     pub bufpool: BufPoolStats,
-    /// Reactor poll-loop wakeups.
+    /// Reactor poll-loop wakeups (disk-worker completions; never
+    /// accepts).
     pub reactor_wakes: u64,
     /// Partial vectored writes resumed from a byte cursor.
     pub partial_writes: u64,
@@ -149,6 +156,8 @@ pub struct SupplierStatsSnapshot {
     pub read_syscalls: u64,
     /// Socket write syscalls.
     pub write_syscalls: u64,
+    /// Connections closed on a socket or framing error.
+    pub conn_errors: u64,
     /// Disk IO scheduler gauges (permit grants/waits per class).
     pub iosched: IoSchedStats,
 }
@@ -187,10 +196,6 @@ pub struct ServerOptions {
     /// tails straight from memory — and [`MofSupplierServer::drain`]
     /// pushes its contents to the REMOTE tier (quick decommission).
     pub hybrid: Option<Arc<HybridStore>>,
-    /// Reactor poll loops to run. Connections are
-    /// assigned round-robin at accept. One loop drives thousands of
-    /// loopback connections; more mainly help multi-NIC setups.
-    pub reactor_threads: usize,
     /// Disk IO arbitration: the scheduler whose Read permits bound the
     /// disk workers' reads, shared with whatever else should queue on
     /// the same disk (e.g. installed as the hybrid store's spill gate).
@@ -212,7 +217,6 @@ impl Default for ServerOptions {
             max_connections: 512,
             max_inflight_per_peer: 256,
             hybrid: None,
-            reactor_threads: 1,
             iosched: None,
         }
     }
@@ -237,14 +241,18 @@ pub(crate) struct Shared {
     /// appends. Acquired by a disk worker around every store read.
     pub(crate) iosched: Arc<IoScheduler>,
     pub(crate) stats: SupplierStats,
-    pub(crate) fetch_stats: FetchStats,
+    /// Finished disk-worker frames headed back to the reactor.
+    pub(crate) completions: CompletionQueue,
+    /// Interrupts the reactor's poll: a disk worker writes one byte per
+    /// delivered completion, and drain and shutdown one each so the
+    /// reactor sees their flags at once.
+    pub(crate) waker: Waker,
     pub(crate) stop: AtomicBool,
-    /// Drain mode: stop admitting, finish in-flight exchanges, exit.
+    /// Drain mode: close the listener, finish in-flight exchanges, exit.
     pub(crate) draining: AtomicBool,
-    /// Connections currently being served (admission + drain gauge).
+    /// Admitted connections, as the reactor's admission counts them:
+    /// the gauge `drain()` waits on.
     pub(crate) active_conns: AtomicU64,
-    /// Connections currently being served, per peer IP (admission).
-    pub(crate) conns_per_peer: Mutex<HashMap<IpAddr, u64>>,
     pub(crate) options: ServerOptions,
 }
 
@@ -252,11 +260,9 @@ pub(crate) struct Shared {
 pub struct MofSupplierServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    /// The reactor; it owns the listener, so joining it closes that.
+    reactor_thread: Option<JoinHandle<()>>,
     prefetch_threads: Vec<JoinHandle<()>>,
-    /// One handle per reactor thread.
-    reactors: Vec<Arc<ReactorHandle>>,
-    reactor_threads: Vec<JoinHandle<()>>,
 }
 
 impl MofSupplierServer {
@@ -295,6 +301,9 @@ impl MofSupplierServer {
     fn run(listener: TcpListener, store: MofStore, options: ServerOptions) -> io::Result<Self> {
         crate::poll::pin_malloc_thresholds();
         let addr = listener.local_addr()?;
+        // The reactor accepts from its poll set, so `accept` must never
+        // park it.
+        listener.set_nonblocking(true)?;
         let iosched = match &options.iosched {
             Some(s) => Arc::clone(s),
             None => Arc::new(IoScheduler::with_trace(
@@ -310,11 +319,11 @@ impl MofSupplierServer {
             prefetch: PrefetchQueue::new(),
             iosched,
             stats: SupplierStats::default(),
-            fetch_stats: FetchStats::new(),
+            completions: CompletionQueue::new(),
+            waker: Waker::new()?,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
-            conns_per_peer: Mutex::new(HashMap::new()),
             options: ServerOptions {
                 buffer_bytes: options.buffer_bytes.max(1),
                 prefetch_batch: options.prefetch_batch.max(1),
@@ -332,76 +341,13 @@ impl MofSupplierServer {
                 prefetch_loop(&disk_shared);
             }));
         }
-        let mut reactors = Vec::new();
-        let mut reactor_threads = Vec::new();
-        for idx in 0..shared.options.reactor_threads.max(1) {
-            let handle = ReactorHandle::new(idx as u64)?;
-            let r_shared = Arc::clone(&shared);
-            let r_handle = Arc::clone(&handle);
-            reactor_threads.push(std::thread::spawn(move || {
-                reactor::run(&r_shared, &r_handle);
-            }));
-            reactors.push(handle);
-        }
-        let accept_reactors = reactors.clone();
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shared.stop.load(Ordering::Acquire)
-                    || accept_shared.draining.load(Ordering::Acquire)
-                {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                match faults::decide(&accept_shared.options.faults, Hook::ServerAccept) {
-                    FaultAction::RefuseConnect | FaultAction::Reset => {
-                        // Drop the accepted socket before any exchange;
-                        // the client sees a refused/reset connection.
-                        drop(stream);
-                        continue;
-                    }
-                    FaultAction::Stall(d) => std::thread::sleep(d),
-                    _ => {}
-                }
-                // Admission: a connection over the global or per-peer
-                // bound still goes to a reactor, which sheds its first
-                // request and closes it; it holds no slot and is not
-                // counted in `connections`.
-                let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-                let admitted = admit(&accept_shared, peer_ip);
-                let conn_no = accept_shared
-                    .stats
-                    .connections
-                    .fetch_add(u64::from(admitted), Ordering::Relaxed);
-                if admitted {
-                    accept_shared.options.trace.instant(
-                        "server.accept",
-                        Entity::conn(conn_no),
-                        0,
-                        0,
-                    );
-                }
-                let idx = conn_no as usize % accept_reactors.len().max(1);
-                match accept_reactors.get(idx) {
-                    Some(reactor) => reactor.submit(NewConn {
-                        stream,
-                        peer_ip,
-                        conn_no,
-                        admitted,
-                    }),
-                    // `run` always starts at least one reactor.
-                    None if admitted => release(&accept_shared, peer_ip),
-                    None => {}
-                }
-            }
-        });
+        let r_shared = Arc::clone(&shared);
+        let reactor_thread = std::thread::spawn(move || reactor::run(&r_shared, listener));
         Ok(MofSupplierServer {
             addr,
             shared,
-            accept_thread: Some(accept_thread),
+            reactor_thread: Some(reactor_thread),
             prefetch_threads,
-            reactors,
-            reactor_threads,
         })
     }
 
@@ -438,14 +384,9 @@ impl MofSupplierServer {
             copied_bytes: s.copied_bytes.load(Ordering::Relaxed),
             read_syscalls: s.read_syscalls.load(Ordering::Relaxed),
             write_syscalls: s.write_syscalls.load(Ordering::Relaxed),
+            conn_errors: s.conn_errors.load(Ordering::Relaxed),
             iosched: self.shared.iosched.stats(),
         }
-    }
-
-    /// Recovery counters observed server-side (client resets/timeouts
-    /// seen on connections).
-    pub fn fetch_stats(&self) -> FetchStatsSnapshot {
-        self.shared.fetch_stats.snapshot()
     }
 
     /// Faults injected so far, if a plan is installed.
@@ -475,8 +416,9 @@ impl MofSupplierServer {
             timeout.as_millis() as u64,
             self.shared.active_conns.load(Ordering::Acquire),
         );
-        // Wake the accept loop so it observes the drain flag and stops.
-        let _ = TcpStream::connect(self.addr);
+        // Wake the reactor so it closes the listener now, not at its
+        // next poll timeout.
+        self.shared.waker.wake();
         let deadline = std::time::Instant::now() + timeout;
         let mut clean = true;
         while self.shared.active_conns.load(Ordering::Acquire) > 0 {
@@ -512,18 +454,13 @@ impl MofSupplierServer {
         // job dies with its ticket — the reactor's own shutdown releases
         // the connection, nothing is waiting on it.
         drop(self.shared.prefetch.close());
-        // Wake the accept loop and every reactor so they observe `stop`.
-        let _ = TcpStream::connect(self.addr);
-        for reactor in &self.reactors {
-            reactor.waker.wake();
-        }
-        if let Some(t) = self.accept_thread.take() {
+        // Wake the reactor so it observes `stop`; it closes the listener
+        // and every connection on its way out.
+        self.shared.waker.wake();
+        if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
         for t in self.prefetch_threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in self.reactor_threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -531,47 +468,10 @@ impl MofSupplierServer {
 
 impl Drop for MofSupplierServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if self.reactor_thread.is_some() {
             self.do_shutdown();
         }
     }
-}
-
-/// Admission check at accept time: reserve an active-connection slot
-/// (global and per-peer) or refuse. The reservation is released by
-/// [`release`] when the owning reactor reaps the connection.
-fn admit(shared: &Shared, peer_ip: Option<IpAddr>) -> bool {
-    if shared.draining.load(Ordering::Acquire) {
-        return false;
-    }
-    if shared.active_conns.load(Ordering::Acquire) >= shared.options.max_connections {
-        return false;
-    }
-    if let Some(ip) = peer_ip {
-        let mut peers_map = lock(&shared.conns_per_peer);
-        let count = peers_map.entry(ip).or_insert(0);
-        if *count >= shared.options.max_inflight_per_peer {
-            return false;
-        }
-        *count += 1;
-    }
-    shared.active_conns.fetch_add(1, Ordering::AcqRel);
-    true
-}
-
-/// Release the admission slot taken by [`admit`]. Called from the
-/// owning reactor when it reaps the connection.
-pub(crate) fn release(shared: &Shared, peer_ip: Option<IpAddr>) {
-    if let Some(ip) = peer_ip {
-        let mut peers_map = lock(&shared.conns_per_peer);
-        if let Some(count) = peers_map.get_mut(&ip) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                peers_map.remove(&ip);
-            }
-        }
-    }
-    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Total length of one reducer's segment: a hybrid partition's live
@@ -712,7 +612,7 @@ pub(crate) fn queue_run_ahead(shared: &Shared, mof: u64, reducer: u32, next: u64
 
 /// Finish a reactor-dispatched request on a disk worker: do the IO its
 /// [`JobKind`] calls for, frame the complete response, and deliver it
-/// to the owning reactor's completion queue.
+/// to the reactor's completion queue.
 fn run_reactor_job(
     shared: &Shared,
     ticket: crate::reactor::JobTicket,
@@ -730,7 +630,7 @@ fn run_reactor_job(
     // staging.
     if stage {
         if let Some(hit) = reactor::hit_resp(shared, id, version, key, offset, want) {
-            ticket.deliver(hit);
+            ticket.deliver(shared, hit);
             return;
         }
     }
@@ -772,15 +672,16 @@ fn run_reactor_job(
         Ok(None) => reactor::build_error(id, Status::NotFound, mof, offset),
         Err(_) => reactor::build_error(id, Status::BadRequest, mof, offset),
     };
-    ticket.deliver(resp);
+    ticket.deliver(shared, resp);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultKind;
+    use crate::faults::{FaultKind, Hook};
     use crate::wire::{FetchRequest, FetchResponse, FLAG_BYPASS_CACHE};
     use jbs_mapred::merge::Record;
+    use std::net::TcpStream;
 
     fn store_with_one_mof(records: Vec<Record>) -> MofStore {
         let mut store = MofStore::temp().unwrap();
@@ -932,8 +833,8 @@ mod tests {
         feed(&hybrid, 7, &data, 1000);
         let server = hybrid_supplier(&hybrid, trace.clone());
         let (mut r, mut w) = connect(server.addr());
-        // The first exchange adopts the connection (one wake); every
-        // later one must be answered without another.
+        // No exchange may wake the reactor: accepts come through its
+        // poll set and every answer is built inline.
         let mut got = v3_fetch(&mut r, &mut w, 7, 0, 4 << 10).payload;
         let wakes = server.stats_snapshot().reactor_wakes;
         loop {
@@ -1574,8 +1475,8 @@ mod tests {
         server.shutdown();
     }
 
-    /// A connection over the admission cap is answered on a reactor like
-    /// any other: its first request gets one `Busy` frame (v3) or a bare
+    /// A connection over the admission cap is answered on the reactor
+    /// like any other: its first request gets one `Busy` frame (v3) or a bare
     /// close (v2), one that sends nothing is closed at the deadline, and
     /// none of them holds an admission slot.
     #[test]
@@ -1624,6 +1525,152 @@ mod tests {
         assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
         let snap = server.stats_snapshot();
         assert_eq!((snap.connections, snap.busy_rejections), (1, 2), "{snap:?}");
+        server.shutdown();
+    }
+
+    /// `max_inflight_per_peer` bounds the connections one peer IP has
+    /// served at once: a second connection from 127.0.0.1 gets one
+    /// `Busy` frame and EOF while the first keeps serving, and once the
+    /// first is gone a new one is admitted.
+    #[test]
+    fn the_per_peer_bound_sheds_a_second_connection_from_one_ip() {
+        use std::io::Read;
+        let recs: Vec<Record> = (0..200)
+            .map(|i| (format!("k{i:04}").into_bytes(), vec![i as u8; 32]))
+            .collect();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                max_inflight_per_peer: 1,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
+        let truth = whole.unwrap().unwrap();
+        let (mut r, mut w) = connect(server.addr());
+        assert_eq!(v3_fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
+        let (mut r2, mut w2) = connect(server.addr());
+        first_chunk(0)
+            .write_versioned(&mut w2, WireVersion::V3)
+            .unwrap();
+        let resp = FetchResponse::read_from(&mut r2).unwrap();
+        assert_eq!(resp.status, Status::Busy);
+        assert_eq!(r2.read(&mut [0u8; 1]).unwrap(), 0, "closed after the Busy");
+        assert_eq!(v3_fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
+        drop((r, w));
+        // The slot frees when the reactor reaps the closed connection.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.shared.active_conns.load(Ordering::Acquire) > 0 {
+            assert!(std::time::Instant::now() < deadline, "never reaped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (mut r3, mut w3) = connect(server.addr());
+        assert_eq!(v3_fetch(&mut r3, &mut w3, 0, 0, 128 << 10).payload, truth);
+        let snap = server.stats_snapshot();
+        assert_eq!((snap.connections, snap.busy_rejections), (2, 1), "{snap:?}");
+        server.shutdown();
+    }
+
+    /// A connection the accept hook refuses is dropped before any
+    /// exchange; a client with retries re-dials and fetches byte-exact.
+    #[test]
+    fn an_accept_time_refusal_is_retried_by_the_client() {
+        use crate::client::{NetMergerClient, SegmentRef};
+        let recs: Vec<Record> = (0..200)
+            .map(|i| (format!("k{i:04}").into_bytes(), vec![i as u8; 32]))
+            .collect();
+        let plan = FaultPlan::builder(7)
+            .force(Hook::ServerAccept, 0, FaultKind::RefuseConnect)
+            .build();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                faults: Some(plan),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let truth = server.shared.store.read_segment_range(0, 0, 0, 0);
+        let client = NetMergerClient::new();
+        let seg = SegmentRef {
+            addr: server.addr(),
+            mof: 0,
+            reducer: 0,
+        };
+        assert_eq!(client.fetch_segment(seg).unwrap(), truth.unwrap().unwrap());
+        let fs = client.fetch_stats();
+        assert!(fs.reconnects >= 1, "{fs:?}");
+        assert_eq!(server.fault_stats().unwrap().refusals, 1);
+        server.shutdown();
+    }
+
+    /// An accept-time stall is a deadline on that one connection: its
+    /// first response leaves no earlier than the stall after connect,
+    /// while a second connection is answered in the meantime — the loop
+    /// never slept.
+    #[test]
+    fn an_accept_time_stall_delays_its_connection_not_the_loop() {
+        const STALL: Duration = Duration::from_millis(300);
+        let recs: Vec<Record> = (0..200)
+            .map(|i| (format!("k{i:04}").into_bytes(), vec![i as u8; 32]))
+            .collect();
+        let plan = FaultPlan::builder(8)
+            .stall(Hook::ServerAccept, 0.0, STALL)
+            .force(Hook::ServerAccept, 0, FaultKind::Stall)
+            .build();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(recs),
+            ServerOptions {
+                faults: Some(Arc::clone(&plan)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let start = std::time::Instant::now();
+        let (mut r1, mut w1) = connect(server.addr());
+        first_chunk(0)
+            .write_versioned(&mut w1, WireVersion::V3)
+            .unwrap();
+        let (mut r2, mut w2) = connect(server.addr());
+        let answered = v3_fetch(&mut r2, &mut w2, 0, 0, 128 << 10).payload;
+        r1.get_ref().set_nonblocking(true).unwrap();
+        let early = r1.get_ref().peek(&mut [0u8; 1]);
+        assert!(
+            matches!(&early, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "the stalled connection answered within {:?}: {early:?}",
+            start.elapsed()
+        );
+        r1.get_ref().set_nonblocking(false).unwrap();
+        let resp = FetchResponse::read_from(&mut r1).unwrap();
+        assert!(
+            start.elapsed() >= STALL,
+            "answered after {:?}",
+            start.elapsed()
+        );
+        assert_eq!(resp.status, Status::OkCrc);
+        assert_eq!(resp.payload, answered);
+        assert_eq!(plan.stats().stalls, 1);
+        server.shutdown();
+    }
+
+    /// A request stream that does not frame closes the connection, and
+    /// the supplier counts it as a connection error; other connections
+    /// are unaffected.
+    #[test]
+    fn a_bad_magic_closes_the_connection_as_a_counted_error() {
+        use std::io::{Read, Write};
+        let server =
+            MofSupplierServer::start(store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]))
+                .unwrap();
+        let (mut r, mut w) = connect(server.addr());
+        w.write_all(&[0xEE; 64]).unwrap();
+        assert_eq!(r.read(&mut [0u8; 1]).unwrap_or(0), 0, "closed, no frame");
+        assert_eq!(server.stats_snapshot().conn_errors, 1);
+        let (mut r, mut w) = connect(server.addr());
+        first_chunk(0).write_to(&mut w).unwrap();
+        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        assert_eq!(server.stats_snapshot().conn_errors, 1);
         server.shutdown();
     }
 

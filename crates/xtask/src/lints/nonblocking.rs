@@ -1,11 +1,10 @@
 //! Nonblocking-context lint.
 //!
-//! The event-driven supplier (DESIGN.md §14) multiplexes every
-//! connection of a reactor shard onto one poll thread. A single
-//! blocking call anywhere in that thread's reach — a file read, a
-//! socket `write_all`, a `sleep`, a channel `recv`, a condvar wait —
-//! stalls *every* connection on the shard, not just the one being
-//! served. So files declared `nonblocking_context` in the policy get a
+//! The event-driven supplier (DESIGN.md §14) multiplexes its listener
+//! and every connection onto one poll thread. A single blocking call
+//! anywhere in that thread's reach — a file read, a socket
+//! `write_all`, a `sleep`, a channel `recv`, a condvar wait — stalls
+//! *every* connection of the supplier, not just the one being served. So files declared `nonblocking_context` in the policy get a
 //! stricter rule than blocking-under-lock: functions defined there may
 //! not reach a blocking primitive at all, locks held or not. Disk work
 //! must leave through the prefetch queue to the permit-bounded worker
@@ -64,7 +63,7 @@ pub fn check(analysis: &Analysis, policy: &Policy) -> Vec<Finding> {
                 line: r.line,
                 message: format!(
                     "{} reachable from `{}` ({}) — a nonblocking context; one \
-                     blocked call stalls every connection on the reactor shard",
+                     blocked call stalls every connection on the reactor",
                     r.what,
                     r.from_fn,
                     r.from_file.display(),

@@ -64,8 +64,8 @@ pub struct Dataplane {
     /// budget and backoff, I/O deadline, dialect, breaker threshold.
     pub client: transport::ClientConfig,
     /// The MOFSupplier: buffer size, prefetch depth, the Fig. 4-vs-Fig. 5
-    /// run-ahead switch, admission bounds, reactor threads, and the
-    /// disk IO scheduler shared with [`Dataplane::hybrid`].
+    /// run-ahead switch, admission bounds, and the disk IO scheduler
+    /// shared with [`Dataplane::hybrid`].
     pub server: transport::ServerOptions,
     /// The supplier's hybrid store: memory budget, spill watermarks,
     /// huge-partition limit and crash-consistency knobs. Pair it with
@@ -124,7 +124,6 @@ pub fn dataplane(cfg: &core::JbsConfig) -> Dataplane {
             prefetch: cfg.pipelined_prefetch,
             max_connections: cfg.max_connections as u64,
             max_inflight_per_peer: cfg.max_inflight_per_peer,
-            reactor_threads: cfg.reactor_threads,
             iosched: Some(Arc::clone(&iosched)),
             ..transport::ServerOptions::default()
         },
@@ -172,7 +171,6 @@ mod tests {
         assert_eq!(s.prefetch, d.prefetch);
         assert_eq!(s.max_connections, d.max_connections);
         assert_eq!(s.max_inflight_per_peer, d.max_inflight_per_peer);
-        assert_eq!(s.reactor_threads, d.reactor_threads);
         let sched = s
             .iosched
             .as_ref()
@@ -241,14 +239,12 @@ mod tests {
     #[test]
     fn jbs_config_drives_the_reactor_and_iosched() {
         let cfg = core::JbsConfig {
-            reactor_threads: 3,
             io_read_permits: 9,
             io_append_permits: 5,
             pipelined_prefetch: false,
             ..core::JbsConfig::default()
         };
         let so = dataplane(&cfg).server;
-        assert_eq!(so.reactor_threads, 3);
         let sched = so.iosched.as_ref().expect("the bridge wires a scheduler");
         assert_eq!(sched.stats().read_permits, 9);
         assert_eq!(sched.stats().append_permits, 5);

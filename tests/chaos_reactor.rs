@@ -42,12 +42,10 @@ fn reactor_plan(seed: u64) -> Arc<FaultPlan> {
 
 /// Server options for the chaos cluster: small buffers so
 /// every segment spans many chunks (many fault opportunities, deep
-/// pipelines through the reactor), two reactor threads so cross-reactor
-/// sharding is exercised too.
+/// pipelines through the reactor).
 fn reactor_options(plan: Arc<FaultPlan>) -> ServerOptions {
     ServerOptions {
         buffer_bytes: 4 << 10,
-        reactor_threads: 2,
         faults: Some(plan),
         ..ServerOptions::default()
     }
