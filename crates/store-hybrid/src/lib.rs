@@ -29,4 +29,4 @@ pub(crate) mod sync;
 
 pub use config::{DiskFaultInjector, DiskWriteFault, DiskWriteSite, HybridConfig, SpillGate};
 pub use crash::{CrashPlan, CrashSite};
-pub use store::{HybridStore, RecoveryReport, TierLayout, TierStatsSnapshot};
+pub use store::{HybridStore, LentRange, RecoveryReport, TierLayout, TierStatsSnapshot};

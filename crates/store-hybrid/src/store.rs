@@ -27,16 +27,26 @@
 //! the stats-coherence property (`memory + spilled + remote ==
 //! total_written`) tests.
 //!
+//! Both MEMORY buffers are refcounted, so a memory hit lends a pin on
+//! one ([`LentRange`]) instead of copying the range out. Lent bytes
+//! never change: an append copies a pinned buffer before growing it
+//! ([`Arc::make_mut`]), and sealing or committing a spill only moves
+//! or drops the store's own pin. The budget counts the store's buffers,
+//! not the pins: a committed spill releases its bytes from
+//! `memory_used` even while a response still pins the sealed buffer
+//! until its transmit ends.
+//!
 //! ## Locking
 //!
 //! One mutex (`inner`) guards all partition state and counters; it is
 //! never held across file I/O (spill writes and reads plan under the
 //! lock, perform I/O unlocked, and re-lock to commit; a read wholly in
-//! the MEMORY tier, [`HybridStore::read_memory_range`], does no I/O and
-//! finishes under the lock, so an event loop may call it). A single-flusher
-//! token (`spill_active`) serializes all writers of the spill file; the
-//! condvar hands off between tripping writers, the flusher, and
-//! backpressured appenders — the handoff the `loom_` models explore.
+//! one MEMORY buffer, [`HybridStore::read_memory_range`], does no I/O
+//! and only clones a pin under the lock, so an event loop may call
+//! it). A single-flusher token (`spill_active`) serializes all writers
+//! of the spill file; the condvar hands off between tripping writers,
+//! the flusher, and backpressured appenders — the handoff the `loom_`
+//! models explore.
 
 use crate::config::{DiskFaultInjector, DiskWriteFault, DiskWriteSite, HybridConfig, SpillGate};
 use crate::crash::{self, crash_error, CrashSite};
@@ -48,6 +58,7 @@ use jbs_obs::Entity;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,8 +118,10 @@ struct Partition {
     /// A sealed buffer mid-flush: still readable, still counted
     /// against the memory budget until its extent commits.
     spilling: Option<Arc<Vec<u8>>>,
-    /// The active in-memory tail.
-    buffer: Vec<u8>,
+    /// The active in-memory tail. Appends grow it through
+    /// [`Arc::make_mut`], which copies it first if a [`LentRange`]
+    /// still pins it.
+    buffer: Arc<Vec<u8>>,
 }
 
 impl Partition {
@@ -166,12 +179,9 @@ impl Partition {
     fn copy_memory(&self, offset: u64, end: u64, out: &mut Vec<u8>) -> bool {
         let mut hit = false;
         let mut base = self.durable_len;
-        for mem in [
-            self.spilling.as_ref().map(|s| s.as_slice()),
-            Some(self.buffer.as_slice()),
-        ]
-        .into_iter()
-        .flatten()
+        for mem in [self.spilling.as_ref(), Some(&self.buffer)]
+            .into_iter()
+            .flatten()
         {
             let s = offset.max(base);
             let e = end.min(base + mem.len() as u64);
@@ -185,6 +195,26 @@ impl Partition {
             base += mem.len() as u64;
         }
         hit
+    }
+
+    /// A pin on the one MEMORY buffer that holds all of `[offset, end)`
+    /// (`offset < end`), with the range's window in it; `None` if any
+    /// byte lies in a durable extent or the range straddles the sealed
+    /// and the active buffer.
+    fn lend_memory(&self, offset: u64, end: u64) -> Option<(Arc<Vec<u8>>, Range<usize>)> {
+        let mut base = self.durable_len;
+        for mem in [self.spilling.as_ref(), Some(&self.buffer)]
+            .into_iter()
+            .flatten()
+        {
+            let mem_end = base + mem.len() as u64;
+            if base <= offset && end <= mem_end {
+                let window = (offset - base) as usize..(end - base) as usize;
+                return Some((Arc::clone(mem), window));
+            }
+            base = mem_end;
+        }
+        None
     }
 }
 
@@ -280,6 +310,29 @@ pub struct TierStatsSnapshot {
     pub replica_drops: u64,
     /// Bytes released by those drops; balances the residency identity.
     pub replica_dropped_bytes: u64,
+}
+
+/// A MEMORY-tier range lent by [`HybridStore::read_memory_range`]: a
+/// refcounted pin on the store buffer that holds it, not a copy. The
+/// lent bytes stay exactly what was read for as long as the pin lives:
+/// appends copy a pinned buffer before growing it, and a spill only
+/// drops the store's own pin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LentRange {
+    /// The pinned buffer: the partition's active or sealed MEMORY
+    /// buffer (an empty one for a range past the end).
+    pub buf: Arc<Vec<u8>>,
+    /// The range's window within `buf`.
+    pub range: Range<usize>,
+    /// The partition's length when the range was lent.
+    pub partition_len: u64,
+}
+
+impl LentRange {
+    /// The lent bytes.
+    pub fn bytes(&self) -> &[u8] {
+        self.buf.get(self.range.clone()).unwrap_or_default()
+    }
 }
 
 /// Per-partition tier residency, for tests and tier-placement claims.
@@ -665,7 +718,7 @@ impl HybridStore {
                     extents: r.extents,
                     durable_len: r.durable_len,
                     spilling: None,
-                    buffer: Vec::new(),
+                    buffer: Arc::default(),
                 },
             );
         }
@@ -778,7 +831,7 @@ impl HybridStore {
             }
         }
         let part = g.parts.entry((mof, reducer)).or_default();
-        part.buffer.extend_from_slice(data);
+        Arc::make_mut(&mut part.buffer).extend_from_slice(data);
         let part_mem = part.mem_len();
         g.memory_used += data.len();
         g.stats.total_written += data.len() as u64;
@@ -1010,7 +1063,8 @@ impl HybridStore {
     /// Seal and flush one partition's buffer to the LOCALFILE tier.
     /// Requires the `spill_active` token. The sealed buffer stays
     /// readable and budget-counted until the extent commits, so no
-    /// reader can see a torn segment.
+    /// reader can see a torn segment. Sealing moves the buffer's pin
+    /// and copies nothing.
     fn flush_one<'a>(
         &'a self,
         mut g: MutexGuard<'a, Inner>,
@@ -1021,7 +1075,7 @@ impl HybridStore {
             return (g, Ok(()));
         };
         if !part.buffer.is_empty() && part.spilling.is_none() {
-            let sealed = Arc::new(std::mem::take(&mut part.buffer));
+            let sealed = std::mem::take(&mut part.buffer);
             let len = sealed.len();
             // Stable until commit: durable_len only moves under the
             // spill_active token this caller holds.
@@ -1034,6 +1088,9 @@ impl HybridStore {
             g.local_len += len as u64;
             drop(g);
             let wres = self.write_local(key, file_off, logical_off, &sealed);
+            // Only lent ranges may still pin the sealed bytes, so an
+            // un-seal below copies them only if a response holds one.
+            drop(sealed);
             g = lock(&self.inner);
             match wres {
                 Ok(()) => {
@@ -1055,9 +1112,8 @@ impl HybridStore {
                     // Un-seal: the bytes stay in the MEMORY tier, ahead
                     // of anything appended while the write ran.
                     if let Some(part) = g.parts.get_mut(&key) {
-                        if let Some(sp) = part.spilling.take() {
-                            let mut restored = sp.as_ref().clone();
-                            restored.extend_from_slice(&part.buffer);
+                        if let Some(mut restored) = part.spilling.take() {
+                            Arc::make_mut(&mut restored).extend_from_slice(&part.buffer);
                             part.buffer = restored;
                         }
                     }
@@ -1206,38 +1262,43 @@ impl HybridStore {
         Ok(Some(out))
     }
 
-    /// [`Self::read_segment_range`] for a range held wholly in the
-    /// MEMORY tier, with the partition's length, both taken under one
-    /// lock and with no I/O: `None` for an unknown partition or as soon
-    /// as any byte of the range lies in a LOCALFILE or REMOTE extent.
-    /// A range past the end reads empty. Safe to call from an event
-    /// loop.
+    /// [`Self::read_segment_range`] for a range held wholly in one
+    /// MEMORY buffer, lent rather than copied: a pin on that buffer,
+    /// the range's window in it and the partition's length, all taken
+    /// under one lock with no I/O and no payload copy. `None` for an
+    /// unknown partition, or as soon as the range is not inside one
+    /// buffer: a byte in a LOCALFILE or REMOTE extent, or a range
+    /// straddling the sealed and the active buffer mid-spill. Those go
+    /// through [`Self::read_segment_range`]. A range past the end
+    /// reads empty. Safe to call from an event loop.
     pub fn read_memory_range(
         &self,
         mof: u64,
         reducer: u32,
         offset: u64,
         len: u64,
-    ) -> Option<(Vec<u8>, u64)> {
+    ) -> Option<LentRange> {
         let mut g = lock(&self.inner);
         let part = g.parts.get(&(mof, reducer))?;
-        let plen = part.total_len();
+        let partition_len = part.total_len();
         let Some(end) = part.range_end(offset, len) else {
-            return Some((Vec::new(), plen));
+            return Some(LentRange {
+                buf: Arc::default(),
+                range: 0..0,
+                partition_len,
+            });
         };
-        if !part.durable_pieces(offset, end).is_empty() {
-            return None;
-        }
-        let mut out = Vec::with_capacity((end - offset) as usize);
-        let hit_mem = part.copy_memory(offset, end, &mut out);
-        g.stats.record_read(hit_mem, &[]);
+        let (buf, range) = part.lend_memory(offset, end)?;
+        g.stats.record_read(true, &[]);
         drop(g);
-        if hit_mem {
-            self.cfg
-                .trace
-                .instant("mem.hit", Entity::mof(mof), offset, end - offset);
-        }
-        Some((out, plen))
+        self.cfg
+            .trace
+            .instant("mem.hit", Entity::mof(mof), offset, end - offset);
+        Some(LentRange {
+            buf,
+            range,
+            partition_len,
+        })
     }
 
     /// Read planned durable pieces, in order, into the front of `out`
@@ -1484,7 +1545,7 @@ impl HybridStore {
             place: Place::Remote,
         }];
         part.durable_len = total;
-        part.buffer = Vec::new();
+        part.buffer = Arc::default();
         g.memory_used = g.memory_used.saturating_sub(buf_len);
         g.stats.spilled_bytes = g.stats.spilled_bytes.saturating_sub(local_bytes);
         g.stats.remote_bytes += local_bytes + buf_len as u64;
@@ -1575,21 +1636,125 @@ mod tests {
         assert!(durable > 0 && durable < 60, "spilled prefix, memory tail");
         let plen = data.len() as u64;
         // Wholly in the tail: the bytes and the live length, one lock.
-        let (tail, len) = store.read_memory_range(0, 0, durable, 0).unwrap();
-        assert_eq!((tail.as_slice(), len), (&data[durable as usize..], plen));
+        let tail = store.read_memory_range(0, 0, durable, 0).unwrap();
+        assert_eq!(
+            (tail.bytes(), tail.partition_len),
+            (&data[durable as usize..], plen)
+        );
         // One byte in the spilled prefix is enough to decline.
         assert_eq!(store.read_memory_range(0, 0, durable - 1, 2), None);
         // Past the end reads empty; an unknown partition is declined.
-        assert_eq!(
-            store.read_memory_range(0, 0, plen, 0),
-            Some((Vec::new(), plen))
-        );
+        let past = store.read_memory_range(0, 0, plen, 0).unwrap();
+        assert_eq!((past.bytes(), past.partition_len), (&[][..], plen));
         assert_eq!(store.read_memory_range(9, 9, 0, 0), None);
         // Only the served read counted, and only as a memory hit.
         let s = store.stats();
         assert_eq!((s.memory_hits, s.local_hits), (1, 0), "{s:?}");
         // The full read stitches the same tail behind the spilled prefix.
         assert_eq!(store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(), data);
+    }
+
+    #[test]
+    fn a_lent_range_is_unchanged_by_appends_to_its_buffer() {
+        let store = HybridStore::new(tiny(1024)).unwrap();
+        let data = pattern(300, 5);
+        store.append(1, 0, &data[..100]).unwrap();
+        let held = store.read_memory_range(1, 0, 0, 0).unwrap();
+        assert_eq!(held.bytes(), &data[..100]);
+        store.append(1, 0, &data[100..]).unwrap();
+        // The append copied the pinned buffer before growing it.
+        assert_eq!((held.bytes(), held.partition_len), (&data[..100], 100));
+        let fresh = store.read_memory_range(1, 0, 0, 0).unwrap();
+        assert_eq!((fresh.bytes(), fresh.partition_len), (&data[..], 300));
+        assert!(!Arc::ptr_eq(&held.buf, &fresh.buf));
+        assert_eq!(store.stats().memory_bytes, 300, "the copy is not budgeted");
+    }
+
+    #[test]
+    fn a_lent_range_outlives_the_spill_that_retires_its_buffer() {
+        // (0,0)'s 40 bytes are the largest buffer when (1,0)'s append
+        // trips the watermark, so the spill seals and commits the very
+        // buffer the lent range pins.
+        let data = pattern(40, 8);
+        let run = |hold: bool| {
+            let store = HybridStore::new(tiny(100)).unwrap();
+            store.append(0, 0, &data).unwrap();
+            let lent = store.read_memory_range(0, 0, 0, 0).unwrap();
+            let held = hold.then_some(lent);
+            store.append(1, 0, &pattern(15, 2)).unwrap(); // 55 >= 50
+            assert_eq!(store.layout(0, 0).unwrap().local, 40, "spilled");
+            assert_eq!(store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(), data);
+            (held, store.stats())
+        };
+        let (held, with_pin) = run(true);
+        let (_, without) = run(false);
+        let held = held.unwrap();
+        assert_eq!((held.bytes(), held.partition_len), (&data[..], 40));
+        // The pin costs the store nothing: the spill released the
+        // sealed bytes from the budget as if nothing held them.
+        assert_eq!(with_pin, without);
+        assert_eq!((with_pin.memory_bytes, with_pin.spilled_bytes), (15, 40));
+    }
+
+    /// A spill gate that parks the flusher's first write until released.
+    struct ParkedSpill {
+        entered: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl SpillGate for ParkedSpill {
+        fn acquire_append(&self) {
+            let _ = self.entered.send(());
+            let _ = lock(&self.release).recv();
+        }
+        fn release_append(&self) {}
+    }
+
+    #[test]
+    fn a_range_straddling_the_sealed_and_active_buffer_is_not_lent() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let cfg = HybridConfig {
+            background_flush: true,
+            spill_gate: Some(Arc::new(ParkedSpill {
+                entered: entered_tx,
+                release: Mutex::new(release_rx),
+            })),
+            ..tiny(100)
+        };
+        let store = HybridStore::new(cfg).unwrap();
+        let data = pattern(70, 4);
+        store.append(0, 0, &data[..60]).unwrap(); // trips the flusher
+        entered.recv_timeout(Duration::from_secs(5)).unwrap();
+        // Mid-spill: 60 sealed bytes, then 10 active ones.
+        store.append(0, 0, &data[60..]).unwrap();
+        assert_eq!(store.read_memory_range(0, 0, 55, 10), None);
+        let straddle = store.read_segment_range(0, 0, 55, 10).unwrap().unwrap();
+        assert_eq!(straddle, data[55..65]);
+        let sealed = store.read_memory_range(0, 0, 0, 60).unwrap();
+        assert_eq!((sealed.bytes(), sealed.partition_len), (&data[..60], 70));
+        let active = store.read_memory_range(0, 0, 60, 0).unwrap();
+        assert_eq!(active.bytes(), &data[60..]);
+        // Let the spill commit (later writes pass the gate unparked).
+        release.send(()).unwrap();
+        drop(release);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while store.layout(0, 0).unwrap().local < 60 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "spill never committed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            sealed.bytes(),
+            &data[..60],
+            "the lent sealed bytes outlive it"
+        );
+        assert_eq!(store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(), data);
+        store.close();
     }
 
     #[test]
@@ -2033,6 +2198,39 @@ mod loom_tests {
                 store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(),
                 full
             );
+        });
+    }
+
+    /// A reader holds a lent MEMORY range while an appender appends to
+    /// its buffer and the inline flush that append trips seals and
+    /// commits it; a second lend races both. Both readers' bytes stay
+    /// an exact, append-atomic prefix of what was appended, in every
+    /// schedule.
+    #[test]
+    fn loom_lent_range_survives_append_seal_and_commit() {
+        loom::model(|| {
+            let store = HybridStore::new(cfg(8, false)).unwrap();
+            store.append(0, 0, &[1, 2, 3]).unwrap();
+            let held = store.read_memory_range(0, 0, 0, 0).unwrap();
+            // Copies the buffer `held` pins, then trips an inline spill.
+            let appender = {
+                let s = Arc::clone(&store);
+                loom::thread::spawn(move || s.append(0, 0, &[4, 5, 6]).unwrap())
+            };
+            let racing = store.read_memory_range(0, 0, 0, 0);
+            appender.join().unwrap();
+            let full = [1u8, 2, 3, 4, 5, 6];
+            assert_eq!((held.bytes(), held.partition_len), (&full[..3], 3));
+            // Declined only once the spill committed the whole range.
+            if let Some(lent) = racing {
+                let seen = lent.bytes();
+                assert!(seen.len() == 3 || seen.len() == 6, "torn lend: {seen:?}");
+                assert_eq!(seen, &full[..seen.len()]);
+                assert_eq!(lent.partition_len, seen.len() as u64);
+            }
+            let s = store.stats();
+            assert_eq!(s.memory_bytes + s.spilled_bytes, 6, "{s:?}");
+            assert_eq!(store.read_segment_range(0, 0, 0, 0).unwrap().unwrap(), full);
         });
     }
 

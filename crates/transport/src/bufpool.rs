@@ -6,10 +6,12 @@
 //! by any in-flight vectored transmit at once. No copy happens between
 //! the cache and the socket; when the last clone drops, the buffer is
 //! freed. Eviction is therefore safe at any moment: it drops the cache's
-//! pin, never the bytes a partial write is still sending.
+//! pin, never the bytes a partial write is still sending. A lease can
+//! also pin a buffer someone else owns ([`BufPool::lend`]): a hybrid
+//! store's MEMORY buffer, transmitted the same way with no copy.
 //!
 //! [`BufPool`] is the supplier's handle for making leases. It counts
-//! the allocations currently pinned through it; the supplier's
+//! the leased buffers currently pinned through it; the supplier's
 //! snapshot subtracts the staged ranges that only the DataCache pins,
 //! so its `outstanding` is what responses still hold and a test — or
 //! an operator — can tell that nothing stays pinned once the response
@@ -28,7 +30,8 @@ pub struct BufPoolStats {
     pub hits: u64,
     /// Always 0, kept for the same reason as [`Self::hits`].
     pub misses: u64,
-    /// Allocations currently pinned by at least one pooled lease. In a
+    /// Buffers currently pinned by at least one pooled lease (a store
+    /// buffer counts once per `BufPool::lend` that pins it). In a
     /// [`crate::SupplierStatsSnapshot`], the ones a response still pins:
     /// ranges that only the DataCache holds are not counted.
     pub outstanding: u64,
@@ -51,6 +54,14 @@ impl BufPool {
     /// the same allocation, and the last drop frees it and retires it
     /// from `outstanding`.
     pub(crate) fn lease(&self, buf: Vec<u8>) -> Lease {
+        self.lend(Arc::new(buf))
+    }
+
+    /// A lease counted by this pool over a buffer shared with its owner
+    /// (a hybrid store's MEMORY buffer): clones pin it like any lease,
+    /// and the last clone's drop retires it from `outstanding` and
+    /// drops this pin — the owner's bytes are never copied.
+    pub(crate) fn lend(&self, buf: Arc<Vec<u8>>) -> Lease {
         self.live.fetch_add(1, Ordering::Relaxed);
         Lease(Arc::new(Pinned {
             bytes: buf,
@@ -68,9 +79,9 @@ impl BufPool {
     }
 }
 
-/// One pinned allocation and the gauge it retires from when it goes.
+/// One pinned buffer and the gauge it retires from when it goes.
 struct Pinned {
-    bytes: Vec<u8>,
+    bytes: Arc<Vec<u8>>,
     live: Option<Arc<AtomicU64>>,
 }
 
@@ -94,7 +105,7 @@ impl Lease {
     /// A lease over bytes that no pool counts.
     pub(crate) fn detached(buf: Vec<u8>) -> Lease {
         Lease(Arc::new(Pinned {
-            bytes: buf,
+            bytes: Arc::new(buf),
             live: None,
         }))
     }
@@ -154,6 +165,20 @@ mod tests {
         assert_eq!(pool.stats().outstanding, 2);
         drop((a, b));
         assert_eq!(pool.stats(), BufPoolStats::default());
+    }
+
+    #[test]
+    fn lent_buffer_is_pinned_not_copied_and_counted_per_lend() {
+        let pool = BufPool::new();
+        let owned = Arc::new(b"store bytes".to_vec());
+        let (a, b) = (pool.lend(Arc::clone(&owned)), pool.lend(Arc::clone(&owned)));
+        assert_eq!(a.as_slice().as_ptr(), owned.as_ptr(), "same bytes, no copy");
+        assert_eq!(&b[..], b"store bytes");
+        assert_eq!(pool.stats().outstanding, 2, "one per lend");
+        assert_eq!(Arc::strong_count(&owned), 3);
+        drop((a, b));
+        assert_eq!(pool.stats().outstanding, 0);
+        assert_eq!(Arc::strong_count(&owned), 1, "every pin dropped");
     }
 
     #[test]

@@ -308,9 +308,16 @@ impl NetMergerClient {
     /// failure surfaces typed, with the same [`TransportError::Segment`]
     /// context as [`Self::fetch_all`].
     pub fn levitated_merge(&self, segs: &[SegmentRef]) -> Result<Vec<Record>> {
+        // Every segment's first chunk is in flight before the merge
+        // primes, so priming waits out one round trip, not one per
+        // segment.
         let streams: Vec<NetworkSegmentStream> = segs
             .iter()
-            .map(|&seg| NetworkSegmentStream::new(self, seg))
+            .map(|&seg| {
+                let mut stream = NetworkSegmentStream::new(self, seg);
+                stream.fetch.request();
+                stream
+            })
             .collect();
         StreamingMerge::new(streams)
             .with_trace(self.shared.config.trace.clone())
@@ -930,6 +937,64 @@ mod tests {
         assert!(fs.connect_failures >= 1);
         assert_eq!(plan.stats().refusals, 1);
         server.shutdown();
+    }
+
+    /// Priming a levitated merge must not serialize the segments' first
+    /// round trips: with every MOF read held 50 ms on the supplier,
+    /// each segment's offset-0 request is on the wire before the first
+    /// response comes back.
+    #[test]
+    fn levitated_merge_requests_every_first_chunk_before_any_response() {
+        let servers: Vec<MofSupplierServer> = (0..3)
+            .map(|_| {
+                let mut store = MofStore::temp().unwrap();
+                let records = (0..50)
+                    .map(|i| (format!("k{i:03}").into_bytes(), vec![i as u8; 16]))
+                    .collect();
+                store.write_mof(0, records, 1, |_| 0).unwrap();
+                MofSupplierServer::start_with_options(
+                    store,
+                    crate::server::ServerOptions {
+                        synthetic_disk_delay: Duration::from_millis(50),
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+            })
+            .collect();
+        let segs: Vec<SegmentRef> = servers
+            .iter()
+            .map(|s| SegmentRef {
+                addr: s.addr(),
+                mof: 0,
+                reducer: 0,
+            })
+            .collect();
+        let trace = jbs_obs::Trace::recording(1 << 12);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            trace: trace.clone(),
+            ..ClientConfig::default()
+        });
+        assert_eq!(client.levitated_merge(&segs).unwrap().len(), 150);
+        let events = trace.query();
+        let first_recv = events
+            .named("sched.recv")
+            .events()
+            .iter()
+            .map(|e| e.seq)
+            .min()
+            .unwrap();
+        let sent_before: std::collections::BTreeSet<_> = events
+            .named("sched.send")
+            .events()
+            .iter()
+            .filter(|e| e.a == 0 && e.seq < first_recv)
+            .map(|e| e.entity)
+            .collect();
+        assert_eq!(sent_before.len(), segs.len(), "{sent_before:?}");
+        for s in servers {
+            s.shutdown();
+        }
     }
 
     #[test]

@@ -22,11 +22,16 @@
 //!   syscall — the payload bytes are never copied between the slab and
 //!   the socket, and the lease pins the buffer for exactly as long as
 //!   partial writes keep it in flight;
-//! * **memory-tier hits inline**: a range the attached hybrid store
-//!   holds wholly in its MEMORY tier is copied out under the store's
-//!   lock ([`jbs_store_hybrid::HybridStore::read_memory_range`], no
-//!   I/O) and framed here, like a DataCache hit — no worker, no
-//!   completion, no wake;
+//! * **memory-tier hits inline and zero-copy**: a range the attached
+//!   hybrid store holds wholly in one MEMORY buffer is lent, not
+//!   copied: the store hands out a refcounted pin on its buffer under
+//!   its lock ([`jbs_store_hybrid::HybridStore::read_memory_range`],
+//!   no I/O), and the reactor leases that pin
+//!   ([`crate::bufpool::BufPool::lend`]) and frames it here, like a
+//!   DataCache hit — no worker, no completion, no wake, no memcpy. A
+//!   range the store declines (a durable byte, or a straddle of its
+//!   sealed and active buffers mid-spill) goes to the disk workers'
+//!   one read path;
 //! * **no blocking in the loop**: every disk, index, or durable-tier
 //!   (LOCALFILE/REMOTE) touch is shipped to the permit-bounded
 //!   disk-worker pool through the grouped prefetch queue (Fig. 5
@@ -150,8 +155,11 @@ impl OutResp {
 /// meter counts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Source {
-    /// The attached hybrid store's tiers, which copy the range out into
-    /// the response's own buffer: a hybrid hit, and copied bytes.
+    /// A MEMORY buffer the attached hybrid store lent: a hybrid hit,
+    /// transmitted from the store's own bytes, so zero-copy bytes.
+    HybridLent,
+    /// The attached hybrid store's tiers read into a disk worker's
+    /// buffer: a hybrid hit, and copied bytes.
     Hybrid,
     /// The MOF, through the DataCache or a disk worker's own read: the
     /// lease is transmitted as is, so zero-copy bytes.
@@ -176,16 +184,16 @@ pub(crate) fn build_ok(
     offset: u64,
 ) -> OutResp {
     let served = range.len() as u64;
+    if source != Source::Mof {
+        shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
+        shared
+            .options
+            .trace
+            .instant("hybrid.hit", Entity::mof(mof), offset, served);
+    }
     let meter = match source {
-        Source::Hybrid => {
-            shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-            shared
-                .options
-                .trace
-                .instant("hybrid.hit", Entity::mof(mof), offset, served);
-            &shared.stats.copied_bytes
-        }
-        Source::Mof => &shared.stats.zerocopy_bytes,
+        Source::Hybrid => &shared.stats.copied_bytes,
+        Source::HybridLent | Source::Mof => &shared.stats.zerocopy_bytes,
     };
     meter.fetch_add(served, Ordering::Relaxed);
     let (status, mut crc_seg) = {
@@ -889,25 +897,22 @@ fn serve_request(
     };
     let (key, want) = ((req.mof, req.reducer), req.len);
 
-    // Memory tier first: a hybrid-held range that lies wholly in the
-    // MEMORY tier is copied out under the store's lock and answered
-    // here, like a DataCache hit. One that touches a LOCALFILE or
-    // REMOTE extent is real file I/O, so it goes to a disk worker.
+    // Memory tier first: a hybrid-held range that lies wholly in one
+    // MEMORY buffer is lent by the store under its lock and answered
+    // here from the store's own bytes, like a DataCache hit. Any other
+    // range of a hybrid partition (a LOCALFILE or REMOTE byte, or a
+    // straddle mid-spill) goes to a disk worker's read.
     if let Some(hybrid) = &shared.options.hybrid {
-        if let Some((bytes, part_len)) =
-            hybrid.read_memory_range(req.mof, req.reducer, req.offset, want)
-        {
-            let seg_len = (version == WireVersion::V3).then_some(part_len);
-            let lease = shared.pool.lease(bytes);
-            let range = 0..lease.len();
+        if let Some(lent) = hybrid.read_memory_range(req.mof, req.reducer, req.offset, want) {
+            let seg_len = (version == WireVersion::V3).then_some(lent.partition_len);
             let resp = build_ok(
                 shared,
                 req.id,
                 version,
                 seg_len,
-                Source::Hybrid,
-                lease,
-                range,
+                Source::HybridLent,
+                shared.pool.lend(lent.buf),
+                lent.range,
                 req.mof,
                 req.offset,
             );

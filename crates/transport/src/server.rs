@@ -96,12 +96,15 @@ pub(crate) struct SupplierStats {
     /// Vectored transmits cut short by a full socket buffer and resumed
     /// from a byte cursor on the next writability report.
     pub partial_writes: AtomicU64,
-    /// Payload bytes transmitted straight from a pinned DataCache lease
-    /// — never copied between the slab and the socket.
+    /// Payload bytes transmitted straight from the buffer they were read
+    /// or staged into, never memcpy'd on the way to the socket: MOF
+    /// bytes (a pinned DataCache lease or a disk worker's read) and
+    /// hybrid MEMORY-tier hits (a lent pin on the store's own buffer).
     pub zerocopy_bytes: AtomicU64,
-    /// Payload bytes memcpy'd into a per-response buffer: every
-    /// hybrid-tier response (the store copies its range out) and the
-    /// copy-on-corrupt fault path. The bench's `copies_per_byte` is
+    /// Payload bytes memcpy'd into a per-response buffer: a hybrid
+    /// response a disk worker reads (LOCALFILE and REMOTE bytes, and
+    /// the memory bytes of a range the store would not lend whole) and
+    /// the copy-on-corrupt fault path. The bench's `copies_per_byte` is
     /// this over [`SupplierStats::bytes`].
     pub copied_bytes: AtomicU64,
     /// `read(2)` calls that returned request bytes.
@@ -139,7 +142,7 @@ pub struct SupplierStatsSnapshot {
     pub prefetch_queue_len: u64,
     /// High-water mark of the prefetch queue.
     pub prefetch_queue_peak: u64,
-    /// Slab-lease gauges (`outstanding` = allocations a response still
+    /// Slab-lease gauges (`outstanding` = leased buffers a response still
     /// pins; 0 once the response queues have flushed).
     pub bufpool: BufPoolStats,
     /// Reactor poll-loop wakeups (disk-worker completions; never
@@ -147,10 +150,11 @@ pub struct SupplierStatsSnapshot {
     pub reactor_wakes: u64,
     /// Partial vectored writes resumed from a byte cursor.
     pub partial_writes: u64,
-    /// Payload bytes served zero-copy from pinned DataCache leases.
+    /// Payload bytes served zero-copy: MOF bytes and lent hybrid
+    /// MEMORY-tier hits.
     pub zerocopy_bytes: u64,
-    /// Payload bytes memcpy'd into response buffers (hybrid tiers and
-    /// the copy-on-corrupt fault path).
+    /// Payload bytes memcpy'd into response buffers (hybrid reads on a
+    /// disk worker and the copy-on-corrupt fault path).
     pub copied_bytes: u64,
     /// Socket read syscalls.
     pub read_syscalls: u64,
@@ -861,6 +865,73 @@ mod tests {
         server.shutdown();
     }
 
+    /// A memory hit transmits the store's own buffer. An append landing
+    /// while that response is still pinned (an injected write stall
+    /// holds it) must not change what goes out: the store copies the
+    /// pinned buffer before it grows it.
+    #[test]
+    fn an_append_under_a_pinned_memory_hit_leaves_its_bytes_alone() {
+        use jbs_store_hybrid::HybridConfig;
+        let hybrid = HybridStore::new(HybridConfig {
+            memory_budget: 1 << 20,
+            ..HybridConfig::default()
+        })
+        .unwrap();
+        let data = pattern(3000);
+        hybrid.append(7, 0, &data[..2000]).unwrap();
+        let plan = FaultPlan::builder(3)
+            .stall(Hook::ServerWriteResponse, 0.0, Duration::from_secs(1))
+            .force(Hook::ServerWriteResponse, 0, FaultKind::Stall)
+            .build();
+        let server = MofSupplierServer::start_with_options(
+            store_with_one_mof(vec![(b"k".to_vec(), vec![1; 8])]),
+            ServerOptions {
+                buffer_bytes: 4 << 10,
+                hybrid: Some(Arc::clone(&hybrid)),
+                faults: Some(Arc::clone(&plan)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(server.addr());
+        let outstanding = || server.stats_snapshot().bufpool.outstanding;
+        let settle = |want: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while outstanding() != want {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "outstanding != {want}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        FetchRequest {
+            id: 1,
+            mof: 7,
+            reducer: 0,
+            offset: 0,
+            len: 4 << 10,
+            flags: 0,
+        }
+        .write_versioned(&mut w, WireVersion::V3)
+        .unwrap();
+        settle(1); // framed, lent, and stalled before its first byte
+        hybrid.append(7, 0, &data[2000..]).unwrap();
+        assert_eq!(outstanding(), 1, "the append raced a pinned response");
+        let resp = FetchResponse::read_from(&mut r).unwrap();
+        assert_eq!(plan.stats().stalls, 1);
+        assert_eq!(resp.status, Status::OkCrc);
+        assert!(resp.crc_ok());
+        assert_eq!(resp.payload, data[..2000], "the bytes it was lent");
+        assert_eq!(resp.seg_len, 2000, "and the length they had");
+        let resp = v3_fetch(&mut r, &mut w, 7, 0, 4 << 10);
+        assert_eq!(resp.payload, data, "a new read sees both appends");
+        settle(0);
+        let snap = server.stats_snapshot();
+        assert_eq!((snap.zerocopy_bytes, snap.copied_bytes), (5000, 0), "{snap:?}");
+        server.shutdown();
+    }
+
     #[test]
     fn spilled_prefix_goes_through_a_worker_and_stitches_at_every_chunk_offset() {
         use jbs_store_hybrid::HybridConfig;
@@ -976,19 +1047,19 @@ mod tests {
 
     /// Every read-matrix cell of `rows` (request kind × dialect): the
     /// answer is the backing store's own bytes, a v3 frame carries the
-    /// segment's length, and the copy meter counts hybrid bytes as
-    /// copied and MOF bytes as zero-copy.
+    /// segment's length, and the copy meter counts the row's bytes as
+    /// zero-copy or copied, as its last field says.
     fn check_read_rows(
         server: &MofSupplierServer,
         hybrid: &HybridStore,
-        rows: &[(&str, u64, TierHits)],
+        rows: &[(&str, u64, TierHits, bool)],
     ) {
         const CHUNK: u64 = 4 << 10;
         const OFFSET: u64 = 1000;
         let requests = [("chunk", 0), ("bypass", FLAG_BYPASS_CACHE)];
         let (mut r, mut w) = connect(server.addr());
         let mut id = 0;
-        for &(backing, mof, tier) in rows {
+        for &(backing, mof, tier, zero_copy) in rows {
             let truth = |offset, len| match tier {
                 Some(_) => hybrid.read_segment_range(mof, 0, offset, len),
                 None => server.shared.store.read_segment_range(mof, 0, offset, len),
@@ -1031,13 +1102,14 @@ mod tests {
                     let all_hits = |t: &jbs_store_hybrid::TierStatsSnapshot| {
                         t.memory_hits + t.local_hits + t.remote_hits
                     };
+                    let (copied, zerocopy) = if zero_copy { (0, n) } else { (n, 0) };
+                    let hybrid_hits = u64::from(tier.is_some());
+                    assert_eq!(counted, (hybrid_hits, copied, zerocopy), "{cell}: {after:?}");
                     match tier {
                         Some(hits) => {
-                            assert_eq!(counted, (1, n, 0), "{cell}: {after:?}");
                             assert_eq!(hits(&tiers_after) - hits(&tiers), 1, "{cell}");
                         }
                         None => {
-                            assert_eq!(counted, (0, 0, n), "{cell}: {after:?}");
                             assert_eq!(all_hits(&tiers_after), all_hits(&tiers), "{cell}");
                         }
                     }
@@ -1048,9 +1120,10 @@ mod tests {
 
     /// The supplier's read matrix: request kind (chunk, cache bypass) ×
     /// backing (MOF, hybrid MEMORY, LOCALFILE, REMOTE) × dialect (v2,
-    /// v3).
+    /// v3). MOF bytes and lent MEMORY bytes leave zero-copy; LOCALFILE
+    /// and REMOTE bytes are read into a worker's buffer, so copied.
     #[test]
-    fn copy_meter_counts_hybrid_bytes_copied_and_mof_bytes_zero_copy() {
+    fn copy_meter_counts_memory_and_mof_bytes_zero_copy_and_durable_bytes_copied() {
         use jbs_store_hybrid::HybridConfig;
         let hybrid = HybridStore::new(HybridConfig {
             memory_budget: 64 << 10,
@@ -1069,14 +1142,18 @@ mod tests {
             &server,
             &hybrid,
             &[
-                ("MOF", 0, None),
-                ("MEMORY", 7, Some(|t| t.memory_hits)),
-                ("LOCALFILE", 8, Some(|t| t.local_hits)),
+                ("MOF", 0, None, true),
+                ("MEMORY", 7, Some(|t| t.memory_hits), true),
+                ("LOCALFILE", 8, Some(|t| t.local_hits), false),
             ],
         );
         hybrid.drain_to_remote().unwrap();
         assert_eq!(hybrid.layout(7, 0).unwrap().remote, 10_000);
-        check_read_rows(&server, &hybrid, &[("REMOTE", 7, Some(|t| t.remote_hits))]);
+        check_read_rows(
+            &server,
+            &hybrid,
+            &[("REMOTE", 7, Some(|t| t.remote_hits), false)],
+        );
         server.shutdown();
     }
 
