@@ -1,18 +1,19 @@
-//! Permit-based disk IO scheduler: read vs. append arbitration.
+//! Permit-based disk IO scheduler: one semaphore per class of disk IO.
 //!
-//! The supplier's disk traffic comes from two independent producers —
-//! the prefetch thread staging segment ranges ahead of the reduce wave,
-//! and the hybrid store's spill flusher appending sealed buffers to
-//! local files. Left unarbitrated they issue IO free-for-all, and under
-//! memory pressure the spill burst steals the head positions the
-//! prefetcher was counting on. [`IoScheduler`] puts a small semaphore in
-//! front of the disk: each class ([`IoClass::Read`] for staging reads,
-//! [`IoClass::Append`] for spill appends) gets a configured number of
-//! permits, an IO holds a permit for its duration, and excess demand
-//! queues on a condvar instead of the disk's internal queue — so the
-//! arbitration point is visible (per-class `held`/`queued` gauges,
-//! `iosched.acquire` instants, `iosched.wait` spans) instead of buried
-//! in the elevator.
+//! The supplier's disk traffic comes from two producers — the disk
+//! workers reading segment ranges, and the hybrid store's spill flusher
+//! appending sealed buffers to local files. [`IoScheduler`] gives each
+//! class ([`IoClass::Read`] for worker reads, [`IoClass::Append`] for
+//! spill appends) its own configured number of permits; an IO holds a
+//! permit of its class for its duration, and excess demand queues on a
+//! condvar, visibly (per-class `held`/`queued` gauges, `iosched.acquire`
+//! instants, `iosched.wait` spans).
+//!
+//! The two classes are independent: a read never waits for an append,
+//! nor an append for a read. Within a class nothing waits either as the
+//! dataplane is wired: a supplier runs exactly `read_permits` disk
+//! workers, and the hybrid store takes its Append permit only under its
+//! single-flusher token, so one LOCALFILE write runs at a time.
 //!
 //! Locking: the single `permits` mutex guards only the free/queued
 //! counts; it is never held across the IO itself (the permit is a

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, VecDeque};
 pub(crate) enum Reply {
     /// Pure run-ahead: stage only, nobody waits.
     None,
-    /// A request is parked on these bytes; nobody blocks. The disk
+    /// A request's slot waits on these bytes; nobody blocks. The disk
     /// worker builds the complete response frame and delivers it to the
     /// reactor's completion queue (see [`crate::reactor::JobTicket`]),
     /// then wakes the reactor's poll loop.

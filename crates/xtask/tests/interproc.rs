@@ -115,11 +115,12 @@ fn reactor_memory_hit_reaches_the_hybrid_lock_and_nothing_blocking() {
     );
 }
 
-/// Discovered nesting, end to end: the hybrid store's `inner ->
-/// objects` acquisition is visible to the lock-order lint with an EMPTY
-/// documented order — it surfaces as an undocumented-lock finding,
-/// proving the lint consumes discovered edges rather than policy
-/// annotations.
+/// Discovered nesting, end to end: the hybrid store's `manifest ->
+/// counts` acquisition (a crash-plan counter consulted while the
+/// manifest writer is held) is visible to the lock-order lint with an
+/// EMPTY documented order — it surfaces as an undocumented-lock
+/// finding, proving the lint consumes discovered edges rather than
+/// policy annotations.
 #[test]
 fn empty_lock_order_surfaces_discovered_edges_as_undocumented() {
     let a = live_analysis();
@@ -129,7 +130,7 @@ fn empty_lock_order_surfaces_discovered_edges_as_undocumented() {
     // never nests them (the MOF store's IndexCache lock is held only to
     // look up or insert an entry; `stats` is taken only with nothing
     // held), so no edge can exist.
-    for lock in ["inner", "objects"] {
+    for lock in ["manifest", "counts"] {
         assert!(
             findings
                 .iter()

@@ -85,11 +85,11 @@ pub struct Dataplane {
 /// Build the whole real dataplane's configuration from a
 /// [`core::JbsConfig`].
 ///
-/// The supplier's staging reads and the hybrid store's spill appends
-/// share one [`transport::IoScheduler`] (`server.iosched` and
-/// `hybrid.spill_gate`), so they arbitrate for the same disk through its
-/// two permit classes: a spill burst queues on append permits instead
-/// of stealing the head position from the prefetcher.
+/// The supplier's disk-worker reads and the hybrid store's spill
+/// appends share one [`transport::IoScheduler`] (`server.iosched` and
+/// `hybrid.spill_gate`), each class on its own independent permits: the
+/// supplier runs one disk worker per Read permit and the store writes
+/// one spill at a time, so neither class waits for a permit.
 ///
 /// `max_connections` reaches only the supplier: the real client holds
 /// exactly one connection per supplier, and the knob caps the
