@@ -93,7 +93,8 @@ fn main() {
         for round in 0..3 {
             for client in 0..22u32 {
                 for remote in 0..22u32 {
-                    let t = SimTime::from_millis((round * 484 + (client * 22 + remote) as u64) * 10);
+                    let t =
+                        SimTime::from_millis((round * 484 + (client * 22 + remote) as u64) * 10);
                     cm.acquire(t, client, remote);
                 }
             }

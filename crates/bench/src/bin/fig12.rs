@@ -44,7 +44,12 @@ fn main() {
         ],
     );
 
-    let shuffle_heavy = ["SelfJoin", "InvertedIndex", "SequenceCount", "AdjacencyList"];
+    let shuffle_heavy = [
+        "SelfJoin",
+        "InvertedIndex",
+        "SequenceCount",
+        "AdjacencyList",
+    ];
     let mean = |rows: &[Row], new: usize| {
         rows.iter()
             .filter(|r| shuffle_heavy.contains(&r.key.as_str()))
@@ -54,10 +59,22 @@ fn main() {
     };
     println!("\nHeadline comparisons over the four shuffle-heavy benchmarks");
     println!("(paper values in parentheses):");
-    println!("  JBS-RDMA vs Hadoop-IPoIB mean: {:.1}% (41%)", mean(&ib, 2));
-    println!("  JBS-IPoIB vs Hadoop-IPoIB mean: {:.1}% (26.9%)", mean(&ib, 1));
-    println!("  JBS-RoCE vs Hadoop-10GigE mean: {:.1}% (36.1%)", mean(&eth, 2));
-    println!("  JBS-10GigE vs Hadoop-10GigE mean: {:.1}% (29.8%)", mean(&eth, 1));
+    println!(
+        "  JBS-RDMA vs Hadoop-IPoIB mean: {:.1}% (41%)",
+        mean(&ib, 2)
+    );
+    println!(
+        "  JBS-IPoIB vs Hadoop-IPoIB mean: {:.1}% (26.9%)",
+        mean(&ib, 1)
+    );
+    println!(
+        "  JBS-RoCE vs Hadoop-10GigE mean: {:.1}% (36.1%)",
+        mean(&eth, 2)
+    );
+    println!(
+        "  JBS-10GigE vs Hadoop-10GigE mean: {:.1}% (29.8%)",
+        mean(&eth, 1)
+    );
     let adj = ib.iter().find(|r| r.key == "AdjacencyList").expect("row");
     println!(
         "  Best case, AdjacencyList on RDMA: {:.1}% (66.3%)",

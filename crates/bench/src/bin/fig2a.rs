@@ -50,7 +50,11 @@ fn mof_read_time_ms(n: usize, mode: ReadMode) -> f64 {
 }
 
 fn main() {
-    let modes = [ReadMode::JavaStream, ReadMode::NativeRead, ReadMode::NativeMmap];
+    let modes = [
+        ReadMode::JavaStream,
+        ReadMode::NativeRead,
+        ReadMode::NativeMmap,
+    ];
     let series: Vec<String> = modes.iter().map(|m| m.label().to_string()).collect();
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16] {
@@ -67,10 +71,7 @@ fn main() {
         &rows,
     );
     // Headline check: the paper reports Java ~3.1x native on average.
-    let avg_ratio: f64 = rows
-        .iter()
-        .map(|r| r.cells[0] / r.cells[1])
-        .sum::<f64>()
-        / rows.len() as f64;
+    let avg_ratio: f64 =
+        rows.iter().map(|r| r.cells[0] / r.cells[1]).sum::<f64>() / rows.len() as f64;
     println!("\nJava/native-read mean ratio: {avg_ratio:.2}x (paper: 3.1x)");
 }

@@ -59,9 +59,17 @@ fn shuffle_ms(bytes: u64, protocol: Protocol, costs: &PathCosts) -> f64 {
 fn main() {
     let cases: [(&str, Protocol, PathCosts); 4] = [
         ("Java (1GigE)", Protocol::Tcp1GigE, PathCosts::java()),
-        ("Native C (1GigE)", Protocol::Tcp1GigE, PathCosts::native_c()),
+        (
+            "Native C (1GigE)",
+            Protocol::Tcp1GigE,
+            PathCosts::native_c(),
+        ),
         ("Java (InfiniBand)", Protocol::IpoIb, PathCosts::java()),
-        ("Native C (InfiniBand)", Protocol::IpoIb, PathCosts::native_c()),
+        (
+            "Native C (InfiniBand)",
+            Protocol::IpoIb,
+            PathCosts::native_c(),
+        ),
     ];
     let series: Vec<String> = cases.iter().map(|(n, _, _)| n.to_string()).collect();
     let mut rows = Vec::new();

@@ -48,9 +48,9 @@ fn main() {
     println!("\nHeadline comparisons (paper values in parentheses):");
     println!("  JBS-RDMA vs JBS-IPoIB, mean improvement: {rdma_vs_ipoib:.1}% (25.8%)");
     println!("  JBS-RoCE vs JBS-10GigE, mean improvement: {roce_vs_10g:.1}% (15.3%)");
-    let all_better = rows.iter().all(|r| {
-        r.cells[3] <= r.cells[1] + 0.5 && r.cells[2] <= r.cells[0] + 0.5
-    });
+    let all_better = rows
+        .iter()
+        .all(|r| r.cells[3] <= r.cells[1] + 0.5 && r.cells[2] <= r.cells[0] + 0.5);
     println!(
         "  RDMA/RoCE at least as fast at every size: {}",
         if all_better { "yes (paper: yes)" } else { "NO" }

@@ -105,10 +105,20 @@ fn main() {
     let mut engine = case.build_with(JbsConfig::with_buffer(buffer_kb << 10));
     let r = sim.run(engine.as_mut());
 
-    println!("{} / {} {gb} GB / {slaves} slaves / seed {seed}", case.label(), bench.label());
+    println!(
+        "{} / {} {gb} GB / {slaves} slaves / seed {seed}",
+        case.label(),
+        bench.label()
+    );
     println!("  job execution time : {:>9.1} s", r.job_time.as_secs_f64());
-    println!("  map phase end      : {:>9.1} s", r.map_phase_end.as_secs_f64());
-    println!("  shuffle all ready  : {:>9.1} s", r.shuffle_all_ready.as_secs_f64());
+    println!(
+        "  map phase end      : {:>9.1} s",
+        r.map_phase_end.as_secs_f64()
+    );
+    println!(
+        "  shuffle all ready  : {:>9.1} s",
+        r.shuffle_all_ready.as_secs_f64()
+    );
     println!("  mean CPU util      : {:>9.1} %", r.mean_cpu_utilization());
     println!(
         "  bytes shuffled     : {:>9.2} GB",

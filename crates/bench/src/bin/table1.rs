@@ -5,7 +5,10 @@ use jbs_core::EngineKind;
 
 fn main() {
     println!("TABLE I: Test Case Description");
-    println!("{:<20}  {:<18}  {:<12}", "Test Cases", "Transport Protocol", "Network");
+    println!(
+        "{:<20}  {:<18}  {:<12}",
+        "Test Cases", "Transport Protocol", "Network"
+    );
     println!("{}", "-".repeat(54));
     for kind in EngineKind::table1() {
         let proto = kind.protocol();

@@ -29,7 +29,11 @@ pub fn run_case_with(
 /// report the average".
 pub fn mean_job_secs(kind: EngineKind, spec: &JobSpec, slaves: usize, runs: u64) -> f64 {
     (0..runs)
-        .map(|s| run_case(kind, spec.clone(), slaves, 42 + s).job_time.as_secs_f64())
+        .map(|s| {
+            run_case(kind, spec.clone(), slaves, 42 + s)
+                .job_time
+                .as_secs_f64()
+        })
         .sum::<f64>()
         / runs as f64
 }

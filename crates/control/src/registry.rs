@@ -242,12 +242,7 @@ impl Registry {
     /// one — in particular, a `Decommissioned` tombstone is only
     /// replaced by a genuinely newer process, never by a stale replay
     /// of the dead one.
-    pub fn register_incarnation(
-        &self,
-        addr: SocketAddr,
-        incarnation: u64,
-        now_nanos: u64,
-    ) -> bool {
+    pub fn register_incarnation(&self, addr: SocketAddr, incarnation: u64, now_nanos: u64) -> bool {
         let accepted = {
             let mut g = lock(&self.nodes);
             match g.nodes.get(&addr) {

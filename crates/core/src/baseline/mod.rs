@@ -373,9 +373,9 @@ impl ShuffleEngine for HadoopShuffle {
                     // chunks so concurrent fetch chains can interleave on
                     // the disk arm.
                     let spill = |bytes: u64,
-                                     at: SimTime,
-                                     r: &mut ReducerState,
-                                     cluster: &mut SimCluster| {
+                                 at: SimTime,
+                                 r: &mut ReducerState,
+                                 cluster: &mut SimCluster| {
                         let mut woff = r.spill_file_bytes;
                         let end = woff + bytes;
                         while woff < end {
@@ -428,22 +428,20 @@ impl ShuffleEngine for HadoopShuffle {
                     0
                 };
                 let merge_io = |bytes: u64,
-                                    write_back: bool,
-                                    mut t: SimTime,
-                                    cluster: &mut SimCluster,
-                                    gc: &mut jbs_jvm::GcModel| {
+                                write_back: bool,
+                                mut t: SimTime,
+                                cluster: &mut SimCluster,
+                                gc: &mut jbs_jvm::GcModel| {
                     let mut off = 0u64;
                     while off < bytes {
                         let chunk = SPILL_IO_UNIT.min(bytes - off);
                         let io = cluster.storage[rn].read(t, spill_files[ri], off, chunk);
-                        let cpu = SimTime::from_secs_f64(
-                            (chunk / record).max(1) as f64 * MERGE_CPU_PER_RECORD,
-                        ) + SimTime::from_secs_f64(
-                            chunk as f64 * read_mode.cpu_per_byte(),
-                        );
+                        let cpu =
+                            SimTime::from_secs_f64(
+                                (chunk / record).max(1) as f64 * MERGE_CPU_PER_RECORD,
+                            ) + SimTime::from_secs_f64(chunk as f64 * read_mode.cpu_per_byte());
                         cluster.cpu[rn].charge_thread(io.completed, cpu);
-                        let pause =
-                            gc.allocate((chunk as f64 * read_mode.alloc_per_byte()) as u64);
+                        let pause = gc.allocate((chunk as f64 * read_mode.alloc_per_byte()) as u64);
                         if pause > SimTime::ZERO {
                             cluster.cpu[rn].charge(io.completed + cpu, pause, GC_PARALLELISM);
                         }
@@ -466,8 +464,8 @@ impl ShuffleEngine for HadoopShuffle {
         }
 
         // --- Background JVM thread overhead -------------------------------
-        let java_threads = self.cfg.parallel_copies as f64
-            + costs.shuffle_threads_per_reducetask as f64;
+        let java_threads =
+            self.cfg.parallel_copies as f64 + costs.shuffle_threads_per_reducetask as f64;
         let threads_per_node =
             java_threads * cluster.cfg.reduce_slots as f64 + 4.0 /* servlets */;
         for node in 0..slaves {
@@ -547,7 +545,9 @@ mod tests {
             notification_latency: SimTime::ZERO,
             ..crate::JbsConfig::default()
         };
-        let jbs = JbsShuffle::with_config(jbs_cfg).run(&mut c2, &plan).all_ready();
+        let jbs = JbsShuffle::with_config(jbs_cfg)
+            .run(&mut c2, &plan)
+            .all_ready();
         hadoop.as_secs_f64() / jbs.as_secs_f64()
     }
 

@@ -136,10 +136,19 @@ mod tests {
 
     #[test]
     fn networks_match_table1() {
-        assert_eq!(EngineKind::HadoopOnSdp.protocol().network(), Network::InfiniBand);
+        assert_eq!(
+            EngineKind::HadoopOnSdp.protocol().network(),
+            Network::InfiniBand
+        );
         assert_eq!(EngineKind::JbsOnRoce.protocol().network(), Network::TenGigE);
-        assert_eq!(EngineKind::JbsOnRdma.protocol().network(), Network::InfiniBand);
-        assert_eq!(EngineKind::HadoopOn1GigE.protocol().network(), Network::OneGigE);
+        assert_eq!(
+            EngineKind::JbsOnRdma.protocol().network(),
+            Network::InfiniBand
+        );
+        assert_eq!(
+            EngineKind::HadoopOn1GigE.protocol().network(),
+            Network::OneGigE
+        );
     }
 
     #[test]

@@ -88,9 +88,9 @@ mod tests {
         ic.lookup(SimTime::ZERO, FileId(1), &mut s);
         ic.lookup(SimTime::from_secs(1), FileId(2), &mut s);
         ic.lookup(SimTime::from_secs(2), FileId(3), &mut s); // evicts 1
-        // FileId(1) falls out of the IndexCache. (The page cache may still
-        // hold the file's blocks, so the re-read can be cheap — but the
-        // IndexCache itself must miss.)
+                                                             // FileId(1) falls out of the IndexCache. (The page cache may still
+                                                             // hold the file's blocks, so the re-read can be cheap — but the
+                                                             // IndexCache itself must miss.)
         let misses_before = ic.misses();
         ic.lookup(SimTime::from_secs(3), FileId(1), &mut s);
         assert_eq!(ic.misses(), misses_before + 1);

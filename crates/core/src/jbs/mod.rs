@@ -125,23 +125,18 @@ impl ShuffleEngine for JbsShuffle {
         let mut mergers: Vec<NetMerger> = (0..slaves)
             .map(|client| {
                 let mut hb_rng = cluster.rng.fork(0x3B5 + client as u64);
-                let visible: Vec<SimTime> = plan
-                    .mofs
-                    .iter()
-                    .map(|m| {
-                        m.ready
-                            + SimTime::from_nanos(
-                                hb_rng.uniform_u64(
+                let visible: Vec<SimTime> =
+                    plan.mofs
+                        .iter()
+                        .map(|m| {
+                            m.ready
+                                + SimTime::from_nanos(hb_rng.uniform_u64(
                                     0,
                                     self.cfg.notification_latency.as_nanos().max(1),
-                                ),
-                            )
-                    })
-                    .collect();
-                let barrier = visible
-                    .iter()
-                    .copied()
-                    .fold(SimTime::ZERO, SimTime::max);
+                                ))
+                        })
+                        .collect();
+                let barrier = visible.iter().copied().fold(SimTime::ZERO, SimTime::max);
                 let groups: Vec<Group> = (0..slaves)
                     .map(|remote| {
                         let segs: Vec<SegTask> = plan
@@ -323,9 +318,8 @@ impl ShuffleEngine for JbsShuffle {
                     let timing = cluster.fabric.transfer(t, remote, client, len);
 
                     // Receive + levitated merge on the client.
-                    let merge_cpu = SimTime::from_secs_f64(
-                        (len / record).max(1) as f64 * MERGE_CPU_PER_RECORD,
-                    );
+                    let merge_cpu =
+                        SimTime::from_secs_f64((len / record).max(1) as f64 * MERGE_CPU_PER_RECORD);
                     let rx_cpu = costs.recv_cpu(len) + timing.rx_cpu + merge_cpu;
                     cluster.cpu[client].charge_thread(timing.arrived, rx_cpu);
                     let done = timing.arrived + rx_cpu;
@@ -357,11 +351,9 @@ impl ShuffleEngine for JbsShuffle {
         let ready = (0..reducers)
             .map(|r| last_done[r].max(commit_barrier) + FINAL_FLUSH)
             .collect();
-        let (established, evicted) = conns
-            .iter()
-            .fold((0, 0), |(e, v), c| {
-                (e + c.stats().established, v + c.stats().evicted)
-            });
+        let (established, evicted) = conns.iter().fold((0, 0), |(e, v), c| {
+            (e + c.stats().established, v + c.stats().evicted)
+        });
 
         ShuffleOutcome {
             ready,
@@ -403,7 +395,11 @@ mod tests {
     fn consolidated_connections_per_node_pair() {
         let r = run_gb(8, Protocol::Rdma);
         // 4 nodes: at most 4x4 = 16 node pairs (including loopback).
-        assert!(r.connections_established <= 16, "{}", r.connections_established);
+        assert!(
+            r.connections_established <= 16,
+            "{}",
+            r.connections_established
+        );
         assert_eq!(r.connections_evicted, 0);
     }
 
@@ -496,9 +492,8 @@ mod tests {
         assert!(n > 0, "traced run recorded nothing");
         assert_eq!(a, b, "identical runs must yield byte-identical traces");
         // Every injected chunk eventually goes on the wire, byte for byte.
-        let q = jbs_obs::TraceQuery::new(
-            jbs_obs::jsonl::parse_jsonl(&a).expect("trace round-trips"),
-        );
+        let q =
+            jbs_obs::TraceQuery::new(jbs_obs::jsonl::parse_jsonl(&a).expect("trace round-trips"));
         let injected: u64 = q.values_b("sim.inject").iter().sum();
         let sent: u64 = q.values_b("sim.send").iter().sum();
         assert_eq!(injected, sent);
@@ -509,8 +504,7 @@ mod tests {
     fn untraced_engine_records_nothing() {
         let mut engine = JbsShuffle::new();
         assert!(!engine.trace().is_enabled());
-        let mut cluster =
-            jbs_mapred::sim::SimCluster::new(ClusterConfig::tiny(Protocol::Rdma), 1);
+        let mut cluster = jbs_mapred::sim::SimCluster::new(ClusterConfig::tiny(Protocol::Rdma), 1);
         let plan = ShufflePlan::synthetic(2, 2, 2, 1 << 20, 100);
         cluster.warm_mofs(&plan);
         engine.run(&mut cluster, &plan);

@@ -311,7 +311,10 @@ mod tests {
 
     #[test]
     fn waits_for_earliest_unready_mof() {
-        let groups = vec![NetMerger::group(1, vec![seg(0, 0, 100, 5), seg(1, 0, 100, 3)])];
+        let groups = vec![NetMerger::group(
+            1,
+            vec![seg(0, 0, 100, 5), seg(1, 0, 100, 3)],
+        )];
         let mut m = NetMerger::new(0, groups, 100, true);
         // Segments resorted by ready time: head is the ready=3 one.
         match m.next_action(SimTime::ZERO) {
@@ -367,7 +370,12 @@ mod tests {
         let groups = vec![NetMerger::group(1, vec![seg(0, 0, 300, 0)])];
         let mut m = NetMerger::new(0, groups, 100, true);
         let mut offs = Vec::new();
-        while let NextAction::Chunk { group, chunk_off, len } = m.next_action(SimTime::ZERO) {
+        while let NextAction::Chunk {
+            group,
+            chunk_off,
+            len,
+        } = m.next_action(SimTime::ZERO)
+        {
             offs.push(chunk_off);
             m.complete_chunk(group, len);
         }

@@ -72,10 +72,7 @@ impl MofSupplier {
         // Identify the segment via the IndexCache (disk read on miss).
         let mut t = self.index_cache.lookup(arrival, mof.index_file, storage);
 
-        let entry = self
-            .prefetched
-            .entry((mof.mof_id, reducer))
-            .or_default();
+        let entry = self.prefetched.entry((mof.mof_id, reducer)).or_default();
         if chunk_off + len > entry.end {
             let batch = if cfg.group_by_mof {
                 cfg.prefetch_batch as u64 * cfg.buffer_bytes
@@ -87,8 +84,8 @@ impl MofSupplier {
             while entry.end < chunk_off + len {
                 let read_len = batch.min(seg_bytes - entry.end);
                 let io = storage.read(t, mof.file, seg_off + entry.end, read_len);
-                let cpu_dur = call_overhead
-                    + SimTime::from_secs_f64(read_len as f64 * read_cpu_per_byte);
+                let cpu_dur =
+                    call_overhead + SimTime::from_secs_f64(read_len as f64 * read_cpu_per_byte);
                 cpu.charge_thread(io.completed, cpu_dur);
                 let done = io.completed + cpu_dur;
                 entry.end += read_len;
@@ -205,7 +202,17 @@ mod tests {
         let (mut st, mut cpu, cfg) = setup();
         let m = mof(1 << 20, 1);
         let mut s = MofSupplier::new(1);
-        s.stage_chunk(SimTime::ZERO, &m, 0, 0, 0, cfg.buffer_bytes, &cfg, &mut st, &mut cpu);
+        s.stage_chunk(
+            SimTime::ZERO,
+            &m,
+            0,
+            0,
+            0,
+            cfg.buffer_bytes,
+            &cfg,
+            &mut st,
+            &mut cpu,
+        );
         let hits0 = s.index_hits();
         s.stage_chunk(
             SimTime::from_secs(1),
@@ -227,7 +234,17 @@ mod tests {
         // Segment smaller than one prefetch batch.
         let m = mof(100 << 10, 1);
         let mut s = MofSupplier::new(1);
-        s.stage_chunk(SimTime::ZERO, &m, 0, 0, 0, 100 << 10, &cfg, &mut st, &mut cpu);
+        s.stage_chunk(
+            SimTime::ZERO,
+            &m,
+            0,
+            0,
+            0,
+            100 << 10,
+            &cfg,
+            &mut st,
+            &mut cpu,
+        );
         assert_eq!(s.disk_reads(), 1);
         assert_eq!(s.bytes_served(), 100 << 10);
     }

@@ -135,8 +135,7 @@ pub fn average_utilization(meters: &[CpuMeter]) -> Vec<(SimTime, f64)> {
     }
     // Materialize each meter's series once; rebuilding it per bin would be
     // O(bins^2 x nodes).
-    let series: Vec<Vec<(SimTime, f64)>> =
-        meters.iter().map(|m| m.utilization_series()).collect();
+    let series: Vec<Vec<(SimTime, f64)>> = meters.iter().map(|m| m.utilization_series()).collect();
     let longest = series.iter().map(|s| s.len()).max().unwrap_or(0);
     let bin = meters[0].bin;
     let mut out = Vec::with_capacity(longest);
@@ -170,11 +169,7 @@ mod tests {
     fn charge_spans_bins_proportionally() {
         let mut m = CpuMeter::new(1, SimTime::from_secs(5));
         // Busy from 2.5s to 7.5s: half of bin 0 and half of bin 1.
-        m.charge(
-            SimTime::from_millis(2500),
-            SimTime::from_secs(5),
-            1.0,
-        );
+        m.charge(SimTime::from_millis(2500), SimTime::from_secs(5), 1.0);
         let s = m.utilization_series();
         assert_eq!(s.len(), 2);
         assert!((s[0].1 - 50.0).abs() < 1e-6);

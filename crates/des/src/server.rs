@@ -9,8 +9,8 @@
 //! every queue slot.
 
 use crate::time::SimTime;
-use std::collections::BinaryHeap;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Outcome of submitting a request to a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +150,10 @@ impl MultiServer {
 
     /// Earliest time any channel is free.
     pub fn next_free(&self) -> SimTime {
-        self.channels.peek().map(|Reverse(t)| *t).unwrap_or(SimTime::ZERO)
+        self.channels
+            .peek()
+            .map(|Reverse(t)| *t)
+            .unwrap_or(SimTime::ZERO)
     }
 }
 

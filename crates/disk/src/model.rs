@@ -102,10 +102,11 @@ impl Disk {
     }
 
     fn access(&mut self, now: SimTime, file: u64, offset: u64, bytes: u64, write: bool) -> IoGrant {
-        let contiguous = self.head == Some(HeadPos {
-            file,
-            end_offset: offset,
-        });
+        let contiguous = self.head
+            == Some(HeadPos {
+                file,
+                end_offset: offset,
+            });
         let positioning = if contiguous {
             SimTime::ZERO
         } else {

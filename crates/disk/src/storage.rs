@@ -13,9 +13,7 @@ use jbs_des::SimTime;
 use std::fmt;
 
 /// Identifier of a simulated file (MOF, index file, spill, HDFS block...).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FileId(pub u64);
 
 impl fmt::Display for FileId {
@@ -283,10 +281,7 @@ mod tests {
         let mut s = storage();
         let t = s.write_sync(SimTime::ZERO, FileId(3), 0, 100 * MB);
         assert!(t.as_secs_f64() > 0.9);
-        assert_eq!(
-            s.write_sync(SimTime::ZERO, FileId(3), 0, 0),
-            SimTime::ZERO
-        );
+        assert_eq!(s.write_sync(SimTime::ZERO, FileId(3), 0, 0), SimTime::ZERO);
     }
 
     #[test]
@@ -312,7 +307,9 @@ mod tests {
     fn bypass_write_does_not_populate_cache() {
         let mut s = storage();
         s.write_with(SimTime::ZERO, FileId(1), 0, MB, CachePolicy::Bypass);
-        assert!(!s.read(SimTime::from_secs(1), FileId(1), 0, MB).fully_cached());
+        assert!(!s
+            .read(SimTime::from_secs(1), FileId(1), 0, MB)
+            .fully_cached());
         let t = s.write_sync_with(SimTime::from_secs(2), FileId(2), 0, MB, CachePolicy::Bypass);
         assert!(t > SimTime::from_secs(2));
         assert!(!s.read(t, FileId(2), 0, MB).fully_cached());

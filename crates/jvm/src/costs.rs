@@ -188,16 +188,20 @@ mod tests {
         let seek = 12.76e-3; // avg seek + rotational delay, seconds
         let disk_bw = 110.0 * 1e6;
         let seq = |m: ReadMode| {
-            1.0 / disk_bw
-                + m.cpu_per_byte()
-                + m.call_overhead().as_secs_f64() / m.io_unit() as f64
+            1.0 / disk_bw + m.cpu_per_byte() + m.call_overhead().as_secs_f64() / m.io_unit() as f64
         };
         let contended = |m: ReadMode| seq(m) + seek / m.io_unit() as f64;
         let seq_ratio = seq(ReadMode::JavaStream) / seq(ReadMode::NativeRead);
         let hot_ratio = contended(ReadMode::JavaStream) / contended(ReadMode::NativeRead);
         let avg = (2.0 * seq_ratio + 3.0 * hot_ratio) / 5.0; // 1,2 seq; 4,8,16 contended
-        assert!((1.05..=1.6).contains(&seq_ratio), "sequential ratio {seq_ratio}");
-        assert!((2.5..=5.5).contains(&hot_ratio), "contended ratio {hot_ratio}");
+        assert!(
+            (1.05..=1.6).contains(&seq_ratio),
+            "sequential ratio {seq_ratio}"
+        );
+        assert!(
+            (2.5..=5.5).contains(&hot_ratio),
+            "contended ratio {hot_ratio}"
+        );
         assert!((2.4..=4.0).contains(&avg), "average ratio {avg}");
         assert!(seq(ReadMode::NativeMmap) < seq(ReadMode::NativeRead));
     }

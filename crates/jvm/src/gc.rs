@@ -90,12 +90,10 @@ impl GcModel {
         // Multiple minor collections may fire on a huge allocation burst.
         while self.young_used >= self.params.young_bytes {
             self.young_used -= self.params.young_bytes;
-            let survived =
-                (self.params.young_bytes as f64 * self.params.survivor_frac) as u64;
+            let survived = (self.params.young_bytes as f64 * self.params.survivor_frac) as u64;
             self.old_used += survived;
             let mb = survived as f64 / (1 << 20) as f64;
-            pause += self.params.minor_pause_base
-                + self.params.minor_pause_per_mb.scaled(mb);
+            pause += self.params.minor_pause_base + self.params.minor_pause_per_mb.scaled(mb);
             self.stats.minor_collections += 1;
             if self.old_used + self.params.young_bytes >= self.params.heap_bytes {
                 pause += self.full_collect();
@@ -107,8 +105,7 @@ impl GcModel {
 
     fn full_collect(&mut self) -> SimTime {
         let live_mb = self.old_used as f64 / (1 << 20) as f64;
-        let pause = self.params.full_pause_base
-            + self.params.full_pause_per_mb.scaled(live_mb);
+        let pause = self.params.full_pause_base + self.params.full_pause_per_mb.scaled(live_mb);
         self.old_used = (self.old_used as f64 * self.params.full_survivor_frac) as u64;
         self.stats.full_collections += 1;
         pause

@@ -72,7 +72,9 @@ impl ExternalSorter {
             return Ok(());
         }
         sort_run(&mut self.current);
-        let path = self.dir.join(format!("spill-{}.run", self.spill_files.len()));
+        let path = self
+            .dir
+            .join(format!("spill-{}.run", self.spill_files.len()));
         let mut w = BufWriter::new(File::create(&path)?);
         for (k, v) in self.current.drain(..) {
             w.write_all(&(k.len() as u32).to_be_bytes())?;

@@ -105,7 +105,14 @@ mod tests {
         let keys: Vec<_> = merged.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(
             keys,
-            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec(), b"e".to_vec(), b"f".to_vec()]
+            vec![
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b"c".to_vec(),
+                b"d".to_vec(),
+                b"e".to_vec(),
+                b"f".to_vec()
+            ]
         );
     }
 
@@ -162,7 +169,12 @@ mod tests {
         let runs: Vec<Vec<Record>> = (0..23)
             .map(|_| {
                 let mut run: Vec<Record> = (0..rng.uniform_u64(0, 40))
-                    .map(|_| (format!("{:04}", rng.uniform_u64(0, 500)).into_bytes(), vec![1]))
+                    .map(|_| {
+                        (
+                            format!("{:04}", rng.uniform_u64(0, 500)).into_bytes(),
+                            vec![1],
+                        )
+                    })
                     .collect();
                 sort_run(&mut run);
                 run

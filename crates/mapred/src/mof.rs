@@ -275,10 +275,8 @@ mod tests {
 
     #[test]
     fn roundtrip_two_segments() {
-        let (data, index) = build_mof(&[
-            vec![("apple", "1"), ("banana", "2")],
-            vec![("cherry", "3")],
-        ]);
+        let (data, index) =
+            build_mof(&[vec![("apple", "1"), ("banana", "2")], vec![("cherry", "3")]]);
         assert_eq!(index.num_segments(), 2);
         let e0 = index.entry(0).unwrap();
         let seg0 = &data[e0.offset as usize..(e0.offset + e0.part_len) as usize];

@@ -151,16 +151,14 @@ impl JobSimulator {
         for r in &plan.reducers {
             let ready = outcome.ready[r.id];
             let input = plan.reducer_input_bytes(r.id);
-            let reduce_cpu =
-                SimTime::from_secs_f64(input as f64 * self.spec.reduce_cpu_per_byte);
+            let reduce_cpu = SimTime::from_secs_f64(input as f64 * self.spec.reduce_cpu_per_byte);
             cluster.charge_cpu(r.node, ready, reduce_cpu);
             let mut t = ready + reduce_cpu;
 
             let out_bytes = (input as f64 * self.spec.output_ratio) as u64;
             if out_bytes > 0 {
                 let out_file = cluster.alloc_file();
-                let wcpu =
-                    SimTime::from_secs_f64(out_bytes as f64 * OUTPUT_WRITE_CPU_PER_BYTE);
+                let wcpu = SimTime::from_secs_f64(out_bytes as f64 * OUTPUT_WRITE_CPU_PER_BYTE);
                 cluster.charge_cpu(r.node, t, wcpu);
                 t += wcpu;
                 let mut off = 0u64;
@@ -203,7 +201,11 @@ impl JobSimulator {
             disk_busy: cluster.storage.iter().map(|s| s.total_disk_busy()).sum(),
             disk_seeks: cluster.storage.iter().map(|s| s.total_seeks()).sum(),
             disk_bytes_read: cluster.storage.iter().map(|s| s.total_bytes_read()).sum(),
-            disk_bytes_written: cluster.storage.iter().map(|s| s.total_bytes_written()).sum(),
+            disk_bytes_written: cluster
+                .storage
+                .iter()
+                .map(|s| s.total_bytes_written())
+                .sum(),
             cpu: cluster.cpu,
             reducer_done,
         }

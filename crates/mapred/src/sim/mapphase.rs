@@ -142,7 +142,10 @@ pub fn run_map_phase(cluster: &mut SimCluster, spec: &JobSpec) -> MapPhaseResult
     }
 
     MapPhaseResult {
-        mofs: mofs.into_iter().map(|m| m.expect("all MOFs produced")).collect(),
+        mofs: mofs
+            .into_iter()
+            .map(|m| m.expect("all MOFs produced"))
+            .collect(),
         end,
     }
 }
@@ -236,11 +239,7 @@ mod tests {
     #[test]
     fn shuffle_bytes_conserved() {
         let (_, r, spec) = run(1);
-        let total: u64 = r
-            .mofs
-            .iter()
-            .map(|m| m.seg_bytes.iter().sum::<u64>())
-            .sum();
+        let total: u64 = r.mofs.iter().map(|m| m.seg_bytes.iter().sum::<u64>()).sum();
         // Within rounding of the float shuffle_ratio application per task.
         let expect = spec.shuffle_bytes();
         assert!(

@@ -43,7 +43,10 @@ pub struct ShufflePlan {
 impl ShufflePlan {
     /// Total bytes the shuffle must move.
     pub fn total_shuffle_bytes(&self) -> u64 {
-        self.mofs.iter().map(|m| m.seg_bytes.iter().sum::<u64>()).sum()
+        self.mofs
+            .iter()
+            .map(|m| m.seg_bytes.iter().sum::<u64>())
+            .sum()
     }
 
     /// Bytes destined for reducer `r`.
@@ -163,9 +166,7 @@ mod tests {
                 seg_bytes: split_segments(1000, 3, &mut rng),
             })
             .collect();
-        let reducers = (0..3)
-            .map(|id| ReducerInfo { id, node: id % 2 })
-            .collect();
+        let reducers = (0..3).map(|id| ReducerInfo { id, node: id % 2 }).collect();
         ShufflePlan {
             mofs,
             reducers,

@@ -75,7 +75,12 @@ impl SimCluster {
             if bytes > 0 {
                 storage.write(SimTime::ZERO, mof.file, 0, bytes);
             }
-            storage.write(SimTime::ZERO, mof.index_file, 0, 24 * mof.seg_bytes.len() as u64 + 16);
+            storage.write(
+                SimTime::ZERO,
+                mof.index_file,
+                0,
+                24 * mof.seg_bytes.len() as u64 + 16,
+            );
         }
     }
 }

@@ -212,17 +212,13 @@ impl ProtocolParams {
     /// Transmit-side protocol CPU for one message of `bytes`.
     pub fn tx_cpu(&self, bytes: u64) -> SimTime {
         self.per_message_cpu
-            + SimTime::from_secs_f64(
-                bytes as f64 * self.copies_tx as f64 * self.copy_cost_per_byte,
-            )
+            + SimTime::from_secs_f64(bytes as f64 * self.copies_tx as f64 * self.copy_cost_per_byte)
     }
 
     /// Receive-side protocol CPU for one message of `bytes`.
     pub fn rx_cpu(&self, bytes: u64) -> SimTime {
         self.per_message_cpu
-            + SimTime::from_secs_f64(
-                bytes as f64 * self.copies_rx as f64 * self.copy_cost_per_byte,
-            )
+            + SimTime::from_secs_f64(bytes as f64 * self.copies_rx as f64 * self.copy_cost_per_byte)
     }
 
     /// Time `copies` memory copies of `bytes` occupy a copy-engine channel.
@@ -303,9 +299,7 @@ mod tests {
     fn rdma_setup_cpu_is_relatively_high() {
         // Sec. IV-A: "the cost of setting up RDMA connection is relatively
         // high" — the motivation for the 512-entry connection cache.
-        assert!(
-            Protocol::Rdma.params().setup_cpu > Protocol::Tcp10GigE.params().setup_cpu * 4
-        );
+        assert!(Protocol::Rdma.params().setup_cpu > Protocol::Tcp10GigE.params().setup_cpu * 4);
     }
 
     #[test]

@@ -77,28 +77,52 @@ impl Entity {
     };
 
     pub fn peer(id: u64) -> Self {
-        Entity { kind: EntityKind::Peer, id }
+        Entity {
+            kind: EntityKind::Peer,
+            id,
+        }
     }
     pub fn conn(id: u64) -> Self {
-        Entity { kind: EntityKind::Conn, id }
+        Entity {
+            kind: EntityKind::Conn,
+            id,
+        }
     }
     pub fn mof(id: u64) -> Self {
-        Entity { kind: EntityKind::Mof, id }
+        Entity {
+            kind: EntityKind::Mof,
+            id,
+        }
     }
     pub fn op(id: u64) -> Self {
-        Entity { kind: EntityKind::Op, id }
+        Entity {
+            kind: EntityKind::Op,
+            id,
+        }
     }
     pub fn stream(id: u64) -> Self {
-        Entity { kind: EntityKind::Stream, id }
+        Entity {
+            kind: EntityKind::Stream,
+            id,
+        }
     }
     pub fn pool(id: u64) -> Self {
-        Entity { kind: EntityKind::Pool, id }
+        Entity {
+            kind: EntityKind::Pool,
+            id,
+        }
     }
     pub fn node(id: u64) -> Self {
-        Entity { kind: EntityKind::Node, id }
+        Entity {
+            kind: EntityKind::Node,
+            id,
+        }
     }
     pub fn registry(id: u64) -> Self {
-        Entity { kind: EntityKind::Registry, id }
+        Entity {
+            kind: EntityKind::Registry,
+            id,
+        }
     }
 }
 

@@ -101,10 +101,7 @@ impl<'a> Scan<'a> {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                b as char, self.i
-            ))
+            Err(format!("expected `{}` at byte {}", b as char, self.i))
         }
     }
 

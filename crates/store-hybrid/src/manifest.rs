@@ -191,7 +191,10 @@ impl ManifestWriter {
     /// truncated any torn tail first).
     pub(crate) fn open_append(path: &Path, sync_interval: u64) -> io::Result<ManifestWriter> {
         Ok(ManifestWriter {
-            file: fs::OpenOptions::new().create(true).append(true).open(path)?,
+            file: fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?,
             sync_interval: sync_interval.max(1),
             unsynced: 0,
         })
@@ -387,7 +390,10 @@ mod tests {
             let s = scan(&path).unwrap();
             let whole = bounds.iter().filter(|b| **b <= cut).count();
             assert_eq!(s.records.len(), whole, "cut at {cut}");
-            assert_eq!(s.valid_len, bounds[..whole].last().copied().unwrap_or(0) as u64);
+            assert_eq!(
+                s.valid_len,
+                bounds[..whole].last().copied().unwrap_or(0) as u64
+            );
             assert_eq!(s.torn, !bounds.contains(&cut) && cut != 0, "cut at {cut}");
         }
         fs::remove_dir_all(&dir).unwrap();

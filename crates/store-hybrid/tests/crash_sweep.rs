@@ -137,7 +137,8 @@ fn sweep(ops: &[Op], sync_interval: u64) {
                 "residency after ({site:?}, {occurrence}): {s:?} {report:?}"
             );
             let probe = pattern(17, 0xfeed);
-            rec.append(9, 9, &probe).expect("recovered store must accept appends");
+            rec.append(9, 9, &probe)
+                .expect("recovered store must accept appends");
             assert_eq!(
                 rec.read_segment_range(9, 9, 0, 0).unwrap().unwrap(),
                 probe,
@@ -181,12 +182,24 @@ fn check_prefixes(rec: &HybridStore, attempted: &BTreeMap<Key, Vec<u8>>) {
 #[test]
 fn exhaustive_sweep_over_mixed_workload() {
     let ops = vec![
-        Op::Append { key: (0, 0), len: 30 },
-        Op::Append { key: (0, 1), len: 40 }, // trips the watermark
-        Op::Append { key: (1, 0), len: 100 }, // oversize direct write
+        Op::Append {
+            key: (0, 0),
+            len: 30,
+        },
+        Op::Append {
+            key: (0, 1),
+            len: 40,
+        }, // trips the watermark
+        Op::Append {
+            key: (1, 0),
+            len: 100,
+        }, // oversize direct write
         Op::Mark { key: (0, 1) },
         Op::Drain, // (0,1) replica-dropped, others → REMOTE
-        Op::Append { key: (0, 0), len: 45 }, // post-drain spill
+        Op::Append {
+            key: (0, 0),
+            len: 45,
+        }, // post-drain spill
     ];
     sweep(&ops, 1);
 }
@@ -196,9 +209,18 @@ fn exhaustive_sweep_over_mixed_workload() {
 #[test]
 fn exhaustive_sweep_with_batched_manifest_syncs() {
     let ops = vec![
-        Op::Append { key: (0, 0), len: 40 },
-        Op::Append { key: (0, 0), len: 40 },
-        Op::Append { key: (1, 1), len: 40 },
+        Op::Append {
+            key: (0, 0),
+            len: 40,
+        },
+        Op::Append {
+            key: (0, 0),
+            len: 40,
+        },
+        Op::Append {
+            key: (1, 1),
+            len: 40,
+        },
         Op::Drain,
     ];
     sweep(&ops, 3);

@@ -4,8 +4,8 @@
 //! and is force-spilled to the LOCALFILE tier, while the cold reducers
 //! stay fully memory-resident.
 
-use jbs_workloads::{gen_terasort_records, Partitioner, ZipfPartitioner};
 use jbs_store_hybrid::{HybridConfig, HybridStore};
+use jbs_workloads::{gen_terasort_records, Partitioner, ZipfPartitioner};
 
 #[test]
 fn zipf_skewed_reducer_is_force_spilled_others_stay_resident() {
@@ -38,7 +38,10 @@ fn zipf_skewed_reducer_is_force_spilled_others_stay_resident() {
         per_reducer[0] as usize > HUGE_LIMIT,
         "workload must actually skew: {per_reducer:?}"
     );
-    assert!(stats.huge_forced >= 1, "skewed reducer force-spilled: {stats:?}");
+    assert!(
+        stats.huge_forced >= 1,
+        "skewed reducer force-spilled: {stats:?}"
+    );
     assert!(
         (stats.memory_bytes as usize) < 32 << 10,
         "high watermark must not have tripped: {stats:?}"
@@ -47,7 +50,10 @@ fn zipf_skewed_reducer_is_force_spilled_others_stay_resident() {
     // The skewed reducer moved to LOCALFILE; cold reducers never left
     // the MEMORY tier.
     let hot = store.layout(0, 0).unwrap();
-    assert!(hot.local as usize > HUGE_LIMIT, "hot reducer spilled: {hot:?}");
+    assert!(
+        hot.local as usize > HUGE_LIMIT,
+        "hot reducer spilled: {hot:?}"
+    );
     for (r, &appended) in per_reducer.iter().enumerate().skip(1) {
         let l = store.layout(0, r as u32).unwrap();
         assert_eq!(l.local, 0, "cold reducer {r} must stay resident: {l:?}");
@@ -58,7 +64,10 @@ fn zipf_skewed_reducer_is_force_spilled_others_stay_resident() {
     // Byte-exactness is tier-independent: the spilled reducer reads
     // back exactly as many bytes as were appended.
     for (r, &appended) in per_reducer.iter().enumerate() {
-        let bytes = store.read_segment_range(0, r as u32, 0, 0).unwrap().unwrap();
+        let bytes = store
+            .read_segment_range(0, r as u32, 0, 0)
+            .unwrap()
+            .unwrap();
         assert_eq!(bytes.len() as u64, appended);
     }
 }

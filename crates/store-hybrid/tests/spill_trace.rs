@@ -40,7 +40,10 @@ fn spills_are_batched_sequential_and_drains_are_traced() {
     let resident = (0..3u32)
         .find(|p| store.layout(0, *p).is_some_and(|l| l.memory > 0))
         .expect("low watermark leaves some bytes resident");
-    let _ = store.read_segment_range(0, resident, 0, 0).unwrap().unwrap();
+    let _ = store
+        .read_segment_range(0, resident, 0, 0)
+        .unwrap()
+        .unwrap();
     let snap = store.drain_to_remote().unwrap();
     assert_eq!(snap.memory_bytes, 0);
 

@@ -68,11 +68,13 @@ fn pattern(n: usize, seed: u8) -> Vec<u8> {
 fn check_invariants(prev: &TierStatsSnapshot, now: &TierStatsSnapshot, wrote: usize) {
     prop_assert!(
         now.memory_bytes as usize <= BUDGET,
-        "usage {} exceeds budget", now.memory_bytes
+        "usage {} exceeds budget",
+        now.memory_bytes
     );
     prop_assert!(
         (now.memory_bytes as usize) < HIGH,
-        "usage {} not below high watermark after op", now.memory_bytes
+        "usage {} not below high watermark after op",
+        now.memory_bytes
     );
     prop_assert_eq!(
         now.memory_bytes + now.spilled_bytes + now.remote_bytes,
@@ -83,7 +85,9 @@ fn check_invariants(prev: &TierStatsSnapshot, now: &TierStatsSnapshot, wrote: us
     if now.spill_trips > prev.spill_trips && prev.memory_bytes as usize + wrote >= HIGH {
         prop_assert!(
             now.memory_bytes as usize <= LOW,
-            "flush stopped at {} > low {}", now.memory_bytes, LOW
+            "flush stopped at {} > low {}",
+            now.memory_bytes,
+            LOW
         );
     }
 }

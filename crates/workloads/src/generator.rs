@@ -27,12 +27,70 @@ pub fn gen_terasort_records(n: usize, rng: &mut DetRng) -> Vec<(Vec<u8>, Vec<u8>
 
 /// A small embedded vocabulary for synthetic "wikipedia-like" text.
 const VOCAB: [&str; 64] = [
-    "the", "of", "and", "a", "in", "to", "is", "was", "it", "for", "with", "as", "on", "by",
-    "at", "from", "that", "this", "are", "an", "be", "or", "which", "but", "not", "his", "her",
-    "they", "have", "has", "had", "were", "been", "their", "its", "more", "other", "when",
-    "there", "can", "also", "into", "only", "some", "than", "most", "time", "first", "world",
-    "system", "data", "network", "cluster", "node", "merge", "shuffle", "hadoop", "java",
-    "memory", "disk", "performance", "bandwidth", "latency", "protocol",
+    "the",
+    "of",
+    "and",
+    "a",
+    "in",
+    "to",
+    "is",
+    "was",
+    "it",
+    "for",
+    "with",
+    "as",
+    "on",
+    "by",
+    "at",
+    "from",
+    "that",
+    "this",
+    "are",
+    "an",
+    "be",
+    "or",
+    "which",
+    "but",
+    "not",
+    "his",
+    "her",
+    "they",
+    "have",
+    "has",
+    "had",
+    "were",
+    "been",
+    "their",
+    "its",
+    "more",
+    "other",
+    "when",
+    "there",
+    "can",
+    "also",
+    "into",
+    "only",
+    "some",
+    "than",
+    "most",
+    "time",
+    "first",
+    "world",
+    "system",
+    "data",
+    "network",
+    "cluster",
+    "node",
+    "merge",
+    "shuffle",
+    "hadoop",
+    "java",
+    "memory",
+    "disk",
+    "performance",
+    "bandwidth",
+    "latency",
+    "protocol",
 ];
 
 /// Generate roughly `bytes` of whitespace-separated synthetic text with a

@@ -160,9 +160,9 @@ mod tests {
         let doc = "the quick fox\nslow turtle\nquick brown dog";
         let recs = grep_map(doc, "quick");
         assert_eq!(recs.len(), 2);
-        assert!(recs.iter().all(|(k, _)| {
-            std::str::from_utf8(k).unwrap().contains("quick")
-        }));
+        assert!(recs
+            .iter()
+            .all(|(k, _)| { std::str::from_utf8(k).unwrap().contains("quick") }));
         assert!(grep_map(doc, "zebra").is_empty());
     }
 

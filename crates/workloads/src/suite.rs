@@ -67,16 +67,15 @@ impl Benchmark {
     /// is why its shuffle/merge dominates and JBS helps most);
     /// WordCount/Grep combine away almost everything map-side.
     pub fn spec(self, input_bytes: u64) -> JobSpec {
-        let (shuffle, output, map_cpu, reduce_cpu, record): (f64, f64, f64, f64, u64) =
-            match self {
-                Benchmark::Terasort => (1.0, 1.0, 10.0e-9, 3.0e-9, 100),
-                Benchmark::SelfJoin => (1.25, 0.25, 6.0e-9, 5.0e-9, 60),
-                Benchmark::InvertedIndex => (1.05, 0.30, 9.0e-9, 6.0e-9, 40),
-                Benchmark::SequenceCount => (1.60, 0.40, 10.0e-9, 6.0e-9, 48),
-                Benchmark::AdjacencyList => (2.10, 0.50, 7.0e-9, 8.0e-9, 32),
-                Benchmark::WordCount => (0.06, 0.30, 12.0e-9, 4.0e-9, 20),
-                Benchmark::Grep => (0.01, 0.50, 8.0e-9, 3.0e-9, 80),
-            };
+        let (shuffle, output, map_cpu, reduce_cpu, record): (f64, f64, f64, f64, u64) = match self {
+            Benchmark::Terasort => (1.0, 1.0, 10.0e-9, 3.0e-9, 100),
+            Benchmark::SelfJoin => (1.25, 0.25, 6.0e-9, 5.0e-9, 60),
+            Benchmark::InvertedIndex => (1.05, 0.30, 9.0e-9, 6.0e-9, 40),
+            Benchmark::SequenceCount => (1.60, 0.40, 10.0e-9, 6.0e-9, 48),
+            Benchmark::AdjacencyList => (2.10, 0.50, 7.0e-9, 8.0e-9, 32),
+            Benchmark::WordCount => (0.06, 0.30, 12.0e-9, 4.0e-9, 20),
+            Benchmark::Grep => (0.01, 0.50, 8.0e-9, 3.0e-9, 80),
+        };
         JobSpec {
             name: self.label().to_string(),
             input_bytes,

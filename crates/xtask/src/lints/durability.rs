@@ -159,11 +159,7 @@ pub fn check(path: &Path, scanned: &ScannedFile) -> Vec<Finding> {
                     chain: vec![frame.clone()],
                 });
             }
-            if !flagged_unsynced
-                && !has_sync
-                && !has_rename
-                && has_any(&line.code, DURABLE_WRITE)
-            {
+            if !flagged_unsynced && !has_sync && !has_rename && has_any(&line.code, DURABLE_WRITE) {
                 flagged_unsynced = true;
                 findings.push(Finding {
                     lint: "durability",

@@ -215,7 +215,10 @@ fn bad_fixture_trips_durability_rules() {
         .collect();
     assert_eq!(unsynced.len(), 1, "sync-free append reported once");
     assert!(
-        unsynced[0].chain.iter().any(|fr| fr.contains("append_record")),
+        unsynced[0]
+            .chain
+            .iter()
+            .any(|fr| fr.contains("append_record")),
         "the witness chain names the offending function: {:?}",
         unsynced[0].chain
     );

@@ -29,7 +29,10 @@ fn main() {
     let cfg = ClusterConfig::paper_testbed(Protocol::IpoIb);
     let sim = JobSimulator::new(cfg, JobSpec::terasort(input));
 
-    println!("Terasort {} GB, 22 slaves, IPoIB on InfiniBand\n", input >> 30);
+    println!(
+        "Terasort {} GB, 22 slaves, IPoIB on InfiniBand\n",
+        input >> 30
+    );
     let hadoop = sim.run(&mut HadoopShuffle::new());
     report(&hadoop);
     let jbs = sim.run(&mut JbsShuffle::new());

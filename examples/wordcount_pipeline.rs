@@ -40,10 +40,8 @@ fn main() {
             }
             // Map + combiner-less sort/spill with a deliberately tiny
             // buffer, to exercise the spill path.
-            let spill_dir = std::env::temp_dir().join(format!(
-                "jbs-wc-{}-{node}-{m}",
-                std::process::id()
-            ));
+            let spill_dir =
+                std::env::temp_dir().join(format!("jbs-wc-{}-{node}-{m}", std::process::id()));
             let mut sorter = ExternalSorter::new(&spill_dir, 64 << 10).expect("sorter");
             for (k, v) in wordcount_map(&doc) {
                 sorter.add(k, v).expect("add");

@@ -297,7 +297,10 @@ fn shuffle_survives_spill_drain_and_remote_restart() {
     // the hybrid tiers.
     let s1 = hybrid1.stats();
     assert!(s1.spill_trips >= 1, "memory tier never spilled: {s1:?}");
-    assert!(s1.spilled_bytes > 0, "nothing on the LOCALFILE tier: {s1:?}");
+    assert!(
+        s1.spilled_bytes > 0,
+        "nothing on the LOCALFILE tier: {s1:?}"
+    );
     assert_eq!(
         s1.memory_bytes + s1.spilled_bytes + s1.remote_bytes,
         s1.total_written,
@@ -313,7 +316,10 @@ fn shuffle_survives_spill_drain_and_remote_restart() {
     );
     // Node 2's revived incarnation served from REMOTE.
     let s2 = revived_hybrid.stats();
-    assert!(s2.remote_hits >= 1, "no remote-tier read after revival: {s2:?}");
+    assert!(
+        s2.remote_hits >= 1,
+        "no remote-tier read after revival: {s2:?}"
+    );
 
     // The faults really were injected, not dodged — and survived.
     for plan in [&plan0, &plan1] {

@@ -59,10 +59,8 @@ struct NodeDirs {
 
 impl NodeDirs {
     fn fresh(node: usize) -> NodeDirs {
-        let base = std::env::temp_dir().join(format!(
-            "jbs-chaos-recovery-{}-{node}",
-            std::process::id()
-        ));
+        let base =
+            std::env::temp_dir().join(format!("jbs-chaos-recovery-{}-{node}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         NodeDirs { base }
     }
@@ -321,7 +319,10 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
     let (recovered, report) =
         HybridStore::recover(dirs[VICTIM].cfg(trace.clone())).expect("recover");
     assert!(!report.torn_tail, "clean shutdown left a torn manifest");
-    assert_eq!(report.dropped_extents, 0, "recovery dropped extents: {report:?}");
+    assert_eq!(
+        report.dropped_extents, 0,
+        "recovery dropped extents: {report:?}"
+    );
     assert_eq!(
         report.recovered_partitions,
         victim_parts.len() as u64,
@@ -404,7 +405,10 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
         .collect();
     let mut got3: Vec<Record> = wave3.iter().flatten().cloned().collect();
     sort_run(&mut got3);
-    assert_eq!(got3, expect, "post-recovery merge diverged from ground truth");
+    assert_eq!(
+        got3, expect,
+        "post-recovery merge diverged from ground truth"
+    );
     for (r, out) in wave3.iter().enumerate() {
         assert!(is_sorted(out), "reducer {r} unsorted after recovery");
     }
@@ -424,7 +428,10 @@ fn killed_supplier_recovers_to_serving_with_fenced_reregistration() {
     // registry.register at incarnation 2 (the fenced return) ≺
     // route.restore (traffic flips back).
     let q = trace.query();
-    assert!(q.count("registry.unhealthy") >= 1, "no unhealthy mark traced");
+    assert!(
+        q.count("registry.unhealthy") >= 1,
+        "no unhealthy mark traced"
+    );
     let events = q.events();
     let victim_restores = events
         .iter()

@@ -72,7 +72,11 @@ fn connection_counts_match_the_designs() {
     // Hadoop: one HTTP connection per segment fetch (16 MOFs x 8 reducers).
     assert_eq!(h.connections_established, 16 * 8);
     // JBS: at most one cached connection per node pair (4x4 incl. loopback).
-    assert!(j.connections_established <= 16, "{}", j.connections_established);
+    assert!(
+        j.connections_established <= 16,
+        "{}",
+        j.connections_established
+    );
     assert!(h.connections_established >= 8 * j.connections_established);
 }
 
@@ -119,11 +123,8 @@ fn more_nodes_speed_up_a_fixed_job() {
         spec.clone(),
     )
     .run(&mut JbsShuffle::new());
-    let large = JobSimulator::new(
-        ClusterConfig::paper_testbed_scaled(Protocol::Rdma, 8),
-        spec,
-    )
-    .run(&mut JbsShuffle::new());
+    let large = JobSimulator::new(ClusterConfig::paper_testbed_scaled(Protocol::Rdma, 8), spec)
+        .run(&mut JbsShuffle::new());
     let speedup = small.job_time.as_secs_f64() / large.job_time.as_secs_f64();
     assert!(speedup > 1.4, "8 vs 4 nodes speedup {speedup}");
 }

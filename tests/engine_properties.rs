@@ -16,9 +16,8 @@ use proptest::prelude::*;
 /// Build a random-but-valid shuffle plan on a 3-node tiny cluster.
 fn arb_plan() -> impl Strategy<Value = ShufflePlan> {
     let seg = 0u64..(2 << 20);
-    let mof = (0usize..3, prop::collection::vec(seg, 6), 0u64..20).prop_map(
-        |(node, seg_bytes, ready_s)| (node, seg_bytes, SimTime::from_secs(ready_s)),
-    );
+    let mof = (0usize..3, prop::collection::vec(seg, 6), 0u64..20)
+        .prop_map(|(node, seg_bytes, ready_s)| (node, seg_bytes, SimTime::from_secs(ready_s)));
     prop::collection::vec(mof, 1..6).prop_map(|mofs| {
         let mofs = mofs
             .into_iter()
@@ -32,9 +31,7 @@ fn arb_plan() -> impl Strategy<Value = ShufflePlan> {
                 seg_bytes,
             })
             .collect();
-        let reducers = (0..6)
-            .map(|id| ReducerInfo { id, node: id % 3 })
-            .collect();
+        let reducers = (0..6).map(|id| ReducerInfo { id, node: id % 3 }).collect();
         ShufflePlan {
             mofs,
             reducers,
@@ -43,7 +40,11 @@ fn arb_plan() -> impl Strategy<Value = ShufflePlan> {
     })
 }
 
-fn run_engine(engine: &mut dyn ShuffleEngine, plan: &ShufflePlan, seed: u64) -> jbs::mapred::ShuffleOutcome {
+fn run_engine(
+    engine: &mut dyn ShuffleEngine,
+    plan: &ShufflePlan,
+    seed: u64,
+) -> jbs::mapred::ShuffleOutcome {
     let mut cfg = ClusterConfig::tiny(Protocol::IpoIb);
     cfg.slaves = 3;
     let mut cluster = SimCluster::new(cfg, seed);

@@ -59,8 +59,7 @@ fn high_speed_networks_help_hadoop_only_when_cached_fig7() {
 
     let large_10g = run(EngineKind::HadoopOn10GigE, JobSpec::terasort(LARGE));
     let large_ipoib = run(EngineKind::HadoopOnIpoIb, JobSpec::terasort(LARGE));
-    let large_gap =
-        (secs(&large_10g) - secs(&large_ipoib)).abs() / secs(&large_10g);
+    let large_gap = (secs(&large_10g) - secs(&large_ipoib)).abs() / secs(&large_10g);
     assert!(
         large_gap < 0.10,
         "at large sizes fast networks converge for Hadoop (disk-bound): gap {:.1}%",
@@ -73,7 +72,11 @@ fn hadoop_ipoib_and_sdp_are_close_fig7a() {
     let ipoib = run(EngineKind::HadoopOnIpoIb, JobSpec::terasort(SMALL));
     let sdp = run(EngineKind::HadoopOnSdp, JobSpec::terasort(SMALL));
     let gap = (secs(&ipoib) - secs(&sdp)).abs() / secs(&ipoib);
-    assert!(gap < 0.05, "IPoIB vs SDP gap {:.1}% (paper: 'very close')", gap * 100.0);
+    assert!(
+        gap < 0.05,
+        "IPoIB vs SDP gap {:.1}% (paper: 'very close')",
+        gap * 100.0
+    );
 }
 
 #[test]
@@ -88,7 +91,10 @@ fn rdma_beats_ipoib_for_jbs_fig8() {
     );
     let roce = run(EngineKind::JbsOnRoce, JobSpec::terasort(SMALL));
     let tcp10 = run(EngineKind::JbsOn10GigE, JobSpec::terasort(SMALL));
-    assert!(secs(&roce) < secs(&tcp10), "RoCE must beat TCP on the same wire");
+    assert!(
+        secs(&roce) < secs(&tcp10),
+        "RoCE must beat TCP on the same wire"
+    );
 }
 
 #[test]

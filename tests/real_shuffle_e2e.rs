@@ -63,7 +63,11 @@ impl MiniCluster {
 
     fn shuffle_all(&self, client: &NetMergerClient) -> Vec<Vec<Record>> {
         (0..self.reducers)
-            .map(|r| client.levitated_merge(&self.segments_for(r)).expect("merge"))
+            .map(|r| {
+                client
+                    .levitated_merge(&self.segments_for(r))
+                    .expect("merge")
+            })
             .collect()
     }
 }

@@ -270,7 +270,10 @@ fn retry_backoff_trace_matches_exponential_schedule() {
     );
     // Attempt numbers are recorded in order: 1, 2, ..., max_retries.
     let attempts: Vec<u64> = backoffs.events().iter().map(|e| e.a).collect();
-    assert_eq!(attempts, (1..=policy.max_retries as u64).collect::<Vec<_>>());
+    assert_eq!(
+        attempts,
+        (1..=policy.max_retries as u64).collect::<Vec<_>>()
+    );
     // Every event targets the dead peer.
     assert_eq!(
         q.entities("retry.backoff"),
@@ -290,10 +293,7 @@ fn retry_backoff_trace_matches_exponential_schedule() {
             "attempt {attempt}: delay {d}ns outside jitter band of raw {raw}ns"
         );
         if i > 0 {
-            assert!(
-                delay >= delays[i - 1],
-                "backoff regressed: {delays:?}"
-            );
+            assert!(delay >= delays[i - 1], "backoff regressed: {delays:?}");
         }
     }
     // The span's measured duration covers the requested sleep.
