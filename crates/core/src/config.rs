@@ -51,11 +51,6 @@ pub struct JbsConfig {
     /// Connect and per-request read/write deadline on the real
     /// dataplane.
     pub fetch_io_timeout: SimTime,
-    /// End-to-end integrity on the real dataplane: fetch in the v3 wire
-    /// dialect so every chunk payload arrives CRC32C-sealed and is
-    /// verified before the merge admits it. `false` fetches in the
-    /// checksum-free v2 dialect (overhead measurement).
-    pub checksum: bool,
     /// MOFSupplier admission control: connections one peer IP may have
     /// served at once. A connection over the bound is answered with a
     /// retryable `Busy` pushback and closed instead of stalling everyone.
@@ -124,7 +119,6 @@ impl Default for JbsConfig {
             fetch_backoff_base: SimTime::from_millis(10),
             fetch_backoff_max: SimTime::from_millis(500),
             fetch_io_timeout: SimTime::from_secs(5),
-            checksum: true,
             max_inflight_per_peer: 256,
             breaker_threshold: 8,
             hybrid_memory_budget: 64 << 20,
@@ -221,7 +215,6 @@ mod tests {
         assert_eq!(c.buffer_bytes, 128 << 10);
         assert_eq!(c.max_connections, 512);
         assert!(c.round_robin_injection && c.group_by_mof && c.pipelined_prefetch);
-        assert!(c.checksum, "integrity on by default");
         assert_eq!(c.max_inflight_per_peer, 256);
         assert_eq!(c.breaker_threshold, 8);
         assert!(c.validate().is_ok());

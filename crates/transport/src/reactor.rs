@@ -69,10 +69,7 @@ use crate::poll::{sys_poll, PollFd, POLLIN, POLLOUT};
 use crate::prefetch::{Reply, StageJob};
 use crate::server::Shared;
 use crate::sync::{lock, Mutex};
-use crate::wire::{
-    self, FetchRequest, Status, WireVersion, REQUEST_LEN, REQUEST_LEN_V3, REQUEST_MAGIC,
-    REQUEST_MAGIC_V3,
-};
+use crate::wire::{self, FetchRequest, Status, REQUEST_LEN_V3};
 use jbs_obs::{Entity, OwnedSpan};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -170,17 +167,16 @@ pub(crate) enum Source {
     Mof,
 }
 
-/// Build a served-bytes response in the request's dialect, counting its
-/// payload by [`Source`] and applying the post-checksum payload faults:
-/// the CRC is computed *before* a `CorruptPayload` flip (only end-to-end
-/// verification can catch the damage), and `CleanEof` rewrites the
-/// frame to a clean empty chunk.
+/// Build a served-bytes `OkCrc` frame sealed with the segment's length
+/// `seg_len`, counting its payload by [`Source`] and applying the
+/// post-checksum payload faults: the CRC is computed *before* a
+/// `CorruptPayload` flip (only end-to-end verification can catch the
+/// damage), and `CleanEof` rewrites the frame to a clean empty chunk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_ok(
     shared: &Shared,
     id: u64,
-    version: WireVersion,
-    seg_len: Option<u64>,
+    seg_len: u64,
     source: Source,
     lease: Lease,
     range: Range<usize>,
@@ -200,21 +196,14 @@ pub(crate) fn build_ok(
         Source::HybridLent | Source::Mof => &shared.stats.zerocopy_bytes,
     };
     meter.fetch_add(served, Ordering::Relaxed);
-    let (status, mut crc_seg) = {
-        let window = lease.as_slice().get(range.clone()).unwrap_or_default();
-        match (version, seg_len) {
-            (WireVersion::V2, _) | (WireVersion::V3, None) => (Status::Ok, None),
-            (WireVersion::V3, Some(sl)) => {
-                shared.options.trace.instant(
-                    "integrity.seal",
-                    Entity::mof(mof),
-                    offset,
-                    window.len() as u64,
-                );
-                (Status::OkCrc, Some((jbs_checksum::crc32c(window), sl)))
-            }
-        }
-    };
+    let window = lease.as_slice().get(range.clone()).unwrap_or_default();
+    shared.options.trace.instant(
+        "integrity.seal",
+        Entity::mof(mof),
+        offset,
+        window.len() as u64,
+    );
+    let mut crc = jbs_checksum::crc32c(window);
     let mut lease = lease;
     let mut range = range;
     if !range.is_empty() {
@@ -239,18 +228,17 @@ pub(crate) fn build_ok(
             }
             FaultAction::CleanEof => {
                 // Pretend the segment cleanly ended before this chunk.
-                if let Some((crc, _)) = crc_seg.as_mut() {
-                    *crc = jbs_checksum::crc32c(&[]);
-                }
+                crc = jbs_checksum::crc32c(&[]);
                 range = 0..0;
                 lease = Lease::detached(Vec::new());
             }
             _ => {}
         }
     }
-    let (head, head_len) = wire::encode_head_parts(status, id, range.len() as u64, crc_seg);
+    let (head, head_len) =
+        wire::encode_head_parts(Status::OkCrc, id, range.len() as u64, Some((crc, seg_len)));
     OutResp {
-        status,
+        status: Status::OkCrc,
         mof,
         offset,
         head,
@@ -282,7 +270,7 @@ pub(crate) fn build_error(id: u64, status: Status, mof: u64, offset: u64) -> Out
     }
 }
 
-/// A `Busy` pushback frame (v3): the len field carries the retry hint.
+/// A `Busy` pushback frame: the len field carries the retry hint.
 fn build_busy(id: u64, retry_after_ms: u64, mof: u64, offset: u64) -> OutResp {
     let (head, head_len) =
         wire::encode_head_parts(Status::Busy, id, retry_after_ms.min(60_000), None);
@@ -366,8 +354,7 @@ impl CompletionQueue {
 }
 
 /// Everything the disk thread needs to finish a reactor-dispatched
-/// request: what to do ([`JobKind`]), how to frame it (id + dialect),
-/// and where in the reactor to deliver the frame (generation-tagged
+/// request: what to do ([`JobKind`]), the id to echo, and where in the reactor to deliver the frame (generation-tagged
 /// connection index, and the request's sequence number on that
 /// connection, which locates its [`Slot`] in the connection's queue).
 pub(crate) struct JobTicket {
@@ -375,7 +362,6 @@ pub(crate) struct JobTicket {
     pub(crate) gen: u64,
     pub(crate) seq: u64,
     pub(crate) id: u64,
-    pub(crate) version: WireVersion,
     pub(crate) kind: JobKind,
     /// Bytes to serve back: the request's range, already capped at
     /// `buffer_bytes` and never 0.
@@ -472,7 +458,7 @@ struct Conn {
     /// Refused admission: every request is shed, and the connection is
     /// closed at this deadline at the latest. `None` once admitted.
     unadmitted_until: Option<Instant>,
-    /// Read half done (peer EOF, v2 pushback, or drain).
+    /// Read half done (peer EOF, unadmitted pushback, or shutdown).
     eof: bool,
     /// A fault or protocol decision closed the write half; drop the
     /// connection once already-queued bytes are flushed.
@@ -493,10 +479,7 @@ enum Slot {
     /// and a disk job of its own would serialize a cheap cache hit
     /// behind other groups' reads; it is re-evaluated when a stage of
     /// its key completes.
-    Parked {
-        req: FetchRequest,
-        version: WireVersion,
-    },
+    Parked(FetchRequest),
 }
 
 impl Conn {
@@ -781,28 +764,17 @@ fn handle_read(
             Err(e) => return Err(e),
         }
     }
+    // A bad magic fails as soon as its four bytes are in; a frame
+    // still arriving waits for the next read.
     let mut consumed = 0usize;
     while !conn.eof || conn.rbuf.len() > consumed {
-        let buf = conn.rbuf.get(consumed..).unwrap_or_default();
-        if buf.len() < 4 {
-            break;
-        }
-        let magic = buf
-            .get(..4)
-            .and_then(|b| b.try_into().ok())
-            .map(u32::from_be_bytes)
-            .unwrap_or(0);
-        let total = match magic {
-            REQUEST_MAGIC => REQUEST_LEN,
-            REQUEST_MAGIC_V3 => REQUEST_LEN_V3,
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
+        let req = match FetchRequest::decode(conn.rbuf.get(consumed..).unwrap_or_default()) {
+            Ok(req) => req,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return Err(e),
         };
-        if buf.len() < total {
-            break;
-        }
-        let (req, version) = FetchRequest::decode(buf.get(..total).unwrap_or_default())?;
-        consumed += total;
-        if let ConnEvent::Close = serve_request(shared, conn, slot, req, version) {
+        consumed += REQUEST_LEN_V3;
+        if let ConnEvent::Close = serve_request(shared, conn, slot, req) {
             break;
         }
     }
@@ -813,13 +785,7 @@ fn handle_read(
 /// Serve one parsed request — the supplier's only request path: shed
 /// it, or give it the next slot of its connection's queue. Never
 /// blocks, never touches a file.
-fn serve_request(
-    shared: &Shared,
-    conn: &mut Conn,
-    slot: usize,
-    req: FetchRequest,
-    version: WireVersion,
-) -> ConnEvent {
+fn serve_request(shared: &Shared, conn: &mut Conn, slot: usize, req: FetchRequest) -> ConnEvent {
     if shared.stop.load(Ordering::Acquire) {
         conn.eof = true;
         return ConnEvent::Close;
@@ -839,20 +805,17 @@ fn serve_request(
             req.offset,
             BUSY_RETRY_HINT_MS,
         );
-        if version == WireVersion::V3 {
-            let busy = build_busy(req.id, BUSY_RETRY_HINT_MS, req.mof, req.offset);
-            conn.slots.push_back(Slot::Ready(busy));
-        }
-        if version == WireVersion::V2 || unadmitted {
-            // v2 has no pushback frame, and an unadmitted connection
-            // gets one answer: stop reading and close once earlier
-            // responses flush.
+        let busy = build_busy(req.id, BUSY_RETRY_HINT_MS, req.mof, req.offset);
+        conn.slots.push_back(Slot::Ready(busy));
+        if unadmitted {
+            // An unadmitted connection gets one answer: stop reading
+            // and close once earlier responses flush.
             conn.eof = true;
             return ConnEvent::Close;
         }
         return ConnEvent::Continue;
     }
-    let next = slot_for(shared, conn, slot, req, version);
+    let next = slot_for(shared, conn, slot, req);
     conn.slots.push_back(next);
     ConnEvent::Continue
 }
@@ -861,13 +824,7 @@ fn serve_request(
 /// inline from the hybrid store's MEMORY tier or the DataCache
 /// (zero-copy) when possible, park behind an in-flight stage of its
 /// key, otherwise ship a job to a disk worker.
-fn slot_for(
-    shared: &Shared,
-    conn: &Conn,
-    slot: usize,
-    req: FetchRequest,
-    version: WireVersion,
-) -> Slot {
+fn slot_for(shared: &Shared, conn: &Conn, slot: usize, req: FetchRequest) -> Slot {
     // Every request is a range of 1 to `buffer_bytes` bytes, capped
     // here once; an empty one is malformed.
     if req.len == 0 {
@@ -878,7 +835,7 @@ fn slot_for(
         ..req
     };
     let (key, want) = ((req.mof, req.reducer), req.len);
-    let to_worker = |kind| dispatch(shared, conn, slot, conn.next_seq(), &req, version, kind);
+    let to_worker = |kind| dispatch(shared, conn, slot, conn.next_seq(), &req, kind);
 
     // Memory tier first: a hybrid-held range that lies wholly in one
     // MEMORY buffer is lent by the store under its lock and answered
@@ -887,12 +844,10 @@ fn slot_for(
     // straddle mid-spill) goes to a disk worker's read.
     if let Some(hybrid) = &shared.options.hybrid {
         if let Some(lent) = hybrid.read_memory_range(req.mof, req.reducer, req.offset, want) {
-            let seg_len = (version == WireVersion::V3).then_some(lent.partition_len);
             let resp = build_ok(
                 shared,
                 req.id,
-                version,
-                seg_len,
+                lent.partition_len,
                 Source::HybridLent,
                 shared.pool.lend(lent.buf),
                 lent.range,
@@ -919,10 +874,10 @@ fn slot_for(
         return to_worker(JobKind::Read);
     }
 
-    if let Some(resp) = hit_resp(shared, req.id, version, key, req.offset, want) {
+    if let Some(resp) = hit_resp(shared, req.id, key, req.offset, want) {
         Slot::Ready(resp)
     } else if conn.stage_at_worker(key) {
-        Slot::Parked { req, version }
+        Slot::Parked(req)
     } else {
         to_worker(JobKind::Stage)
     }
@@ -931,13 +886,12 @@ fn slot_for(
 /// Serve `want` bytes at `offset` of `key` zero-copy from the DataCache:
 /// the reactor's hit path and a disk worker's recheck of an overtaken
 /// Stage job. A hit low in its staged range also queues the next
-/// read-ahead batch (the pull half of Fig. 5 pipelining). A v3 frame is
+/// read-ahead batch (the pull half of Fig. 5 pipelining). The frame is
 /// sealed with the segment length the staged range carries. `None` is
 /// a miss, which needs a disk worker.
 pub(crate) fn hit_resp(
     shared: &Shared,
     id: u64,
-    version: WireVersion,
     key: (u64, u32),
     offset: u64,
     want: u64,
@@ -956,8 +910,7 @@ pub(crate) fn hit_resp(
     Some(build_ok(
         shared,
         id,
-        version,
-        (version == WireVersion::V3).then_some(hit.seg_len),
+        hit.seg_len,
         Source::Mof,
         hit.lease,
         hit.range,
@@ -974,19 +927,19 @@ pub(crate) fn hit_resp(
 /// response stream keeps request order.
 fn unpark(shared: &Shared, conn: &mut Conn, slot: usize, key: (u64, u32)) {
     for at in 0..conn.slots.len() {
-        let Some(&Slot::Parked { req, version }) = conn.slots.get(at) else {
+        let Some(&Slot::Parked(req)) = conn.slots.get(at) else {
             continue;
         };
         if (req.mof, req.reducer) != key {
             continue;
         }
-        let next = if let Some(resp) = hit_resp(shared, req.id, version, key, req.offset, req.len) {
+        let next = if let Some(resp) = hit_resp(shared, req.id, key, req.offset, req.len) {
             Slot::Ready(resp)
         } else if conn.stage_at_worker(key) {
             continue;
         } else {
             let seq = conn.base + at as u64;
-            dispatch(shared, conn, slot, seq, &req, version, JobKind::Stage)
+            dispatch(shared, conn, slot, seq, &req, JobKind::Stage)
         };
         if let Some(parked) = conn.slots.get_mut(at) {
             *parked = next;
@@ -1004,7 +957,6 @@ fn dispatch(
     slot: usize,
     seq: u64,
     req: &FetchRequest,
-    version: WireVersion,
     kind: JobKind,
 ) -> Slot {
     let ticket = JobTicket {
@@ -1012,7 +964,6 @@ fn dispatch(
         gen: conn.gen,
         seq,
         id: req.id,
-        version,
         kind,
         want: req.len,
     };
@@ -1244,13 +1195,14 @@ mod loom_tests {
     fn completion(pool: &BufPool) -> Completion {
         let lease = pool.lease(vec![7u8; 8]);
         let range = 0..lease.len();
-        let (head, head_len) = wire::encode_head_parts(Status::Ok, 1, 8, None);
+        let crc = jbs_checksum::crc32c(lease.as_slice());
+        let (head, head_len) = wire::encode_head_parts(Status::OkCrc, 1, 8, Some((crc, 8)));
         Completion {
             slot: 0,
             gen: 1,
             seq: 0,
             resp: OutResp {
-                status: Status::Ok,
+                status: Status::OkCrc,
                 mof: 0,
                 offset: 0,
                 head,
@@ -1349,9 +1301,10 @@ mod tests {
 
     #[test]
     fn out_resp_cursor_math() {
-        let (head, head_len) = wire::encode_head_parts(Status::Ok, 9, 4, None);
+        let crc = jbs_checksum::crc32c(&[1, 2, 3, 4]);
+        let (head, head_len) = wire::encode_head_parts(Status::OkCrc, 9, 4, Some((crc, 4)));
         let mut resp = OutResp {
-            status: Status::Ok,
+            status: Status::OkCrc,
             mof: 0,
             offset: 0,
             head,

@@ -28,15 +28,15 @@
 //!   the client verifies the rest;
 //! * requests *speculative* offsets for multi-chunk ops (chunk `k+1`'s
 //!   offset is predicted before chunk `k` lands), but never at or past
-//!   the segment length a v3 frame declared, and the last request is
+//!   the segment length a response declared, and the last request is
 //!   sized to what remains. Until the first response declares that
-//!   length, a v3 op runs at most one request ahead. A short read
+//!   length, an op runs at most one request ahead. A short read
 //!   proves a prediction wrong: speculation collapses back to the
 //!   committed offset and the stale responses are discarded by offset
 //!   mismatch ([`crate::stats::FetchStatsSnapshot::spec_discards`]);
 //! * ends a whole-segment op the moment its committed bytes reach the
-//!   declared length, with no empty-frame probe. A v2 frame declares no
-//!   length, so a v2 op ends on an empty frame at its committed offset;
+//!   declared length, with no empty-frame probe; an empty frame short
+//!   of that length is a truncation, never an end;
 //! * keeps PR 1's recovery semantics **per in-flight op**: any
 //!   connection-level failure drains the window, resets every active op
 //!   to its committed offset (resume — bytes received are never
@@ -49,13 +49,12 @@
 //! merge consume segments as they land instead of joining threads in
 //! order.
 //!
-//! Every per-peer policy lives here. A worker frames every request in
-//! the one dialect the client is configured for (v3 with checksums, or
-//! v2 without). Failover is one routing function, [`Registry::route`],
-//! with two callers: `submit` before queueing (proactive) and a worker
-//! about to fail an op (reactive), which re-queues the op at a replica
-//! at its own offset. So every op shape — whole segments, single
-//! chunks, the levitated stream's chunks — fails over the same way.
+//! Every per-peer policy lives here. Failover is one routing function,
+//! [`Registry::route`], with two callers: `submit` before queueing
+//! (proactive) and a worker about to fail an op (reactive), which
+//! re-queues the op at a replica at its own offset. So every op shape —
+//! whole segments, single chunks, the levitated stream's chunks — fails
+//! over the same way.
 //!
 //! Locking: `peers` (the worker registry) is taken before a worker's
 //! `ops` queue lock on the submit path; workers take `ops` alone.
@@ -68,7 +67,7 @@ use crate::faults::{self, FaultAction, Hook};
 use crate::prefetch::Pop;
 use crate::stats::FetchStats;
 use crate::sync::{lock, Mutex};
-use crate::wire::{self, FetchRequest, ResponseHead, Status, WireVersion, FLAG_BYPASS_CACHE};
+use crate::wire::{self, FetchRequest, ResponseHead, Status, FLAG_BYPASS_CACHE};
 use jbs_des::DetRng;
 use jbs_obs::Entity;
 use std::collections::{HashMap, VecDeque};
@@ -514,12 +513,9 @@ struct ActiveOp {
     /// Offset up to which resume credit was already recorded, so one op
     /// surviving several reconnects doesn't double-count.
     resume_mark: u64,
-    /// Segment length declared by the supplier's v3 `OkCrc` frames. A
-    /// whole-segment op ends when `committed` reaches it, requests
-    /// nothing at or past it, and treats an empty frame before it as a
-    /// truncation lie landing exactly on a chunk boundary. `None` until
-    /// the first v3 response (a v2 client never fills it; it ends on an
-    /// empty frame, trusted blind).
+    /// Segment length declared by the supplier's latest `OkCrc` frame:
+    /// a whole-segment op requests nothing at or past it. `None` until
+    /// the first response.
     expected: Option<u64>,
     /// The next request at the committed offset must carry
     /// [`FLAG_BYPASS_CACHE`]: the last chunk there failed verification,
@@ -566,9 +562,6 @@ struct Worker {
     breaker: Arc<Breaker>,
     /// Monotonic origin for breaker timestamps.
     anchor: Instant,
-    /// The dialect every request is framed in: v3 when the client
-    /// verifies checksums, v2 when it does not.
-    version: WireVersion,
 }
 
 impl Worker {
@@ -592,11 +585,6 @@ impl Worker {
     ) -> Self {
         let shared = Arc::clone(&registry.shared);
         let seed = RETRY_SEED ^ addr_seed(&addr);
-        let version = if shared.config.checksum {
-            WireVersion::V3
-        } else {
-            WireVersion::V2
-        };
         Worker {
             addr,
             shared,
@@ -614,7 +602,6 @@ impl Worker {
             closed: false,
             breaker,
             anchor: registry.anchor,
-            version,
         }
     }
 
@@ -792,14 +779,9 @@ impl Worker {
             // The length is declared: nothing at or past the end, and
             // the last request asks for exactly what remains.
             Some(end) => (a.spec < end).then(|| (a.spec, buffer.min(end - a.spec))),
-            // v3 before its first response: one request beyond the
-            // first, so a wave of few ops still fills the window.
-            None if self.version == WireVersion::V3 => {
-                (a.spec.saturating_sub(a.committed) <= buffer).then_some((a.spec, buffer))
-            }
-            // v2 declares no length: always another (speculative)
-            // chunk; the window bounds how far ahead we run.
-            None => Some((a.spec, buffer)),
+            // Before its first response: one request beyond the first,
+            // so a wave of few ops still fills the window.
+            None => (a.spec.saturating_sub(a.committed) <= buffer).then_some((a.spec, buffer)),
         }
     }
 
@@ -864,8 +846,8 @@ impl Worker {
         let (key, mof, reducer) = (a.key, a.op.seg.mof, a.op.seg.reducer);
         // A targeted re-fetch after a failed verification asks the
         // supplier to re-read disk instead of serving the poisoned
-        // cache entry back (v3-only; v2 has no flags byte).
-        let bypass = a.bypass_next && offset == a.committed && self.version == WireVersion::V3;
+        // cache entry back.
+        let bypass = a.bypass_next && offset == a.committed;
         let id = self.next_id;
         self.next_id += 1;
         let Some(conn) = self.conn.as_mut() else {
@@ -881,7 +863,7 @@ impl Worker {
             len,
             flags: if bypass { FLAG_BYPASS_CACHE } else { 0 },
         }
-        .write_versioned(&mut conn.wbuf, self.version)
+        .write_to(&mut conn.wbuf)
         .map_err(|e| TransportError::from_io("write request", e))?;
         self.outstanding.push_back(Outstanding {
             id,
@@ -951,7 +933,7 @@ impl Worker {
             });
         }
         if head.len as u64 > head.declared_remaining(exp.offset) {
-            // A v3 frame whose payload runs past the segment length it
+            // A frame whose payload runs past the segment length it
             // declares contradicts itself: trusting it would complete
             // an op on bytes the supplier never declared.
             return Err(TransportError::Corrupt {
@@ -967,7 +949,7 @@ impl Worker {
         // an op already completed) is consumed and verified in a
         // scratch buffer and dropped.
         let mut scratch = Vec::new();
-        let data = matches!(head.status, Status::Ok | Status::OkCrc);
+        let data = head.status == Status::OkCrc;
         let wanted = match op_mut(&mut self.active, exp.key) {
             Some(a) if data && exp.offset == a.committed => {
                 let declared = head.declared_remaining(exp.offset);
@@ -981,8 +963,9 @@ impl Worker {
             }
             _ => None,
         };
+        let verify = self.shared.config.checksum;
         let verified = head
-            .read_verified(&mut conn.reader, wanted.unwrap_or(&mut scratch))
+            .read_verified(&mut conn.reader, wanted.unwrap_or(&mut scratch), verify)
             .map_err(|e| TransportError::from_io("read response", e))?;
         // Any well-formed, correctly-matched response is progress: the
         // connection works, so the failure budget resets.
@@ -991,18 +974,23 @@ impl Worker {
             self.trace().instant("breaker.close", self.peer(), 0, 0);
         }
         match head.status {
-            Status::Ok => self.apply_payload(exp, head.len),
             Status::OkCrc => {
                 if !verified {
                     self.on_bad_payload(exp);
                     return Ok(());
                 }
-                self.trace()
-                    .instant("integrity.verify", self.peer(), exp.offset, head.len as u64);
+                if verify {
+                    self.trace().instant(
+                        "integrity.verify",
+                        self.peer(),
+                        exp.offset,
+                        head.len as u64,
+                    );
+                }
                 if let Some(a) = op_mut(&mut self.active, exp.key) {
                     a.expected = Some(head.seg_len);
                 }
-                self.apply_payload(exp, head.len)
+                self.apply_payload(exp, head.len, head.seg_len)
             }
             Status::Busy => {
                 self.on_busy(exp, head.retry_after_ms);
@@ -1086,10 +1074,11 @@ impl Worker {
         }
     }
 
-    /// Account for a verified payload of `len` bytes answering `exp`.
-    /// If it continued its op's segment it is already the tail of that
-    /// op's buffer (`read_one` put it there); if it did not, it is gone.
-    fn apply_payload(&mut self, exp: Outstanding, len: usize) -> Result<()> {
+    /// Account for a verified payload of `len` bytes answering `exp`, in
+    /// a frame declaring the segment `end` bytes long. If it continued
+    /// its op's segment it is already the tail of that op's buffer
+    /// (`read_one` put it there); if it did not, it is gone.
+    fn apply_payload(&mut self, exp: Outstanding, len: usize, end: u64) -> Result<()> {
         let Some(a) = op_mut(&mut self.active, exp.key) else {
             // The op already completed (or failed); this was a
             // speculative request past its end.
@@ -1113,50 +1102,40 @@ impl Worker {
             );
             return Ok(());
         }
-        if len == 0 {
-            // Empty at exactly the committed offset: the v2 end of
-            // segment (and a v3 one at the declared length) — unless
-            // the v3 accounting says bytes are still owed, in which
-            // case this "clean EOF" is a truncation lie landing exactly
-            // on a chunk boundary (a levitated stream would otherwise
-            // terminate early and silently lose records).
-            if let Some(exp_len) = a.expected {
-                if a.committed < exp_len {
-                    let committed = a.committed;
-                    if a.refetch_budget > 0 {
-                        a.refetch_budget -= 1;
-                        a.bypass_next = true;
-                        a.spec = a.committed;
-                        self.shared.fetch_stats.record_corrupt_refetch();
-                        self.shared.config.trace.instant(
-                            "integrity.refetch",
-                            self.peer(),
-                            committed,
-                            exp_len,
-                        );
-                        return Ok(());
-                    }
-                    self.complete(
-                        exp.key,
-                        Err(TransportError::Truncated {
-                            got: committed,
-                            expected: exp_len,
-                        }),
-                    );
-                    return Ok(());
-                }
+        if len == 0 && a.committed < end {
+            // Empty at exactly the committed offset while the declared
+            // length says bytes are still owed: a "clean EOF" that is a
+            // truncation lie landing exactly on a chunk boundary (a
+            // levitated stream would otherwise terminate early and
+            // silently lose records).
+            let committed = a.committed;
+            if a.refetch_budget > 0 {
+                a.refetch_budget -= 1;
+                a.bypass_next = true;
+                a.spec = a.committed;
+                self.shared.fetch_stats.record_corrupt_refetch();
+                self.shared
+                    .config
+                    .trace
+                    .instant("integrity.refetch", self.peer(), committed, end);
+                return Ok(());
             }
-            let buf = std::mem::take(&mut a.buf);
-            self.complete(exp.key, Ok(buf));
+            self.complete(
+                exp.key,
+                Err(TransportError::Truncated {
+                    got: committed,
+                    expected: end,
+                }),
+            );
             return Ok(());
         }
         self.shared.fetch_stats.record_bytes_fetched(len as u64);
         a.committed = a.committed.saturating_add(len as u64);
         a.refetch_budget = self.shared.config.integrity_retries;
-        if a.op.limit > 0 || a.expected == Some(a.committed) {
-            // A single-exchange chunk's payload (possibly short at
-            // segment end) IS the result; a whole-segment op ends at
-            // the length v3 declared.
+        if a.op.limit > 0 || a.committed >= end {
+            // A single-exchange chunk's payload (possibly short or empty
+            // at segment end) IS the result; a whole-segment op ends at
+            // the declared length.
             let buf = std::mem::take(&mut a.buf);
             self.complete(exp.key, Ok(buf));
             return Ok(());
@@ -1755,7 +1734,7 @@ mod tests {
             for _ in 0..connections {
                 let (mut stream, _) = listener.accept().expect("accept");
                 let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                while let Ok(Some((req, _))) = FetchRequest::read_from(&mut reader) {
+                while let Ok(Some(req)) = FetchRequest::read_from(&mut reader) {
                     let mut frame = Vec::new();
                     let (resp, keep) = match script(&req) {
                         Reply::Frame(resp) => (resp, usize::MAX),

@@ -54,7 +54,7 @@ use crate::prefetch::{Pop, PrefetchQueue, Reply, StageJob};
 use crate::reactor::{self, CompletionQueue, JobKind, Source};
 use crate::staging::StageCache;
 use crate::store::MofStore;
-use crate::wire::{Status, WireVersion};
+use crate::wire::Status;
 use jbs_obs::Entity;
 use jbs_store_hybrid::HybridStore;
 use std::io;
@@ -478,18 +478,6 @@ impl Drop for MofSupplierServer {
     }
 }
 
-/// Total length of one reducer's segment: a hybrid partition's live
-/// length (it grows with every append), else the MOF index's. `None`
-/// for an unknown MOF/reducer.
-fn segment_len(shared: &Shared, mof: u64, reducer: u32) -> Option<u64> {
-    if let Some(hybrid) = &shared.options.hybrid {
-        if let Some(len) = hybrid.partition_len(mof, reducer) {
-            return Some(len);
-        }
-    }
-    shared.store.segment_len(mof, reducer).ok().flatten()
-}
-
 /// One read-ahead batch: `prefetch_batch` transport buffers.
 pub(crate) fn batch_bytes(shared: &Shared) -> u64 {
     shared.options.buffer_bytes * shared.options.prefetch_batch
@@ -501,18 +489,22 @@ pub(crate) fn batch_bytes(shared: &Shared) -> u64 {
 /// answers a partition it holds from its own tiers; any other range is
 /// read from the MOF, charged the synthetic disk delay — it models the
 /// device, so it runs under the permit too. Returns the bytes tagged
-/// with their [`Source`]; `None` for an unknown MOF/reducer.
+/// with their [`Source`] and the segment's total length as the read
+/// found it (a hybrid partition's live length, which grows with every
+/// append; else the MOF index's); `None` for an unknown MOF/reducer,
+/// or one gone by the time its length is read.
 fn read_range(
     shared: &Shared,
     mof: u64,
     reducer: u32,
     offset: u64,
     len: u64,
-) -> io::Result<Option<(Vec<u8>, Source)>> {
+) -> io::Result<Option<(Vec<u8>, Source, u64)>> {
     let _permit = shared.iosched.acquire(IoClass::Read);
     if let Some(hybrid) = &shared.options.hybrid {
         if let Some(bytes) = hybrid.read_segment_range(mof, reducer, offset, len)? {
-            return Ok(Some((bytes, Source::Hybrid)));
+            let seg_len = hybrid.partition_len(mof, reducer);
+            return Ok(seg_len.map(|seg_len| (bytes, Source::Hybrid, seg_len)));
         }
     }
     let _read_span = shared
@@ -523,21 +515,18 @@ fn read_range(
     if !delay.is_zero() {
         std::thread::sleep(delay);
     }
-    let read = shared.store.read_segment_range(mof, reducer, offset, len)?;
-    Ok(read.map(|bytes| (bytes, Source::Mof)))
+    let Some(bytes) = shared.store.read_segment_range(mof, reducer, offset, len)? else {
+        return Ok(None);
+    };
+    let seg_len = shared.store.segment_len(mof, reducer)?;
+    Ok(seg_len.map(|seg_len| (bytes, Source::Mof, seg_len)))
 }
 
 /// Stage one MOF read-ahead batch read at `offset` into the DataCache,
-/// with the segment length from the index the read just went through.
-/// Returns whether the batch reaches the segment's end.
-fn stage_batch(shared: &Shared, key: (u64, u32), offset: u64, lease: Lease) -> bool {
+/// with the segment length the read returned. Returns whether the batch
+/// reaches the segment's end.
+fn stage_batch(shared: &Shared, key: (u64, u32), offset: u64, lease: Lease, seg_len: u64) -> bool {
     let end = offset + lease.len() as u64;
-    let seg_len = shared
-        .store
-        .segment_len(key.0, key.1)
-        .ok()
-        .flatten()
-        .unwrap_or(end);
     // A displaced lease drops here; its buffer is freed once nothing in
     // flight still pins it.
     drop(shared.staged.stage_lease(key, offset, lease, seg_len));
@@ -574,10 +563,10 @@ fn run_stage_job(shared: &Shared, job: StageJob) {
             // Hybrid bytes are dropped, never staged: a cached copy of
             // a partition that is still growing would go stale.
             let ahead = batch_bytes(shared);
-            if let Ok(Some((bytes, Source::Mof))) =
+            if let Ok(Some((bytes, Source::Mof, seg_len))) =
                 read_range(shared, job.mof, job.reducer, job.offset, ahead)
             {
-                stage_batch(shared, key, job.offset, shared.pool.lease(bytes));
+                stage_batch(shared, key, job.offset, shared.pool.lease(bytes), seg_len);
                 shared
                     .stats
                     .prefetched_batches
@@ -625,7 +614,7 @@ fn run_reactor_job(
     offset: u64,
 ) {
     let key = (mof, reducer);
-    let (id, version, want) = (ticket.id, ticket.version, ticket.want);
+    let (id, want) = (ticket.id, ticket.want);
     let stage = ticket.kind == JobKind::Stage;
     // An async run-ahead may have staged this range while the job sat
     // queued: serve the overtaken request as the reactor would have,
@@ -633,14 +622,14 @@ fn run_reactor_job(
     // here, and without the pull the disk falls back to lockstep sync
     // staging.
     if stage {
-        if let Some(hit) = reactor::hit_resp(shared, id, version, key, offset, want) {
+        if let Some(hit) = reactor::hit_resp(shared, id, key, offset, want) {
             ticket.deliver(shared, hit);
             return;
         }
     }
     let len = if stage { batch_bytes(shared) } else { want };
     let resp = match read_range(shared, mof, reducer, offset, len) {
-        Ok(Some((bytes, source))) => {
+        Ok(Some((bytes, source, seg_len))) => {
             let lease = shared.pool.lease(bytes);
             let hi = lease.len().min(want as usize);
             // A staged batch's response window is a clone of the lease
@@ -652,26 +641,11 @@ fn run_reactor_job(
                 // requests behind this one in the same readiness batch
                 // will hit the staged range, and the follow-on batch is
                 // already queued by the time they drain it.
-                if !stage_batch(shared, key, offset, lease.clone()) {
+                if !stage_batch(shared, key, offset, lease.clone(), seg_len) {
                     queue_run_ahead(shared, mof, reducer, next);
                 }
             }
-            // A hybrid partition's length is its live one.
-            let seg_len = match version {
-                WireVersion::V2 => None,
-                WireVersion::V3 => segment_len(shared, mof, reducer),
-            };
-            reactor::build_ok(
-                shared,
-                id,
-                version,
-                seg_len,
-                source,
-                lease,
-                0..hi,
-                mof,
-                offset,
-            )
+            reactor::build_ok(shared, id, seg_len, source, lease, 0..hi, mof, offset)
         }
         Ok(None) => reactor::build_error(id, Status::NotFound, mof, offset),
         Err(_) => reactor::build_error(id, Status::BadRequest, mof, offset),
@@ -720,7 +694,7 @@ mod tests {
         let (mut r, mut w) = connect(server.addr());
         first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.status, Status::OkCrc);
         let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
         assert_eq!(resp.payload, whole.unwrap().unwrap());
         assert_eq!(server.stats_snapshot().requests, 1);
@@ -752,12 +726,12 @@ mod tests {
         let (mut r, mut w) = connect(server.addr());
         first_chunk(7).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.status, Status::OkCrc);
         assert_eq!(resp.payload, payload, "hybrid bytes byte-exact");
         assert_eq!(server.stats_snapshot().hybrid_hits, 1);
         first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok, "MOF path still serves");
+        assert_eq!(resp.status, Status::OkCrc, "MOF path still serves");
         drop((r, w));
         // Drain = quick decommission: hybrid contents move REMOTE.
         assert!(server.drain(Duration::from_secs(5)));
@@ -798,8 +772,8 @@ mod tests {
         .unwrap()
     }
 
-    /// One v3 request for `len` bytes at `offset` of `(mof, 0)`, answered.
-    fn v3_fetch(
+    /// One request for `len` bytes at `offset` of `(mof, 0)`, answered.
+    fn fetch(
         r: &mut io::BufReader<TcpStream>,
         w: &mut TcpStream,
         mof: u64,
@@ -814,7 +788,7 @@ mod tests {
             len,
             flags: 0,
         };
-        req.write_versioned(w, WireVersion::V3).unwrap();
+        req.write_to(w).unwrap();
         let resp = FetchResponse::read_from(r).unwrap();
         assert_eq!(resp.status, Status::OkCrc, "at {offset}");
         assert_eq!(resp.id, req.id);
@@ -839,10 +813,10 @@ mod tests {
         let (mut r, mut w) = connect(server.addr());
         // No exchange may wake the reactor: accepts come through its
         // poll set and every answer is built inline.
-        let mut got = v3_fetch(&mut r, &mut w, 7, 0, 4 << 10).payload;
+        let mut got = fetch(&mut r, &mut w, 7, 0, 4 << 10).payload;
         let wakes = server.stats_snapshot().reactor_wakes;
         loop {
-            let resp = v3_fetch(&mut r, &mut w, 7, got.len() as u64, 4 << 10);
+            let resp = fetch(&mut r, &mut w, 7, got.len() as u64, 4 << 10);
             assert_eq!(resp.seg_len, data.len() as u64);
             if resp.payload.is_empty() {
                 break;
@@ -917,7 +891,7 @@ mod tests {
             len: 4 << 10,
             flags: 0,
         }
-        .write_versioned(&mut w, WireVersion::V3)
+        .write_to(&mut w)
         .unwrap();
         settle(1); // framed, lent, and stalled before its first byte
         hybrid.append(7, 0, &data[2000..]).unwrap();
@@ -928,7 +902,7 @@ mod tests {
         assert!(resp.crc_ok());
         assert_eq!(resp.payload, data[..2000], "the bytes it was lent");
         assert_eq!(resp.seg_len, 2000, "and the length they had");
-        let resp = v3_fetch(&mut r, &mut w, 7, 0, 4 << 10);
+        let resp = fetch(&mut r, &mut w, 7, 0, 4 << 10);
         assert_eq!(resp.payload, data, "a new read sees both appends");
         settle(0);
         let snap = server.stats_snapshot();
@@ -957,7 +931,7 @@ mod tests {
         assert!(layout.local > 0 && layout.memory > 0, "{layout:?}");
         let server = hybrid_supplier(&hybrid, jbs_obs::Trace::disabled());
         let (mut r, mut w) = connect(server.addr());
-        v3_fetch(&mut r, &mut w, 7, 0, 4 << 10);
+        fetch(&mut r, &mut w, 7, 0, 4 << 10);
         let wakes = server.stats_snapshot().reactor_wakes;
         let before = hybrid.stats();
         // Every 1000-byte step: chunks wholly in the spilled prefix, the
@@ -966,7 +940,7 @@ mod tests {
         let (mut durable, mut memory) = (0u64, 0u64);
         for offset in (0..data.len()).step_by(1000) {
             let end = (offset + (4 << 10)).min(data.len());
-            let resp = v3_fetch(&mut r, &mut w, 7, offset as u64, 4 << 10);
+            let resp = fetch(&mut r, &mut w, 7, offset as u64, 4 << 10);
             assert_eq!(resp.payload, data[offset..end], "stitched at {offset}");
             assert_eq!(resp.seg_len, data.len() as u64);
             durable += u64::from((offset as u64) < layout.local);
@@ -1024,7 +998,7 @@ mod tests {
         let (mut r, mut w) = connect(server.addr());
         let (mut offset, mut shortest) = (0u64, u64::MAX);
         while offset < data.len() as u64 {
-            let resp = v3_fetch(&mut r, &mut w, 7, offset, 4 << 10);
+            let resp = fetch(&mut r, &mut w, 7, offset, 4 << 10);
             shortest = shortest.min(resp.seg_len);
             let end = offset + resp.payload.len() as u64;
             // Appends land whole, so every length the partition had is
@@ -1057,10 +1031,10 @@ mod tests {
     /// counter that row's reads must advance (`None` for the MOF).
     type TierHits = Option<fn(&jbs_store_hybrid::TierStatsSnapshot) -> u64>;
 
-    /// Every read-matrix cell of `rows` (request kind × dialect): the
-    /// answer is the backing store's own bytes, a v3 frame carries the
-    /// segment's length, and the copy meter counts the row's bytes as
-    /// zero-copy or copied, as its last field says.
+    /// Every read-matrix cell of `rows` (request kind × backing): the
+    /// answer is the backing store's own bytes in a sealed frame that
+    /// carries the segment's length, and the copy meter counts the
+    /// row's bytes as zero-copy or copied, as its last field says.
     fn check_read_rows(
         server: &MofSupplierServer,
         hybrid: &HybridStore,
@@ -1077,57 +1051,50 @@ mod tests {
                 None => server.shared.store.read_segment_range(mof, 0, offset, len),
             };
             for (kind, flags) in requests {
-                for version in [WireVersion::V2, WireVersion::V3] {
-                    let cell = format!("{kind} × {backing} × {version:?}");
-                    id += 1;
-                    let (before, tiers) = (server.stats_snapshot(), hybrid.stats());
-                    let req = FetchRequest {
-                        id,
-                        mof,
-                        reducer: 0,
-                        offset: OFFSET,
-                        len: CHUNK,
-                        flags,
-                    };
-                    req.write_versioned(&mut w, version).unwrap();
-                    let resp = FetchResponse::read_from(&mut r).unwrap();
-                    let (after, tiers_after) = (server.stats_snapshot(), hybrid.stats());
-                    let want = truth(OFFSET, CHUNK).unwrap().unwrap();
-                    let seg_len = truth(0, 0).unwrap().unwrap().len() as u64;
-                    assert!(!want.is_empty(), "{cell}: the cell reads bytes");
-                    assert_eq!(resp.id, id, "{cell}");
-                    assert_eq!(resp.payload, want, "{cell}: the store's own bytes");
-                    match version {
-                        WireVersion::V2 => assert_eq!(resp.status, Status::Ok, "{cell}"),
-                        WireVersion::V3 => {
-                            assert_eq!(resp.status, Status::OkCrc, "{cell}");
-                            assert!(resp.crc_ok(), "{cell}");
-                            assert_eq!(resp.seg_len, seg_len, "{cell}");
-                        }
+                let cell = format!("{kind} × {backing}");
+                id += 1;
+                let (before, tiers) = (server.stats_snapshot(), hybrid.stats());
+                let req = FetchRequest {
+                    id,
+                    mof,
+                    reducer: 0,
+                    offset: OFFSET,
+                    len: CHUNK,
+                    flags,
+                };
+                req.write_to(&mut w).unwrap();
+                let resp = FetchResponse::read_from(&mut r).unwrap();
+                let (after, tiers_after) = (server.stats_snapshot(), hybrid.stats());
+                let want = truth(OFFSET, CHUNK).unwrap().unwrap();
+                let seg_len = truth(0, 0).unwrap().unwrap().len() as u64;
+                assert!(!want.is_empty(), "{cell}: the cell reads bytes");
+                assert_eq!(resp.id, id, "{cell}");
+                assert_eq!(resp.payload, want, "{cell}: the store's own bytes");
+                assert_eq!(resp.status, Status::OkCrc, "{cell}");
+                assert!(resp.crc_ok(), "{cell}");
+                assert_eq!(resp.seg_len, seg_len, "{cell}");
+                let n = want.len() as u64;
+                let counted = (
+                    after.hybrid_hits - before.hybrid_hits,
+                    after.copied_bytes - before.copied_bytes,
+                    after.zerocopy_bytes - before.zerocopy_bytes,
+                );
+                let all_hits = |t: &jbs_store_hybrid::TierStatsSnapshot| {
+                    t.memory_hits + t.local_hits + t.remote_hits
+                };
+                let (copied, zerocopy) = if zero_copy { (0, n) } else { (n, 0) };
+                let hybrid_hits = u64::from(tier.is_some());
+                assert_eq!(
+                    counted,
+                    (hybrid_hits, copied, zerocopy),
+                    "{cell}: {after:?}"
+                );
+                match tier {
+                    Some(hits) => {
+                        assert_eq!(hits(&tiers_after) - hits(&tiers), 1, "{cell}");
                     }
-                    let n = want.len() as u64;
-                    let counted = (
-                        after.hybrid_hits - before.hybrid_hits,
-                        after.copied_bytes - before.copied_bytes,
-                        after.zerocopy_bytes - before.zerocopy_bytes,
-                    );
-                    let all_hits = |t: &jbs_store_hybrid::TierStatsSnapshot| {
-                        t.memory_hits + t.local_hits + t.remote_hits
-                    };
-                    let (copied, zerocopy) = if zero_copy { (0, n) } else { (n, 0) };
-                    let hybrid_hits = u64::from(tier.is_some());
-                    assert_eq!(
-                        counted,
-                        (hybrid_hits, copied, zerocopy),
-                        "{cell}: {after:?}"
-                    );
-                    match tier {
-                        Some(hits) => {
-                            assert_eq!(hits(&tiers_after) - hits(&tiers), 1, "{cell}");
-                        }
-                        None => {
-                            assert_eq!(all_hits(&tiers_after), all_hits(&tiers), "{cell}");
-                        }
+                    None => {
+                        assert_eq!(all_hits(&tiers_after), all_hits(&tiers), "{cell}");
                     }
                 }
             }
@@ -1135,9 +1102,9 @@ mod tests {
     }
 
     /// The supplier's read matrix: request kind (chunk, cache bypass) ×
-    /// backing (MOF, hybrid MEMORY, LOCALFILE, REMOTE) × dialect (v2,
-    /// v3). MOF bytes and lent MEMORY bytes leave zero-copy; LOCALFILE
-    /// and REMOTE bytes are read into a worker's buffer, so copied.
+    /// backing (MOF, hybrid MEMORY, LOCALFILE, REMOTE). MOF bytes and
+    /// lent MEMORY bytes leave zero-copy; LOCALFILE and REMOTE bytes are
+    /// read into a worker's buffer, so copied.
     #[test]
     fn copy_meter_counts_memory_and_mof_bytes_zero_copy_and_durable_bytes_copied() {
         use jbs_store_hybrid::HybridConfig;
@@ -1197,7 +1164,7 @@ mod tests {
     }
 
     #[test]
-    fn a_v3_hit_on_a_range_a_v2_fetch_staged_is_answered_on_the_reactor() {
+    fn a_hit_on_a_range_a_miss_staged_is_answered_on_the_reactor() {
         let recs: Vec<Record> = (0..2000)
             .map(|i| (format!("k{i:05}").into_bytes(), vec![0xAB; 64]))
             .collect();
@@ -1211,23 +1178,12 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        // Warm (0, 0) in the length-less dialect: a miss that stages
-        // [0, 32 KiB) on a worker.
-        FetchRequest {
-            id: 1,
-            mof: 0,
-            reducer: 0,
-            offset: 0,
-            len: 4 << 10,
-            flags: 0,
-        }
-        .write_to(&mut w)
-        .unwrap();
-        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        // Warm (0, 0): a miss that stages [0, 32 KiB) on a worker.
+        fetch(&mut r, &mut w, 0, 0, 4 << 10);
         let before = server.stats_snapshot();
-        // A v3 chunk inside the staged range needs the segment's length
-        // to be sealed; the stage recorded it, so the reactor answers.
-        let resp = v3_fetch(&mut r, &mut w, 0, 4 << 10, 4 << 10);
+        // A chunk inside the staged range needs the segment's length to
+        // be sealed; the stage recorded it, so the reactor answers.
+        let resp = fetch(&mut r, &mut w, 0, 4 << 10, 4 << 10);
         assert_eq!(resp.payload.len(), 4 << 10);
         let after = server.stats_snapshot();
         assert_eq!(after.datacache_hits - before.datacache_hits, 1, "{after:?}");
@@ -1257,7 +1213,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        let resp = v3_fetch(&mut r, &mut w, 0, 0, seg_len);
+        let resp = fetch(&mut r, &mut w, 0, 0, seg_len);
         assert_eq!(resp.payload.len() as u64, seg_len);
         assert_eq!(resp.seg_len, seg_len);
         server.shutdown();
@@ -1293,7 +1249,7 @@ mod tests {
             .write_to(&mut w)
             .unwrap();
             let resp = FetchResponse::read_from(&mut r).unwrap();
-            assert_eq!(resp.status, Status::Ok);
+            assert_eq!(resp.status, Status::OkCrc);
             assert_eq!(resp.id, id, "response id echoes the request id");
             id += 1;
             if resp.payload.is_empty() {
@@ -1394,11 +1350,11 @@ mod tests {
         .unwrap()
     }
 
-    /// `reqs` framed in v3 and put on the wire with one write.
+    /// `reqs` put on the wire with one write.
     fn send_burst(w: &mut TcpStream, reqs: &[FetchRequest]) {
         let mut burst = Vec::new();
         for req in reqs {
-            req.write_versioned(&mut burst, WireVersion::V3).unwrap();
+            req.write_to(&mut burst).unwrap();
         }
         io::Write::write_all(w, &burst).unwrap();
     }
@@ -1594,15 +1550,13 @@ mod tests {
             .collect();
         let server = MofSupplierServer::start(store_with_one_mof(recs)).unwrap();
         let (mut r, mut w) = connect(server.addr());
-        // The whole segment in one v3 chunk: seg_len equals the payload.
-        first_chunk(0)
-            .write_versioned(&mut w, WireVersion::V3)
-            .unwrap();
+        // The whole segment in one chunk: seg_len equals the payload.
+        first_chunk(0).write_to(&mut w).unwrap();
         let whole = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(whole.status, Status::OkCrc);
         assert!(whole.crc_ok(), "server-computed CRC verifies");
         assert_eq!(whole.seg_len, whole.payload.len() as u64);
-        // A chunked v3 fetch carries the same total seg_len on every
+        // A chunked fetch carries the same total seg_len on every
         // chunk — the client's expected-length accounting anchor.
         let chunk = FetchRequest {
             id: 9,
@@ -1612,25 +1566,13 @@ mod tests {
             len: 1 << 10,
             flags: 0,
         };
-        chunk.write_versioned(&mut w, WireVersion::V3).unwrap();
+        chunk.write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::OkCrc);
         assert_eq!(resp.id, 9);
         assert!(resp.crc_ok());
         assert_eq!(resp.seg_len, whole.seg_len);
         assert_eq!(resp.payload, whole.payload[64..64 + (1 << 10)]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn v2_requests_still_get_plain_ok_frames() {
-        let server =
-            MofSupplierServer::start(store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]))
-                .unwrap();
-        let (mut r, mut w) = connect(server.addr());
-        first_chunk(0).write_to(&mut w).unwrap();
-        let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok, "v2 dialect answered in kind");
         server.shutdown();
     }
 
@@ -1652,7 +1594,7 @@ mod tests {
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
         let req = first_chunk(0);
-        req.write_versioned(&mut w, WireVersion::V3).unwrap();
+        req.write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Busy);
         assert_eq!(
@@ -1662,7 +1604,7 @@ mod tests {
         );
         assert!(resp.payload.is_empty());
         // The connection survived the pushback: the retry is served.
-        req.write_versioned(&mut w, WireVersion::V3).unwrap();
+        req.write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::OkCrc);
         assert!(!resp.payload.is_empty());
@@ -1682,9 +1624,7 @@ mod tests {
         )
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
-        first_chunk(0)
-            .write_versioned(&mut w, WireVersion::V3)
-            .unwrap();
+        first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::Busy);
         assert!(resp.retry_after_ms > 0, "hint is a real backoff");
@@ -1693,9 +1633,9 @@ mod tests {
     }
 
     /// A connection over the admission cap is answered on the reactor
-    /// like any other: its first request gets one `Busy` frame (v3) or a bare
-    /// close (v2), one that sends nothing is closed at the deadline, and
-    /// none of them holds an admission slot.
+    /// like any other: its first request gets one `Busy` frame and then
+    /// EOF, one that sends nothing is closed at the deadline, and none
+    /// of them holds an admission slot.
     #[test]
     fn unadmitted_connections_get_pushback_or_a_deadline_and_hold_no_slot() {
         use std::io::Read;
@@ -1709,26 +1649,19 @@ mod tests {
         .unwrap();
         let (mut r, mut w) = connect(server.addr());
         first_chunk(0).write_to(&mut w).unwrap();
-        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        assert_eq!(
+            FetchResponse::read_from(&mut r).unwrap().status,
+            Status::OkCrc
+        );
         let start = std::time::Instant::now();
         let silent: Vec<TcpStream> = (0..16)
             .map(|_| TcpStream::connect(server.addr()).unwrap())
             .collect();
         let (mut r3, mut w3) = connect(server.addr());
-        first_chunk(0)
-            .write_versioned(&mut w3, WireVersion::V3)
-            .unwrap();
+        first_chunk(0).write_to(&mut w3).unwrap();
         let resp = FetchResponse::read_from(&mut r3).unwrap();
         assert_eq!(resp.status, Status::Busy);
         assert_eq!(r3.read(&mut [0u8; 1]).unwrap(), 0, "closed after the Busy");
-        let (mut r2, mut w2) = connect(server.addr());
-        first_chunk(0).write_to(&mut w2).unwrap();
-        let mut frame = Vec::new();
-        assert_eq!(
-            r2.read_to_end(&mut frame).unwrap(),
-            0,
-            "v2: closed, no frame"
-        );
         for mut s in silent {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "silent one closed");
@@ -1739,9 +1672,12 @@ mod tests {
         }
         // The admitted connection is still served.
         first_chunk(0).write_to(&mut w).unwrap();
-        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
+        assert_eq!(
+            FetchResponse::read_from(&mut r).unwrap().status,
+            Status::OkCrc
+        );
         let snap = server.stats_snapshot();
-        assert_eq!((snap.connections, snap.busy_rejections), (1, 2), "{snap:?}");
+        assert_eq!((snap.connections, snap.busy_rejections), (1, 1), "{snap:?}");
         server.shutdown();
     }
 
@@ -1766,15 +1702,13 @@ mod tests {
         let whole = server.shared.store.read_segment_range(0, 0, 0, 0);
         let truth = whole.unwrap().unwrap();
         let (mut r, mut w) = connect(server.addr());
-        assert_eq!(v3_fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
+        assert_eq!(fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
         let (mut r2, mut w2) = connect(server.addr());
-        first_chunk(0)
-            .write_versioned(&mut w2, WireVersion::V3)
-            .unwrap();
+        first_chunk(0).write_to(&mut w2).unwrap();
         let resp = FetchResponse::read_from(&mut r2).unwrap();
         assert_eq!(resp.status, Status::Busy);
         assert_eq!(r2.read(&mut [0u8; 1]).unwrap(), 0, "closed after the Busy");
-        assert_eq!(v3_fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
+        assert_eq!(fetch(&mut r, &mut w, 0, 0, 128 << 10).payload, truth);
         drop((r, w));
         // The slot frees when the reactor reaps the closed connection.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1783,7 +1717,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let (mut r3, mut w3) = connect(server.addr());
-        assert_eq!(v3_fetch(&mut r3, &mut w3, 0, 0, 128 << 10).payload, truth);
+        assert_eq!(fetch(&mut r3, &mut w3, 0, 0, 128 << 10).payload, truth);
         let snap = server.stats_snapshot();
         assert_eq!((snap.connections, snap.busy_rejections), (2, 1), "{snap:?}");
         server.shutdown();
@@ -1846,11 +1780,9 @@ mod tests {
         .unwrap();
         let start = std::time::Instant::now();
         let (mut r1, mut w1) = connect(server.addr());
-        first_chunk(0)
-            .write_versioned(&mut w1, WireVersion::V3)
-            .unwrap();
+        first_chunk(0).write_to(&mut w1).unwrap();
         let (mut r2, mut w2) = connect(server.addr());
-        let answered = v3_fetch(&mut r2, &mut w2, 0, 0, 128 << 10).payload;
+        let answered = fetch(&mut r2, &mut w2, 0, 0, 128 << 10).payload;
         r1.get_ref().set_nonblocking(true).unwrap();
         let early = r1.get_ref().peek(&mut [0u8; 1]);
         assert!(
@@ -1873,27 +1805,35 @@ mod tests {
 
     /// A request stream that does not frame closes the connection, and
     /// the supplier counts it as a connection error; other connections
-    /// are unaffected.
+    /// are unaffected. A whole request in the retired "JBS2" framing
+    /// (no flags byte) is such a stream.
     #[test]
     fn a_bad_magic_closes_the_connection_as_a_counted_error() {
         use std::io::{Read, Write};
         let server =
             MofSupplierServer::start(store_with_one_mof(vec![(b"k".to_vec(), b"v".to_vec())]))
                 .unwrap();
-        let (mut r, mut w) = connect(server.addr());
-        w.write_all(&[0xEE; 64]).unwrap();
-        assert_eq!(r.read(&mut [0u8; 1]).unwrap_or(0), 0, "closed, no frame");
-        assert_eq!(server.stats_snapshot().conn_errors, 1);
+        let mut jbs2 = b"JBS2".to_vec();
+        jbs2.extend_from_slice(&first_chunk(0).encode_v3()[5..]);
+        for (errors, garbage) in [(1, vec![0xEE; 64]), (2, jbs2)] {
+            let (mut r, mut w) = connect(server.addr());
+            w.write_all(&garbage).unwrap();
+            assert_eq!(r.read(&mut [0u8; 1]).unwrap_or(0), 0, "closed, no frame");
+            assert_eq!(server.stats_snapshot().conn_errors, errors);
+        }
         let (mut r, mut w) = connect(server.addr());
         first_chunk(0).write_to(&mut w).unwrap();
-        assert_eq!(FetchResponse::read_from(&mut r).unwrap().status, Status::Ok);
-        assert_eq!(server.stats_snapshot().conn_errors, 1);
+        assert_eq!(
+            FetchResponse::read_from(&mut r).unwrap().status,
+            Status::OkCrc
+        );
+        assert_eq!(server.stats_snapshot().conn_errors, 2);
         server.shutdown();
     }
 
-    /// `len == 0` is malformed on every backing and in both dialects: it
-    /// is answered `BadRequest` with its id, reads no tier, and the next
-    /// chunk on the same connection is served.
+    /// `len == 0` is malformed on every backing: it is answered
+    /// `BadRequest` with its id, reads no tier, and the next chunk on
+    /// the same connection is served.
     #[test]
     fn zero_length_requests_are_bad_requests_on_every_backing() {
         use jbs_store_hybrid::HybridConfig;
@@ -1917,37 +1857,32 @@ mod tests {
                     .unwrap()
                     .unwrap(),
             };
-            for (version, ok) in [
-                (WireVersion::V2, Status::Ok),
-                (WireVersion::V3, Status::OkCrc),
-            ] {
-                let cell = format!("MOF {mof} × {version:?}");
-                id += 1;
-                let empty = FetchRequest {
-                    id,
-                    len: 0,
-                    ..first_chunk(mof)
-                };
-                empty.write_versioned(&mut w, version).unwrap();
-                let resp = FetchResponse::read_from(&mut r).unwrap();
-                assert_eq!((resp.status, resp.id), (Status::BadRequest, id), "{cell}");
-                assert!(resp.payload.is_empty(), "{cell}");
-                id += 1;
-                let chunk = FetchRequest {
-                    id,
-                    len: CHUNK,
-                    ..first_chunk(mof)
-                };
-                chunk.write_versioned(&mut w, version).unwrap();
-                let resp = FetchResponse::read_from(&mut r).unwrap();
-                assert_eq!((resp.status, resp.id), (ok, id), "{cell}");
-                assert!(resp.crc_ok(), "{cell}");
-                assert_eq!(resp.payload, truth, "{cell}");
-            }
+            let cell = format!("MOF {mof}");
+            id += 1;
+            let empty = FetchRequest {
+                id,
+                len: 0,
+                ..first_chunk(mof)
+            };
+            empty.write_to(&mut w).unwrap();
+            let resp = FetchResponse::read_from(&mut r).unwrap();
+            assert_eq!((resp.status, resp.id), (Status::BadRequest, id), "{cell}");
+            assert!(resp.payload.is_empty(), "{cell}");
+            id += 1;
+            let chunk = FetchRequest {
+                id,
+                len: CHUNK,
+                ..first_chunk(mof)
+            };
+            chunk.write_to(&mut w).unwrap();
+            let resp = FetchResponse::read_from(&mut r).unwrap();
+            assert_eq!((resp.status, resp.id), (Status::OkCrc, id), "{cell}");
+            assert!(resp.crc_ok(), "{cell}");
+            assert_eq!(resp.payload, truth, "{cell}");
         }
         let hits = hybrid.stats().memory_hits - before.memory_hits;
-        assert_eq!(hits, 2, "only the two real chunks read the MEMORY tier");
-        assert_eq!(server.stats_snapshot().hybrid_hits, 2);
+        assert_eq!(hits, 1, "only the real chunk read the MEMORY tier");
+        assert_eq!(server.stats_snapshot().hybrid_hits, 1);
         server.shutdown();
     }
 
@@ -1975,7 +1910,7 @@ mod tests {
             len: 4 << 10,
             flags: 0,
         };
-        chunk.write_versioned(&mut w, WireVersion::V3).unwrap();
+        chunk.write_to(&mut w).unwrap();
         let truth = FetchResponse::read_from(&mut r).unwrap().payload;
         // Poison the staged range the way bad RAM would: same offsets,
         // wrong bytes.
@@ -1987,7 +1922,7 @@ mod tests {
         );
         // A plain re-fetch serves the poison (this is the failure the
         // integrity layer exists to catch)...
-        chunk.write_versioned(&mut w, WireVersion::V3).unwrap();
+        chunk.write_to(&mut w).unwrap();
         let poisoned = FetchResponse::read_from(&mut r).unwrap().payload;
         assert_eq!(poisoned, vec![0xEE; 4 << 10]);
         // ...and the bypass re-fetch invalidates it and re-reads disk.
@@ -1995,7 +1930,7 @@ mod tests {
             flags: FLAG_BYPASS_CACHE,
             ..chunk
         }
-        .write_versioned(&mut w, WireVersion::V3)
+        .write_to(&mut w)
         .unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
         assert_eq!(resp.status, Status::OkCrc);
@@ -2004,7 +1939,7 @@ mod tests {
         assert_eq!(server.stats_snapshot().bypass_reads, 1);
         // The poisoned range is gone: the next cached fetch re-stages
         // from disk and serves truth again.
-        chunk.write_versioned(&mut w, WireVersion::V3).unwrap();
+        chunk.write_to(&mut w).unwrap();
         assert_eq!(FetchResponse::read_from(&mut r).unwrap().payload, truth);
         server.shutdown();
     }
@@ -2019,7 +1954,7 @@ mod tests {
         let (mut r, mut w) = connect(addr);
         first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.status, Status::OkCrc);
         // Close our connection so the drain can converge, then drain.
         drop((r, w));
         assert!(
@@ -2056,7 +1991,7 @@ mod tests {
         let (mut r, mut w) = connect(addr);
         first_chunk(0).write_to(&mut w).unwrap();
         let resp = FetchResponse::read_from(&mut r).unwrap();
-        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.status, Status::OkCrc);
         revived.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,7 +33,7 @@
 //! Locking: the single `staged` mutex is held only to clone a lease or
 //! swap a range in — never across disk I/O, and never together with
 //! another lock. A hit needs nothing else: the staged range carries the
-//! segment length a v3 frame is sealed with.
+//! segment length a frame is sealed with.
 
 use crate::bufpool::Lease;
 use crate::sync::{lock, Mutex};
@@ -85,7 +85,7 @@ pub(crate) struct LeaseHit {
     /// range and the segment continues past it: the caller should queue
     /// an asynchronous read-ahead starting at absolute offset `next`.
     pub(crate) stage_next: Option<u64>,
-    /// Total length of the segment, which a v3 frame is sealed with.
+    /// Total length of the segment, which a frame is sealed with.
     pub(crate) seg_len: u64,
 }
 

@@ -6,16 +6,20 @@
 //! (connections are cached and reused, unlike Hadoop's per-fetch HTTP).
 //!
 //! ```text
-//! v2 request  := MAGIC2 u32 | id u64 | mof u64 | reducer u32 | offset u64 | len u64
-//! v3 request  := MAGIC3 u32 | flags u8 | id u64 | mof u64 | reducer u32 | offset u64 | len u64
-//! response    := status u8 | id u64 | len u64 | ext | payload[...]
+//! request   := MAGIC u32 | flags u8 | id u64 | mof u64 | reducer u32 | offset u64 | len u64
+//! response  := status u8 | id u64 | len u64 | ext | payload[...]
+//! ext       := crc32c u32 | seg_len u64     (OkCrc only; empty otherwise)
 //! ```
 //!
-//! `len` is a range of 1 to the supplier's transport buffer
-//! (`buffer_bytes`, 128 KiB by default): a longer request is served
-//! short at that cap, and a range past the segment's end comes back
-//! empty. The supplier answers `len == 0` with [`Status::BadRequest`],
-//! so no request ever reads an unbounded range.
+//! `MAGIC` is "JBS3"; any other magic is a framing error. `len` is a
+//! range of 1 to the supplier's transport buffer (`buffer_bytes`,
+//! 128 KiB by default): a longer request is served short at that cap,
+//! and a range past the segment's end comes back empty. The supplier
+//! answers `len == 0` with [`Status::BadRequest`], so no request ever
+//! reads an unbounded range. `flags` carries [`FLAG_BYPASS_CACHE`]: the
+//! supplier must re-read from disk instead of serving staged DataCache
+//! bytes — the targeted re-fetch a client issues after a checksum
+//! mismatch, so poisoned cache contents are never re-served.
 //!
 //! `id` is a client-chosen request identifier echoed verbatim in the
 //! response. The server answers requests strictly in arrival order, so
@@ -25,55 +29,35 @@
 //! mismatch means the stream desynchronized and the connection must be
 //! torn down rather than trusted.
 //!
-//! ## Version 3: integrity and overload extensions
-//!
-//! A v3 request differs from v2 only in its magic and one `flags` byte
-//! ([`FLAG_BYPASS_CACHE`]: the supplier must re-read from disk instead
-//! of serving staged DataCache bytes — the targeted re-fetch a client
-//! issues after a checksum mismatch, so poisoned cache contents are
-//! never re-served). A server answers in the dialect the *request* was
-//! framed in, so old and new peers interoperate per-exchange:
-//!
-//! * [`Status::OkCrc`] (v3 only) — the 17-byte header is followed by a
-//!   12-byte extension: `crc32c u32 | seg_len u64`, then the payload.
-//!   `crc32c` covers exactly the payload bytes; `seg_len` is the total
-//!   length of the addressed segment, which lets the client end a
-//!   chunked segment fetch there without an end-of-segment request,
-//!   account for expected bytes, and turn a truncation landing exactly
-//!   on a chunk boundary (indistinguishable from clean EOF in v2) into
-//!   a typed error.
-//! * [`Status::Busy`] (v3 only) — admission control: the supplier is
-//!   shedding load. No payload; the header's `len` field carries a
-//!   retry-after hint in milliseconds instead of a payload length.
-//!
-//! The dialect is the client's configuration, not a negotiation: a
-//! client with `ClientConfig::checksum` set frames every request in v3,
-//! one without it frames every request in v2, and no failure switches
-//! a client from one to the other.
+//! Every data response is one [`Status::OkCrc`] frame: the 17-byte
+//! header, then `crc32c` over exactly the payload bytes and `seg_len`,
+//! the total length of the addressed segment, then the payload.
+//! `seg_len` lets the client end a chunked segment fetch there without
+//! an end-of-segment request, account for expected bytes, and turn a
+//! truncation landing exactly on a chunk boundary into a typed error.
+//! [`Status::Busy`] is admission control: the supplier is shedding load,
+//! and the header's `len` field carries a retry-after hint in
+//! milliseconds instead of a payload length. Error frames carry no
+//! payload.
 
 use bytes::Buf;
 use std::io::{self, IoSlice, Read, Write};
 
-/// Protocol magic ("JBS2" — v2 added pipelined request ids).
-pub const REQUEST_MAGIC: u32 = 0x4A42_5332;
-
-/// Protocol magic ("JBS3" — v3 added checksums, busy frames, flags).
+/// Protocol magic ("JBS3").
 pub const REQUEST_MAGIC_V3: u32 = 0x4A42_5333;
 
-/// Size of an encoded v2 request.
-pub const REQUEST_LEN: usize = 4 + 8 + 8 + 4 + 8 + 8;
-
-/// Size of an encoded v3 request (v2 plus the flags byte).
-pub const REQUEST_LEN_V3: usize = REQUEST_LEN + 1;
+/// Size of an encoded request: magic, flags, id, mof, reducer, offset,
+/// len.
+pub const REQUEST_LEN_V3: usize = 4 + 1 + 8 + 8 + 4 + 8 + 8;
 
 /// Size of an encoded response header (status, id, payload length).
 pub const RESPONSE_HEADER_LEN: usize = 1 + 8 + 8;
 
-/// Size of the v3 integrity extension following an [`Status::OkCrc`]
+/// Size of the integrity extension following an [`Status::OkCrc`]
 /// header: payload CRC32C (u32) + total segment length (u64).
 pub const CRC_EXT_LEN: usize = 4 + 8;
 
-/// Request flag (v3): bypass the supplier's staged DataCache and re-read
+/// Request flag: bypass the supplier's staged DataCache and re-read
 /// the range from disk. Set on the targeted re-fetch after a checksum
 /// mismatch so poisoned cache bytes are not served twice.
 pub const FLAG_BYPASS_CACHE: u8 = 1;
@@ -84,26 +68,15 @@ pub const FLAG_BYPASS_CACHE: u8 = 1;
 /// to allocate (and then block reading) up to 2^64 bytes.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// Which request dialect a peer spoke. The server echoes the dialect of
-/// each request; the client tracks one per peer (see `client.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireVersion {
-    /// "JBS2": no checksum, no flags, no busy frames.
-    V2,
-    /// "JBS3": flags byte, `OkCrc` integrity frames, `Busy` frames.
-    V3,
-}
-
-/// Response status codes.
+/// Response status codes. Byte 0 is no status: like any unknown byte,
+/// it decodes as corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// Payload follows.
-    Ok = 0,
     /// Unknown MOF or reducer.
     NotFound = 1,
     /// Malformed request.
     BadRequest = 2,
-    /// Payload follows, preceded by the v3 integrity extension
+    /// Payload follows, preceded by the integrity extension
     /// (`crc32c u32 | seg_len u64`).
     OkCrc = 3,
     /// Supplier is shedding load; retry after the hinted delay. The
@@ -118,7 +91,6 @@ impl Status {
     /// retryable frame error into a permanent one.)
     fn from_u8(v: u8) -> Option<Status> {
         match v {
-            0 => Some(Status::Ok),
             1 => Some(Status::NotFound),
             2 => Some(Status::BadRequest),
             3 => Some(Status::OkCrc),
@@ -142,8 +114,7 @@ pub struct FetchRequest {
     /// Bytes requested: 1 to the supplier's transport buffer, which
     /// caps a longer request; 0 is answered with [`Status::BadRequest`].
     pub len: u64,
-    /// v3 request flags ([`FLAG_BYPASS_CACHE`]); dropped on the v2
-    /// frame, which has no flags byte.
+    /// Request flags ([`FLAG_BYPASS_CACHE`]).
     pub flags: u8,
 }
 
@@ -153,107 +124,72 @@ impl FetchRequest {
         self.flags & FLAG_BYPASS_CACHE != 0
     }
 
-    /// Encode to the legacy v2 wire format (flags are dropped).
-    pub fn encode(&self) -> [u8; REQUEST_LEN] {
-        let mut out = [0u8; REQUEST_LEN];
-        let mut put = Put::new(&mut out);
-        put.u32(REQUEST_MAGIC);
-        self.put_fields(&mut put);
-        out
-    }
-
-    /// Encode to the v3 wire format (magic + flags byte).
+    /// Encode to the wire format.
     pub fn encode_v3(&self) -> [u8; REQUEST_LEN_V3] {
         let mut out = [0u8; REQUEST_LEN_V3];
         let mut put = Put::new(&mut out);
         put.u32(REQUEST_MAGIC_V3);
         put.u8(self.flags);
-        self.put_fields(&mut put);
-        out
-    }
-
-    /// The fields both dialects share, in wire order after the magic
-    /// (and, in v3, the flags byte).
-    fn put_fields(&self, put: &mut Put<'_>) {
         put.u64(self.id);
         put.u64(self.mof);
         put.u32(self.reducer);
         put.u64(self.offset);
         put.u64(self.len);
+        out
     }
 
-    /// Decode either request dialect, reporting which one was spoken.
-    pub fn decode(mut buf: &[u8]) -> io::Result<(Self, WireVersion)> {
+    /// Decode the request at the start of `buf`, which may hold more
+    /// bytes after it. A wrong magic is `InvalidData` as soon as its
+    /// four bytes are there; a frame still arriving is `UnexpectedEof`.
+    pub fn decode(mut buf: &[u8]) -> io::Result<Self> {
+        // The reactor meets a frame still arriving after every batch it
+        // reads, so that error is a bare kind: it allocates nothing.
+        let short = || io::Error::from(io::ErrorKind::UnexpectedEof);
         if buf.len() < 4 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "short request",
-            ));
+            return Err(short());
         }
-        let magic = buf.get_u32();
-        let (version, need) = match magic {
-            REQUEST_MAGIC => (WireVersion::V2, REQUEST_LEN - 4),
-            REQUEST_MAGIC_V3 => (WireVersion::V3, REQUEST_LEN_V3 - 4),
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
-        };
-        if buf.len() < need {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "short request",
-            ));
+        if buf.get_u32() != REQUEST_MAGIC_V3 {
+            return Err(bad_magic());
         }
-        let flags = match version {
-            WireVersion::V2 => 0,
-            WireVersion::V3 => buf.get_u8(),
-        };
-        Ok((
-            FetchRequest {
-                id: buf.get_u64(),
-                mof: buf.get_u64(),
-                reducer: buf.get_u32(),
-                offset: buf.get_u64(),
-                len: buf.get_u64(),
-                flags,
-            },
-            version,
-        ))
+        if buf.len() < REQUEST_LEN_V3 - 4 {
+            return Err(short());
+        }
+        Ok(FetchRequest {
+            flags: buf.get_u8(),
+            id: buf.get_u64(),
+            mof: buf.get_u64(),
+            reducer: buf.get_u32(),
+            offset: buf.get_u64(),
+            len: buf.get_u64(),
+        })
     }
 
-    /// Write this request as a v2 frame.
+    /// Write this request to a stream.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.encode())
+        w.write_all(&self.encode_v3())
     }
 
-    /// Write this request in the given dialect.
-    pub fn write_versioned<W: Write>(&self, w: &mut W, version: WireVersion) -> io::Result<()> {
-        match version {
-            WireVersion::V2 => w.write_all(&self.encode()),
-            WireVersion::V3 => w.write_all(&self.encode_v3()),
-        }
-    }
-
-    /// Read one request (either dialect) from a stream. Returns
-    /// `Ok(None)` on clean EOF before any byte (the peer closed a
-    /// reused connection).
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Option<(Self, WireVersion)>> {
+    /// Read one request from a stream. Returns `Ok(None)` on clean EOF
+    /// before any byte (the peer closed a reused connection).
+    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Option<Self>> {
         let mut buf = [0u8; REQUEST_LEN_V3];
-        // The magic tells us how much more to read.
-        if !fill(r, buf.get_mut(..4).unwrap_or_default(), true)? {
+        let (magic, rest) = buf.split_at_mut(4);
+        if !fill(r, magic, true)? {
             return Ok(None);
         }
-        let magic = buf
-            .get(..4)
-            .and_then(|b| b.try_into().ok())
-            .map(u32::from_be_bytes)
-            .unwrap_or(0);
-        let total = match magic {
-            REQUEST_MAGIC => REQUEST_LEN,
-            REQUEST_MAGIC_V3 => REQUEST_LEN_V3,
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
-        };
-        fill(r, buf.get_mut(4..total).unwrap_or_default(), false)?;
-        Self::decode(buf.get(..total).unwrap_or_default()).map(Some)
+        // Refuse a foreign magic before waiting on the rest of a frame
+        // that may never come.
+        if *magic != REQUEST_MAGIC_V3.to_be_bytes() {
+            return Err(bad_magic());
+        }
+        fill(r, rest, false)?;
+        Self::decode(&buf).map(Some)
     }
+}
+
+/// The error for a request whose magic is not "JBS3".
+fn bad_magic() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "bad magic")
 }
 
 /// A big-endian writer over a fixed array: each field lands in place,
@@ -318,7 +254,7 @@ pub struct FetchResponse {
     pub status: Status,
     /// Echo of the request's id.
     pub id: u64,
-    /// Segment bytes (empty unless `status` is `Ok`/`OkCrc`).
+    /// Segment bytes (empty unless `status` is `OkCrc`).
     pub payload: Vec<u8>,
     /// CRC32C over `payload`; meaningful iff `status == OkCrc`.
     pub crc: u32,
@@ -379,7 +315,7 @@ pub(crate) fn reserve_tail(buf: &mut Vec<u8>, incoming: usize, declared: u64) {
 }
 
 /// The length of the response frame at the start of `buf` — header,
-/// v3 extension and payload — if every byte of it is there. `None`
+/// integrity extension and payload — if every byte of it is there. `None`
 /// while any of it has yet to arrive, and for a head that
 /// `ResponseHead::read_from` would reject (that reader reports it). A
 /// reader holding buffered bytes asks this whether it can take the
@@ -395,7 +331,7 @@ pub fn response_frame_len(buf: &[u8]) -> Option<usize> {
     let body = match status {
         Status::Busy => 0,
         Status::OkCrc => CRC_EXT_LEN + len as usize,
-        Status::Ok | Status::NotFound | Status::BadRequest => len as usize,
+        Status::NotFound | Status::BadRequest => len as usize,
     };
     let total = RESPONSE_HEADER_LEN + body;
     (buf.len() >= total).then_some(total)
@@ -467,25 +403,16 @@ impl ResponseHead {
                 head.crc = ebuf.get_u32();
                 head.seg_len = ebuf.get_u64();
             }
-            Status::Ok | Status::NotFound | Status::BadRequest => {}
+            Status::NotFound | Status::BadRequest => {}
         }
         Ok(head)
     }
 
     /// Bytes of the segment the peer declares from `offset` (where this
-    /// frame's payload starts) to the segment's end. A v2 frame
-    /// declares nothing beyond its own payload.
+    /// frame's payload starts) to the segment's end: none for a frame
+    /// that carries no `seg_len`, which therefore may carry no payload.
     pub(crate) fn declared_remaining(&self, offset: u64) -> u64 {
-        match self.status {
-            Status::OkCrc => self.seg_len.saturating_sub(offset),
-            _ => self.len as u64,
-        }
-    }
-
-    /// Does `payload` match the carried checksum? Always true for
-    /// non-`OkCrc` frames (v2 carries nothing to verify).
-    pub(crate) fn crc_ok(&self, payload: &[u8]) -> bool {
-        self.status != Status::OkCrc || jbs_checksum::crc32c(payload) == self.crc
+        self.seg_len.saturating_sub(offset)
     }
 
     /// Read this frame's payload onto the end of `buf`: straight into
@@ -502,18 +429,23 @@ impl ResponseHead {
         Ok(())
     }
 
-    /// Read this frame's payload onto the end of `buf` and verify it
-    /// where it lies. `Ok(true)`: `buf` grew by exactly `self.len`
-    /// bytes, all of them verified (or unverifiable: v2). `Ok(false)`:
-    /// the payload failed its CRC32C. `Err`: the stream failed
-    /// mid-payload. In both failure cases `buf` is cut back to the
-    /// length it came in with, so bytes that did not verify are never
-    /// in it once this returns.
-    pub(crate) fn read_verified<R: Read>(&self, r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    /// Read this frame's payload onto the end of `buf` and, if `verify`,
+    /// check it against the carried CRC32C where it lies. `Ok(true)`:
+    /// `buf` grew by exactly `self.len` bytes, all of them verified (or
+    /// taken unchecked). `Ok(false)`: the payload failed its CRC32C.
+    /// `Err`: the stream failed mid-payload. In both failure cases
+    /// `buf` is cut back to the length it came in with, so bytes that
+    /// did not verify are never in it once this returns.
+    pub(crate) fn read_verified<R: Read>(
+        &self,
+        r: &mut R,
+        buf: &mut Vec<u8>,
+        verify: bool,
+    ) -> io::Result<bool> {
         let start = buf.len();
-        let verified = self
-            .read_payload(r, buf)
-            .map(|()| self.crc_ok(buf.get(start..).unwrap_or_default()));
+        let verified = self.read_payload(r, buf).map(|()| {
+            !verify || jbs_checksum::crc32c(buf.get(start..).unwrap_or_default()) == self.crc
+        });
         if !matches!(verified, Ok(true)) {
             buf.truncate(start);
         }
@@ -522,19 +454,7 @@ impl ResponseHead {
 }
 
 impl FetchResponse {
-    /// A successful v2 response to request `id` (no checksum).
-    pub fn ok(id: u64, payload: Vec<u8>) -> Self {
-        FetchResponse {
-            status: Status::Ok,
-            id,
-            payload,
-            crc: 0,
-            seg_len: 0,
-            retry_after_ms: 0,
-        }
-    }
-
-    /// A successful v3 response: payload checksummed at the supplier,
+    /// A successful response: payload checksummed at the supplier,
     /// total segment length carried for expected-byte accounting.
     pub fn ok_crc(id: u64, payload: Vec<u8>, seg_len: u64) -> Self {
         let crc = jbs_checksum::crc32c(&payload);
@@ -576,7 +496,7 @@ impl FetchResponse {
     }
 
     /// Does the payload match the carried checksum? Always true for
-    /// non-`OkCrc` frames (v2 carries nothing to verify).
+    /// `Busy` and error frames, which carry no payload.
     pub fn crc_ok(&self) -> bool {
         self.status != Status::OkCrc || jbs_checksum::crc32c(&self.payload) == self.crc
     }
@@ -668,9 +588,10 @@ mod tests {
             len: 128 << 10,
             flags: 0,
         };
-        let enc = req.encode();
-        assert_eq!(enc.len(), REQUEST_LEN);
-        assert_eq!(FetchRequest::decode(&enc).unwrap(), (req, WireVersion::V2));
+        let enc = req.encode_v3();
+        assert_eq!(enc.len(), REQUEST_LEN_V3);
+        assert_eq!(FetchRequest::decode(&enc).unwrap(), req);
+        assert!(!req.bypass_cache());
     }
 
     #[test]
@@ -685,29 +606,17 @@ mod tests {
         };
         let enc = req.encode_v3();
         assert_eq!(enc.len(), REQUEST_LEN_V3);
-        let (back, version) = FetchRequest::decode(&enc).unwrap();
+        let back = FetchRequest::decode(&enc).unwrap();
         assert_eq!(back, req);
-        assert_eq!(version, WireVersion::V3);
         assert!(back.bypass_cache());
     }
 
-    #[test]
-    fn v2_frame_drops_flags() {
-        let req = FetchRequest {
-            id: 0,
-            mof: 1,
-            reducer: 2,
-            offset: 0,
-            len: 4096,
-            flags: FLAG_BYPASS_CACHE,
-        };
-        let (back, _) = FetchRequest::decode(&req.encode()).unwrap();
-        assert!(!back.bypass_cache());
-    }
-
+    /// A foreign magic is `InvalidData` from its first four bytes on,
+    /// in the decoder and in the stream reader — the retired "JBS2"
+    /// magic included.
     #[test]
     fn request_rejects_bad_magic() {
-        let mut enc = FetchRequest {
+        let enc = FetchRequest {
             id: 0,
             mof: 1,
             reducer: 2,
@@ -715,10 +624,21 @@ mod tests {
             len: 4096,
             flags: 0,
         }
-        .encode();
-        enc[0] ^= 0xF0;
-        assert!(FetchRequest::decode(&enc).is_err());
-        assert!(FetchRequest::decode(&enc[..8]).is_err());
+        .encode_v3();
+        let mut flipped = enc;
+        flipped[0] ^= 0xF0;
+        let mut jbs2 = enc;
+        jbs2[3] = b'2';
+        for bad in [flipped, jbs2] {
+            for cut in [4, 8, REQUEST_LEN_V3] {
+                let err = FetchRequest::decode(&bad[..cut]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cut} bytes");
+            }
+            let err = FetchRequest::read_from(&mut &bad[..4]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let err = FetchRequest::decode(&enc[..REQUEST_LEN_V3 - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "still arriving");
     }
 
     #[test]
@@ -733,42 +653,34 @@ mod tests {
         };
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        req.write_versioned(&mut buf, WireVersion::V3).unwrap();
+        req.write_to(&mut buf).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(
-            FetchRequest::read_from(&mut cursor).unwrap(),
-            Some((req, WireVersion::V2))
-        );
-        assert_eq!(
-            FetchRequest::read_from(&mut cursor).unwrap(),
-            Some((req, WireVersion::V3))
-        );
+        assert_eq!(FetchRequest::read_from(&mut cursor).unwrap(), Some(req));
+        assert_eq!(FetchRequest::read_from(&mut cursor).unwrap(), Some(req));
         // Clean EOF after full requests -> None.
         assert_eq!(FetchRequest::read_from(&mut cursor).unwrap(), None);
     }
 
     #[test]
     fn truncated_request_is_an_error() {
-        for version in [WireVersion::V2, WireVersion::V3] {
-            let req = FetchRequest {
-                id: 3,
-                mof: 9,
-                reducer: 1,
-                offset: 64,
-                len: 4096,
-                flags: 0,
-            };
-            let mut buf = Vec::new();
-            req.write_versioned(&mut buf, version).unwrap();
-            buf.truncate(buf.len() - 3);
-            let mut cursor = std::io::Cursor::new(buf);
-            assert!(FetchRequest::read_from(&mut cursor).is_err());
-        }
+        let req = FetchRequest {
+            id: 3,
+            mof: 9,
+            reducer: 1,
+            offset: 64,
+            len: 4096,
+            flags: 0,
+        };
+        let mut buf = Vec::new();
+        req.write_to(&mut buf).unwrap();
+        buf.truncate(buf.len() - 3);
+        let mut cursor = std::io::Cursor::new(buf);
+        assert!(FetchRequest::read_from(&mut cursor).is_err());
     }
 
     #[test]
     fn response_roundtrip() {
-        let resp = FetchResponse::ok(11, vec![1, 2, 3, 4, 5]);
+        let resp = FetchResponse::ok_crc(11, vec![1, 2, 3, 4, 5], 5);
         let mut buf = Vec::new();
         resp.write_to(&mut buf).unwrap();
         let back = FetchResponse::read_from(&mut std::io::Cursor::new(buf)).unwrap();
@@ -845,7 +757,7 @@ mod tests {
         let head = ResponseHead::read_from(&mut r).unwrap();
         assert_eq!((head.len, head.seg_len), (5000, 9000));
         assert_eq!(head.declared_remaining(4000), 5000);
-        assert!(head.read_verified(&mut r, &mut buf).unwrap());
+        assert!(head.read_verified(&mut r, &mut buf, true).unwrap());
         assert_eq!(buf.len(), 7 + 5000);
         assert_eq!(&buf[7..], &payload[..]);
 
@@ -854,12 +766,18 @@ mod tests {
         flipped[last] ^= 0x80;
         let mut r = flipped.as_slice();
         let head = ResponseHead::read_from(&mut r).unwrap();
-        assert!(!head.read_verified(&mut r, &mut buf).unwrap());
+        assert!(!head.read_verified(&mut r, &mut buf, true).unwrap());
         assert_eq!(buf.len(), 7 + 5000, "unverified bytes were taken back");
+        // With the comparison skipped, the same bytes are taken as read.
+        let mut r = flipped.as_slice();
+        let head = ResponseHead::read_from(&mut r).unwrap();
+        let mut unchecked = Vec::new();
+        assert!(head.read_verified(&mut r, &mut unchecked, false).unwrap());
+        assert_eq!(unchecked, flipped[flipped.len() - 5000..]);
 
         let mut r = &frame[..frame.len() - 100];
         let head = ResponseHead::read_from(&mut r).unwrap();
-        let err = head.read_verified(&mut r, &mut buf).unwrap_err();
+        let err = head.read_verified(&mut r, &mut buf, true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(buf.len(), 7 + 5000, "a half-read payload was taken back");
     }
@@ -910,8 +828,9 @@ mod tests {
     fn vectored_write_matches_plain_write() {
         for payload in [Vec::new(), vec![7u8; 3], vec![0xA5; 64 << 10]] {
             for resp in [
-                FetchResponse::ok(42, payload.clone()),
                 FetchResponse::ok_crc(42, payload.clone(), payload.len() as u64),
+                FetchResponse::busy(42, 25),
+                FetchResponse::error(42, Status::NotFound),
             ] {
                 let mut plain = Vec::new();
                 resp.write_to(&mut plain).unwrap();
@@ -954,8 +873,8 @@ mod tests {
     #[test]
     fn vectored_write_survives_partial_writes() {
         for resp in [
-            FetchResponse::ok(9, (0..=255u8).collect()),
             FetchResponse::ok_crc(9, (0..=255u8).collect(), 256),
+            FetchResponse::busy(9, 25),
         ] {
             let mut sink = TrickleSink(Vec::new());
             resp.write_vectored_to(&mut sink).unwrap();
@@ -976,19 +895,24 @@ mod tests {
         assert!(back.payload.is_empty());
     }
 
+    /// An unknown status byte is corruption — byte 0 included, which
+    /// no frame carries.
     #[test]
     fn unknown_status_byte_is_corruption() {
-        let resp = FetchResponse::ok(0, vec![1, 2, 3]);
+        let resp = FetchResponse::ok_crc(0, vec![1, 2, 3], 3);
         let mut buf = Vec::new();
         resp.write_to(&mut buf).unwrap();
-        buf[0] = 0xEE;
-        let err = FetchResponse::read_from(&mut std::io::Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for status in [0xEE, 0x00] {
+            buf[0] = status;
+            assert_eq!(response_frame_len(&buf), None, "{status:#04x}");
+            let err = FetchResponse::read_from(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{status:#04x}");
+        }
     }
 
     #[test]
     fn oversized_length_header_is_corruption_not_allocation() {
-        let resp = FetchResponse::ok(0, vec![9; 16]);
+        let resp = FetchResponse::ok_crc(0, vec![9; 16], 16);
         let mut buf = Vec::new();
         resp.write_to(&mut buf).unwrap();
         // Flip a high byte of the length field (after status + id): the
@@ -1008,27 +932,66 @@ mod tests {
                 reducer: i as u32,
                 offset: i << 12,
                 len: 4096,
-                flags: 0,
+                flags: (i % 2) as u8,
             };
-            let version = if i % 2 == 0 {
-                WireVersion::V2
-            } else {
-                WireVersion::V3
-            };
-            req.write_versioned(&mut buf, version).unwrap();
+            req.write_to(&mut buf).unwrap();
         }
         let mut cursor = std::io::Cursor::new(buf);
         for i in 0..10u64 {
-            let (req, version) = FetchRequest::read_from(&mut cursor).unwrap().unwrap();
+            let req = FetchRequest::read_from(&mut cursor).unwrap().unwrap();
             assert_eq!(req.mof, i);
             assert_eq!(req.id, i);
-            let expect = if i % 2 == 0 {
-                WireVersion::V2
-            } else {
-                WireVersion::V3
-            };
-            assert_eq!(version, expect);
+            assert_eq!(req.flags, (i % 2) as u8);
         }
         assert_eq!(FetchRequest::read_from(&mut cursor).unwrap(), None);
+    }
+
+    /// The one dialect, byte for byte: a request and the `OkCrc`,
+    /// `Busy` and `NotFound` frames, as the two-dialect codec wrote
+    /// them before v2 was retired.
+    #[test]
+    fn frames_match_their_golden_bytes() {
+        let req = FetchRequest {
+            id: 0x0102_0304_0506_0708,
+            mof: 0x1112_1314_1516_1718,
+            reducer: 0x2122_2324,
+            offset: 0x3132_3334_3536_3738,
+            len: 128 << 10,
+            flags: FLAG_BYPASS_CACHE,
+        };
+        const REQ: [u8; REQUEST_LEN_V3] = [
+            0x4A, 0x42, 0x53, 0x33, 0x01, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x11,
+            0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18, 0x21, 0x22, 0x23, 0x24, 0x31, 0x32, 0x33,
+            0x34, 0x35, 0x36, 0x37, 0x38, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        ];
+        assert_eq!(req.encode_v3(), REQ);
+        assert_eq!(FetchRequest::decode(&REQ).unwrap(), req);
+
+        const OK_CRC: [u8; 40] = [
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x0B, 0xFB, 0xCF, 0xDB, 0x77, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+            0x00, 0x4A, 0x42, 0x53, 0x20, 0x73, 0x68, 0x75, 0x66, 0x66, 0x6C, 0x65,
+        ];
+        const BUSY: [u8; RESPONSE_HEADER_LEN] = [
+            0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x19,
+        ];
+        const NOT_FOUND: [u8; RESPONSE_HEADER_LEN] = [
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00,
+        ];
+        for (resp, golden) in [
+            (
+                FetchResponse::ok_crc(7, b"JBS shuffle".to_vec(), 1 << 32),
+                &OK_CRC[..],
+            ),
+            (FetchResponse::busy(8, 25), &BUSY[..]),
+            (FetchResponse::error(9, Status::NotFound), &NOT_FOUND[..]),
+        ] {
+            let mut out = Vec::new();
+            resp.write_to(&mut out).unwrap();
+            assert_eq!(out, golden, "{:?}", resp.status);
+            assert_eq!(FetchResponse::read_from(&mut &golden[..]).unwrap(), resp);
+        }
     }
 }

@@ -61,7 +61,7 @@ pub use jbs_workloads as workloads;
 /// simulator and the TCP supplier, store, client and registry.
 pub struct Dataplane {
     /// The NetMerger client: buffer size, pipelining window, retry
-    /// budget and backoff, I/O deadline, dialect, breaker threshold.
+    /// budget and backoff, I/O deadline, breaker threshold.
     pub client: transport::ClientConfig,
     /// The MOFSupplier: buffer size, prefetch depth, the Fig. 4-vs-Fig. 5
     /// run-ahead switch, admission bounds, and the disk IO scheduler
@@ -114,7 +114,6 @@ pub fn dataplane(cfg: &core::JbsConfig) -> Dataplane {
                 max_backoff: duration(cfg.fetch_backoff_max),
             },
             io_timeout: duration(cfg.fetch_io_timeout),
-            checksum: cfg.checksum,
             breaker_threshold: cfg.breaker_threshold,
             ..transport::ClientConfig::default()
         },
@@ -162,7 +161,6 @@ mod tests {
         assert_eq!(c.window, d.window);
         assert_eq!(c.retry, d.retry);
         assert_eq!(c.io_timeout, d.io_timeout);
-        assert_eq!(c.checksum, d.checksum);
         assert_eq!(c.breaker_threshold, d.breaker_threshold);
 
         let (s, d) = (&dp.server, transport::ServerOptions::default());
@@ -224,7 +222,6 @@ mod tests {
         let cfg = core::JbsConfig {
             max_inflight_per_peer: 33,
             buffer_bytes: 64 << 10,
-            checksum: false,
             breaker_threshold: 0,
             ..core::JbsConfig::default()
         };
@@ -232,7 +229,6 @@ mod tests {
         assert_eq!(server.max_inflight_per_peer, 33);
         assert_eq!(server.buffer_bytes, 64 << 10);
         assert_eq!(server.max_connections, cfg.max_connections as u64);
-        assert!(!client.checksum, "v2 pin propagates");
         assert_eq!(client.breaker_threshold, 0, "breaker disable propagates");
     }
 

@@ -261,7 +261,7 @@ fn shuffle_survives_corruption_busy_storms_and_restart() {
 }
 
 /// A lying clean EOF on a *single-exchange* chunk (the levitated-merge
-/// path) must not silently terminate the stream early: the v3 segment
+/// path) must not silently terminate the stream early: the segment
 /// length exposes the lie and a cache-bypass re-fetch repairs it.
 #[test]
 fn levitated_stream_survives_clean_eof_lie() {

@@ -165,15 +165,15 @@ proptest! {
 
     /// Wire requests round-trip through encode/decode.
     #[test]
-    fn wire_request_roundtrip(id in any::<u64>(), mof in any::<u64>(), reducer in any::<u32>(), offset in any::<u64>(), len in any::<u64>()) {
-        let req = FetchRequest { id, mof, reducer, offset, len, flags: 0 };
-        prop_assert_eq!(FetchRequest::decode(&req.encode()).unwrap().0, req);
+    fn wire_request_roundtrip(id in any::<u64>(), mof in any::<u64>(), reducer in any::<u32>(), offset in any::<u64>(), len in any::<u64>(), flags in any::<u8>()) {
+        let req = FetchRequest { id, mof, reducer, offset, len, flags };
+        prop_assert_eq!(FetchRequest::decode(&req.encode_v3()).unwrap(), req);
     }
 
     /// Wire responses round-trip through a stream.
     #[test]
-    fn wire_response_roundtrip(id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..4096)) {
-        let resp = FetchResponse::ok(id, payload);
+    fn wire_response_roundtrip(id in any::<u64>(), payload in prop::collection::vec(any::<u8>(), 0..4096), seg_len in any::<u64>()) {
+        let resp = FetchResponse::ok_crc(id, payload, seg_len);
         let mut buf = Vec::new();
         resp.write_to(&mut buf).unwrap();
         let back = FetchResponse::read_from(&mut std::io::Cursor::new(buf)).unwrap();
