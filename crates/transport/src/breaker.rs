@@ -13,17 +13,15 @@
 //! ```
 //!
 //! While `Open`, new work for the peer fails fast with
-//! [`crate::TransportError::CircuitOpen`] and already-admitted work is
-//! parked until the next probe time — the scheduler worker sleeps
-//! instead of hammering a dead peer.
+//! [`crate::TransportError::CircuitOpen`] and already-admitted work
+//! waits for the next probe time — a deadline in the client loop's poll
+//! timeout — instead of hammering a dead peer.
 //!
 //! The breaker never reads a clock: every method takes `now_nanos`
-//! supplied by the caller (the worker's monotonic anchor in production,
-//! synthetic time in the loom model below), which keeps the state
-//! machine deterministic and model-checkable. All state sits behind one
-//! `state` mutex held only for the transition — never across I/O.
-
-use crate::sync::{lock, Mutex};
+//! supplied by the caller (the client loop's monotonic anchor in
+//! production, synthetic time in the tests below), which keeps the
+//! state machine deterministic. Only the client loop's thread touches a
+//! peer's breaker, so it takes no lock.
 
 /// Internal state. `consecutive` counts failures since the last success;
 /// `cooldown_level` doubles the open cooldown per consecutive reopen.
@@ -81,9 +79,9 @@ pub(crate) enum Admit {
 
 /// A per-peer circuit breaker. `threshold == 0` disables it entirely
 /// (every admit is `Yes`, failures are not tracked).
-#[cfg_attr(not(loom), derive(Debug))]
+#[derive(Debug)]
 pub(crate) struct Breaker {
-    state: Mutex<State>,
+    state: State,
     threshold: u32,
     cooldown_nanos: u64,
 }
@@ -96,7 +94,7 @@ impl Breaker {
     /// the given base cooldown before the first half-open probe.
     pub(crate) fn new(threshold: u32, cooldown_nanos: u64) -> Self {
         Breaker {
-            state: Mutex::new(State::Closed { consecutive: 0 }),
+            state: State::Closed { consecutive: 0 },
             threshold,
             // A zero cooldown would grant a probe immediately and turn
             // fail-fast into a busy loop.
@@ -115,19 +113,18 @@ impl Breaker {
     }
 
     /// Ask to send work to the peer now.
-    pub(crate) fn try_acquire(&self, now_nanos: u64) -> Admit {
+    pub(crate) fn try_acquire(&mut self, now_nanos: u64) -> Admit {
         if !self.enabled() {
             return Admit::Yes;
         }
-        let mut state = lock(&self.state);
-        match *state {
+        match self.state {
             State::Closed { .. } => Admit::Yes,
             State::Open {
                 until_nanos,
                 cooldown_level,
             } => {
                 if now_nanos >= until_nanos {
-                    *state = State::HalfOpen { cooldown_level };
+                    self.state = State::HalfOpen { cooldown_level };
                     Admit::Probe
                 } else {
                     Admit::No {
@@ -149,20 +146,18 @@ impl Breaker {
         if !self.enabled() {
             return false;
         }
-        match *lock(&self.state) {
+        match self.state {
             State::Open { until_nanos, .. } => now_nanos < until_nanos,
             _ => false,
         }
     }
 
     /// Report a successful exchange with the peer.
-    pub(crate) fn on_success(&self, _now_nanos: u64) -> Transition {
+    pub(crate) fn on_success(&mut self, _now_nanos: u64) -> Transition {
         if !self.enabled() {
             return Transition::None;
         }
-        let mut state = lock(&self.state);
-        let was = *state;
-        *state = State::Closed { consecutive: 0 };
+        let was = std::mem::replace(&mut self.state, State::Closed { consecutive: 0 });
         match was {
             State::Closed { .. } => Transition::None,
             State::Open { .. } | State::HalfOpen { .. } => Transition::Closed,
@@ -170,29 +165,28 @@ impl Breaker {
     }
 
     /// Report a failed exchange with the peer.
-    pub(crate) fn on_failure(&self, now_nanos: u64) -> Transition {
+    pub(crate) fn on_failure(&mut self, now_nanos: u64) -> Transition {
         if !self.enabled() {
             return Transition::None;
         }
-        let mut state = lock(&self.state);
-        match *state {
+        match self.state {
             State::Closed { consecutive } => {
                 let consecutive = consecutive + 1;
                 if consecutive >= self.threshold {
-                    *state = State::Open {
+                    self.state = State::Open {
                         until_nanos: now_nanos.saturating_add(self.cooldown_for(0)),
                         cooldown_level: 0,
                     };
                     Transition::Opened
                 } else {
-                    *state = State::Closed { consecutive };
+                    self.state = State::Closed { consecutive };
                     Transition::None
                 }
             }
             // The half-open probe failed: back to open, deeper cooldown.
             State::HalfOpen { cooldown_level } => {
                 let level = (cooldown_level + 1).min(MAX_COOLDOWN_LEVEL);
-                *state = State::Open {
+                self.state = State::Open {
                     until_nanos: now_nanos.saturating_add(self.cooldown_for(level)),
                     cooldown_level: level,
                 };
@@ -212,7 +206,7 @@ mod tests {
 
     #[test]
     fn threshold_zero_disables() {
-        let b = Breaker::new(0, 100 * MS);
+        let mut b = Breaker::new(0, 100 * MS);
         assert!(!b.enabled());
         for t in 0..100 {
             assert_eq!(b.on_failure(t), Transition::None);
@@ -223,7 +217,7 @@ mod tests {
 
     #[test]
     fn opens_after_threshold_consecutive_failures() {
-        let b = Breaker::new(3, 100 * MS);
+        let mut b = Breaker::new(3, 100 * MS);
         assert_eq!(b.on_failure(0), Transition::None);
         assert_eq!(b.on_failure(1), Transition::None);
         assert_eq!(b.on_failure(2), Transition::Opened);
@@ -238,7 +232,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_consecutive_count() {
-        let b = Breaker::new(3, 100 * MS);
+        let mut b = Breaker::new(3, 100 * MS);
         b.on_failure(0);
         b.on_failure(1);
         assert_eq!(b.on_success(2), Transition::None);
@@ -250,7 +244,7 @@ mod tests {
 
     #[test]
     fn probe_lifecycle_close() {
-        let b = Breaker::new(1, 100 * MS);
+        let mut b = Breaker::new(1, 100 * MS);
         assert_eq!(b.on_failure(0), Transition::Opened);
         // Before the cooldown: parked.
         assert!(matches!(b.try_acquire(50 * MS), Admit::No { .. }));
@@ -264,7 +258,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_with_doubled_cooldown() {
-        let b = Breaker::new(1, 100 * MS);
+        let mut b = Breaker::new(1, 100 * MS);
         b.on_failure(0);
         assert_eq!(b.try_acquire(100 * MS), Admit::Probe);
         assert_eq!(b.on_failure(100 * MS), Transition::Opened);
@@ -287,7 +281,7 @@ mod tests {
 
     #[test]
     fn open_absorbs_late_failure_reports() {
-        let b = Breaker::new(2, 100 * MS);
+        let mut b = Breaker::new(2, 100 * MS);
         b.on_failure(0);
         assert_eq!(b.on_failure(1), Transition::Opened);
         // In-flight ops from before the open keep failing; the open
@@ -295,92 +289,5 @@ mod tests {
         assert_eq!(b.on_failure(2), Transition::None);
         assert_eq!(b.on_failure(50 * MS), Transition::None);
         assert_eq!(b.try_acquire(1 + 100 * MS), Admit::Probe);
-    }
-}
-
-/// Bounded model checks of the breaker under concurrency: a failure
-/// report racing the half-open probe acquisition racing a success
-/// report. Build and run with
-/// `RUSTFLAGS="--cfg loom" cargo test -p jbs-transport --lib loom_`.
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-    use std::sync::Arc;
-
-    /// Two threads race for the half-open probe token: in every
-    /// interleaving exactly one gets `Probe`, the other is parked.
-    #[test]
-    fn loom_single_probe_token() {
-        loom::model(|| {
-            let b = Arc::new(Breaker::new(1, 100));
-            assert_eq!(b.on_failure(0), Transition::Opened);
-            let b2 = Arc::clone(&b);
-            let h = loom::thread::spawn(move || b2.try_acquire(200));
-            let a = b.try_acquire(200);
-            let other = match h.join() {
-                Ok(v) => v,
-                Err(_) => panic!("prober panicked"),
-            };
-            let probes = [a, other]
-                .iter()
-                .filter(|v| matches!(v, Admit::Probe))
-                .count();
-            assert_eq!(probes, 1, "probe token duplicated or lost: {a:?} {other:?}");
-        });
-    }
-
-    /// A stale failure report (from an op admitted before the open)
-    /// races the probe's success report. Whatever the order, the
-    /// breaker ends in a coherent state: either closed (success landed
-    /// last or the late failure was absorbed while open/closed-counting)
-    /// and work flows, or re-opened with a future probe time — never a
-    /// stuck state that admits nothing forever.
-    #[test]
-    fn loom_failure_report_races_probe_close() {
-        loom::model(|| {
-            let b = Arc::new(Breaker::new(1, 100));
-            assert_eq!(b.on_failure(0), Transition::Opened);
-            assert_eq!(b.try_acquire(100), Admit::Probe);
-            let b2 = Arc::clone(&b);
-            // The probe succeeded...
-            let h = loom::thread::spawn(move || b2.on_success(150));
-            // ...while an old in-flight op reports its failure.
-            let _ = b.on_failure(150);
-            if h.join().is_err() {
-                panic!("closer panicked");
-            }
-            // The breaker still makes progress: either admitting now,
-            // or open with a probe scheduled no further than the max
-            // cooldown out.
-            match b.try_acquire(10_000_000_000) {
-                Admit::Yes | Admit::Probe => {}
-                Admit::No { retry_at_nanos } => {
-                    assert!(retry_at_nanos <= 150 + (1 << MAX_COOLDOWN_LEVEL) * 100);
-                }
-            }
-        });
-    }
-
-    /// Concurrent failure reports from two ops: the breaker opens
-    /// exactly once (one `Opened` transition), so the open event is
-    /// emitted once, not once per reporting op.
-    #[test]
-    fn loom_concurrent_failures_open_once() {
-        loom::model(|| {
-            let b = Arc::new(Breaker::new(2, 100));
-            let b2 = Arc::clone(&b);
-            let h = loom::thread::spawn(move || b2.on_failure(10));
-            let a = b.on_failure(10);
-            let other = match h.join() {
-                Ok(v) => v,
-                Err(_) => panic!("reporter panicked"),
-            };
-            let opens = [a, other]
-                .iter()
-                .filter(|t| matches!(t, Transition::Opened))
-                .count();
-            assert_eq!(opens, 1, "open transition must fire exactly once");
-            assert!(b.is_open(11));
-        });
     }
 }

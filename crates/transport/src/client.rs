@@ -4,9 +4,10 @@
 //! One client serves all reducers of a "node", and it has one fetch
 //! path: every call (`fetch_all`, `fetch_segment`, `fetch_chunk`,
 //! `levitated_merge`) hands ops to the background fetch scheduler
-//! (`sched::FetchScheduler`). One worker thread per supplier owns
-//! that supplier's single connection (the paper's consolidation, Sec.
-//! III-C) and keeps a bounded window of requests in flight on it,
+//! (`sched::FetchScheduler`): event loops — one per available core at
+//! most, never more than suppliers — that own every supplier's single
+//! connection (the paper's consolidation, Sec. III-C) and keep a
+//! bounded window of requests in flight on each,
 //! injected round-robin across segments, so the supplier's disk
 //! prefetch for chunk `k+1` overlaps the network transmission of chunk
 //! `k` end-to-end. Completions stream back over channels and are
@@ -15,7 +16,7 @@
 //! configuration of the same path, not a second one.
 //!
 //! Every fetch is covered by the recovery machinery: one
-//! connect/read/write deadline ([`ClientConfig::io_timeout`]), a
+//! connect and progress deadline ([`ClientConfig::io_timeout`]), a
 //! [`RetryPolicy`] with deterministic backoff jitter, re-dial of failed
 //! connections, and — because retry operates
 //! per chunk — **resume at the received offset**: a segment interrupted
@@ -67,14 +68,15 @@ pub struct ClientConfig {
     /// Transport buffer (chunk) size; the paper uses 128 KB.
     pub buffer_bytes: u64,
     /// Pipelining depth: requests kept in flight per supplier
-    /// connection, and ops admitted concurrently per supplier worker.
+    /// connection, and ops admitted concurrently per supplier.
     /// `1` is strict lockstep, the measurement baseline — not a second
     /// fetch path.
     pub window: usize,
     /// Retry budget and backoff shape for transient failures.
     pub retry: RetryPolicy,
-    /// Deadline for establishing a connection and for each socket read
-    /// and write on it.
+    /// Deadline for establishing a connection, and for progress on it:
+    /// a connection that receives no byte and takes no write for this
+    /// long while a response is due has timed out.
     pub io_timeout: Duration,
     /// Optional fault-injection plan (tests only; `None` in production).
     pub faults: Option<Arc<FaultPlan>>,
@@ -125,8 +127,8 @@ impl Default for ClientConfig {
     }
 }
 
-/// State shared between the client facade and the scheduler's worker
-/// threads.
+/// State shared between the client facade and the scheduler's event
+/// loops.
 pub(crate) struct ClientShared {
     pub(crate) fetch_stats: FetchStats,
     pub(crate) config: ClientConfig,
@@ -158,8 +160,8 @@ fn balanced_order(segs: &[SegmentRef]) -> Vec<usize> {
     order
 }
 
-/// The NetMerger: a facade over the fetch scheduler, whose
-/// per-supplier workers each own one connection.
+/// The NetMerger: a facade over the fetch scheduler, whose event loops
+/// own a connection per supplier.
 pub struct NetMergerClient {
     shared: Arc<ClientShared>,
     sched: FetchScheduler,
@@ -204,19 +206,12 @@ impl NetMergerClient {
         self.shared.fetch_stats.snapshot()
     }
 
-    /// Per-supplier scheduler queue depths (ops submitted but not yet
-    /// picked up by that supplier's worker). Quiescent clients read all
-    /// zeros.
-    pub fn queue_depths(&self) -> Vec<(SocketAddr, usize)> {
-        self.sched.queue_depths()
-    }
-
     /// Fetch every segment of a reducer through the pipelined scheduler
     /// and return the raw segment byte vectors in input order.
     ///
     /// Ops inject round-robin across supplier addresses (balanced
-    /// injection); each supplier's worker keeps up to
-    /// [`ClientConfig::window`] requests on the wire, so supplier disk
+    /// injection); the scheduler keeps up to
+    /// [`ClientConfig::window`] requests on the wire per supplier, so supplier disk
     /// prefetch and network transmission overlap across the whole
     /// reducer. Failures carry [`TransportError::Segment`] context
     /// naming the exact (MOF, reducer, supplier) that failed; the
@@ -238,7 +233,7 @@ impl NetMergerClient {
         let mut out: Vec<Option<Vec<u8>>> = segs.iter().map(|_| None).collect();
         let mut failures: Vec<(u64, TransportError)> = Vec::new();
         // Every submitted op sends exactly one completion; stop at the
-        // last one rather than wait for the workers to drop their
+        // last one rather than wait for the scheduler to drop their
         // senders, so a wave ends the moment its last segment lands.
         // (The senders are all gone if the client shuts down first.)
         for done in rx.iter().take(segs.len()) {
@@ -278,8 +273,8 @@ impl NetMergerClient {
     }
 
     /// Fetch one chunk of at most [`ClientConfig::buffer_bytes`] at
-    /// `offset`: a single request/response exchange through the
-    /// segment's supplier worker, retried on transient failure. An empty
+    /// `offset`: a single request/response exchange on the segment's
+    /// supplier connection, retried on transient failure. An empty
     /// payload means `offset` is at or past the segment's end.
     pub fn fetch_chunk(&self, seg: SegmentRef, offset: u64) -> Result<Vec<u8>> {
         let (done, rx) = mpsc::channel();
@@ -324,7 +319,8 @@ impl NetMergerClient {
     }
 }
 
-/// A submitted op whose completion never arrived (its worker is gone).
+/// A submitted op whose completion never arrived (the scheduler is
+/// gone).
 fn vanished() -> TransportError {
     TransportError::Io {
         during: "fetch",
@@ -443,7 +439,7 @@ mod tests {
     use jbs_mapred::mof::SegmentReader;
 
     /// Wait for the scheduler's gauges to drain: completions hand off
-    /// before workers finish reading trailing speculative responses, so
+    /// before the loop finishes reading trailing speculative responses, so
     /// gauge assertions poll briefly instead of racing the drain.
     fn quiesce(client: &NetMergerClient) -> FetchStatsSnapshot {
         for _ in 0..400 {
@@ -571,10 +567,6 @@ mod tests {
             fs.spec_discards, 0,
             "never speculates past a declared end: {fs:?}"
         );
-        assert!(
-            client.queue_depths().iter().all(|(_, d)| *d == 0),
-            "per-peer queues must be empty at rest"
-        );
         for s in servers {
             s.shutdown();
         }
@@ -673,15 +665,15 @@ mod tests {
     }
 
     /// Regression: `submit` used to count an op *after* pushing it, so
-    /// the peer's worker could pop and un-count it first; the gauge
+    /// the fetch loop could take and un-count it first; the gauge
     /// wrapped below zero and the next `record_op_queued` overflowed —
     /// a debug-build panic inside `fetch_all`. The ordering itself is
     /// checked exhaustively by the loom model beside `push_counted` in
-    /// `sched.rs`; this test drives the real worker. The race needs the
-    /// worker contending for the op queue while submits land, so: tiny
+    /// `sched.rs`; this test drives the real loop. The race needs the
+    /// loop contending for the mailbox while submits land, so: tiny
     /// chunks (a response, hence an `admit`, every few microseconds), a
-    /// window wide enough that `admit` always tries to pop, and several
-    /// threads submitting bursts while the worker serves the others'
+    /// window wide enough that `admit` always takes more, and several
+    /// threads submitting bursts while the loop serves the others'
     /// ops.
     #[test]
     fn queued_ops_gauge_survives_submit_racing_admit() {
@@ -1448,6 +1440,60 @@ mod tests {
         }
         assert_eq!(client.fetch_stats().corrupt_refetches, 2, "budget spent");
         server.shutdown();
+    }
+
+    /// One loop serves every supplier, so a supplier that accepts a
+    /// request and never answers must not hold up another: a wave from
+    /// a healthy supplier lands while a chunk from the silent one is
+    /// still pending, and that chunk then ends in a timeout.
+    #[test]
+    fn a_silent_supplier_does_not_hold_up_a_healthy_one() {
+        let healthy = server_with_records(1500, 2);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let silent = SegmentRef {
+            addr: listener.local_addr().unwrap(),
+            mof: 0,
+            reducer: 0,
+        };
+        let (heard_tx, heard) = mpsc::channel();
+        let (release, hold) = mpsc::channel::<()>();
+        let supplier = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; crate::wire::REQUEST_LEN_V3];
+            io::Read::read_exact(&mut stream, &mut request).unwrap();
+            heard_tx.send(()).unwrap();
+            // Never answer, and keep the connection open meanwhile.
+            let _ = hold.recv();
+        });
+        let io_timeout = Duration::from_millis(300);
+        let client = NetMergerClient::with_client_config(ClientConfig {
+            retry: RetryPolicy::none(),
+            io_timeout,
+            ..ClientConfig::default()
+        });
+        let segs: Vec<SegmentRef> = (0..2)
+            .map(|reducer| SegmentRef {
+                addr: healthy.addr(),
+                mof: 0,
+                reducer,
+            })
+            .collect();
+        std::thread::scope(|s| {
+            let pending = s.spawn(|| client.fetch_chunk(silent, 0));
+            heard.recv().unwrap();
+            let started = std::time::Instant::now();
+            let wave = client.fetch_all(&segs).unwrap();
+            let took = started.elapsed();
+            assert!(wave.iter().all(|seg| !seg.is_empty()));
+            assert!(took < io_timeout, "the healthy wave took {took:?}");
+            assert!(!pending.is_finished(), "the silent chunk is still due");
+            let err = pending.join().unwrap().unwrap_err();
+            assert!(err.is_timeout(), "{err}");
+        });
+        assert_eq!(client.fetch_stats().timeouts, 1);
+        drop(release);
+        supplier.join().unwrap();
+        healthy.shutdown();
     }
 
     #[test]

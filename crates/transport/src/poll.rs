@@ -1,15 +1,16 @@
-//! Readiness polling over raw fds — the thin unsafe shim under the
-//! reactor.
+//! Readiness polling over raw fds — the thin unsafe shim under both
+//! event loops: the supplier's reactor and the client's fetch
+//! scheduler.
 //!
 //! The no-deps policy rules out `mio` and the `libc` crate, but std on
 //! unix already links the platform libc, so the one syscall the event
-//! loop needs is a single hand-declared `extern "C"` away: `poll(2)`.
-//! It is chosen over `epoll` deliberately — the supplier's fd set is
-//! small (admitted connections are capped by admission control) and
-//! rebuilt each iteration from the connection slab anyway, so the
-//! O(n) scan poll performs is the same scan the reactor does to find
-//! its state machines, without epoll's three extra syscalls of
-//! registration bookkeeping or its Linux-only surface.
+//! loops need is a single hand-declared `extern "C"` away: `poll(2)`.
+//! It is chosen over `epoll` deliberately — both fd sets are small (the
+//! supplier's admitted connections are capped by admission control; the
+//! client's set is one socket per supplier) and rebuilt each iteration
+//! anyway, so the O(n) scan poll performs is the same scan each loop
+//! does to find its state machines, without epoll's three extra
+//! syscalls of registration bookkeeping or its Linux-only surface.
 //!
 //! This is one of the two modules allowed to contain `unsafe` (the
 //! `cargo xtask analyze` hygiene fence holds the list; the other is
@@ -60,7 +61,6 @@ impl PollFd {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn writable(&self) -> bool {
         self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
     }
@@ -125,7 +125,7 @@ const TRIM_THRESHOLD: std::ffi::c_int = 256 << 20;
 /// there is nothing to set).
 ///
 /// The dataplane cycles buffers of 128 KiB (a chunk) to several MiB (a
-/// fetched segment: reserved by a client worker, dropped by the caller
+/// fetched segment: reserved by the client loop, dropped by the caller
 /// a wave later) at more than a GiB/s. glibc serves a block above its
 /// mmap threshold with a private `mmap` and gives a heap's free top
 /// back to the kernel above its trim threshold, and by default both
@@ -198,13 +198,14 @@ impl Waker {
 
     /// Consume all pending wake bytes. Called by the loop after
     /// readiness; nonblocking, so it returns as soon as the buffer is
-    /// empty.
+    /// empty — and a short read already emptied it.
     pub(crate) fn drain(&self) {
         let mut sink = [0u8; 64];
         loop {
             match (&self.rx).read(&mut sink) {
-                Ok(0) => return, // peer closed: nothing more to drain
-                Ok(_) => continue,
+                Ok(n) if n == sink.len() => continue,
+                // Short (or peer closed): nothing more to drain.
+                Ok(_) => return,
                 Err(_) => return, // WouldBlock (or EINTR): drained enough
             }
         }

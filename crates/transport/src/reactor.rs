@@ -39,7 +39,7 @@
 //!   miss, `Read` for everything served without the DataCache — and
 //!   the worker's one read path decides which tier answers. The
 //!   finished frame comes back through a
-//!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
+//!   [`crate::sync::Mailbox`] plus a [`Waker`] byte. The reactor itself only
 //!   ever does nonblocking socket I/O and short lock-only touches — a
 //!   rule `cargo xtask analyze` enforces (`nonblocking_context`): no
 //!   blocking primitive may be *reachable* from this file at all. Its
@@ -68,7 +68,6 @@ use crate::faults::{self, FaultAction, Hook};
 use crate::poll::{sys_poll, PollFd, POLLIN, POLLOUT};
 use crate::prefetch::{Reply, StageJob};
 use crate::server::Shared;
-use crate::sync::{lock, Mutex};
 use crate::wire::{self, FetchRequest, Status, REQUEST_LEN_V3};
 use jbs_obs::{Entity, OwnedSpan};
 use std::collections::{HashMap, VecDeque};
@@ -303,56 +302,6 @@ pub(crate) struct Completion {
     pub(crate) resp: OutResp,
 }
 
-/// The disk-thread → reactor handoff: a closable mailbox. `close`
-/// drains and marks closed so a post-shutdown push is refused — the
-/// rejected completion's lease drops on the pushing side and the buffer
-/// is freed, never leaks (the `loom_` model below pins this down).
-pub(crate) struct CompletionQueue {
-    inner: Mutex<CqInner>,
-}
-
-struct CqInner {
-    items: Vec<Completion>,
-    closed: bool,
-}
-
-impl CompletionQueue {
-    pub(crate) fn new() -> Self {
-        CompletionQueue {
-            inner: Mutex::new(CqInner {
-                items: Vec::new(),
-                closed: false,
-            }),
-        }
-    }
-
-    /// Deliver one completion. `Err` hands the completion back because
-    /// the queue already closed; the caller must release its lease —
-    /// returning the value (not a boxed copy) is the point, so the
-    /// large-`Err` clippy lint is waived here.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn push(&self, c: Completion) -> Result<(), Completion> {
-        let mut q = lock(&self.inner);
-        if q.closed {
-            return Err(c);
-        }
-        q.items.push(c);
-        Ok(())
-    }
-
-    /// Take everything currently queued.
-    pub(crate) fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut lock(&self.inner).items)
-    }
-
-    /// Drain and refuse all future pushes.
-    pub(crate) fn close(&self) -> Vec<Completion> {
-        let mut q = lock(&self.inner);
-        q.closed = true;
-        std::mem::take(&mut q.items)
-    }
-}
-
 /// Everything the disk thread needs to finish a reactor-dispatched
 /// request: what to do ([`JobKind`]), the id to echo, and where in the reactor to deliver the frame (generation-tagged
 /// connection index, and the request's sequence number on that
@@ -382,8 +331,9 @@ pub(crate) enum JobKind {
 
 impl JobTicket {
     /// Deliver `resp` to the reactor and wake its poll loop. A closed
-    /// queue (reactor shut down) just drops the frame — the payload
-    /// lease is released on this thread.
+    /// mailbox (reactor shut down) hands the frame back and it drops
+    /// here: the payload lease is released on this thread, never
+    /// leaked (the `loom_` models below pin this down).
     pub(crate) fn deliver(self, shared: &Shared, resp: OutResp) {
         let c = Completion {
             slot: self.slot,
@@ -1226,7 +1176,7 @@ mod loom_tests {
     fn loom_completion_delivery_races_queue_close_without_leaking() {
         loom::model(|| {
             let pool = BufPool::new();
-            let cq = std::sync::Arc::new(CompletionQueue::new());
+            let cq = std::sync::Arc::new(crate::sync::Mailbox::new());
             let cq2 = std::sync::Arc::clone(&cq);
             let c = completion(&pool);
             let h = loom::thread::spawn(move || {
@@ -1251,7 +1201,7 @@ mod loom_tests {
     fn loom_two_deliveries_race_close() {
         loom::model(|| {
             let pool = BufPool::new();
-            let cq = std::sync::Arc::new(CompletionQueue::new());
+            let cq = std::sync::Arc::new(crate::sync::Mailbox::new());
             let c1 = completion(&pool);
             let c2 = completion(&pool);
             let cq1 = std::sync::Arc::clone(&cq);
@@ -1275,7 +1225,7 @@ mod tests {
 
     #[test]
     fn completion_queue_refuses_after_close() {
-        let cq = CompletionQueue::new();
+        let cq = crate::sync::Mailbox::new();
         let resp = build_error(1, Status::NotFound, 0, 0);
         assert!(cq
             .push(Completion {

@@ -1,79 +1,70 @@
-//! The NetMerger's background fetch scheduler: per-supplier request
-//! queues drained by worker threads that keep a **bounded window of
-//! pipelined requests** in flight on each connection.
+//! The NetMerger's fetch scheduler: **event loops** that own every
+//! supplier connection of a client and keep a **bounded window of
+//! pipelined requests** in flight on each (DESIGN.md §10).
 //!
 //! This is the client half of the Fig. 4 fix, and the NetMerger's only
-//! fetch path. With `window = 1` it is strict lockstep — request, wait,
-//! response, request — so disk time on the supplier and network time
-//! strictly add: the Fig. 4 baseline, kept as a configuration. Each
-//! supplier address gets one worker thread that owns the single
-//! connection to it (so no lock guards the socket) and:
+//! fetch path; `window = 1` is the Fig. 4 lockstep baseline, kept as a
+//! configuration. Like the supplier's reactor, a loop is one thread
+//! over `poll(2)` and a [`Waker`]: callers hand it ops through one
+//! closable [`Mailbox`], and it keeps one nonblocking connection per
+//! supplier it owns, so no lock guards a socket. A client runs one loop
+//! per available core at most, and never more loops than suppliers
+//! ([`Router`]), so one loop serves any number of suppliers. For each
+//! supplier a loop:
 //!
-//! * admits up to `window` fetch ops from its [`DispatchQueue`] into an
-//!   active set;
-//! * gives a free window slot first to an active op with nothing in
-//!   flight, then round-robins further chunk requests across the active
-//!   ops (the paper's balanced injection), keeping up to `window`
-//!   requests on the wire — so while chunk `k` streams back, chunk
-//!   `k+1` is already being staged by the supplier's prefetch thread;
-//! * matches responses to requests by the **id echo** in strict FIFO
-//!   order: TCP delivers responses in request order, so a mismatched id
-//!   means the stream desynchronized and the connection is torn down as
-//!   corrupt rather than trusted;
-//! * batches its socket I/O: a window refill is encoded into one buffer
-//!   and sent with one write, and after its one blocking read a step
-//!   also takes every response already whole in the 64 KiB receive
-//!   buffer, down to half the window — so the supplier reads a refill
-//!   with one syscall and always has half a window left to serve while
-//!   the client verifies the rest;
-//! * requests *speculative* offsets for multi-chunk ops (chunk `k+1`'s
-//!   offset is predicted before chunk `k` lands), but never at or past
-//!   the segment length a response declared, and the last request is
-//!   sized to what remains. Until the first response declares that
-//!   length, an op runs at most one request ahead. A short read
-//!   proves a prediction wrong: speculation collapses back to the
-//!   committed offset and the stale responses are discarded by offset
-//!   mismatch ([`crate::stats::FetchStatsSnapshot::spec_discards`]);
-//! * ends a whole-segment op the moment its committed bytes reach the
-//!   declared length, with no empty-frame probe; an empty frame short
-//!   of that length is a truncation, never an end;
-//! * keeps PR 1's recovery semantics **per in-flight op**: any
-//!   connection-level failure drains the window, resets every active op
-//!   to its committed offset (resume — bytes received are never
-//!   refetched), and retries under the shared [`RetryPolicy`] budget
-//!   with deterministic backoff; exhaustion fails every active op with
-//!   its own [`TransportError::Segment`] context.
+//! * admits up to `window` ops into an active set, gives a free window
+//!   slot first to an op with nothing in flight and then round-robins
+//!   chunk requests across the active ops (balanced injection);
+//! * sends a window refill with one `write`, then takes one response
+//!   frame and every frame already whole in its receive buffer, down to
+//!   half the window: the supplier always has half a window to serve,
+//!   and one fast supplier cannot keep the loop from the others;
+//! * matches each response to the oldest request by its **id echo** (a
+//!   mismatch tears the connection down as corrupt), and reads its
+//!   payload straight onto its op's segment buffer, across as many
+//!   readiness reports as it takes, verifying its CRC32C when whole;
+//! * requests *speculative* offsets, but never at or past the segment
+//!   length a response declared; a short read collapses speculation to
+//!   the committed offset and stale responses are discarded
+//!   ([`crate::stats::FetchStatsSnapshot::spec_discards`]);
+//! * on a connection-level failure drains the window, resumes every
+//!   active op at its committed offset and retries under the shared
+//!   [`RetryPolicy`] budget, failing each op with its own
+//!   [`TransportError::Segment`] context once it is spent.
 //!
-//! Completion is a channel handoff: each [`FetchOp`] carries the sender
-//! half of its submitter's channel, so `fetch_all` and the levitated
-//! merge consume segments as they land instead of joining threads in
-//! order.
+//! Nothing in a loop sleeps or blocks. A retry backoff, a breaker
+//! cooldown, a `Busy` hint and an injected read stall each hold one
+//! supplier until a deadline in the poll timeout, and so does
+//! `io_timeout`: no byte received and no write progress for that long
+//! while a response is due is a [`TransportError::Timeout`]. A dial (a
+//! blocking `connect`, with its fault hook) runs on a short-lived thread
+//! that hands the stream back through the mailbox and the waker.
 //!
-//! Every per-peer policy lives here. Failover is one routing function,
-//! [`Registry::route`], with two callers: `submit` before queueing
-//! (proactive) and a worker about to fail an op (reactive), which
-//! re-queues the op at a replica at its own offset. So every op shape —
-//! whole segments, single chunks, the levitated stream's chunks — fails
-//! over the same way.
+//! Each [`FetchOp`] carries the sender half of its submitter's channel,
+//! so `fetch_all` and the levitated merge consume segments as they land.
+//! Failover is one routing function, [`route`], with two callers: the
+//! loop dispatching a submitted op (proactive), and a supplier about to
+//! fail an op (reactive), which re-submits it to a replica at its own
+//! offset — so every op shape fails over the same way.
 //!
-//! Locking: `peers` (the worker registry) is taken before a worker's
-//! `ops` queue lock on the submit path; workers take `ops` alone.
-//! Neither is ever held across socket I/O, sleeps, or a channel send.
+//! [`RetryPolicy`]: crate::retry::RetryPolicy
 
 use crate::breaker::{Admit, Breaker, Transition};
-use crate::client::{ClientConfig, ClientShared, SegmentRef};
+use crate::client::{ClientShared, SegmentRef};
 use crate::error::{Result, TransportError};
 use crate::faults::{self, FaultAction, Hook};
-use crate::prefetch::Pop;
+use crate::poll::{sys_poll, PollFd, Waker, POLLIN, POLLOUT};
 use crate::stats::FetchStats;
-use crate::sync::{lock, Mutex};
+use crate::sync::{lock, Mailbox, Mutex};
 use crate::wire::{self, FetchRequest, ResponseHead, Status, FLAG_BYPASS_CACHE};
 use jbs_des::DetRng;
-use jbs_obs::Entity;
+use jbs_obs::{Entity, OwnedSpan};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc, Weak};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One queued fetch: a chunk (or whole remainder) of one segment.
@@ -109,271 +100,176 @@ pub(crate) struct FetchDone {
     pub(crate) result: Result<Vec<u8>>,
 }
 
-struct OpQueue<T> {
-    queue: VecDeque<T>,
-    closed: bool,
+/// What reaches the client loop through its mailbox.
+enum Msg {
+    /// A submitted op, already counted in `queued_ops`.
+    Op(FetchOp),
+    /// A dial thread's outcome: a nonblocking stream to the supplier at
+    /// this address, or why there is none.
+    Dialed(SocketAddr, Result<TcpStream>),
 }
 
-/// The per-peer op queue: a plain FIFO with a closed latch, factored out
-/// of the worker so the `cfg(loom)` models below drive the production
-/// push/pop/close logic. Fairness across *segments* comes from the
-/// worker's round-robin over its active set, not from queue order.
-pub(crate) struct DispatchQueue<T> {
-    ops: Mutex<OpQueue<T>>,
+/// The client loop's mailbox and the waker that interrupts its poll.
+struct Inbox {
+    mail: Mailbox<Msg>,
+    waker: Waker,
 }
 
-impl<T> DispatchQueue<T> {
-    pub(crate) fn new() -> Self {
-        DispatchQueue {
-            ops: Mutex::new(OpQueue {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
+impl Inbox {
+    /// Hand `op` to the loop, counted in `queued_ops`, or fail it if the
+    /// loop is gone.
+    fn submit(&self, stats: &FetchStats, op: FetchOp) {
+        match push_counted(&self.mail, stats, Msg::Op(op)) {
+            Ok(true) => self.waker.wake(),
+            Ok(false) | Err(Msg::Dialed(..)) => {}
+            Err(Msg::Op(op)) => finish(op, Err(shutdown_error())),
         }
     }
-
-    /// Queue an op. Returns it back if the queue is already closed, so
-    /// the caller fails its completion channel instead of losing it.
-    pub(crate) fn push(&self, item: T) -> std::result::Result<(), T> {
-        let mut ops = lock(&self.ops);
-        if ops.closed {
-            return Err(item);
-        }
-        ops.queue.push_back(item);
-        Ok(())
-    }
-
-    /// Take the oldest queued op, or learn the queue is empty / closed.
-    pub(crate) fn try_pop(&self) -> Pop<T> {
-        let mut ops = lock(&self.ops);
-        match ops.queue.pop_front() {
-            Some(item) => Pop::Item(item),
-            None if ops.closed => Pop::Closed,
-            None => Pop::Empty,
-        }
-    }
-
-    /// Close the queue and drain everything still pending so the caller
-    /// can fail those ops' completions. Pushes after this are refused.
-    pub(crate) fn close(&self) -> Vec<T> {
-        let mut ops = lock(&self.ops);
-        ops.closed = true;
-        ops.queue.drain(..).collect()
-    }
-
-    /// Ops currently queued (not yet admitted by the worker).
-    pub(crate) fn len(&self) -> usize {
-        lock(&self.ops).queue.len()
-    }
 }
 
-/// The per-peer registry: one handle per supplier address, `None` once
-/// closed. Factored out like [`DispatchQueue`] so a `cfg(loom)` model
-/// drives it. Handles are registered only under the `peers` lock while
-/// it is open, and `close` takes them all under that lock, so a worker
-/// re-queueing an op while the scheduler drops never spawns a worker
-/// nobody joins.
-pub(crate) struct PeerMap<H> {
-    peers: Mutex<Option<HashMap<SocketAddr, H>>>,
-}
-
-impl<H> PeerMap<H> {
-    pub(crate) fn new() -> Self {
-        PeerMap {
-            peers: Mutex::new(Some(HashMap::new())),
-        }
-    }
-
-    /// `f` of the registered handles; `None` once closed.
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut HashMap<SocketAddr, H>) -> R) -> Option<R> {
-        lock(&self.peers).as_mut().map(f)
-    }
-
-    /// Close the registry and take every handle, so the caller can shut
-    /// the workers down and join them.
-    pub(crate) fn close(&self) -> Vec<H> {
-        let handles = lock(&self.peers).take();
-        handles
-            .map(|h| h.into_values().collect())
-            .unwrap_or_default()
-    }
-}
-
-/// The scheduler owned by [`crate::client::NetMergerClient`]: a registry
-/// of per-supplier queues and worker threads, spawned lazily on the
-/// first op for an address and joined on drop.
+/// The scheduler owned by [`crate::client::NetMergerClient`]: its
+/// loops, stopped and joined on drop.
 pub(crate) struct FetchScheduler {
-    registry: Arc<Registry>,
-}
-
-/// What the scheduler shares with its workers. The scheduler owns it;
-/// workers reach it through a `Weak`, to re-queue an op at a replica,
-/// so a worker never keeps a dropped scheduler alive.
-struct Registry {
-    shared: Arc<ClientShared>,
-    peers: PeerMap<PeerHandle>,
-    /// Monotonic time origin shared with every worker, so the circuit
-    /// breakers (which never read a clock themselves) see one timeline.
-    anchor: Instant,
-}
-
-struct PeerHandle {
-    queue: Arc<DispatchQueue<FetchOp>>,
-    /// Wakes the worker when it is parked with nothing active.
-    tick: mpsc::Sender<()>,
-    /// This peer's circuit breaker, shared with its worker: the submit
-    /// path fails fast against it while the worker drives transitions.
-    breaker: Arc<Breaker>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    router: Arc<Router>,
 }
 
 impl FetchScheduler {
     pub(crate) fn new(shared: Arc<ClientShared>) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let loops = Mutex::new(Loops::default());
         FetchScheduler {
-            registry: Arc::new(Registry {
+            router: Arc::new(Router {
                 shared,
-                peers: PeerMap::new(),
-                anchor: Instant::now(),
+                cores,
+                loops,
             }),
         }
     }
 
-    /// Hand an op to its supplier's worker, re-aimed first at a replica
-    /// if its peer is unhealthy or breaker-open (proactive failover).
-    pub(crate) fn submit(&self, mut op: FetchOp) {
-        self.registry.route(&mut op);
-        self.registry.enqueue(op);
-    }
-
-    /// Per-peer queue depths (ops admitted but not yet picked up), for
-    /// the pipeline gauges.
-    pub(crate) fn queue_depths(&self) -> Vec<(SocketAddr, usize)> {
-        let depths = self
-            .registry
-            .peers
-            .with(|m| m.iter().map(|(addr, h)| (*addr, h.queue.len())).collect());
-        depths.unwrap_or_default()
-    }
-}
-
-impl Registry {
-    /// Nanoseconds since the breakers' shared anchor.
-    fn now(&self) -> u64 {
-        self.anchor.elapsed().as_nanos() as u64
-    }
-
-    /// The one failover decision, for both callers: `submit` before
-    /// queueing, and a worker about to fail an op. If `op`'s peer is
-    /// marked unhealthy or its breaker is open, re-aim the op at the
-    /// first healthy replica of its MOF it has not been routed away
-    /// from, and say so. Fires only behind one of those health signals
-    /// and only with a [`crate::routes::RouteTable`] configured, so a
-    /// transient error on a healthy peer stays with that peer's own
-    /// retry budget. Replicas are byte-identical, so the op keeps its
-    /// offset.
-    fn route(&self, op: &mut FetchOp) -> bool {
-        let Some(routes) = &self.shared.config.routes else {
-            return false;
-        };
-        let from = op.seg.addr;
-        // A peer no op was ever submitted for has no breaker: closed.
-        let breaker = self
-            .peers
-            .with(|m| m.get(&from).map(|h| Arc::clone(&h.breaker)));
-        let open = breaker.flatten().is_some_and(|b| b.is_open(self.now()));
-        if !routes.is_unhealthy(from) && !open {
-            return false;
-        }
-        op.tried.push(from);
-        let Some(next) = routes.failover_target(op.seg.mof, &op.tried) else {
-            op.tried.pop();
-            return false;
-        };
-        self.shared.fetch_stats.record_failover();
-        self.shared.config.trace.instant(
-            "failover.redirect",
-            Entity::peer(u64::from(next.port())),
-            op.seg.mof,
-            u64::from(from.port()),
-        );
-        op.seg.addr = next;
-        true
-    }
-
-    /// Queue an op on its supplier's worker, spawning the worker on
-    /// first contact. An op for a peer whose circuit breaker is open
-    /// fails fast with [`TransportError::CircuitOpen`] — no queueing, no
-    /// wire traffic. An op refused by a closed registry or queue (client
-    /// shutting down) fails through its own completion channel.
-    fn enqueue(self: &Arc<Self>, op: FetchOp) {
-        let addr = op.seg.addr;
-        let (peer, mof, reducer) = (
-            Entity::peer(u64::from(addr.port())),
-            op.seg.mof,
-            u64::from(op.seg.reducer),
-        );
-        let link = self.peers.with(|m| {
-            let h = m.entry(addr).or_insert_with(|| spawn_worker(addr, self));
-            (Arc::clone(&h.queue), h.tick.clone(), Arc::clone(&h.breaker))
-        });
-        let Some((queue, tick, breaker)) = link else {
-            finish(op, Err(shutdown_error()));
-            return;
-        };
-        let trace = &self.shared.config.trace;
-        if breaker.is_open(self.now()) {
-            self.shared.fetch_stats.record_breaker_fast_fail();
-            trace.instant("breaker.fast_fail", peer, mof, reducer);
-            let open = TransportError::CircuitOpen {
-                peer: addr.to_string(),
-            };
-            finish(op, Err(open));
-            return;
-        }
-        match push_counted(&queue, &self.shared.fetch_stats, op) {
-            Ok(()) => {
-                trace.instant("sched.dispatch", peer, mof, reducer);
-                let _ = tick.send(());
-            }
-            Err(op) => finish(op, Err(shutdown_error())),
-        }
+    /// Hand an op to the loop that owns its supplier, which queues it
+    /// there — or on a replica, if that supplier is unhealthy or
+    /// breaker-open (proactive failover).
+    pub(crate) fn submit(&self, op: FetchOp) {
+        self.router.submit(op);
     }
 }
 
 impl Drop for FetchScheduler {
     fn drop(&mut self) {
-        let handles = self.registry.peers.close();
-        // Close every queue first so no worker admits more work, and
-        // fail the ops that never reached a worker.
-        for h in &handles {
-            for op in h.queue.close() {
-                self.registry.shared.fetch_stats.record_op_dequeued();
-                finish(op, Err(shutdown_error()));
-            }
-            let _ = h.tick.send(());
+        self.router.stop();
+    }
+}
+
+/// A client's loops, and which one owns each supplier. There is one
+/// loop per available core at most, started as suppliers first appear
+/// and never more than there are suppliers: each of the first suppliers
+/// gets a loop of its own, and later ones are dealt to those loops in
+/// turn. So one thread serves any number of suppliers, but a
+/// memory-tier shuffle from two suppliers is not held to the one core
+/// that would receive and verify all their bytes.
+struct Router {
+    shared: Arc<ClientShared>,
+    /// `std::thread::available_parallelism`: the most loops to run.
+    cores: usize,
+    loops: Mutex<Loops>,
+}
+
+#[derive(Default)]
+struct Loops {
+    inboxes: Vec<Arc<Inbox>>,
+    threads: Vec<JoinHandle<()>>,
+    /// The loop (an index into `inboxes`) of each supplier so far.
+    owner: HashMap<SocketAddr, usize>,
+    closed: bool,
+}
+
+impl Router {
+    /// The mailbox of the loop that owns `addr`, starting a loop for it
+    /// while cores are left. `None` once the client shut down, or if no
+    /// loop could start (the process is out of fds or threads).
+    fn inbox(self: &Arc<Self>, addr: SocketAddr) -> Option<Arc<Inbox>> {
+        let mut loops = lock(&self.loops);
+        if loops.closed {
+            return None;
         }
-        for mut h in handles {
-            // Dropping the tick sender unparks a worker blocked on an
-            // empty queue; it observes Closed and exits.
-            drop(h.tick);
-            if let Some(t) = h.worker.take() {
-                let _ = t.join();
+        let next = loops.owner.len();
+        if !loops.owner.contains_key(&addr) && loops.inboxes.len() < self.cores {
+            if let Ok((inbox, thread)) = self.start() {
+                loops.inboxes.push(inbox);
+                loops.threads.push(thread);
             }
+        }
+        let count = loops.inboxes.len().max(1);
+        let at = *loops.owner.entry(addr).or_insert(next % count);
+        loops.inboxes.get(at).cloned()
+    }
+
+    /// Hand `op` to the loop that owns its supplier, or fail it if the
+    /// client shut down. `sched.dispatch` is traced here, on the
+    /// submitting thread, so the trace keeps the order ops were injected
+    /// in across every loop.
+    fn submit(self: &Arc<Self>, op: FetchOp) {
+        let Some(inbox) = self.inbox(op.seg.addr) else {
+            return finish(op, Err(shutdown_error()));
+        };
+        let (peer, mof) = (Entity::peer(u64::from(op.seg.addr.port())), op.seg.mof);
+        let reducer = u64::from(op.seg.reducer);
+        self.shared
+            .config
+            .trace
+            .instant("sched.dispatch", peer, mof, reducer);
+        inbox.submit(&self.shared.fetch_stats, op);
+    }
+
+    /// Start one more loop on a thread of its own.
+    fn start(self: &Arc<Self>) -> io::Result<(Arc<Inbox>, JoinHandle<()>)> {
+        let inbox = Arc::new(Inbox {
+            mail: Mailbox::new(),
+            waker: Waker::new()?,
+        });
+        let mut client_loop = ClientLoop::new(Arc::clone(self), Arc::clone(&inbox));
+        let thread = std::thread::Builder::new()
+            .name("jbs-netmerger".into())
+            .spawn(move || client_loop.run())?;
+        Ok((inbox, thread))
+    }
+
+    /// Close every loop's mailbox, failing the ops it never took, and
+    /// join each loop once it has failed the rest.
+    fn stop(&self) {
+        let (inboxes, threads) = {
+            let mut loops = lock(&self.loops);
+            loops.closed = true;
+            let inboxes = std::mem::take(&mut loops.inboxes);
+            (inboxes, std::mem::take(&mut loops.threads))
+        };
+        for inbox in &inboxes {
+            close(inbox, &self.shared.fetch_stats);
+            inbox.waker.wake();
+        }
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
 
-/// Queue `item` for a peer's worker, counted in `queued_ops` *before*
-/// the worker can see it: `admit` may pop and un-count it the instant
-/// `push` returns, and a gauge bumped only afterwards would dip below
-/// zero in between. A refused push (queue closed) is un-counted.
-fn push_counted<T>(
-    queue: &DispatchQueue<T>,
-    stats: &FetchStats,
-    item: T,
-) -> std::result::Result<(), T> {
+/// Queue `item` for the loop, counted in `queued_ops` *before* the loop
+/// can see it: the loop may take and admit it, un-counting it, the
+/// instant `push` returns, and a gauge bumped only afterwards would dip
+/// below zero in between. A refused push (mailbox closed) is un-counted.
+fn push_counted<T>(mail: &Mailbox<T>, stats: &FetchStats, item: T) -> std::result::Result<bool, T> {
     stats.record_op_queued();
-    queue.push(item).inspect_err(|_| stats.record_op_dequeued())
+    mail.push(item).inspect_err(|_| stats.record_op_dequeued())
+}
+
+/// Close the loop's mailbox and fail every op still in it.
+fn close(inbox: &Inbox, stats: &FetchStats) {
+    for msg in inbox.mail.close() {
+        if let Msg::Op(op) = msg {
+            stats.record_op_dequeued();
+            finish(op, Err(shutdown_error()));
+        }
+    }
 }
 
 fn shutdown_error() -> TransportError {
@@ -398,11 +294,186 @@ fn finish(op: FetchOp, result: Result<Vec<u8>>) {
     });
 }
 
-/// Seed of the backoff-jitter rng streams, mixed with each worker's
+/// The one failover decision, for both callers: the loop dispatching a
+/// submitted op, and a supplier's state about to fail one. If `op`'s
+/// peer is marked unhealthy or its breaker is `open`, re-aim the op at
+/// the first healthy replica of its MOF it has not been routed away
+/// from, and say so. Fires only behind one of those health signals and
+/// only with a [`crate::routes::RouteTable`] configured, so a transient
+/// error on a healthy peer stays with that peer's own retry budget.
+/// Replicas are byte-identical, so the op keeps its offset.
+fn route(shared: &ClientShared, op: &mut FetchOp, open: bool) -> bool {
+    let Some(routes) = &shared.config.routes else {
+        return false;
+    };
+    let from = op.seg.addr;
+    if !routes.is_unhealthy(from) && !open {
+        return false;
+    }
+    op.tried.push(from);
+    let Some(next) = routes.failover_target(op.seg.mof, &op.tried) else {
+        op.tried.pop();
+        return false;
+    };
+    shared.fetch_stats.record_failover();
+    shared.config.trace.instant(
+        "failover.redirect",
+        Entity::peer(u64::from(next.port())),
+        op.seg.mof,
+        u64::from(from.port()),
+    );
+    op.seg.addr = next;
+    true
+}
+
+/// `d` in whole milliseconds, rounded up so that a deadline is never
+/// polled early, as a `poll(2)` timeout.
+fn ceil_ms(d: Duration) -> i32 {
+    i32::try_from(d.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
+}
+
+/// A client loop: the state of every supplier it owns, driven from one
+/// thread.
+struct ClientLoop {
+    shared: Arc<ClientShared>,
+    router: Arc<Router>,
+    inbox: Arc<Inbox>,
+    /// One entry per supplier address an op was ever dispatched to.
+    peers: HashMap<SocketAddr, Peer>,
+    /// Monotonic time origin of every peer's circuit breaker (which
+    /// never reads a clock itself).
+    anchor: Instant,
+    /// A peer's last turn left work that must not wait for readiness
+    /// (frames landed, so window slots may refill), so the next poll
+    /// does not block.
+    more: bool,
+    fds: Vec<PollFd>,
+    /// The peer owning each entry of `fds` after the waker's.
+    owners: Vec<SocketAddr>,
+}
+
+impl ClientLoop {
+    fn new(router: Arc<Router>, inbox: Arc<Inbox>) -> Self {
+        ClientLoop {
+            shared: Arc::clone(&router.shared),
+            router,
+            inbox,
+            peers: HashMap::new(),
+            anchor: Instant::now(),
+            more: false,
+            fds: Vec::new(),
+            owners: Vec::new(),
+        }
+    }
+
+    fn run(&mut self) {
+        while self.iterate() {}
+        // Refuse further mail, and fail everything still here.
+        close(&self.inbox, &self.shared.fetch_stats);
+        for peer in self.peers.values_mut() {
+            peer.shut_down();
+        }
+    }
+
+    /// One pass of the loop: wait in `poll(2)` for a socket, the waker
+    /// or the nearest deadline; take the mail; give every peer a turn.
+    /// `false` once the mailbox is closed (or `poll` failed).
+    fn iterate(&mut self) -> bool {
+        let now = Instant::now();
+        self.fds.clear();
+        self.owners.clear();
+        self.fds.push(PollFd::new(self.inbox.waker.fd(), POLLIN));
+        for (addr, peer) in &self.peers {
+            if let Some((fd, events)) = peer.interest() {
+                self.fds.push(PollFd::new(fd, events));
+                self.owners.push(*addr);
+            }
+        }
+        let due = self.peers.values().filter_map(Peer::due).min();
+        let timeout = match due {
+            _ if self.more => 0,
+            Some(at) => ceil_ms(at.saturating_duration_since(now)),
+            None => -1,
+        };
+        if sys_poll(&mut self.fds, timeout).is_err() {
+            return false;
+        }
+        for (fd, addr) in self.fds.iter().skip(1).zip(&self.owners) {
+            if let Some(peer) = self.peers.get_mut(addr) {
+                peer.ready = (fd.readable(), fd.writable());
+            }
+        }
+        // Mail comes with a wake-up; taking the wake-ups first means one
+        // that arrives meanwhile is seen next pass, not lost.
+        if self.fds.first().is_some_and(PollFd::readable) {
+            self.inbox.waker.drain();
+            for msg in self.inbox.mail.drain() {
+                match msg {
+                    Msg::Op(op) => self.dispatch(op),
+                    Msg::Dialed(addr, dialed) => {
+                        if let Some(peer) = self.peers.get_mut(&addr) {
+                            peer.dialed(dialed);
+                        }
+                    }
+                }
+            }
+            if self.inbox.mail.is_closed() {
+                return false;
+            }
+        }
+        let now = Instant::now();
+        self.more = false;
+        for peer in self.peers.values_mut() {
+            self.more |= peer.turn(now);
+        }
+        true
+    }
+
+    /// Route a counted op (proactive failover) and queue it on its
+    /// supplier, whose state is created on first contact — or pass it
+    /// to the loop that owns the replica it was routed to. An op for a
+    /// peer whose circuit breaker is open fails fast with
+    /// [`TransportError::CircuitOpen`] instead — no queueing, no wire
+    /// traffic.
+    fn dispatch(&mut self, mut op: FetchOp) {
+        let now = self.anchor.elapsed().as_nanos() as u64;
+        let open = self
+            .peers
+            .get(&op.seg.addr)
+            .is_some_and(|p| p.breaker.is_open(now));
+        let stats = &self.shared.fetch_stats;
+        if route(&self.shared, &mut op, open) && !self.peers.contains_key(&op.seg.addr) {
+            let owner = self.router.inbox(op.seg.addr);
+            if let Some(inbox) = owner.filter(|inbox| !Arc::ptr_eq(inbox, &self.inbox)) {
+                stats.record_op_dequeued();
+                return inbox.submit(stats, op);
+            }
+        }
+        let addr = op.seg.addr;
+        let peer = self.peers.entry(addr).or_insert_with(|| {
+            Peer::new(addr, &self.shared, &self.router, &self.inbox, self.anchor)
+        });
+        let (entity, mof, reducer) = (peer.entity(), op.seg.mof, u64::from(op.seg.reducer));
+        let trace = &self.shared.config.trace;
+        if peer.breaker.is_open(now) {
+            stats.record_op_dequeued();
+            stats.record_breaker_fast_fail();
+            trace.instant("breaker.fast_fail", entity, mof, reducer);
+            let open = TransportError::CircuitOpen {
+                peer: addr.to_string(),
+            };
+            finish(op, Err(open));
+            return;
+        }
+        peer.queued.push_back(op);
+    }
+}
+
+/// Seed of the backoff-jitter rng streams, mixed with each peer's
 /// [`addr_seed`].
 const RETRY_SEED: u64 = 0x4A42_5331;
 
-/// Seed material that differs per worker but is identical across runs,
+/// Seed material that differs per peer but is identical across runs,
 /// so backoff jitter stays deterministic under [`RETRY_SEED`].
 fn addr_seed(addr: &SocketAddr) -> u64 {
     use std::hash::{Hash, Hasher};
@@ -411,75 +482,132 @@ fn addr_seed(addr: &SocketAddr) -> u64 {
     h.finish()
 }
 
-fn spawn_worker(addr: SocketAddr, registry: &Arc<Registry>) -> PeerHandle {
-    let queue = Arc::new(DispatchQueue::new());
-    let (tick, ticks) = mpsc::channel();
-    let config = &registry.shared.config;
-    let breaker = Arc::new(Breaker::new(
-        config.breaker_threshold,
-        config.breaker_cooldown.as_nanos() as u64,
-    ));
-    let (worker_queue, worker_breaker) = (Arc::clone(&queue), Arc::clone(&breaker));
-    let mut worker = Worker::new(addr, registry, worker_queue, ticks, worker_breaker);
-    PeerHandle {
-        queue,
-        tick,
-        breaker,
-        worker: Some(std::thread::spawn(move || worker.run())),
-    }
-}
-
-/// Capacity of a connection's receive buffer: one `recv` takes a whole
-/// window of small frames (8 × ~6.8 KiB on `small_seg`). Past the
-/// first fill, `read_to_end` asks for the rest of a large payload in
-/// slices at least this large, which bypass the buffer.
+/// Capacity of a connection's receive buffer: one `read` takes a whole
+/// window of small frames (8 × ~6.8 KiB on `small_seg`). The bytes of a
+/// larger payload that do not arrive with its head are read straight
+/// onto its op's buffer, bypassing this one.
 const RECV_BUF_BYTES: usize = 64 << 10;
 
-/// A worker's one connection to its supplier.
+/// A peer's one nonblocking connection to its supplier.
 struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Requests encoded by one `fill_window` pass and not yet written:
-    /// at most `window` frames, flushed with one write.
+    stream: TcpStream,
+    recv: RecvBuf,
+    /// Encoded requests not yet written: `wbuf[wpos..]`.
     wbuf: Vec<u8>,
+    wpos: usize,
+    /// The frame whose head is decoded and whose payload is arriving.
+    frame: Option<Frame>,
+    /// The `io_timeout` clock: the last byte received, the last write
+    /// progress, or the first request put on an idle connection.
+    last_io: Instant,
+    /// Payloads that continue no op (stale speculation, error frames)
+    /// are read and verified here, then dropped.
+    scratch: Vec<u8>,
 }
 
-/// Dial a supplier with the configured deadlines (and fault hooks), for
-/// a scheduler worker's one connection to it.
-fn dial(addr: SocketAddr, config: &ClientConfig) -> Result<Conn> {
-    match faults::decide(&config.faults, Hook::ClientConnect) {
-        FaultAction::RefuseConnect => {
-            return Err(TransportError::Connect {
-                target: addr.to_string(),
-                source: io::Error::new(io::ErrorKind::ConnectionRefused, "injected refusal"),
-            });
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            recv: RecvBuf {
+                buf: vec![0; RECV_BUF_BYTES].into_boxed_slice(),
+                pos: 0,
+                end: 0,
+                large: false,
+            },
+            wbuf: Vec::new(),
+            wpos: 0,
+            frame: None,
+            last_io: Instant::now(),
+            scratch: Vec::new(),
         }
-        FaultAction::Stall(d) => std::thread::sleep(d),
-        _ => {}
     }
-    let stream = TcpStream::connect_timeout(&addr, config.io_timeout).map_err(|e| {
-        TransportError::Connect {
-            target: addr.to_string(),
-            source: e,
+}
+
+/// Received bytes not yet consumed: `buf[pos..end]`.
+struct RecvBuf {
+    buf: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    /// The last payload did not fit this buffer.
+    large: bool,
+}
+
+impl RecvBuf {
+    fn buffered(&self) -> &[u8] {
+        self.buf.get(self.pos..self.end).unwrap_or_default()
+    }
+
+    /// Decode the next frame head, reading `stream` for it as needed:
+    /// `Ok(None)` if the socket runs dry first.
+    fn head(&mut self, stream: &TcpStream) -> io::Result<Option<ResponseHead>> {
+        let mut dry = false;
+        loop {
+            if let Some((head, used)) = ResponseHead::decode(self.buffered())? {
+                self.pos += used;
+                self.large = head.len >= self.buf.len();
+                return Ok(Some(head));
+            }
+            if dry {
+                return Ok(None);
+            }
+            // Move the partial head to the front, and read after it:
+            // after a large payload, no further than the next head, so
+            // that another large one goes from the socket straight onto
+            // its op's buffer with no copy through this one.
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            let cap = if self.large {
+                wire::RESPONSE_HEADER_LEN + wire::CRC_EXT_LEN
+            } else {
+                self.buf.len()
+            };
+            let room = self.buf.get_mut(self.end..cap).unwrap_or_default();
+            let asked = room.len();
+            match (&*stream).read(room) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                // A short read took all the socket had: another would
+                // only find it dry.
+                Ok(n) => {
+                    self.end += n;
+                    dry = n < asked;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-    })?;
-    let setup = |e| TransportError::Io {
-        during: "socket setup",
-        source: e,
-    };
-    stream.set_nodelay(true).map_err(setup)?;
-    stream
-        .set_read_timeout(Some(config.io_timeout))
-        .map_err(setup)?;
-    stream
-        .set_write_timeout(Some(config.io_timeout))
-        .map_err(setup)?;
-    let reader = BufReader::with_capacity(RECV_BUF_BYTES, stream.try_clone().map_err(setup)?);
-    Ok(Conn {
-        reader,
-        writer: stream,
-        wbuf: Vec::new(),
-    })
+    }
+
+    /// Read more of `head`'s payload onto `buf` from `start`: the bytes
+    /// buffered here first, then straight off `stream` until it runs
+    /// dry. [`ResponseHead::read_verified`] says what comes back.
+    fn payload(
+        &mut self,
+        stream: &TcpStream,
+        head: &ResponseHead,
+        buf: &mut Vec<u8>,
+        start: usize,
+        verify: bool,
+    ) -> io::Result<bool> {
+        let owed = head.len.saturating_sub(buf.len().saturating_sub(start));
+        let here = owed.min(self.end - self.pos);
+        buf.extend_from_slice(self.buf.get(self.pos..self.pos + here).unwrap_or_default());
+        self.pos += here;
+        head.read_verified(&mut &*stream, buf, start, verify)
+    }
+}
+
+/// A response frame whose head is decoded and whose payload is still
+/// arriving.
+struct Frame {
+    head: ResponseHead,
+    exp: Outstanding,
+    /// The op whose segment buffer the payload continues, and that
+    /// buffer's length before it; `None` reads it into the connection's
+    /// scratch buffer.
+    into: Option<(u64, usize)>,
 }
 
 /// Bump the per-kind failure counter for a failed attempt.
@@ -493,19 +621,19 @@ fn record_failure(fetch: &FetchStats, e: &TransportError) {
     }
 }
 
-/// One op admitted into a worker's active set.
+/// One op admitted into a peer's active set.
 struct ActiveOp {
-    /// Worker-local name of the op, which its requests on the wire
-    /// carry (caller tokens are not unique across submitters).
+    /// Peer-local name of the op, which its requests on the wire carry
+    /// (caller tokens are not unique across submitters).
     key: u64,
     op: FetchOp,
     /// The segment bytes `[op.offset, committed)`: payloads are read off
     /// the socket straight onto its end and verified there, and it is
-    /// cut back to `committed` whenever one fails, so it never holds a
-    /// byte that has not passed its CRC.
+    /// cut back to `committed` whenever one fails, so between frames it
+    /// never holds a byte that has not passed its CRC.
     buf: Vec<u8>,
     /// Absolute offset up to which `buf` is complete:
-    /// `op.offset + buf.len()` between any two worker steps.
+    /// `op.offset + buf.len()` whenever no payload is half read.
     committed: u64,
     /// Absolute offset the *next* (possibly speculative) request starts
     /// at; collapses back to `committed` on a short read or a failure.
@@ -537,15 +665,20 @@ struct Outstanding {
     len: u64,
 }
 
-struct Worker {
+/// One supplier's share of the client loop: its queue, its connection,
+/// its window and its recovery state.
+struct Peer {
     addr: SocketAddr,
     shared: Arc<ClientShared>,
-    /// The scheduler's registry, for re-queueing an op at a replica;
-    /// dead once the scheduler is dropped.
-    registry: Weak<Registry>,
-    queue: Arc<DispatchQueue<FetchOp>>,
-    ticks: mpsc::Receiver<()>,
+    /// Where a failed op goes to be queued on a replica.
+    router: Arc<Router>,
+    /// Where a dial thread hands its stream back: this peer's loop.
+    inbox: Arc<Inbox>,
+    /// Ops dispatched here and not yet admitted, oldest first.
+    queued: VecDeque<FetchOp>,
     conn: Option<Conn>,
+    /// The dial thread, while one runs.
+    dialer: Option<JoinHandle<()>>,
     /// The active ops, at most `window`, in round-robin order for
     /// balanced chunk injection: the front op is offered the next
     /// request.
@@ -557,213 +690,271 @@ struct Worker {
     attempts: u32,
     ever_connected: bool,
     rng: DetRng,
-    closed: bool,
-    /// This peer's circuit breaker (shared with the submit path).
-    breaker: Arc<Breaker>,
-    /// Monotonic origin for breaker timestamps.
+    breaker: Breaker,
+    /// The loop's monotonic origin for breaker timestamps.
     anchor: Instant,
+    /// Nothing happens here before this instant: a retry backoff, a
+    /// breaker cooldown, a `Busy` hint or an injected read stall.
+    wake_at: Option<Instant>,
+    /// The `retry.backoff` span of the backoff `wake_at` ends, which
+    /// closes when it does.
+    backoff: Option<OwnedSpan>,
+    /// Whether `poll(2)` last reported the connection (readable,
+    /// writable).
+    ready: (bool, bool),
 }
 
-impl Worker {
-    /// Trace handle shared with the owning client config.
-    fn trace(&self) -> &jbs_obs::Trace {
-        &self.shared.config.trace
-    }
-
-    /// This worker's trace entity: the supplier, keyed by TCP port
-    /// (loopback addresses differ only there).
-    fn peer(&self) -> Entity {
-        Entity::peer(u64::from(self.addr.port()))
-    }
-
+impl Peer {
     fn new(
         addr: SocketAddr,
-        registry: &Arc<Registry>,
-        queue: Arc<DispatchQueue<FetchOp>>,
-        ticks: mpsc::Receiver<()>,
-        breaker: Arc<Breaker>,
+        shared: &Arc<ClientShared>,
+        router: &Arc<Router>,
+        inbox: &Arc<Inbox>,
+        anchor: Instant,
     ) -> Self {
-        let shared = Arc::clone(&registry.shared);
-        let seed = RETRY_SEED ^ addr_seed(&addr);
-        Worker {
+        let config = &shared.config;
+        Peer {
             addr,
-            shared,
-            registry: Arc::downgrade(registry),
-            queue,
-            ticks,
+            shared: Arc::clone(shared),
+            router: Arc::clone(router),
+            inbox: Arc::clone(inbox),
+            queued: VecDeque::new(),
             conn: None,
+            dialer: None,
             active: VecDeque::new(),
             outstanding: VecDeque::new(),
             next_key: 0,
             next_id: 0,
             attempts: 0,
             ever_connected: false,
-            rng: DetRng::new(seed),
-            closed: false,
-            breaker,
-            anchor: registry.anchor,
+            rng: DetRng::new(RETRY_SEED ^ addr_seed(&addr)),
+            breaker: Breaker::new(
+                config.breaker_threshold,
+                config.breaker_cooldown.as_nanos() as u64,
+            ),
+            anchor,
+            wake_at: None,
+            backoff: None,
+            ready: (false, false),
         }
     }
 
-    /// Nanoseconds since the scheduler's monotonic anchor.
+    /// Trace handle shared with the owning client config.
+    fn trace(&self) -> &jbs_obs::Trace {
+        &self.shared.config.trace
+    }
+
+    /// This peer's trace entity: the supplier, keyed by TCP port
+    /// (loopback addresses differ only there).
+    fn entity(&self) -> Entity {
+        Entity::peer(u64::from(self.addr.port()))
+    }
+
+    /// Nanoseconds since the loop's monotonic anchor.
     fn now(&self) -> u64 {
         self.anchor.elapsed().as_nanos() as u64
     }
 
-    /// Sleep until the breaker's probe time in short slices, staying
-    /// responsive to scheduler shutdown (the tick sender disappearing).
-    fn park_until(&mut self, retry_at_nanos: u64) {
-        const SLICE: Duration = Duration::from_millis(20);
-        loop {
-            match self.ticks.try_recv() {
-                Ok(()) | Err(mpsc::TryRecvError::Empty) => {}
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    return;
-                }
-            }
-            let now = self.now();
-            if now >= retry_at_nanos {
-                return;
-            }
-            std::thread::sleep(Duration::from_nanos(retry_at_nanos - now).min(SLICE));
+    /// Is a response due: a request outstanding, or a payload half read?
+    fn awaiting(&self) -> bool {
+        !self.outstanding.is_empty() || self.conn.as_ref().is_some_and(|c| c.frame.is_some())
+    }
+
+    /// When the connection times out, if a response is due on it.
+    fn io_deadline(&self) -> Option<Instant> {
+        let conn = self.conn.as_ref().filter(|_| self.awaiting())?;
+        conn.last_io.checked_add(self.shared.config.io_timeout)
+    }
+
+    /// The deadline this peer waits on, if any.
+    fn due(&self) -> Option<Instant> {
+        self.wake_at.or_else(|| self.io_deadline())
+    }
+
+    /// The connection's fd and `poll(2)` interest, unless it awaits
+    /// nothing or a deadline holds the peer: `POLLIN` while a response
+    /// is due, `POLLOUT` while request bytes wait for room.
+    fn interest(&self) -> Option<(RawFd, i16)> {
+        let conn = self.conn.as_ref().filter(|_| self.wake_at.is_none())?;
+        let mut events = 0;
+        if self.awaiting() {
+            events |= POLLIN;
         }
+        if conn.wpos < conn.wbuf.len() {
+            events |= POLLOUT;
+        }
+        (events != 0).then(|| (conn.stream.as_raw_fd(), events))
     }
 
-    fn run(&mut self) {
-        while self.step() {}
-    }
-
-    /// One scheduling step; `false` once the worker has shut down.
-    fn step(&mut self) -> bool {
+    /// This peer's turn of the loop at `now`, after `poll(2)` reported
+    /// `self.ready`: fire a due deadline, admit queued ops, then dial —
+    /// or refill the window, write, and take response frames. Returns
+    /// whether it left work that must not wait for readiness.
+    fn turn(&mut self, now: Instant) -> bool {
+        let (readable, writable) = std::mem::take(&mut self.ready);
+        if let Some(at) = self.wake_at {
+            if now < at {
+                return false;
+            }
+            self.wake_at = None;
+            self.backoff = None;
+            if let Some(conn) = self.conn.as_mut() {
+                conn.last_io = now;
+            }
+        }
         self.admit();
-        if self.closed {
-            self.fail_all_active(&shutdown_error());
+        let timed_out = self.io_deadline().is_some_and(|at| now >= at);
+        let Some(conn) = self.conn.as_mut() else {
+            if self.dialer.is_none() && !self.active.is_empty() {
+                self.connect();
+            }
             return false;
+        };
+        if readable || writable {
+            conn.last_io = now;
+        } else if timed_out {
+            self.on_failure(TransportError::Timeout {
+                during: "read response",
+            });
+            return self.wake_at.is_none();
         }
-        if self.active.is_empty() {
-            if !self.outstanding.is_empty() {
-                // The last op completed with speculative requests
-                // still on the wire. Drain their responses (they
-                // discard as stale) before parking — otherwise the
-                // next op on this connection would read them as the
-                // answers to ITS requests and desynchronize.
-                if let Err(e) = self.read_one() {
-                    self.on_failure(e);
-                }
-                return true;
+        match self.pump(readable) {
+            Ok(more) => more,
+            Err(e) => {
+                self.on_failure(e);
+                self.wake_at.is_none()
             }
-            // Parked: nothing to fetch until a submit ticks us, or
-            // the sender disappears (scheduler dropped). One wake per
-            // burst: every op whose tick is pending was pushed before
-            // its tick was sent, so the next `admit` sees them all.
-            match self.ticks.recv() {
-                Ok(()) => self.ticks.try_iter().for_each(drop),
-                Err(_) => self.closed = true,
-            }
-            return true;
         }
-        if let Err(e) = self.pump() {
-            self.on_failure(e);
-        }
-        true
     }
 
     /// Move queued ops into the active set, up to the window.
     fn admit(&mut self) {
         let window = self.shared.config.window.max(1);
         while self.active.len() < window {
-            match self.queue.try_pop() {
-                Pop::Item(op) => {
-                    self.shared.fetch_stats.record_op_dequeued();
-                    self.trace().instant(
-                        "sched.admit",
-                        self.peer(),
-                        op.seg.mof,
-                        u64::from(op.seg.reducer),
-                    );
-                    if self.conn.is_some() {
-                        // The pipelined analogue of a connection-cache
-                        // hit: this op rides the worker's live socket.
-                        self.shared.fetch_stats.record_connection_reused();
+            let Some(op) = self.queued.pop_front() else {
+                break;
+            };
+            self.shared.fetch_stats.record_op_dequeued();
+            self.trace().instant(
+                "sched.admit",
+                self.entity(),
+                op.seg.mof,
+                u64::from(op.seg.reducer),
+            );
+            if self.conn.is_some() {
+                // The pipelined analogue of a connection-cache hit: this
+                // op rides the peer's live socket.
+                self.shared.fetch_stats.record_connection_reused();
+            }
+            let key = self.next_key;
+            self.next_key += 1;
+            let committed = op.offset;
+            self.active.push_back(ActiveOp {
+                key,
+                op,
+                buf: Vec::new(),
+                committed,
+                spec: committed,
+                resume_mark: committed,
+                expected: None,
+                bypass_next: false,
+                refetch_budget: self.shared.config.integrity_retries,
+            });
+        }
+    }
+
+    /// Dial the supplier, subject to the circuit breaker: an open one
+    /// holds the peer until its probe time instead. The connect blocks,
+    /// so it runs on a thread of its own, which hands the stream back
+    /// through the mailbox.
+    fn connect(&mut self) {
+        match self.breaker.try_acquire(self.now()) {
+            Admit::Yes => {}
+            // This dial IS the half-open probe; its outcome reports
+            // through the normal success/failure paths.
+            Admit::Probe => self
+                .trace()
+                .instant("breaker.half_open", self.entity(), 0, 0),
+            Admit::No { retry_at_nanos } => {
+                self.wake_at = self
+                    .anchor
+                    .checked_add(Duration::from_nanos(retry_at_nanos));
+                return;
+            }
+        }
+        let (addr, shared, inbox) = (self.addr, Arc::clone(&self.shared), Arc::clone(&self.inbox));
+        let spawned = std::thread::Builder::new()
+            .name("jbs-dial".into())
+            .spawn(move || {
+                let config = &shared.config;
+                let stream = match faults::decide(&config.faults, Hook::ClientConnect) {
+                    FaultAction::RefuseConnect => Err(io::Error::new(
+                        io::ErrorKind::ConnectionRefused,
+                        "injected refusal",
+                    )),
+                    action => {
+                        if let FaultAction::Stall(d) = action {
+                            std::thread::sleep(d);
+                        }
+                        TcpStream::connect_timeout(&addr, config.io_timeout)
                     }
-                    let key = self.next_key;
-                    self.next_key += 1;
-                    let committed = op.offset;
-                    self.active.push_back(ActiveOp {
-                        key,
-                        op,
-                        buf: Vec::new(),
-                        committed,
-                        spec: committed,
-                        resume_mark: committed,
-                        expected: None,
-                        bypass_next: false,
-                        refetch_budget: self.shared.config.integrity_retries,
+                };
+                let dialed = stream
+                    .and_then(|s| s.set_nodelay(true).and(s.set_nonblocking(true)).map(|()| s))
+                    .map_err(|source| TransportError::Connect {
+                        target: addr.to_string(),
+                        source,
                     });
+                // A closed mailbox (the loop is gone) drops the stream.
+                if let Ok(true) = inbox.mail.push(Msg::Dialed(addr, dialed)) {
+                    inbox.waker.wake();
                 }
-                Pop::Empty => break,
-                Pop::Closed => {
-                    self.closed = true;
-                    break;
-                }
-            }
+            });
+        match spawned {
+            Ok(dialer) => self.dialer = Some(dialer),
+            Err(source) => self.on_failure(TransportError::Io {
+                during: "dial",
+                source,
+            }),
         }
     }
 
-    /// One scheduling step: connect if needed (subject to the circuit
-    /// breaker), top up the in-flight window round-robin across active
-    /// ops, then consume one response — and any more already in the
-    /// receive buffer, down to half the window.
-    fn pump(&mut self) -> Result<()> {
-        if self.conn.is_none() {
-            match self.breaker.try_acquire(self.now()) {
-                Admit::Yes => {}
-                Admit::Probe => {
-                    // This connection attempt IS the half-open probe;
-                    // its outcome reports through the normal
-                    // success/failure paths below.
-                    self.trace().instant("breaker.half_open", self.peer(), 0, 0);
+    /// A dial thread's outcome arrived: adopt the stream, or count the
+    /// failure.
+    fn dialed(&mut self, dialed: Result<TcpStream>) {
+        if let Some(dialer) = self.dialer.take() {
+            // It has handed its outcome over and is exiting.
+            let _ = dialer.join();
+        }
+        match dialed {
+            Ok(stream) => {
+                self.shared.fetch_stats.record_connection_established();
+                if self.ever_connected {
+                    self.shared.fetch_stats.record_reconnect();
                 }
-                Admit::No { retry_at_nanos } => {
-                    // Open: already-admitted work parks until the probe
-                    // time instead of hammering a dead peer.
-                    self.park_until(retry_at_nanos);
-                    return Ok(());
-                }
+                self.ever_connected = true;
+                self.conn = Some(Conn::new(stream));
             }
-            let conn = dial(self.addr, &self.shared.config)?;
-            self.shared.fetch_stats.record_connection_established();
-            if self.ever_connected {
-                self.shared.fetch_stats.record_reconnect();
-            }
-            self.ever_connected = true;
-            self.conn = Some(conn);
+            Err(e) => self.on_failure(e),
         }
-        self.fill_window()?;
-        if self.outstanding.is_empty() {
-            // Nothing on the wire and nothing issuable — only possible
-            // transiently; go round again rather than blocking on read.
-            return Ok(());
-        }
-        self.read_one()?;
-        // Frames that already arrived cost no syscall to take, so take
-        // them now and refill the freed slots with one write next step.
-        // Stopping at half the window keeps the supplier serving the
-        // other half meanwhile, instead of the two ends taking turns.
-        let keep = self.shared.config.window.max(1) / 2;
-        while self.outstanding.len() > keep && self.frame_buffered() {
-            self.read_one()?;
-        }
-        Ok(())
     }
 
-    /// Is a whole response frame already in the receive buffer, so
-    /// [`Self::read_one`] takes it without touching the socket?
-    fn frame_buffered(&self) -> bool {
-        self.conn
+    /// Top up the in-flight window round-robin across active ops and
+    /// write, then take response frames if any are here. Returns whether
+    /// a frame landed.
+    fn pump(&mut self, readable: bool) -> Result<bool> {
+        self.queue_requests()?;
+        self.write_out()?;
+        // Bytes the last turn left in the receive buffer are there
+        // whatever poll says about the socket.
+        let buffered = self
+            .conn
             .as_ref()
-            .is_some_and(|c| wire::response_frame_len(c.reader.buffer()).is_some())
+            .is_some_and(|c| !c.recv.buffered().is_empty());
+        if readable || buffered {
+            return self.read_frames();
+        }
+        Ok(false)
     }
 
     /// The next chunk request for an active op, or `None` if the op has
@@ -785,21 +976,30 @@ impl Worker {
         }
     }
 
-    /// Top up the pipeline window and put the whole pass on the wire
-    /// with one write. A batch is at most `window` requests (360 B at
-    /// the default window of 8), so the write never waits on a response
-    /// stream this worker is not reading.
-    fn fill_window(&mut self) -> Result<()> {
-        self.queue_requests()?;
+    /// Put the encoded requests on the wire until the socket's send
+    /// buffer fills; the rest goes once `poll(2)` reports room. A
+    /// window's refill is at most `window` requests (360 B at the
+    /// default window of 8): one write.
+    fn write_out(&mut self) -> Result<()> {
         let Some(conn) = self.conn.as_mut() else {
             return Ok(());
         };
-        if conn.wbuf.is_empty() {
-            return Ok(());
+        while let Some(rest) = conn.wbuf.get(conn.wpos..).filter(|r| !r.is_empty()) {
+            match (&conn.stream).write(rest) {
+                Ok(0) => {
+                    return Err(TransportError::Reset {
+                        during: "write request",
+                    })
+                }
+                Ok(n) => conn.wpos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(TransportError::from_io("write request", e)),
+            }
         }
-        let sent = conn.writer.write_all(&conn.wbuf);
         conn.wbuf.clear();
-        sent.map_err(|e| TransportError::from_io("write request", e))
+        conn.wpos = 0;
+        Ok(())
     }
 
     /// Queue one pass of requests: first one for each active op with
@@ -850,21 +1050,25 @@ impl Worker {
         let bypass = a.bypass_next && offset == a.committed;
         let id = self.next_id;
         self.next_id += 1;
+        let idle = !self.awaiting();
         let Some(conn) = self.conn.as_mut() else {
             return Err(TransportError::Reset {
                 during: "write request",
             });
         };
-        FetchRequest {
+        if idle {
+            // The io_timeout clock starts with the first request due.
+            conn.last_io = Instant::now();
+        }
+        let request = FetchRequest {
             id,
             mof,
             reducer,
             offset,
             len,
             flags: if bypass { FLAG_BYPASS_CACHE } else { 0 },
-        }
-        .write_to(&mut conn.wbuf)
-        .map_err(|e| TransportError::from_io("write request", e))?;
+        };
+        conn.wbuf.extend_from_slice(&request.encode_v3());
         self.outstanding.push_back(Outstanding {
             id,
             key,
@@ -872,8 +1076,9 @@ impl Worker {
             len,
         });
         self.shared.fetch_stats.record_window_send();
-        self.trace().instant("sched.send", self.peer(), offset, len);
-        let peer = self.peer();
+        self.trace()
+            .instant("sched.send", self.entity(), offset, len);
+        let peer = self.entity();
         if let Some(a) = self.active.get_mut(at) {
             if offset > a.committed {
                 // This request runs ahead of confirmed data: offset
@@ -891,36 +1096,97 @@ impl Worker {
         Ok(())
     }
 
-    /// Read one response and match it to the head of the FIFO window.
-    fn read_one(&mut self) -> Result<()> {
+    /// Take one response frame, as far as the socket allows, and then
+    /// every frame already whole in the receive buffer — they cost no
+    /// syscall — down to half the window: the next turn refills the
+    /// freed slots with one write while the supplier serves the other
+    /// half, and the other peers get their turns. Returns whether a
+    /// frame landed.
+    fn read_frames(&mut self) -> Result<bool> {
+        let keep = self.shared.config.window.max(1) / 2;
+        let mut landed = false;
+        while self.wake_at.is_none() && (!landed || self.frame_buffered(keep)) {
+            if !self.next_frame()? {
+                break;
+            }
+            landed = true;
+        }
+        Ok(landed)
+    }
+
+    /// Is a whole response frame already in the receive buffer, with
+    /// more than `keep` requests outstanding?
+    fn frame_buffered(&self, keep: usize) -> bool {
+        let whole = |c: &Conn| wire::response_frame_len(c.recv.buffered()).is_some();
+        self.outstanding.len() > keep && self.conn.as_ref().is_some_and(whole)
+    }
+
+    /// Take the frame at the head of the stream as far as the bytes
+    /// already here allow: `Ok(true)` once it is whole and applied,
+    /// `Ok(false)` if the socket ran dry first or no response is due.
+    fn next_frame(&mut self) -> Result<bool> {
+        let read_err = |e| TransportError::from_io("read response", e);
+        let due = self.awaiting();
+        let Some(conn) = self.conn.as_mut().filter(|_| due) else {
+            return Ok(false);
+        };
+        if conn.frame.is_none() {
+            let Some(head) = conn.recv.head(&conn.stream).map_err(read_err)? else {
+                return Ok(false);
+            };
+            let frame = self.begin(head)?;
+            if let Some(conn) = self.conn.as_mut() {
+                conn.frame = Some(frame);
+            }
+        }
+        let verify = self.shared.config.checksum;
+        let Some(Conn {
+            stream,
+            recv,
+            frame: Some(frame),
+            scratch,
+            ..
+        }) = self.conn.as_mut().filter(|_| self.wake_at.is_none())
+        else {
+            return Ok(false);
+        };
+        let target = frame
+            .into
+            .and_then(|(key, start)| op_mut(&mut self.active, key).map(|a| (&mut a.buf, start)));
+        let (buf, start) = target.unwrap_or((scratch, 0));
+        let verified = match recv.payload(stream, &frame.head, buf, start, verify) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            read => read.map_err(read_err)?,
+        };
+        scratch.clear();
+        let Some(Frame { head, exp, .. }) = self.conn.as_mut().and_then(|c| c.frame.take()) else {
+            return Ok(false);
+        };
+        self.land(exp, head, verified);
+        Ok(true)
+    }
+
+    /// Match a decoded head to the head of the FIFO window, and choose
+    /// where its payload goes. The `ClientReadResponse` fault hook is
+    /// consulted here, once per frame: a stall holds the payload back.
+    fn begin(&mut self, head: ResponseHead) -> Result<Frame> {
         match faults::decide(&self.shared.config.faults, Hook::ClientReadResponse) {
             FaultAction::Reset => {
                 return Err(TransportError::Reset {
                     during: "read response (injected)",
                 })
             }
-            FaultAction::Stall(d) => std::thread::sleep(d),
+            FaultAction::Stall(d) => self.wake_at = Instant::now().checked_add(d),
             _ => {}
         }
-        let Some(conn) = self.conn.as_mut() else {
-            return Err(TransportError::Reset {
-                during: "read response",
-            });
-        };
-        let head = ResponseHead::read_from(&mut conn.reader)
-            .map_err(|e| TransportError::from_io("read response", e))?;
         let Some(exp) = self.outstanding.pop_front() else {
             return Err(TransportError::Corrupt {
                 detail: "response frame with no outstanding request".into(),
             });
         };
         self.shared.fetch_stats.record_window_recv();
-        self.shared.config.trace.instant(
-            "sched.recv",
-            Entity::peer(u64::from(self.addr.port())),
-            head.id,
-            head.len as u64,
-        );
+        self.trace()
+            .instant("sched.recv", self.entity(), head.id, head.len as u64);
         if head.id != exp.id {
             // In-order pipelining means the echoed id MUST match the
             // oldest unanswered request; anything else is a
@@ -946,12 +1212,10 @@ impl Worker {
         // The id names the op before any payload byte is read, so a
         // payload that continues its segment goes straight onto the end
         // of that segment's buffer; anything else (stale speculation,
-        // an op already completed) is consumed and verified in a
-        // scratch buffer and dropped.
-        let mut scratch = Vec::new();
-        let data = head.status == Status::OkCrc;
-        let wanted = match op_mut(&mut self.active, exp.key) {
-            Some(a) if data && exp.offset == a.committed => {
+        // an op already completed) is read and verified in the scratch
+        // buffer and dropped.
+        let into = match op_mut(&mut self.active, exp.key) {
+            Some(a) if head.status == Status::OkCrc && exp.offset == a.committed => {
                 let declared = head.declared_remaining(exp.offset);
                 let extent = if a.op.limit == 0 {
                     declared
@@ -959,30 +1223,31 @@ impl Worker {
                     declared.min(a.op.limit)
                 };
                 wire::reserve_tail(&mut a.buf, head.len, extent);
-                Some(&mut a.buf)
+                Some((exp.key, a.buf.len()))
             }
             _ => None,
         };
-        let verify = self.shared.config.checksum;
-        let verified = head
-            .read_verified(&mut conn.reader, wanted.unwrap_or(&mut scratch), verify)
-            .map_err(|e| TransportError::from_io("read response", e))?;
+        Ok(Frame { head, exp, into })
+    }
+
+    /// Apply a whole frame answering `exp`, whose payload `verified`.
+    fn land(&mut self, exp: Outstanding, head: ResponseHead, verified: bool) {
         // Any well-formed, correctly-matched response is progress: the
         // connection works, so the failure budget resets.
         self.attempts = 0;
-        if self.breaker.on_success(self.now()) == Transition::Closed {
-            self.trace().instant("breaker.close", self.peer(), 0, 0);
+        let now = self.now();
+        if self.breaker.on_success(now) == Transition::Closed {
+            self.trace().instant("breaker.close", self.entity(), 0, 0);
         }
         match head.status {
             Status::OkCrc => {
                 if !verified {
-                    self.on_bad_payload(exp);
-                    return Ok(());
+                    return self.on_bad_payload(exp);
                 }
-                if verify {
+                if self.shared.config.checksum {
                     self.trace().instant(
                         "integrity.verify",
-                        self.peer(),
+                        self.entity(),
                         exp.offset,
                         head.len as u64,
                     );
@@ -990,68 +1255,58 @@ impl Worker {
                 if let Some(a) = op_mut(&mut self.active, exp.key) {
                     a.expected = Some(head.seg_len);
                 }
-                self.apply_payload(exp, head.len, head.seg_len)
+                self.apply_payload(exp, head.len, head.seg_len);
             }
-            Status::Busy => {
-                self.on_busy(exp, head.retry_after_ms);
-                Ok(())
-            }
+            Status::Busy => self.on_busy(exp, head.retry_after_ms),
             Status::NotFound => {
                 let what = self.describe(exp.key);
                 self.complete(exp.key, Err(TransportError::NotFound { what }));
-                Ok(())
             }
             Status::BadRequest => {
                 let detail = format!("supplier rejected fetch of {}", self.describe(exp.key));
                 self.complete(exp.key, Err(TransportError::BadRequest { detail }));
-                Ok(())
             }
         }
     }
-
     /// A pipelined payload failed its CRC32C. If it targeted the
     /// committed offset of a live op, aim a targeted cache-bypass
     /// re-fetch there (bounded by the integrity budget); a stale
     /// speculative frame is discarded like any other.
     fn on_bad_payload(&mut self, exp: Outstanding) {
-        enum Verdict {
-            Stale,
-            Refetch,
-            Exhausted,
+        let committed = op_mut(&mut self.active, exp.key).map(|a| a.committed);
+        if committed != Some(exp.offset) {
+            self.discard(exp.offset, 0);
+        } else if !self.refetch(exp.key, exp.len) {
+            let detail = format!(
+                "pipelined chunk at offset {} failed CRC32C verification after targeted re-fetches",
+                exp.offset
+            );
+            self.complete(exp.key, Err(TransportError::Corrupt { detail }));
         }
-        let verdict = match op_mut(&mut self.active, exp.key) {
-            None => Verdict::Stale,
-            Some(a) if exp.offset != a.committed => Verdict::Stale,
-            Some(a) if a.refetch_budget == 0 => Verdict::Exhausted,
-            Some(a) => {
-                a.refetch_budget -= 1;
-                a.bypass_next = true;
-                a.spec = a.committed;
-                Verdict::Refetch
-            }
+    }
+
+    /// Spend one of op `key`'s targeted re-fetches: its next request, at
+    /// its committed offset, asks the supplier to bypass its (possibly
+    /// poisoned) cache. `false` once the budget is spent.
+    fn refetch(&mut self, key: u64, b: u64) -> bool {
+        let Some(a) = op_mut(&mut self.active, key).filter(|a| a.refetch_budget > 0) else {
+            return false;
         };
-        match verdict {
-            Verdict::Stale => {
-                self.shared.fetch_stats.record_spec_discard();
-                self.trace()
-                    .instant("sched.spec_discard", self.peer(), exp.offset, 0);
-            }
-            Verdict::Refetch => {
-                self.shared.fetch_stats.record_corrupt_refetch();
-                self.trace()
-                    .instant("integrity.refetch", self.peer(), exp.offset, exp.len);
-            }
-            Verdict::Exhausted => self.complete(
-                exp.key,
-                Err(TransportError::Corrupt {
-                    detail: format!(
-                        "pipelined chunk at offset {} failed CRC32C verification \
-                         after targeted re-fetches",
-                        exp.offset
-                    ),
-                }),
-            ),
-        }
+        a.refetch_budget -= 1;
+        a.bypass_next = true;
+        a.spec = a.committed;
+        let committed = a.committed;
+        self.shared.fetch_stats.record_corrupt_refetch();
+        self.trace()
+            .instant("integrity.refetch", self.entity(), committed, b);
+        true
+    }
+
+    /// Drop a response that continues no op: stale speculation.
+    fn discard(&self, offset: u64, committed: u64) {
+        self.shared.fetch_stats.record_spec_discard();
+        self.trace()
+            .instant("sched.spec_discard", self.entity(), offset, committed);
     }
 
     /// The supplier shed this request under admission control: honor
@@ -1060,11 +1315,11 @@ impl Worker {
     fn on_busy(&mut self, exp: Outstanding, retry_after_ms: u64) {
         self.shared.fetch_stats.record_busy_backoff();
         self.trace()
-            .instant("sched.busy", self.peer(), exp.offset, retry_after_ms);
+            .instant("sched.busy", self.entity(), exp.offset, retry_after_ms);
         if let Some(a) = op_mut(&mut self.active, exp.key) {
             a.spec = a.committed;
         }
-        std::thread::sleep(Duration::from_millis(retry_after_ms.min(1_000)));
+        self.wake_at = Instant::now().checked_add(Duration::from_millis(retry_after_ms.min(1_000)));
     }
 
     fn describe(&self, key: u64) -> String {
@@ -1077,68 +1332,43 @@ impl Worker {
     /// Account for a verified payload of `len` bytes answering `exp`, in
     /// a frame declaring the segment `end` bytes long. If it continued
     /// its op's segment it is already the tail of that op's buffer
-    /// (`read_one` put it there); if it did not, it is gone.
-    fn apply_payload(&mut self, exp: Outstanding, len: usize, end: u64) -> Result<()> {
+    /// (`next_frame` put it there); if it did not, it is gone.
+    fn apply_payload(&mut self, exp: Outstanding, len: usize, end: u64) {
         let Some(a) = op_mut(&mut self.active, exp.key) else {
             // The op already completed (or failed); this was a
             // speculative request past its end.
-            self.shared.fetch_stats.record_spec_discard();
-            self.shared
-                .config
-                .trace
-                .instant("sched.spec_discard", self.peer(), exp.offset, 0);
-            return Ok(());
+            return self.discard(exp.offset, 0);
         };
-        if exp.offset != a.committed {
+        let committed = a.committed;
+        if exp.offset != committed {
             // Stale speculation: a short read moved the committed offset
             // below where this request was aimed.
-            let committed = a.committed;
-            self.shared.fetch_stats.record_spec_discard();
-            self.shared.config.trace.instant(
-                "sched.spec_discard",
-                self.peer(),
-                exp.offset,
-                committed,
-            );
-            return Ok(());
+            return self.discard(exp.offset, committed);
         }
-        if len == 0 && a.committed < end {
+        if len == 0 && committed < end {
             // Empty at exactly the committed offset while the declared
             // length says bytes are still owed: a "clean EOF" that is a
             // truncation lie landing exactly on a chunk boundary (a
             // levitated stream would otherwise terminate early and
             // silently lose records).
-            let committed = a.committed;
-            if a.refetch_budget > 0 {
-                a.refetch_budget -= 1;
-                a.bypass_next = true;
-                a.spec = a.committed;
-                self.shared.fetch_stats.record_corrupt_refetch();
-                self.shared
-                    .config
-                    .trace
-                    .instant("integrity.refetch", self.peer(), committed, end);
-                return Ok(());
-            }
-            self.complete(
-                exp.key,
-                Err(TransportError::Truncated {
+            if !self.refetch(exp.key, end) {
+                let truncated = TransportError::Truncated {
                     got: committed,
                     expected: end,
-                }),
-            );
-            return Ok(());
+                };
+                self.complete(exp.key, Err(truncated));
+            }
+            return;
         }
         self.shared.fetch_stats.record_bytes_fetched(len as u64);
-        a.committed = a.committed.saturating_add(len as u64);
+        a.committed = committed.saturating_add(len as u64);
         a.refetch_budget = self.shared.config.integrity_retries;
         if a.op.limit > 0 || a.committed >= end {
             // A single-exchange chunk's payload (possibly short or empty
             // at segment end) IS the result; a whole-segment op ends at
             // the declared length.
             let buf = std::mem::take(&mut a.buf);
-            self.complete(exp.key, Ok(buf));
-            return Ok(());
+            return self.complete(exp.key, Ok(buf));
         }
         if (len as u64) < exp.len {
             // Short read: outstanding speculation beyond this point is
@@ -1146,25 +1376,20 @@ impl Worker {
             // offset and let the stale responses be discarded above.
             a.spec = a.committed;
         }
-        Ok(())
     }
 
     /// Retire one op from the active set and deliver its result. A
     /// failure on a peer that is unhealthy or breaker-open is the
-    /// reactive failover instead: [`Registry::route`] re-aims the op at
-    /// a replica and it is re-queued there at its own offset.
+    /// reactive failover instead: [`route`] re-aims the op at a replica,
+    /// and it goes back through the mailbox to be queued there at its
+    /// own offset.
     fn complete(&mut self, key: u64, result: Result<Vec<u8>>) {
         let at = self.active.iter().position(|a| a.key == key);
         let Some(mut a) = at.and_then(|at| self.active.remove(at)) else {
             return;
         };
-        if result.is_err() {
-            if let Some(registry) = self.registry.upgrade() {
-                if registry.route(&mut a.op) {
-                    registry.enqueue(a.op);
-                    return;
-                }
-            }
+        if result.is_err() && route(&self.shared, &mut a.op, self.breaker.is_open(self.now())) {
+            return self.router.submit(a.op);
         }
         finish(a.op, result);
     }
@@ -1174,15 +1399,22 @@ impl Worker {
     /// retry or fail everything with exhausted context.
     fn on_failure(&mut self, e: TransportError) {
         record_failure(&self.shared.fetch_stats, &e);
-        if self.breaker.on_failure(self.now()) == Transition::Opened {
-            self.trace()
-                .instant("breaker.open", self.peer(), u64::from(self.attempts + 1), 0);
+        let now = self.now();
+        if self.breaker.on_failure(now) == Transition::Opened {
+            self.trace().instant(
+                "breaker.open",
+                self.entity(),
+                u64::from(self.attempts + 1),
+                0,
+            );
         }
         self.conn = None;
         let drained = self.outstanding.len() as u64;
         self.outstanding.clear();
         self.shared.fetch_stats.record_window_drained(drained);
         for a in &mut self.active {
+            // A payload cut off mid-frame is taken back out.
+            a.buf.truncate((a.committed - a.op.offset) as usize);
             a.spec = a.committed;
             if a.committed > a.resume_mark {
                 // These bytes survive the reconnect: the op resumes at
@@ -1205,13 +1437,13 @@ impl Worker {
                 .config
                 .retry
                 .backoff(self.attempts, &mut self.rng);
-            let _backoff = self.trace().span(
+            self.backoff = Some(self.trace().span_owned(
                 "retry.backoff",
-                self.peer(),
+                self.entity(),
                 u64::from(self.attempts),
                 delay.as_nanos() as u64,
-            );
-            std::thread::sleep(delay);
+            ));
+            self.wake_at = Instant::now().checked_add(delay);
         } else {
             self.shared.fetch_stats.record_exhausted();
             let attempts = self.attempts;
@@ -1231,15 +1463,29 @@ impl Worker {
             self.complete(key, Err(e.duplicate()));
         }
     }
+
+    /// The loop is stopping: fail every op still here, and wait out a
+    /// dial in progress.
+    fn shut_down(&mut self) {
+        for op in self.queued.drain(..) {
+            self.shared.fetch_stats.record_op_dequeued();
+            finish(op, Err(shutdown_error()));
+        }
+        self.fail_all_active(&shutdown_error());
+        if let Some(dialer) = self.dialer.take() {
+            let _ = dialer.join();
+        }
+    }
 }
 
-/// The active op with worker-local `key`: a scan of at most `window`
+/// The active op with peer-local `key`: a scan of at most `window`
 /// ops.
 fn op_mut(active: &mut VecDeque<ActiveOp>, key: u64) -> Option<&mut ActiveOp> {
     active.iter_mut().find(|a| a.key == key)
 }
 
-/// Bounded model checks of the dispatch queue. Build and run with
+/// Bounded model checks of the submit path into the client loop's
+/// mailbox. Build and run with
 /// `RUSTFLAGS="--cfg loom" cargo test -p jbs-transport --lib loom_`.
 #[cfg(all(test, loom))]
 mod loom_tests {
@@ -1252,7 +1498,7 @@ mod loom_tests {
     #[test]
     fn loom_push_races_close_exactly_once() {
         loom::model(|| {
-            let q = Arc::new(DispatchQueue::new());
+            let q = Arc::new(Mailbox::new());
             let q2 = Arc::clone(&q);
             let h = loom::thread::spawn(move || q2.push(7u32).err());
             let drained = q.close();
@@ -1262,23 +1508,24 @@ mod loom_tests {
             };
             let surfaced = usize::from(refused.is_some()) + drained.len();
             assert_eq!(surfaced, 1, "op must surface exactly once");
-            // After close the queue stays terminal.
-            assert!(matches!(q.try_pop(), Pop::Closed));
+            // After close the mailbox stays terminal.
+            assert!(q.is_closed() && q.drain().is_empty());
             assert!(q.push(8u32).is_err());
         });
     }
 
-    /// A submit races the worker's `admit` (pop, then un-count). In every
-    /// interleaving the op is counted before the worker can pop it, so
-    /// the gauge never dips below zero on the way back to rest.
+    /// A submit races the loop taking its mail and admitting (un-counting)
+    /// the op. In every interleaving the op is counted before the loop
+    /// can take it, so the gauge never dips below zero on the way back
+    /// to rest.
     #[test]
     fn loom_submit_counts_before_the_worker_can_admit() {
         loom::model(|| {
-            let q = Arc::new(DispatchQueue::new());
+            let q = Arc::new(Mailbox::new());
             let stats = Arc::new(FetchStats::default());
             let (q2, s2) = (Arc::clone(&q), Arc::clone(&stats));
             let h = loom::thread::spawn(move || push_counted(&q2, &s2, 7u32).is_ok());
-            if let Pop::Item(_) = q.try_pop() {
+            for _ in q.drain() {
                 stats.record_op_dequeued();
                 assert_eq!(stats.snapshot().queued_ops, 0, "admit un-counted first");
             }
@@ -1287,88 +1534,6 @@ mod loom_tests {
                 Err(_) => panic!("submitter panicked"),
             }
             assert!(stats.snapshot().queued_ops <= 1);
-        });
-    }
-
-    /// Shutdown while a worker holds in-flight work: a pop races close.
-    /// Every queued op surfaces exactly once — via the pop (in-flight in
-    /// the worker) or via close's drain — and the queue reads Closed
-    /// afterwards, so the worker cannot admit work the scheduler will
-    /// never see complete.
-    #[test]
-    fn loom_close_races_pop_loses_nothing() {
-        loom::model(|| {
-            let q = Arc::new(DispatchQueue::new());
-            assert!(q.push(1u32).is_ok());
-            assert!(q.push(2u32).is_ok());
-            let q2 = Arc::clone(&q);
-            let h = loom::thread::spawn(move || match q2.try_pop() {
-                Pop::Item(v) => Some(v),
-                _ => None,
-            });
-            let drained = q.close();
-            let popped = match h.join() {
-                Ok(p) => p,
-                Err(_) => panic!("popper panicked"),
-            };
-            let mut all = drained;
-            if let Some(v) = popped {
-                all.push(v);
-            }
-            all.sort_unstable();
-            assert_eq!(all, vec![1, 2], "every op surfaces exactly once");
-            assert!(matches!(q.try_pop(), Pop::Closed));
-        });
-    }
-
-    /// A worker's reactive re-queue races the scheduler's drop. The
-    /// worker reaches the registry through a `Weak` and registers the
-    /// replica's queue on first contact (where the scheduler spawns its
-    /// worker); the dropping side closes the registry, closes every
-    /// queue it drained, and would join one worker per drained handle.
-    /// In every interleaving the op surfaces exactly once — refused back
-    /// to the worker, which fails it, or drained by a queue close — and
-    /// every handle ever registered was drained, so no worker goes
-    /// unjoined. (The shim's `Arc`/`Weak` are std's: `upgrade` is not a
-    /// decision point, but the registry and queue locks around it are.)
-    #[test]
-    fn loom_requeue_races_drop_exactly_once() {
-        use loom::sync::atomic::{AtomicUsize, Ordering};
-        loom::model(|| {
-            let replica = SocketAddr::from(([127, 0, 0, 1], 7001));
-            let peers = Arc::new(PeerMap::<Arc<DispatchQueue<u32>>>::new());
-            let spawned = Arc::new(AtomicUsize::new(0));
-            let (weak, counter) = (Arc::downgrade(&peers), Arc::clone(&spawned));
-            let worker = loom::thread::spawn(move || {
-                let Some(peers) = weak.upgrade() else {
-                    return Some(7);
-                };
-                let queue = peers.with(|m| {
-                    let q = m.entry(replica).or_insert_with(|| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        Arc::new(DispatchQueue::new())
-                    });
-                    Arc::clone(q)
-                });
-                match queue {
-                    Some(queue) => queue.push(7u32).err(),
-                    None => Some(7),
-                }
-            });
-            let handles = peers.close();
-            let drained: Vec<u32> = handles.iter().flat_map(|q| q.close()).collect();
-            drop(peers);
-            let refused = match worker.join() {
-                Ok(r) => r,
-                Err(_) => panic!("worker panicked"),
-            };
-            let surfaced = usize::from(refused.is_some()) + drained.len();
-            assert_eq!(surfaced, 1, "op must complete exactly once");
-            assert_eq!(
-                spawned.load(Ordering::SeqCst),
-                handles.len(),
-                "a worker was spawned that drop never joins"
-            );
         });
     }
 }
@@ -1386,31 +1551,6 @@ mod tests {
     use std::net::TcpListener;
 
     #[test]
-    fn dispatch_queue_is_fifo_until_closed() {
-        let q = DispatchQueue::new();
-        assert!(matches!(q.try_pop(), Pop::<u32>::Empty));
-        assert!(q.push(1u32).is_ok());
-        assert!(q.push(2u32).is_ok());
-        assert_eq!(q.len(), 2);
-        assert!(matches!(q.try_pop(), Pop::Item(1)));
-        let drained = q.close();
-        assert_eq!(drained, vec![2]);
-        assert!(matches!(q.try_pop(), Pop::Closed));
-        assert_eq!(q.push(3u32).err(), Some(3));
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn refused_push_is_uncounted() {
-        let (q, stats) = (DispatchQueue::new(), FetchStats::default());
-        assert!(push_counted(&q, &stats, 1u32).is_ok());
-        assert_eq!(stats.snapshot().queued_ops, 1);
-        drop(q.close());
-        assert_eq!(push_counted(&q, &stats, 2u32).err(), Some(2));
-        assert_eq!(stats.snapshot().queued_ops, 1, "the refusal rolled back");
-    }
-
-    #[test]
     fn addr_seed_is_stable_and_distinguishes_peers() {
         let a: SocketAddr = "127.0.0.1:7000".parse().expect("addr");
         let b: SocketAddr = "127.0.0.1:7001".parse().expect("addr");
@@ -1418,17 +1558,17 @@ mod tests {
         assert_ne!(addr_seed(&a), addr_seed(&b));
     }
 
-    /// A worker stepped by hand on the test's own thread, so its segment
-    /// buffers can be inspected between any two frames: whatever the
-    /// last frame was — verified, corrupt, stale, or cut off mid-payload
-    /// — each buffer must hold exactly its op's committed bytes.
+    /// The client loop stepped by hand on the test's own thread, with
+    /// one peer, so its segment buffers can be inspected between any two
+    /// frames: whatever the last frame was — verified, corrupt, stale, or
+    /// cut off mid-payload — each buffer must hold exactly its op's
+    /// committed bytes.
     struct Rig {
-        worker: Worker,
+        client_loop: ClientLoop,
+        addr: SocketAddr,
         shared: Arc<ClientShared>,
         done_tx: mpsc::Sender<FetchDone>,
         done_rx: mpsc::Receiver<FetchDone>,
-        /// Keeps the worker's tick channel open; nothing is ever sent.
-        _tick: mpsc::Sender<()>,
     }
 
     impl Rig {
@@ -1437,35 +1577,39 @@ mod tests {
                 fetch_stats: FetchStats::new(),
                 config,
             });
-            let (tick, ticks) = mpsc::channel();
-            // The registry drops at the end of this function, so the
-            // worker fails its ops in place instead of re-queueing them.
-            let registry = Arc::new(Registry {
-                shared: Arc::clone(&shared),
-                peers: PeerMap::new(),
-                anchor: Instant::now(),
+            let inbox = Arc::new(Inbox {
+                mail: Mailbox::new(),
+                waker: Waker::new().expect("waker"),
             });
-            let breaker = Arc::new(Breaker::new(0, 0));
-            let queue = Arc::new(DispatchQueue::new());
-            let worker = Worker::new(addr, &registry, queue, ticks, breaker);
+            let router = Arc::new(Router {
+                shared: Arc::clone(&shared),
+                cores: 1,
+                loops: Mutex::new(Loops::default()),
+            });
+            let client_loop = ClientLoop::new(router, inbox);
             let (done_tx, done_rx) = mpsc::channel();
             Rig {
-                worker,
+                client_loop,
+                addr,
                 shared,
                 done_tx,
                 done_rx,
-                _tick: tick,
             }
         }
 
-        /// Queue whole-segment fetches of `reducers` of MOF 0 from the
-        /// worker's peer, all before its next step.
+        /// The rig's one peer, there once an op was dispatched to it.
+        fn peer(&self) -> &Peer {
+            self.client_loop.peers.get(&self.addr).expect("peer state")
+        }
+
+        /// Submit whole-segment fetches of `reducers` of MOF 0 from the
+        /// rig's peer, all before its next step.
         fn queue(&mut self, reducers: std::ops::Range<u32>) {
             for reducer in reducers {
                 let op = FetchOp {
                     token: u64::from(reducer),
                     seg: SegmentRef {
-                        addr: self.worker.addr,
+                        addr: self.addr,
                         mof: 0,
                         reducer,
                     },
@@ -1474,18 +1618,42 @@ mod tests {
                     done: self.done_tx.clone(),
                     tried: Vec::new(),
                 };
-                assert!(self.worker.queue.push(op).is_ok());
+                let inbox = &self.client_loop.inbox;
+                let pushed = push_counted(&inbox.mail, &self.shared.fetch_stats, Msg::Op(op));
+                assert!(pushed.is_ok());
+                inbox.waker.wake();
             }
         }
 
-        /// Step the worker until every queued op completed and the
+        /// Run the loop until the peer has taken at least one response
+        /// off its window — landed, or drained by a failure — and holds
+        /// no half-read payload, or until it has nothing left to do.
+        fn step(&mut self) {
+            let taken = |p: &Peer| p.next_id - p.outstanding.len() as u64;
+            let peers = &self.client_loop.peers;
+            let before = peers.get(&self.addr).map_or(0, taken);
+            loop {
+                assert!(self.client_loop.iterate(), "loop shut down mid-fetch");
+                let Some(p) = self.client_loop.peers.get(&self.addr) else {
+                    continue;
+                };
+                let between = p.conn.as_ref().is_none_or(|c| c.frame.is_none());
+                let idle = p.queued.is_empty() && p.active.is_empty() && p.outstanding.is_empty();
+                if between && (taken(p) > before || idle) {
+                    return;
+                }
+            }
+        }
+
+        /// Step the loop until every queued op completed and the
         /// speculation left on the wire drained, checking the buffer
         /// invariant after every step. The results, by reducer.
         fn drain(&mut self) -> Vec<Result<Vec<u8>>> {
             let mut results = Vec::new();
             loop {
-                assert!(self.worker.step(), "worker shut down mid-fetch");
-                for a in &self.worker.active {
+                self.step();
+                let p = self.peer();
+                for a in &p.active {
                     assert_eq!(
                         a.buf.len() as u64,
                         a.committed - a.op.offset,
@@ -1494,10 +1662,7 @@ mod tests {
                     assert!(a.buf.capacity() <= 2 * wire::RESERVE_STEP);
                 }
                 results.extend(self.done_rx.try_iter().map(|d| (d.token, d.result)));
-                if self.worker.active.is_empty()
-                    && self.worker.outstanding.is_empty()
-                    && self.worker.queue.len() == 0
-                {
+                if p.active.is_empty() && p.outstanding.is_empty() && p.queued.is_empty() {
                     break;
                 }
             }
@@ -1505,7 +1670,7 @@ mod tests {
             results.into_iter().map(|(_, r)| r).collect()
         }
 
-        /// Fetch the whole of reducer 0 of MOF 0 from the worker's peer.
+        /// Fetch the whole of reducer 0 of MOF 0 from the rig's peer.
         fn fetch(&mut self) -> Result<Vec<u8>> {
             self.queue(0..1);
             self.drain().pop().expect("the op completed")
@@ -1613,11 +1778,11 @@ mod tests {
             },
         );
         rig.queue(0..4);
-        assert!(rig.worker.step());
+        rig.step();
         let fs = rig.shared.fetch_stats.snapshot();
         assert_eq!(fs.window_peak, 8, "{fs:?}");
         let half = rig.shared.config.window / 2;
-        assert!(rig.worker.outstanding.len() >= half, "{fs:?}");
+        assert!(rig.peer().outstanding.len() >= half, "{fs:?}");
         let got: Vec<Vec<u8>> = rig.drain().into_iter().map(|r| r.expect("fetch")).collect();
         assert_eq!(got, truths);
         let chunks: usize = truths.iter().map(|t| t.len().div_ceil(4096)).sum();
@@ -1641,8 +1806,8 @@ mod tests {
         );
         assert!(truths.iter().all(|t| t.len() < 4096), "one chunk each");
         rig.queue(0..8);
-        assert!(rig.worker.step());
-        // The worker sends nothing until its next step, so the supplier
+        rig.step();
+        // The loop sends nothing until its next step, so the supplier
         // serves exactly the first batch; `requests` counts a response
         // once it is queued for the wire, after its request was read.
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -51,9 +51,10 @@ use crate::faults::{FaultPlan, FaultStatsSnapshot};
 use crate::iosched::{IoClass, IoSchedStats, IoScheduler};
 use crate::poll::Waker;
 use crate::prefetch::{Pop, PrefetchQueue, Reply, StageJob};
-use crate::reactor::{self, CompletionQueue, JobKind, Source};
+use crate::reactor::{self, Completion, JobKind, Source};
 use crate::staging::StageCache;
 use crate::store::MofStore;
+use crate::sync::Mailbox;
 use crate::wire::Status;
 use jbs_obs::Entity;
 use jbs_store_hybrid::HybridStore;
@@ -246,7 +247,7 @@ pub(crate) struct Shared {
     pub(crate) iosched: Arc<IoScheduler>,
     pub(crate) stats: SupplierStats,
     /// Finished disk-worker frames headed back to the reactor.
-    pub(crate) completions: CompletionQueue,
+    pub(crate) completions: Mailbox<Completion>,
     /// Interrupts the reactor's poll: a disk worker writes one byte per
     /// delivered completion, and drain and shutdown one each so the
     /// reactor sees their flags at once.
@@ -323,7 +324,7 @@ impl MofSupplierServer {
             prefetch: PrefetchQueue::new(),
             iosched,
             stats: SupplierStats::default(),
-            completions: CompletionQueue::new(),
+            completions: Mailbox::new(),
             waker: Waker::new()?,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),

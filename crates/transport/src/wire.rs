@@ -317,23 +317,10 @@ pub(crate) fn reserve_tail(buf: &mut Vec<u8>, incoming: usize, declared: u64) {
 /// The length of the response frame at the start of `buf` — header,
 /// integrity extension and payload — if every byte of it is there. `None`
 /// while any of it has yet to arrive, and for a head that
-/// `ResponseHead::read_from` would reject (that reader reports it). A
-/// reader holding buffered bytes asks this whether it can take the
-/// next frame without blocking.
+/// `ResponseHead::decode` would reject (that decoder reports it).
 pub fn response_frame_len(buf: &[u8]) -> Option<usize> {
-    let mut hdr = buf.get(..RESPONSE_HEADER_LEN)?;
-    let status = Status::from_u8(hdr.get_u8())?;
-    let _id = hdr.get_u64();
-    let len = hdr.get_u64();
-    if len > MAX_PAYLOAD as u64 {
-        return None;
-    }
-    let body = match status {
-        Status::Busy => 0,
-        Status::OkCrc => CRC_EXT_LEN + len as usize,
-        Status::NotFound | Status::BadRequest => len as usize,
-    };
-    let total = RESPONSE_HEADER_LEN + body;
+    let (head, used) = ResponseHead::decode(buf).ok()??;
+    let total = used + head.len;
     (buf.len() >= total).then_some(total)
 }
 
@@ -365,18 +352,35 @@ impl ResponseHead {
     /// byte or an implausible payload length is reported as
     /// `InvalidData` (frame corruption).
     pub(crate) fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut hdr = [0u8; RESPONSE_HEADER_LEN];
-        r.read_exact(&mut hdr)?;
-        let mut buf = hdr.as_slice();
-        let status_byte = buf.get_u8();
+        let mut bytes = [0u8; RESPONSE_HEADER_LEN + CRC_EXT_LEN];
+        let (hdr, ext) = bytes.split_at_mut(RESPONSE_HEADER_LEN);
+        r.read_exact(hdr)?;
+        if Self::decode(hdr)?.is_none() {
+            r.read_exact(ext)?;
+        }
+        Self::decode(&bytes)?
+            .map(|(head, _)| head)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated response head"))
+    }
+
+    /// Decode the head at the start of `buf`, and how many bytes it
+    /// took: `Ok(None)` while part of it has yet to arrive. The header
+    /// is judged as soon as its 17 bytes are there, so an unknown status
+    /// byte or an implausible payload length is `InvalidData` (frame
+    /// corruption) without waiting on an extension that may never come.
+    pub(crate) fn decode(buf: &[u8]) -> io::Result<Option<(Self, usize)>> {
+        let Some(mut hdr) = buf.get(..RESPONSE_HEADER_LEN) else {
+            return Ok(None);
+        };
+        let status_byte = hdr.get_u8();
         let status = Status::from_u8(status_byte).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("invalid status byte {status_byte:#04x}"),
             )
         })?;
-        let id = buf.get_u64();
-        let len = buf.get_u64();
+        let id = hdr.get_u64();
+        let len = hdr.get_u64();
         if len > MAX_PAYLOAD as u64 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -397,15 +401,17 @@ impl ResponseHead {
                 head.retry_after_ms = len;
             }
             Status::OkCrc => {
-                let mut ext = [0u8; CRC_EXT_LEN];
-                r.read_exact(&mut ext)?;
-                let mut ebuf = ext.as_slice();
-                head.crc = ebuf.get_u32();
-                head.seg_len = ebuf.get_u64();
+                let end = RESPONSE_HEADER_LEN + CRC_EXT_LEN;
+                let Some(mut ext) = buf.get(RESPONSE_HEADER_LEN..end) else {
+                    return Ok(None);
+                };
+                head.crc = ext.get_u32();
+                head.seg_len = ext.get_u64();
+                return Ok(Some((head, end)));
             }
             Status::NotFound | Status::BadRequest => {}
         }
-        Ok(head)
+        Ok(Some((head, RESPONSE_HEADER_LEN)))
     }
 
     /// Bytes of the segment the peer declares from `offset` (where this
@@ -415,12 +421,14 @@ impl ResponseHead {
         self.seg_len.saturating_sub(offset)
     }
 
-    /// Read this frame's payload onto the end of `buf`: straight into
-    /// its spare capacity, with no intermediate buffer and no zero-fill.
-    /// On error `buf` may hold a partial payload past its old length.
-    fn read_payload<R: Read>(&self, r: &mut R, buf: &mut Vec<u8>) -> io::Result<()> {
-        let got = r.by_ref().take(self.len as u64).read_to_end(buf)?;
-        if got < self.len {
+    /// Read the rest of this frame's payload onto the end of `buf`, whose
+    /// bytes from `start` on are the payload so far: straight into its
+    /// spare capacity, with no intermediate buffer and no zero-fill. On
+    /// error `buf` may hold a partial payload past `start`.
+    fn read_payload<R: Read>(&self, r: &mut R, buf: &mut Vec<u8>, start: usize) -> io::Result<()> {
+        let want = self.len.saturating_sub(buf.len().saturating_sub(start));
+        let got = r.by_ref().take(want as u64).read_to_end(buf)?;
+        if got < want {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "truncated response payload",
@@ -429,25 +437,30 @@ impl ResponseHead {
         Ok(())
     }
 
-    /// Read this frame's payload onto the end of `buf` and, if `verify`,
-    /// check it against the carried CRC32C where it lies. `Ok(true)`:
-    /// `buf` grew by exactly `self.len` bytes, all of them verified (or
-    /// taken unchecked). `Ok(false)`: the payload failed its CRC32C.
-    /// `Err`: the stream failed mid-payload. In both failure cases
-    /// `buf` is cut back to the length it came in with, so bytes that
-    /// did not verify are never in it once this returns.
+    /// Read the rest of this frame's payload onto the end of `buf`, whose
+    /// bytes from `start` on are the payload so far, and once it is whole
+    /// check it against the carried CRC32C where it lies, if `verify`.
+    /// `Ok(true)`: `buf` holds exactly `self.len` payload bytes past
+    /// `start`, all of them verified (or taken unchecked). `Ok(false)`:
+    /// the payload failed its CRC32C. An `Err` of kind `WouldBlock`: a
+    /// nonblocking reader ran dry, and `buf` keeps what arrived so that a
+    /// later call resumes. Any other `Err`: the stream failed
+    /// mid-payload. In both failure cases `buf` is cut back to `start`,
+    /// so bytes that did not verify are never in it once this returns.
     pub(crate) fn read_verified<R: Read>(
         &self,
         r: &mut R,
         buf: &mut Vec<u8>,
+        start: usize,
         verify: bool,
     ) -> io::Result<bool> {
-        let start = buf.len();
-        let verified = self.read_payload(r, buf).map(|()| {
+        let verified = self.read_payload(r, buf, start).map(|()| {
             !verify || jbs_checksum::crc32c(buf.get(start..).unwrap_or_default()) == self.crc
         });
-        if !matches!(verified, Ok(true)) {
-            buf.truncate(start);
+        match &verified {
+            Ok(true) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            _ => buf.truncate(start),
         }
         verified
     }
@@ -562,7 +575,7 @@ impl FetchResponse {
         let head = ResponseHead::read_from(r)?;
         let mut payload = Vec::new();
         reserve_tail(&mut payload, head.len, head.len as u64);
-        head.read_payload(r, &mut payload)?;
+        head.read_payload(r, &mut payload, 0)?;
         Ok(FetchResponse {
             status: head.status,
             id: head.id,
@@ -743,7 +756,8 @@ mod tests {
 
     /// `read_verified` appends to what the buffer already holds, and
     /// takes back everything it appended when the payload does not
-    /// verify or the stream ends inside it.
+    /// verify or the stream ends inside it. A nonblocking reader that
+    /// runs dry mid-payload leaves the bytes so far for the next call.
     #[test]
     fn read_verified_leaves_only_verified_bytes_behind() {
         let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
@@ -757,7 +771,7 @@ mod tests {
         let head = ResponseHead::read_from(&mut r).unwrap();
         assert_eq!((head.len, head.seg_len), (5000, 9000));
         assert_eq!(head.declared_remaining(4000), 5000);
-        assert!(head.read_verified(&mut r, &mut buf, true).unwrap());
+        assert!(head.read_verified(&mut r, &mut buf, 7, true).unwrap());
         assert_eq!(buf.len(), 7 + 5000);
         assert_eq!(&buf[7..], &payload[..]);
 
@@ -766,20 +780,50 @@ mod tests {
         flipped[last] ^= 0x80;
         let mut r = flipped.as_slice();
         let head = ResponseHead::read_from(&mut r).unwrap();
-        assert!(!head.read_verified(&mut r, &mut buf, true).unwrap());
+        assert!(!head
+            .read_verified(&mut r, &mut buf, 7 + 5000, true)
+            .unwrap());
         assert_eq!(buf.len(), 7 + 5000, "unverified bytes were taken back");
         // With the comparison skipped, the same bytes are taken as read.
         let mut r = flipped.as_slice();
         let head = ResponseHead::read_from(&mut r).unwrap();
         let mut unchecked = Vec::new();
-        assert!(head.read_verified(&mut r, &mut unchecked, false).unwrap());
+        assert!(head
+            .read_verified(&mut r, &mut unchecked, 0, false)
+            .unwrap());
         assert_eq!(unchecked, flipped[flipped.len() - 5000..]);
 
         let mut r = &frame[..frame.len() - 100];
         let head = ResponseHead::read_from(&mut r).unwrap();
-        let err = head.read_verified(&mut r, &mut buf, true).unwrap_err();
+        let err = head
+            .read_verified(&mut r, &mut buf, 7 + 5000, true)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(buf.len(), 7 + 5000, "a half-read payload was taken back");
+
+        /// Yields its bytes, then `WouldBlock` where EOF would be.
+        struct Dry<'a>(&'a [u8]);
+        impl Read for Dry<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                match self.0.read(out)? {
+                    0 => Err(io::ErrorKind::WouldBlock.into()),
+                    n => Ok(n),
+                }
+            }
+        }
+        let (first, rest) = frame[RESPONSE_HEADER_LEN + CRC_EXT_LEN..].split_at(3000);
+        let mut resumed = Vec::new();
+        let err = head.read_verified(&mut Dry(first), &mut resumed, 0, true);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(
+            resumed,
+            payload[..3000],
+            "bytes so far stay for the next call"
+        );
+        assert!(head
+            .read_verified(&mut Dry(rest), &mut resumed, 0, true)
+            .unwrap());
+        assert_eq!(resumed, payload);
     }
 
     /// A declared length buys at most one step of capacity until bytes

@@ -203,9 +203,6 @@ fn shuffle_survives_seeded_chaos_byte_exact() {
     assert_eq!(fs.window_inflight, 0, "requests stuck in flight: {fs:?}");
     assert!(fs.window_peak >= 1, "pipelining never engaged: {fs:?}");
     assert!(fs.queue_depth_peak >= 1, "no op ever queued: {fs:?}");
-    for (addr, depth) in client.queue_depths() {
-        assert_eq!(depth, 0, "queue for {addr} not drained");
-    }
 
     // Supplier-side coherence: the prefetch queue drains once traffic
     // stops, and no lease outlives the response that pinned it.

@@ -1,10 +1,12 @@
-//! Leak oracle for the supplier's lifecycle. While a supplier serves,
-//! the process runs exactly its reactor and one disk worker per Read
-//! permit beyond what it ran before (plus the client's one worker per
-//! supplier). After `shutdown()`, and again after `drain()`, every
-//! thread the supplier started has exited and every fd it opened — the
-//! listener, the waker's socket pair, its connections and MOF files —
-//! is closed.
+//! Leak oracle for the lifecycles of the supplier and the client. While
+//! more suppliers serve than there are cores (up to five), the process
+//! runs exactly their reactors and one disk worker per Read permit each
+//! beyond what it ran before, plus one client thread per core: the
+//! client's event loops, which between them serve every supplier. After
+//! the client is dropped and the suppliers `shutdown()`, and again after
+//! they `drain()`, every thread either side started has exited and every
+//! fd it opened — the listeners, the wakers' socket pairs, the
+//! connections and MOF files — is closed.
 //!
 //! The counts are process-wide (`/proc/self/task`, `/proc/self/fd`), so
 //! this file holds exactly one test: no other test's threads or
@@ -57,24 +59,44 @@ fn a_stopped_supplier_leaves_no_thread_or_fd_behind() {
             .expect("segment")
     };
     let (threads0, fds0) = (threads(), fds());
-    let serving = threads0 + 1 + IoScheduler::DEFAULT_READ_PERMITS;
+    let per_supplier = 1 + IoScheduler::DEFAULT_READ_PERMITS;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let suppliers = cores.min(4) + 1;
+    let loops = cores.min(suppliers);
     for drain in [false, true] {
         let how = if drain { "drain()" } else { "shutdown()" };
-        let server = MofSupplierServer::start(MofStore::at(&dir).expect("store")).expect("start");
-        assert_eq!(threads(), serving, "the reactor and one worker per permit");
+        let servers: Vec<MofSupplierServer> = (0..suppliers)
+            .map(|_| MofSupplierServer::start(MofStore::at(&dir).expect("store")).expect("start"))
+            .collect();
+        let serving = threads0 + suppliers * per_supplier;
+        assert_eq!(
+            threads(),
+            serving,
+            "a reactor and one worker per permit each"
+        );
         let client = NetMergerClient::new();
-        let seg = SegmentRef {
-            addr: server.addr(),
-            mof: 0,
-            reducer: 0,
-        };
-        assert_eq!(client.fetch_segment(seg).expect("fetch"), truth);
-        assert_eq!(threads(), serving + 1, "plus the client's one worker");
+        let segs: Vec<SegmentRef> = servers
+            .iter()
+            .map(|server| SegmentRef {
+                addr: server.addr(),
+                mof: 0,
+                reducer: 0,
+            })
+            .collect();
+        let fetched = client.fetch_all(&segs).expect("fetch");
+        assert!(fetched.iter().all(|seg| *seg == truth));
+        assert_eq!(
+            settled(serving + loops, threads),
+            serving + loops,
+            "plus one client thread per core, for {suppliers} suppliers"
+        );
         drop(client);
-        if drain {
-            assert!(server.drain(Duration::from_secs(5)), "drain converged");
-        } else {
-            server.shutdown();
+        for server in servers {
+            if drain {
+                assert!(server.drain(Duration::from_secs(5)), "drain converged");
+            } else {
+                server.shutdown();
+            }
         }
         assert_eq!(settled(threads0, threads), threads0, "threads after {how}");
         assert_eq!(settled(fds0, fds), fds0, "open fds after {how}");
