@@ -218,17 +218,20 @@ impl NetMergerClient {
     /// lowest-input-index failure is returned.
     pub fn fetch_all(&self, segs: &[SegmentRef]) -> Result<Vec<Vec<u8>>> {
         let (tx, rx) = mpsc::channel();
-        for &i in &balanced_order(segs) {
-            let Some(&seg) = segs.get(i) else { continue };
-            self.sched.submit(FetchOp {
-                token: i as u64,
-                seg,
-                offset: 0,
-                limit: 0,
-                done: tx.clone(),
-                tried: Vec::new(),
-            });
-        }
+        let ops = balanced_order(segs)
+            .into_iter()
+            .filter_map(|i| {
+                segs.get(i).map(|&seg| FetchOp {
+                    token: i as u64,
+                    seg,
+                    offset: 0,
+                    limit: 0,
+                    done: tx.clone(),
+                    tried: Vec::new(),
+                })
+            })
+            .collect();
+        self.sched.submit(ops);
         drop(tx);
         let mut out: Vec<Option<Vec<u8>>> = segs.iter().map(|_| None).collect();
         let mut failures: Vec<(u64, TransportError)> = Vec::new();
@@ -278,14 +281,14 @@ impl NetMergerClient {
     /// payload means `offset` is at or past the segment's end.
     pub fn fetch_chunk(&self, seg: SegmentRef, offset: u64) -> Result<Vec<u8>> {
         let (done, rx) = mpsc::channel();
-        self.sched.submit(FetchOp {
+        self.sched.submit(vec![FetchOp {
             token: 0,
             seg,
             offset,
             limit: self.shared.config.buffer_bytes,
             done,
             tried: Vec::new(),
-        });
+        }]);
         rx.recv().map_err(|_| vanished())?.result
     }
 
@@ -383,14 +386,14 @@ impl ChunkFetch<'_> {
     /// Submit the chunk at `self.offset`; the stream has at most one in
     /// flight, so its token needs no numbering.
     fn request(&mut self) {
-        self.client.sched.submit(FetchOp {
+        self.client.sched.submit(vec![FetchOp {
             token: 0,
             seg: self.seg,
             offset: self.offset,
             limit: self.client.shared.config.buffer_bytes,
             done: self.done_tx.clone(),
             tried: Vec::new(),
-        });
+        }]);
         self.pending = true;
     }
 

@@ -116,13 +116,19 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Hand `op` to the loop, counted in `queued_ops`, or fail it if the
-    /// loop is gone.
-    fn submit(&self, stats: &FetchStats, op: FetchOp) {
-        match push_counted(&self.mail, stats, Msg::Op(op)) {
+    /// Hand `ops` to the loop in one push, counted in `queued_ops`, or
+    /// fail them if the loop is gone. The loop is woken at most once.
+    fn submit(&self, stats: &FetchStats, ops: Vec<Msg>) {
+        match push_counted(&self.mail, stats, ops) {
             Ok(true) => self.waker.wake(),
-            Ok(false) | Err(Msg::Dialed(..)) => {}
-            Err(Msg::Op(op)) => finish(op, Err(shutdown_error())),
+            Ok(false) => {}
+            Err(refused) => {
+                for msg in refused {
+                    if let Msg::Op(op) = msg {
+                        finish(op, Err(shutdown_error()));
+                    }
+                }
+            }
         }
     }
 }
@@ -146,11 +152,12 @@ impl FetchScheduler {
         }
     }
 
-    /// Hand an op to the loop that owns its supplier, which queues it
+    /// Hand each op to the loop that owns its supplier, which queues it
     /// there — or on a replica, if that supplier is unhealthy or
-    /// breaker-open (proactive failover).
-    pub(crate) fn submit(&self, op: FetchOp) {
-        self.router.submit(op);
+    /// breaker-open (proactive failover). Each loop gets its share of
+    /// `ops` in one push, so a wave wakes each loop at most once.
+    pub(crate) fn submit(&self, ops: Vec<FetchOp>) {
+        self.router.submit(ops);
     }
 }
 
@@ -204,21 +211,33 @@ impl Router {
         loops.inboxes.get(at).cloned()
     }
 
-    /// Hand `op` to the loop that owns its supplier, or fail it if the
-    /// client shut down. `sched.dispatch` is traced here, on the
-    /// submitting thread, so the trace keeps the order ops were injected
-    /// in across every loop.
-    fn submit(self: &Arc<Self>, op: FetchOp) {
-        let Some(inbox) = self.inbox(op.seg.addr) else {
-            return finish(op, Err(shutdown_error()));
-        };
-        let (peer, mof) = (Entity::peer(u64::from(op.seg.addr.port())), op.seg.mof);
-        let reducer = u64::from(op.seg.reducer);
-        self.shared
-            .config
-            .trace
-            .instant("sched.dispatch", peer, mof, reducer);
-        inbox.submit(&self.shared.fetch_stats, op);
+    /// Hand each op to the loop that owns its supplier, or fail it if
+    /// the client shut down. Ops meet their loops in order, so the first
+    /// contact with a supplier picks its loop as one submit at a time
+    /// would, and each loop gets its share in one push. `sched.dispatch`
+    /// is traced here, on the submitting thread, so the trace keeps the
+    /// order ops were injected in across every loop.
+    fn submit(self: &Arc<Self>, ops: Vec<FetchOp>) {
+        let mut shares: Vec<(Arc<Inbox>, Vec<Msg>)> = Vec::new();
+        for op in ops {
+            let Some(inbox) = self.inbox(op.seg.addr) else {
+                finish(op, Err(shutdown_error()));
+                continue;
+            };
+            let (peer, mof) = (Entity::peer(u64::from(op.seg.addr.port())), op.seg.mof);
+            let reducer = u64::from(op.seg.reducer);
+            self.shared
+                .config
+                .trace
+                .instant("sched.dispatch", peer, mof, reducer);
+            match shares.iter_mut().find(|(i, _)| Arc::ptr_eq(i, &inbox)) {
+                Some((_, share)) => share.push(Msg::Op(op)),
+                None => shares.push((inbox, vec![Msg::Op(op)])),
+            }
+        }
+        for (inbox, share) in shares {
+            inbox.submit(&self.shared.fetch_stats, share);
+        }
     }
 
     /// Start one more loop on a thread of its own.
@@ -253,13 +272,19 @@ impl Router {
     }
 }
 
-/// Queue `item` for the loop, counted in `queued_ops` *before* the loop
-/// can see it: the loop may take and admit it, un-counting it, the
-/// instant `push` returns, and a gauge bumped only afterwards would dip
-/// below zero in between. A refused push (mailbox closed) is un-counted.
-fn push_counted<T>(mail: &Mailbox<T>, stats: &FetchStats, item: T) -> std::result::Result<bool, T> {
-    stats.record_op_queued();
-    mail.push(item).inspect_err(|_| stats.record_op_dequeued())
+/// Queue `items` for the loop, each counted in `queued_ops` *before* the
+/// loop can see it: the loop may take and admit them, un-counting them,
+/// the instant `push_all` returns, and a gauge bumped only afterwards
+/// would dip below zero in between. A refused push (mailbox closed) is
+/// un-counted.
+fn push_counted<T>(
+    mail: &Mailbox<T>,
+    stats: &FetchStats,
+    items: Vec<T>,
+) -> std::result::Result<bool, Vec<T>> {
+    items.iter().for_each(|_| stats.record_op_queued());
+    mail.push_all(items)
+        .inspect_err(|refused| refused.iter().for_each(|_| stats.record_op_dequeued()))
 }
 
 /// Close the loop's mailbox and fail every op still in it.
@@ -446,7 +471,7 @@ impl ClientLoop {
             let owner = self.router.inbox(op.seg.addr);
             if let Some(inbox) = owner.filter(|inbox| !Arc::ptr_eq(inbox, &self.inbox)) {
                 stats.record_op_dequeued();
-                return inbox.submit(stats, op);
+                return inbox.submit(stats, vec![Msg::Op(op)]);
             }
         }
         let addr = op.seg.addr;
@@ -1389,7 +1414,7 @@ impl Peer {
             return;
         };
         if result.is_err() && route(&self.shared, &mut a.op, self.breaker.is_open(self.now())) {
-            return self.router.submit(a.op);
+            return self.router.submit(vec![a.op]);
         }
         finish(a.op, result);
     }
@@ -1491,26 +1516,42 @@ fn op_mut(active: &mut VecDeque<ActiveOp>, key: u64) -> Option<&mut ActiveOp> {
 mod loom_tests {
     use super::*;
 
-    /// A push racing the shutdown close: in every interleaving the op
-    /// surfaces exactly once — refused back to the pusher, or drained by
-    /// close — never both, never lost. This is the invariant that makes
-    /// "every accepted op completes exactly once" hold across shutdown.
+    /// A push and then a two-item batch push racing the loop taking its
+    /// mail and the shutdown close: in every interleaving each item
+    /// surfaces exactly once — taken by the loop, drained by close, or
+    /// refused back to the pusher — never twice, never lost, and a batch
+    /// lands whole and in order. This is the invariant that makes "every
+    /// accepted op completes exactly once" hold across shutdown.
     #[test]
     fn loom_push_races_close_exactly_once() {
         loom::model(|| {
             let q = Arc::new(Mailbox::new());
             let q2 = Arc::clone(&q);
-            let h = loom::thread::spawn(move || q2.push(7u32).err());
+            let h = loom::thread::spawn(move || {
+                let mut refused: Vec<u32> = q2.push(7u32).err().into_iter().collect();
+                refused.extend(q2.push_all(vec![8u32, 9]).err().unwrap_or_default());
+                refused
+            });
+            let taken = q.drain();
             let drained = q.close();
             let refused = match h.join() {
                 Ok(r) => r,
                 Err(_) => panic!("pusher panicked"),
             };
-            let surfaced = usize::from(refused.is_some()) + drained.len();
-            assert_eq!(surfaced, 1, "op must surface exactly once");
+            let parts = [&taken, &drained, &refused];
+            let mut surfaced: Vec<u32> = parts.into_iter().flatten().copied().collect();
+            surfaced.sort_unstable();
+            assert_eq!(surfaced, [7, 8, 9], "every item must surface exactly once");
+            for part in parts {
+                match part.iter().position(|&x| x == 8) {
+                    Some(i) => assert_eq!(part.get(i + 1), Some(&9), "batch split: {part:?}"),
+                    None => assert!(!part.contains(&9), "batch split: {part:?}"),
+                }
+            }
             // After close the mailbox stays terminal.
             assert!(q.is_closed() && q.drain().is_empty());
-            assert!(q.push(8u32).is_err());
+            assert!(q.push(10u32).is_err());
+            assert!(q.push_all(vec![11u32]).is_err());
         });
     }
 
@@ -1524,7 +1565,7 @@ mod loom_tests {
             let q = Arc::new(Mailbox::new());
             let stats = Arc::new(FetchStats::default());
             let (q2, s2) = (Arc::clone(&q), Arc::clone(&stats));
-            let h = loom::thread::spawn(move || push_counted(&q2, &s2, 7u32).is_ok());
+            let h = loom::thread::spawn(move || push_counted(&q2, &s2, vec![7u32]).is_ok());
             for _ in q.drain() {
                 stats.record_op_dequeued();
                 assert_eq!(stats.snapshot().queued_ops, 0, "admit un-counted first");
@@ -1619,7 +1660,7 @@ mod tests {
                     tried: Vec::new(),
                 };
                 let inbox = &self.client_loop.inbox;
-                let pushed = push_counted(&inbox.mail, &self.shared.fetch_stats, Msg::Op(op));
+                let pushed = push_counted(&inbox.mail, &self.shared.fetch_stats, vec![Msg::Op(op)]);
                 assert!(pushed.is_ok());
                 inbox.waker.wake();
             }

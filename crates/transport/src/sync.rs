@@ -41,10 +41,11 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, 
 
 /// A closable many-producer mailbox drained by one event loop: the
 /// client's submissions and the supplier's disk-worker completions.
-/// Producers [`Mailbox::push`]; the loop takes everything queued at once
-/// with [`Mailbox::drain`], in push order. [`Mailbox::close`] drains and
-/// refuses every later push, handing the item back to its producer, so
-/// an item is taken by the loop, drained by the closer, or refused —
+/// Producers [`Mailbox::push`] one item or [`Mailbox::push_all`] a
+/// batch; the loop takes everything queued at once with
+/// [`Mailbox::drain`], in push order. [`Mailbox::close`] drains and
+/// refuses every later push, handing the items back to their producer,
+/// so an item is taken by the loop, drained by the closer, or refused —
 /// exactly one of the three, never lost.
 pub(crate) struct Mailbox<T> {
     slots: Mutex<Slots<T>>,
@@ -77,6 +78,20 @@ impl<T> Mailbox<T> {
         Ok(slots.items.len() == 1)
     }
 
+    /// Queue every item of `items` behind what is queued, in order, or
+    /// hand them all back if the mailbox is closed. `Ok(true)` if the
+    /// mailbox was empty and `items` is not, as for [`Mailbox::push`]:
+    /// a batch needs at most one wake-up, however many items it holds.
+    pub(crate) fn push_all(&self, items: Vec<T>) -> Result<bool, Vec<T>> {
+        let mut slots = lock(&self.slots);
+        if slots.closed {
+            return Err(items);
+        }
+        let was_empty = slots.items.is_empty();
+        slots.items.extend(items);
+        Ok(was_empty && !slots.items.is_empty())
+    }
+
     /// Take everything currently queued, oldest first.
     pub(crate) fn drain(&self) -> Vec<T> {
         std::mem::take(&mut lock(&self.slots).items)
@@ -92,5 +107,27 @@ impl<T> Mailbox<T> {
     /// Has [`Mailbox::close`] run?
     pub(crate) fn is_closed(&self) -> bool {
         lock(&self.slots).closed
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn push_all_reports_an_empty_mailbox_once_per_batch() {
+        let q = Mailbox::new();
+        assert_eq!(q.push_all(vec![1, 2, 3]), Ok(true));
+        assert_eq!(q.push_all(vec![4]), Ok(false));
+        assert_eq!(q.push(5), Ok(false));
+        assert_eq!(q.drain(), [1, 2, 3, 4, 5]);
+        assert_eq!(
+            q.push_all(Vec::new()),
+            Ok(false),
+            "an empty batch wakes nobody"
+        );
+        assert_eq!(q.push_all(vec![6, 7]), Ok(true));
+        assert_eq!(q.close(), [6, 7]);
+        assert_eq!(q.push_all(vec![8, 9]), Err(vec![8, 9]));
     }
 }

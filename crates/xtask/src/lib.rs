@@ -1,7 +1,7 @@
 //! `cargo xtask analyze` — repo-specific static analysis for the JBS
 //! workspace.
 //!
-//! Eight lint families, built on a hand-rolled scanner ([`lexer`]) and
+//! Nine lint families, built on a hand-rolled scanner ([`lexer`]) and
 //! an interprocedural call graph ([`callgraph`]) so the workspace stays
 //! fully offline (no syn/proc-macro/registry deps):
 //!
@@ -12,13 +12,15 @@
 //! * [`lints::blocking`] — no file/socket I/O, `sleep`, or condvar
 //!   wait while any lock is held, through arbitrarily deep calls;
 //! * [`lints::nonblocking`] — files declared `nonblocking_context`
-//!   (the reactor's event loop) must not reach a blocking primitive
-//!   at all, locks held or not;
+//!   (the supplier's reactor and the client's event loops) must not
+//!   reach a blocking primitive at all, locks held or not;
 //! * [`lints::guardbalance`] — lock guards and trace spans must have
 //!   structured lifetimes (no `let _ =`, no `mem::forget`, no
 //!   guard-returning functions outside the sync-primitive layer);
 //! * [`lints::determinism`] — no wall clocks / sleeps / OS entropy in
 //!   the simulated-time crates;
+//! * [`lints::durability`] — write → sync → publish ordering in the
+//!   crash-consistent persistence files;
 //! * [`lints::hygiene`] — workspace `[lints]` opt-in everywhere and
 //!   the `unsafe` fence;
 //! * [`lints::print`] — no stdout/stderr prints on the instrumented
@@ -28,12 +30,10 @@
 //! list; crates opt *out* per family through `[policy]` keys in
 //! `crates/xtask/allow.toml` ([`policy`]). Exemptions for individual
 //! call sites are `[[allow]]` entries with a mandatory one-line
-//! justification; stale entries are themselves errors. Findings
-//! serialize to versioned JSON with stable ids ([`json`]) so CI can
-//! diff against a committed baseline. See DESIGN.md §9.
+//! justification; stale entries are themselves errors. See DESIGN.md
+//! §9.
 
 pub mod callgraph;
-pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod policy;
@@ -41,7 +41,6 @@ pub mod policy;
 use lexer::ScannedFile;
 use lints::Finding;
 use policy::Policy;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Which lints apply to which parts of the tree.
@@ -154,10 +153,8 @@ fn expand_member(root: &Path, member: &str) -> std::io::Result<Vec<PathBuf>> {
 
 /// The analyzer result: surviving findings plus stale allowlist entries.
 pub struct Report {
-    /// Findings not covered by the allowlist or baseline.
+    /// Findings not covered by the allowlist.
     pub findings: Vec<Finding>,
-    /// Findings present in the committed baseline (known debt).
-    pub baselined: Vec<Finding>,
     /// Allowlist entries that matched nothing (stale; also fatal).
     pub stale_allows: Vec<policy::AllowEntry>,
     /// Findings that were suppressed by the allowlist or by
@@ -169,21 +166,6 @@ impl Report {
     /// Did the analysis pass?
     pub fn clean(&self) -> bool {
         self.findings.is_empty() && self.stale_allows.is_empty()
-    }
-
-    /// Move findings whose stable id is in `baseline` into the
-    /// baselined set (CI fails only on findings *not* in the baseline).
-    pub fn apply_baseline(&mut self, baseline: &BTreeSet<String>) {
-        let ids = json::finding_ids(&self.findings);
-        let mut keep = Vec::new();
-        for (f, id) in std::mem::take(&mut self.findings).into_iter().zip(ids) {
-            if baseline.contains(&id) {
-                self.baselined.push(f);
-            } else {
-                keep.push(f);
-            }
-        }
-        self.findings = keep;
     }
 }
 
@@ -315,7 +297,6 @@ pub fn apply_allowlist(findings: Vec<Finding>, policy: &Policy) -> Report {
         .collect();
     Report {
         findings: surviving,
-        baselined: Vec::new(),
         stale_allows,
         allowed,
     }

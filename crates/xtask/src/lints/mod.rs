@@ -37,24 +37,6 @@ pub struct Finding {
     pub chain: Vec<String>,
 }
 
-/// Map a lint name back to its canonical `&'static str` (so a parsed
-/// JSON report uses the same statics as a live run).
-pub fn lint_name(name: &str) -> Option<&'static str> {
-    [
-        "panic",
-        "lock-order",
-        "blocking",
-        "nonblocking",
-        "guard-balance",
-        "determinism",
-        "durability",
-        "hygiene",
-        "print",
-    ]
-    .into_iter()
-    .find(|&known| name == known)
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

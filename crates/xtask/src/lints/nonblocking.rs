@@ -1,11 +1,13 @@
 //! Nonblocking-context lint.
 //!
 //! The event-driven supplier (DESIGN.md §14) multiplexes its listener
-//! and every connection onto one poll thread. A single blocking call
-//! anywhere in that thread's reach — a file read, a socket
-//! `write_all`, a `sleep`, a channel `recv`, a condvar wait — stalls
-//! *every* connection of the supplier, not just the one being served. So files declared `nonblocking_context` in the policy get a
-//! stricter rule than blocking-under-lock: functions defined there may
+//! and every connection onto one poll thread, and each of the client's
+//! event loops (DESIGN.md §10) does the same with its suppliers. A
+//! single blocking call anywhere in such a thread's reach — a file
+//! read, a socket `write_all`, a `sleep`, a channel `recv`, a condvar
+//! wait — stalls *every* connection of that loop, not just the one
+//! being served. So files declared `nonblocking_context` in the policy
+//! get a stricter rule than blocking-under-lock: functions defined there may
 //! not reach a blocking primitive at all, locks held or not. Disk work
 //! must leave through the prefetch queue to the permit-bounded worker
 //! pool; socket I/O must go through the nonblocking `read`/`write`
@@ -14,7 +16,7 @@
 //! The reachability (with witness call chains) comes from
 //! [`crate::callgraph`], which propagates each function's blocking
 //! primitives up the call graph to a fixpoint — a wrapper three calls
-//! deep is flagged at the reactor entry point with the chain that gets
+//! deep is flagged at the event loop's entry point with the chain that gets
 //! there. Closures handed to `spawn` run on their own thread and are
 //! not charged to the spawning context.
 //!
@@ -63,7 +65,7 @@ pub fn check(analysis: &Analysis, policy: &Policy) -> Vec<Finding> {
                 line: r.line,
                 message: format!(
                     "{} reachable from `{}` ({}) — a nonblocking context; one \
-                     blocked call stalls every connection on the reactor",
+                     blocked call stalls every connection on its event loop",
                     r.what,
                     r.from_fn,
                     r.from_file.display(),

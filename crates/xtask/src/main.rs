@@ -1,13 +1,12 @@
 //! CLI entry point:
-//! `cargo xtask analyze [--root PATH] [--format text|json] [--baseline FILE] [-v]`.
+//! `cargo xtask analyze [--root PATH] [-v]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xtask::policy::Policy;
-use xtask::{analyze, json, Config};
+use xtask::{analyze, Config};
 
-const USAGE: &str =
-    "usage: cargo xtask analyze [--root PATH] [--format text|json] [--baseline FILE] [-v]";
+const USAGE: &str = "usage: cargo xtask analyze [--root PATH] [-v]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -21,20 +20,9 @@ fn main() -> ExitCode {
     }
     let mut root: Option<PathBuf> = None;
     let mut verbose = false;
-    let mut format = String::from("text");
-    let mut baseline: Option<PathBuf> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = "text".into(),
-                Some("json") => format = "json".into(),
-                other => {
-                    eprintln!("--format takes `text` or `json`, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baseline" => baseline = args.next().map(PathBuf::from),
             "-v" | "--verbose" => verbose = true,
             other => {
                 eprintln!("unknown flag `{other}`\n{USAGE}");
@@ -72,55 +60,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut report = match analyze(&config, &policy) {
+    let report = match analyze(&config, &policy) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask: analysis failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-            Ok(text) => match json::baseline_ids(&text) {
-                Ok(ids) => report.apply_baseline(&ids),
-                Err(e) => {
-                    eprintln!("xtask: bad baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("xtask: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if format == "json" {
-        // The report (findings, baselined debt, allowed exemptions,
-        // stale entries) goes to stdout; the verdict stays on stderr so
-        // the artifact is pure JSON.
-        print!("{}", json::to_json(&report));
-        if report.clean() {
-            eprintln!("xtask analyze: clean");
-            return ExitCode::SUCCESS;
-        }
-        eprintln!(
-            "xtask analyze: {} violation(s), {} stale allowlist entr(ies)",
-            report.findings.len(),
-            report.stale_allows.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
     if verbose {
         for f in xtask::lints::hygiene::UNSAFE_ALLOWED {
             println!("unsafe-allowed  {f}");
         }
         for f in &report.allowed {
             println!("allowed  {f}");
-        }
-        for f in &report.baselined {
-            println!("baselined  {f}");
         }
     }
     for f in &report.findings {
@@ -134,15 +86,10 @@ fn main() -> ExitCode {
     }
     if report.clean() {
         println!(
-            "xtask analyze: clean ({} audited exemption{}, `unsafe` allowed in {} files{})",
+            "xtask analyze: clean ({} audited exemption{}, `unsafe` allowed in {} files)",
             report.allowed.len(),
             if report.allowed.len() == 1 { "" } else { "s" },
             xtask::lints::hygiene::UNSAFE_ALLOWED.len(),
-            if report.baselined.is_empty() {
-                String::new()
-            } else {
-                format!(", {} baselined", report.baselined.len())
-            }
         );
         ExitCode::SUCCESS
     } else {
